@@ -4,7 +4,9 @@
 // engine (one combined plan through the batched physical executor), swept
 // over batch sizes and thread budgets. Prints per-query timings, the
 // streaming-vs-legacy speedup, and the EXPLAIN-ANALYZE rendering of the
-// most interesting configuration.
+// most interesting configuration. A `prepare` row per query times
+// Engine::Prepare, the rewriting half of Engine::Run that the execution rows
+// exclude.
 //
 // Run with --smoke for the CI leg: one iteration over a tiny document.
 #include <cstdio>
@@ -206,6 +208,23 @@ int Run(double scale, int reps) {
       }
       std::printf("%-16s %-22s %12.1f %9.2fx\n", q.name, "stream no-verify",
                   micros, micros > 0 ? legacy / micros : 0.0);
+    }
+
+    // The front half every Engine::Run pays and the rows above leave out:
+    // Engine::Prepare parses, translates, rewrites over the views, builds
+    // the plan and verifies it. Its ratio to the starred row is how much
+    // more a query costs than its execution.
+    {
+      bool prepared = true;
+      double micros = bench::AvgMicros(reps, [&] {
+        prepared = engine->Prepare(q.text).ok() && prepared;
+      });
+      if (!prepared) {
+        std::fprintf(stderr, "%s: prepare failed\n", q.name);
+        return 1;
+      }
+      std::printf("%-16s %-22s %12.1f %9.2fx of *\n", q.name, "prepare",
+                  micros, default_micros > 0 ? micros / default_micros : 0.0);
     }
   }
   std::printf("(* = default engine configuration)\n");

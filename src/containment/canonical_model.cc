@@ -348,11 +348,12 @@ bool ForEachCanonicalTree(const Xam& p, const PathSummary& summary,
       CanonicalTree t = BuildTree(p, summary, e, erased);
       std::string key = WholeTreeKey(p, t);
       if (seen.insert(std::move(key)).second) {
-        if (!fn(t)) keep_going = false;
+        // A distinct tree beyond the cap means the model is incomplete.
+        keep_going = seen.size() <= limit && fn(t);
       }
-      return keep_going && seen.size() < limit;
+      return keep_going;
     });
-    return keep_going && seen.size() < limit;
+    return keep_going;
   });
   return keep_going;
 }

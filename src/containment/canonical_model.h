@@ -62,8 +62,10 @@ std::vector<CanonicalTree> CanonicalModel(const Xam& p,
 // Lazy enumeration of mod_S(p): `fn` receives each (deduplicated) canonical
 // tree and returns false to stop early. This is how the containment check
 // achieves the thesis's fast-negative behaviour — the model is never fully
-// materialized when an early tree already refutes containment. Returns
-// false if `fn` stopped the enumeration.
+// materialized when an early tree already refutes containment. At most
+// `limit` trees reach `fn`. Returns true only when the whole model was
+// enumerated: false if `fn` stopped the enumeration or if the model has
+// more than `limit` trees.
 bool ForEachCanonicalTree(const Xam& p, const PathSummary& summary,
                           size_t limit,
                           const std::function<bool(CanonicalTree&)>& fn);

@@ -302,7 +302,8 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
   // containment (this is why negative tests run faster, §4.6).
   bool contained = true;
   size_t model_size = 0;
-  ForEachCanonicalTree(p, summary, opts.model_limit, [&](CanonicalTree& t) {
+  bool complete = ForEachCanonicalTree(p, summary, opts.model_limit,
+                                       [&](CanonicalTree& t) {
     ++model_size;
     // Strong closure: nodes that every conforming document is guaranteed to
     // contain alongside t (enhanced summary, §4.2.2). Container patterns may
@@ -395,8 +396,15 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
     (void)any;
     return true;
   });
-  if (stats != nullptr) stats->canonical_model_size = model_size;
-  return contained;
+  // Only a refuting tree stops the enumeration early, so an incomplete one
+  // that left `contained` standing hit the model cap: the trees never
+  // checked could refute containment.
+  bool truncated = !complete && contained;
+  if (stats != nullptr) {
+    stats->canonical_model_size = model_size;
+    stats->truncated = stats->truncated || truncated;
+  }
+  return contained && !truncated;
 }
 
 Result<bool> IsContained(const Xam& p, const Xam& q,
@@ -408,10 +416,30 @@ Result<bool> IsContained(const Xam& p, const Xam& q,
 
 Result<bool> AreEquivalent(const Xam& p, const Xam& q,
                            const PathSummary& summary,
-                           const ContainmentOptions& opts) {
-  ULOAD_ASSIGN_OR_RETURN(bool a, IsContained(p, q, summary, opts));
+                           const ContainmentOptions& opts,
+                           ContainmentStats* stats) {
+  ULOAD_ASSIGN_OR_RETURN(bool a, IsContained(p, q, summary, opts, stats));
   if (!a) return false;
-  return IsContained(q, p, summary, opts);
+  return IsContained(q, p, summary, opts, stats);
+}
+
+bool AnnotationsRefuteContainment(const Xam& p, const AnnotationSets& p_ann,
+                                  const Xam& q, const AnnotationSets& q_ann) {
+  for (XamNodeId id = 0; id < p.size(); ++id) {
+    if (p.node(id).val_formula.IsFalse()) return false;
+  }
+  std::vector<XamNodeId> p_returns = p.ReturnNodes();
+  std::vector<XamNodeId> q_returns = q.ReturnNodes();
+  if (p_returns.size() != q_returns.size()) return false;
+  for (size_t i = 0; i < p_returns.size(); ++i) {
+    std::span<const SummaryNodeId> allowed = q_ann[q_returns[i]];
+    for (SummaryNodeId s : p_ann[p_returns[i]]) {
+      if (std::find(allowed.begin(), allowed.end(), s) == allowed.end()) {
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 }  // namespace uload

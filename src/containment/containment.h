@@ -18,13 +18,16 @@
 
 #include "common/status.h"
 #include "containment/canonical_model.h"
+#include "containment/embedding.h"
 #include "summary/path_summary.h"
 #include "xam/xam.h"
 
 namespace uload {
 
 struct ContainmentOptions {
-  // Cap on |mod_S(p)| (worst case is |S|^|p|; real patterns stay tiny).
+  // Cap on |mod_S(p)| (worst case is |S|^|p|; real patterns stay tiny). A
+  // model with more trees answers "not contained": an unchecked tree could
+  // be the counterexample.
   size_t model_limit = 1u << 16;
   // Check Prop. 4.4.3's attribute-spec condition on paired return nodes.
   bool check_attributes = true;
@@ -33,6 +36,9 @@ struct ContainmentOptions {
 struct ContainmentStats {
   size_t canonical_model_size = 0;
   size_t embeddings_checked = 0;
+  // The canonical model passed `model_limit`, so the answer was "not
+  // contained" without a refuting tree.
+  bool truncated = false;
 };
 
 // p ⊆_S q.
@@ -47,10 +53,24 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
                                 const ContainmentOptions& opts = {},
                                 ContainmentStats* stats = nullptr);
 
-// Two-way containment.
+// Two-way containment. `stats`, when given, reports the last direction
+// checked; `truncated` is set if either direction was truncated.
 Result<bool> AreEquivalent(const Xam& p, const Xam& q,
                            const PathSummary& summary,
-                           const ContainmentOptions& opts = {});
+                           const ContainmentOptions& opts = {},
+                           ContainmentStats* stats = nullptr);
+
+// A necessary condition for p ⊆_S q read off path annotations, without a
+// canonical model: true (p ⊄_S q) when some return node of p has an
+// annotation path outside the annotation of q's return node at the same
+// position. `p_ann` and `q_ann` are PathAnnotations(p) and PathAnnotations(q).
+// Sound because arc consistency is exact on tree patterns: every path in
+// p's return annotation is that return node's path in some canonical tree
+// of p, and q must map its own return node onto it, which puts the path in
+// q's annotation. Decides nothing (false) when p carries an unsatisfiable
+// formula, since p is then contained in every pattern.
+bool AnnotationsRefuteContainment(const Xam& p, const AnnotationSets& p_ann,
+                                  const Xam& q, const AnnotationSets& q_ann);
 
 }  // namespace uload
 

@@ -112,85 +112,113 @@ std::vector<SummaryEmbedding> EmbedIntoSummary(const Xam& p,
   return e.Run();
 }
 
-std::vector<std::vector<SummaryNodeId>> PathAnnotations(
-    const Xam& p, const PathSummary& summary) {
+AnnotationSets PathAnnotations(const Xam& p, const PathSummary& summary) {
+  // Candidate sets live in one pool: node id's set is pool[first[id],
+  // last[id]), and filtering compacts it in place.
+  std::vector<SummaryNodeId> pool;
+  std::vector<uint32_t> first(p.size());
+  std::vector<uint32_t> last(p.size());
+  auto add = [&](SummaryNodeId s) { pool.push_back(s); };
   // Initial candidate sets from node constraints.
-  std::vector<std::vector<SummaryNodeId>> cand(p.size());
-  cand[kXamRoot] = {summary.document_node()};
-  for (XamNodeId id = 1; id < p.size(); ++id) {
+  for (XamNodeId id = 0; id < p.size(); ++id) {
+    first[id] = static_cast<uint32_t>(pool.size());
     const XamNode& pn = p.node(id);
-    if (!pn.tag_value.empty()) {
+    if (id == kXamRoot) {
+      add(summary.document_node());
+    } else if (!pn.tag_value.empty()) {
       for (SummaryNodeId s : summary.NodesWithLabel(pn.tag_value)) {
-        if (NodeMatches(pn, summary.node(s))) cand[id].push_back(s);
+        if (NodeMatches(pn, summary.node(s))) add(s);
       }
     } else if (pn.is_attribute) {
       for (SummaryNodeId s = 1; s < summary.size(); ++s) {
-        if (summary.node(s).kind == NodeKind::kAttribute) {
-          cand[id].push_back(s);
-        }
+        if (summary.node(s).kind == NodeKind::kAttribute) add(s);
       }
     } else {
-      for (SummaryNodeId s : summary.ElementNodes()) cand[id].push_back(s);
+      const std::vector<SummaryNodeId>& elements = summary.ElementNodes();
+      pool.insert(pool.end(), elements.begin(), elements.end());
     }
+    last[id] = static_cast<uint32_t>(pool.size());
   }
+  // Membership bitmap over summary nodes: a node is marked when
+  // stamp[node] == generation, so starting a new set is one increment.
+  std::vector<uint32_t> stamp(summary.size(), 0);
+  uint32_t generation = 0;
+  auto marked = [&](SummaryNodeId s) { return stamp[s] == generation; };
+  auto mark_set = [&](XamNodeId id) {
+    ++generation;
+    for (uint32_t i = first[id]; i < last[id]; ++i) stamp[pool[i]] = generation;
+  };
+  // Drops the candidates of `id` that fail `ok`; reports any drop.
+  auto filter = [&](XamNodeId id, bool* changed, const auto& ok) {
+    auto begin = pool.begin() + first[id];
+    auto end = pool.begin() + last[id];
+    auto kept = std::remove_if(begin, end,
+                               [&](SummaryNodeId s) { return !ok(s); });
+    if (kept != end) *changed = true;
+    last[id] = static_cast<uint32_t>(kept - pool.begin());
+  };
   // Arc-consistency: iterate until fixpoint — a candidate for a node must
   // have a compatible candidate at each neighbor (parent and children).
   bool changed = true;
   std::vector<XamNodeId> order = p.PreOrder();
   while (changed) {
     changed = false;
-    // Downward: child candidates must connect to some parent candidate.
+    // Downward: a child candidate must sit below (or, on a / edge, right
+    // under) some marked parent candidate.
     for (XamNodeId id : order) {
       if (id == kXamRoot) continue;
-      const XamEdge& edge = p.IncomingEdge(id);
-      XamNodeId parent = p.node(id).parent;
-      std::vector<SummaryNodeId> kept;
-      for (SummaryNodeId c : cand[id]) {
-        bool ok = false;
-        for (SummaryNodeId pc : cand[parent]) {
-          if (edge.axis == Axis::kChild ? summary.IsParent(pc, c)
-                                        : (pc == summary.document_node()
-                                               ? true
-                                               : summary.IsAncestor(pc, c))) {
-            ok = true;
-            break;
+      mark_set(p.node(id).parent);
+      if (p.IncomingEdge(id).axis == Axis::kChild) {
+        filter(id, &changed,
+               [&](SummaryNodeId c) { return marked(summary.node(c).parent); });
+      } else {
+        filter(id, &changed, [&](SummaryNodeId c) {
+          for (SummaryNodeId a = summary.node(c).parent; a != kNoSummaryNode;
+               a = summary.node(a).parent) {
+            if (marked(a)) return true;
           }
-        }
-        if (!ok) changed = true;
-        if (ok) kept.push_back(c);
+          return false;
+        });
       }
-      cand[id] = std::move(kept);
     }
-    // Upward: parent candidates must have a compatible child candidate for
-    // every child edge.
+    // Upward: a parent candidate must be the parent (/) or an ancestor (//)
+    // of some child candidate, for every required child edge: mark those
+    // and keep the marked parent candidates.
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       XamNodeId id = *it;
       for (const XamEdge& e : p.node(id).edges) {
         // An optional child with no compatible placement maps to ⊥; it must
         // not prune its parent's candidates.
         if (e.optional()) continue;
-        std::vector<SummaryNodeId> kept;
-        for (SummaryNodeId pc : cand[id]) {
-          bool ok = false;
-          for (SummaryNodeId c : cand[e.child]) {
-            bool rel = e.axis == Axis::kChild
-                           ? summary.IsParent(pc, c)
-                           : (pc == summary.document_node()
-                                  ? true
-                                  : summary.IsAncestor(pc, c));
-            if (rel) {
-              ok = true;
-              break;
-            }
+        ++generation;
+        for (uint32_t i = first[e.child]; i < last[e.child]; ++i) {
+          SummaryNodeId a = summary.node(pool[i]).parent;
+          if (e.axis == Axis::kChild) {
+            stamp[a] = generation;
+            continue;
           }
-          if (!ok) changed = true;
-          if (ok) kept.push_back(pc);
+          // A marked ancestor already has its whole chain marked.
+          for (; a != kNoSummaryNode && !marked(a); a = summary.node(a).parent) {
+            stamp[a] = generation;
+          }
         }
-        cand[id] = std::move(kept);
+        filter(id, &changed, marked);
       }
     }
   }
-  return cand;
+  // Compact the surviving sets into the result, in node id order.
+  AnnotationSets out;
+  out.starts_.reserve(p.size() + 1);
+  out.starts_.push_back(0);
+  uint32_t size = 0;
+  for (XamNodeId id = 0; id < p.size(); ++id) {
+    for (uint32_t i = first[id]; i < last[id]; ++i) pool[size++] = pool[i];
+    out.starts_.push_back(size);
+  }
+  pool.resize(size);
+  pool.shrink_to_fit();
+  out.nodes_ = std::move(pool);
+  return out;
 }
 
 bool IsSatisfiable(const Xam& p, const PathSummary& summary) {

@@ -6,6 +6,8 @@
 #ifndef ULOAD_CONTAINMENT_EMBEDDING_H_
 #define ULOAD_CONTAINMENT_EMBEDDING_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "summary/path_summary.h"
@@ -24,12 +26,33 @@ std::vector<SummaryEmbedding> EmbedIntoSummary(const Xam& p,
                                                const PathSummary& summary,
                                                size_t limit = SIZE_MAX);
 
+// Path annotations of a pattern: one summary-node set per XAM node id,
+// stored flat (two allocations whatever the pattern's size), since the
+// rewriter keeps one per candidate.
+class AnnotationSets {
+ public:
+  size_t size() const { return starts_.empty() ? 0 : starts_.size() - 1; }
+  // The set of XAM node `id`, in PathAnnotations' order.
+  std::span<const SummaryNodeId> operator[](size_t id) const {
+    return {nodes_.data() + starts_[id], starts_[id + 1] - starts_[id]};
+  }
+  bool operator==(const AnnotationSets&) const = default;
+
+ private:
+  friend AnnotationSets PathAnnotations(const Xam& p,
+                                        const PathSummary& summary);
+  // Set `id` is nodes_[starts_[id], starts_[id + 1]).
+  std::vector<uint32_t> starts_;
+  std::vector<SummaryNodeId> nodes_;
+};
+
 // Path annotation (Def. 4.3.1): for every pattern node, the set of summary
 // nodes it maps to under some embedding. Computed by arc-consistency
-// filtering followed by embedding enumeration confirmation when needed;
-// complexity is bounded by summary size × pattern size per refinement pass.
-std::vector<std::vector<SummaryNodeId>> PathAnnotations(
-    const Xam& p, const PathSummary& summary);
+// filtering, which is exact on tree patterns; each pass tests candidates
+// against a membership bitmap over summary nodes, so a pass costs the
+// candidate sets times the summary depth. Each set keeps the order of the
+// initial candidates (NodesWithLabel / id order).
+AnnotationSets PathAnnotations(const Xam& p, const PathSummary& summary);
 
 // True if the pattern has at least one embedding (S-satisfiability).
 bool IsSatisfiable(const Xam& p, const PathSummary& summary);

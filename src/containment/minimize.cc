@@ -124,8 +124,8 @@ Result<std::vector<Xam>> MinimizeGlobally(const Xam& p,
 
   // Candidate chains //l1//l2//...//ret built from labels on the summary
   // paths above the return node's annotations.
-  std::vector<std::vector<SummaryNodeId>> annots = PathAnnotations(p, summary);
-  const std::vector<SummaryNodeId>& ret_paths = annots[returns[0]];
+  AnnotationSets annots = PathAnnotations(p, summary);
+  std::span<const SummaryNodeId> ret_paths = annots[returns[0]];
   std::set<std::string> labels;
   for (SummaryNodeId s : ret_paths) {
     for (SummaryNodeId cur = summary.node(s).parent; cur > 0;

@@ -14,7 +14,7 @@ constexpr double kPredicateSelectivity = 0.1;
 // path `at`: how many subtree matches hang below one parent node.
 double SubtreePerParent(const Xam& p, XamNodeId node, SummaryNodeId at,
                         const PathSummary& s,
-                        const std::vector<std::vector<SummaryNodeId>>& ann) {
+                        const AnnotationSets& ann) {
   const XamNode& n = p.node(node);
   double total = 0;
   for (SummaryNodeId target : ann[node]) {
@@ -52,8 +52,7 @@ double SubtreePerParent(const Xam& p, XamNodeId node, SummaryNodeId at,
 }  // namespace
 
 double EstimateCardinality(const Xam& pattern, const PathSummary& summary) {
-  std::vector<std::vector<SummaryNodeId>> ann =
-      PathAnnotations(pattern, summary);
+  AnnotationSets ann = PathAnnotations(pattern, summary);
   double total = 1;
   for (const XamEdge& e : pattern.node(kXamRoot).edges) {
     double branch =

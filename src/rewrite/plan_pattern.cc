@@ -1,6 +1,6 @@
 #include "rewrite/plan_pattern.h"
 
-#include <set>
+#include <algorithm>
 
 namespace uload {
 namespace {
@@ -32,6 +32,29 @@ bool UpperChainIsBare(const Xam& p, XamNodeId n2) {
   }
   // ⊤ itself must have a single child towards n2's branch.
   return p.node(kXamRoot).edges.size() == 1;
+}
+
+// Annotates `composed` and accepts it when every node that maps to a node
+// of a source pattern keeps a non-empty annotation within the source's
+// annotation for that node (no lost constraints). `src_of` maps composed
+// node -> (which source, source node), with -1 for chain-only nodes.
+std::optional<ComposedPattern> Validated(
+    Xam composed, const std::vector<std::pair<int, XamNodeId>>& src_of,
+    const std::vector<const AnnotationSets*>& source_ann,
+    const PathSummary& summary) {
+  AnnotationSets composed_ann = PathAnnotations(composed, summary);
+  for (XamNodeId id = 1; id < composed.size(); ++id) {
+    auto [src, src_node] = src_of[id];
+    if (src < 0) continue;
+    if (composed_ann[id].empty()) return std::nullopt;  // unsatisfiable
+    std::span<const SummaryNodeId> allowed = (*source_ann[src])[src_node];
+    for (SummaryNodeId s : composed_ann[id]) {
+      if (std::find(allowed.begin(), allowed.end(), s) == allowed.end()) {
+        return std::nullopt;
+      }
+    }
+  }
+  return ComposedPattern{std::move(composed), std::move(composed_ann)};
 }
 
 }  // namespace
@@ -70,33 +93,9 @@ XamNodeId GraftSubtree(Xam* dst, XamNodeId dst_at, Axis axis,
   return new_root;
 }
 
-bool AnnotationsPreserved(
-    const Xam& composed,
-    const std::vector<std::pair<int, XamNodeId>>& src_of,
-    const std::vector<const Xam*>& sources, const PathSummary& summary) {
-  std::vector<std::vector<SummaryNodeId>> composed_ann =
-      PathAnnotations(composed, summary);
-  std::vector<std::vector<std::vector<SummaryNodeId>>> source_ann;
-  source_ann.reserve(sources.size());
-  for (const Xam* s : sources) {
-    source_ann.push_back(PathAnnotations(*s, summary));
-  }
-  for (XamNodeId id = 1; id < composed.size(); ++id) {
-    auto [src, src_node] = src_of[id];
-    if (src < 0) continue;
-    if (composed_ann[id].empty()) return false;  // unsatisfiable composition
-    std::set<SummaryNodeId> allowed(source_ann[src][src_node].begin(),
-                                    source_ann[src][src_node].end());
-    for (SummaryNodeId s : composed_ann[id]) {
-      if (allowed.count(s) == 0) return false;
-    }
-  }
-  return true;
-}
-
-std::optional<Xam> ComposeStructural(const Xam& p1, XamNodeId n1,
-                                     const Xam& p2, XamNodeId n2,
-                                     const PathSummary& summary) {
+std::optional<ComposedPattern> ComposeStructural(
+    const Xam& p1, const AnnotationSets& ann1, XamNodeId n1, const Xam& p2,
+    const AnnotationSets& ann2, XamNodeId n2, const PathSummary& summary) {
   if (!UpperChainIsBare(p2, n2)) return std::nullopt;
   Xam composed = p1;
   GraftSubtree(&composed, n1, Axis::kDescendant, JoinVariant::kInner, p2, n2);
@@ -110,14 +109,12 @@ std::optional<Xam> ComposeStructural(const Xam& p1, XamNodeId n1,
     if (orig < 0) return std::nullopt;
     src_of[id] = {1, orig};
   }
-  if (!AnnotationsPreserved(composed, src_of, {&p1, &p2}, summary)) {
-    return std::nullopt;
-  }
-  return composed;
+  return Validated(std::move(composed), src_of, {&ann1, &ann2}, summary);
 }
 
-std::optional<Xam> ComposeMerge(const Xam& p1, XamNodeId n1, const Xam& p2,
-                                XamNodeId n2, const PathSummary& summary) {
+std::optional<ComposedPattern> ComposeMerge(
+    const Xam& p1, const AnnotationSets& ann1, XamNodeId n1, const Xam& p2,
+    const AnnotationSets& ann2, XamNodeId n2, const PathSummary& summary) {
   if (!UpperChainIsBare(p2, n2)) return std::nullopt;
   const XamNode& a = p1.node(n1);
   const XamNode& b = p2.node(n2);
@@ -145,13 +142,10 @@ std::optional<Xam> ComposeMerge(const Xam& p1, XamNodeId n1, const Xam& p2,
     if (orig < 0) return std::nullopt;
     src_of[id] = {1, orig};
   }
-  if (!AnnotationsPreserved(composed, src_of, {&p1, &p2}, summary)) {
-    return std::nullopt;
-  }
-  // Also validate n1 against p1's own annotation (merging narrowed it; the
-  // plan narrows identically through the equality join, so narrowing is
-  // fine — but the annotation must remain non-empty, checked above).
-  return composed;
+  // n1 is validated against p2's annotation only: merging narrowed it, and
+  // the plan narrows identically through the equality join, so narrowing
+  // within p1's annotation is fine — but it must stay non-empty.
+  return Validated(std::move(composed), src_of, {&ann1, &ann2}, summary);
 }
 
 }  // namespace uload

@@ -32,28 +32,29 @@ XamNodeId GraftSubtree(Xam* dst, XamNodeId dst_at, Axis axis,
                        JoinVariant variant, const Xam& src,
                        XamNodeId src_node);
 
+// A composed pattern and its path annotations.
+struct ComposedPattern {
+  Xam pattern;
+  AnnotationSets annotations;
+};
+
 // Structural-join composition: pattern2's subtree at `n2` hangs below
-// pattern1's `n1` through a descendant edge. Returns nullopt when the result
-// would not be S-equivalent to the join plan (the grafted pattern's
-// annotations escape the sources' annotations).
-std::optional<Xam> ComposeStructural(const Xam& p1, XamNodeId n1,
-                                     const Xam& p2, XamNodeId n2,
-                                     const PathSummary& summary);
+// pattern1's `n1` through a descendant edge. `ann1`/`ann2` are the sources'
+// path annotations. Returns nullopt when the result would not be
+// S-equivalent to the join plan: every composed node that comes from a
+// source must keep an annotation within the source's annotation for that
+// node (no lost constraints) and non-empty (satisfiable).
+std::optional<ComposedPattern> ComposeStructural(
+    const Xam& p1, const AnnotationSets& ann1, XamNodeId n1, const Xam& p2,
+    const AnnotationSets& ann2, XamNodeId n2, const PathSummary& summary);
 
 // Node-identity (equality-join) composition: pattern2's node `n2` is the
 // same document node as pattern1's `n1`; n2's children subtrees merge under
-// n1 and the stored attributes union. Returns nullopt when invalid.
-std::optional<Xam> ComposeMerge(const Xam& p1, XamNodeId n1, const Xam& p2,
-                                XamNodeId n2, const PathSummary& summary);
-
-// Validation shared by the compositions: every node of `composed` that maps
-// to a node of a source pattern must keep an annotation within the source's
-// annotation for that node (no lost constraints). `src_of` maps composed
-// node -> (which source, source node), with -1 for chain-only nodes.
-bool AnnotationsPreserved(
-    const Xam& composed,
-    const std::vector<std::pair<int, XamNodeId>>& src_of,
-    const std::vector<const Xam*>& sources, const PathSummary& summary);
+// n1 and the stored attributes union. Validated like ComposeStructural, with
+// the merged node checked against n2's annotation.
+std::optional<ComposedPattern> ComposeMerge(
+    const Xam& p1, const AnnotationSets& ann1, XamNodeId n1, const Xam& p2,
+    const AnnotationSets& ann2, XamNodeId n2, const PathSummary& summary);
 
 }  // namespace uload
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <set>
+#include <unordered_map>
 
 #include "containment/containment.h"
 #include "opt/cost.h"
@@ -15,6 +17,9 @@ namespace {
 struct Candidate {
   PlanPtr plan;
   Xam pattern;
+  // PathAnnotations(pattern), shared by copies: recomputed only by edits
+  // that change the pattern's structure or labels (Reannotate).
+  std::shared_ptr<const AnnotationSets> ann;
   // Pattern attribute (dotted path) -> plan column (dotted path). Only
   // entries that differ from the identity are stored.
   std::map<std::string, std::string> aliases;
@@ -97,19 +102,22 @@ class Search {
       auto extended = NavigationExtended(all[i]);
       if (extended.has_value()) all.push_back(std::move(*extended));
     }
-    std::vector<Candidate> level = all;
+    // The latest level of compositions is all[level_begin, level_end).
+    size_t level_begin = 0;
+    size_t level_end = all.size();
     for (int k = 2; k <= kMaxViewsPerPlan && all.size() < kMaxCandidates;
          ++k) {
       std::vector<Candidate> next;
-      for (const Candidate& a : level) {
+      for (size_t i = level_begin; i < level_end; ++i) {
         for (const Candidate& b : seeds_) {
           if (all.size() + next.size() >= kMaxCandidates) break;
-          Compose(a, b, &next);
+          Compose(all[i], b, &next);
         }
       }
-      for (Candidate& c : next) all.push_back(c);
-      level = std::move(next);
-      if (level.empty()) break;
+      level_begin = all.size();
+      for (Candidate& c : next) all.push_back(std::move(c));
+      level_end = all.size();
+      if (level_begin == level_end) break;
     }
     // A final navigation pass over composed candidates.
     n = all.size();
@@ -130,11 +138,19 @@ class Search {
     }
     // Rank by the summary-derived cost estimate, breaking ties by plan
     // size (the thesis's preference for minimal plans, §5.3).
-    auto view_card = [this](const std::string& name) {
+    std::unordered_map<std::string, double> view_cards;
+    auto view_card = [&](const std::string& name) {
+      auto it = view_cards.find(name);
+      if (it != view_cards.end()) return it->second;
+      double card = 1000.0;
       for (const NamedXam& v : views_) {
-        if (v.name == name) return EstimateCardinality(v.xam, summary_);
+        if (v.name == name) {
+          card = EstimateCardinality(v.xam, summary_);
+          break;
+        }
       }
-      return 1000.0;
+      view_cards.emplace(name, card);
+      return card;
     };
     for (Rewriting& r : results) {
       r.estimated_cost =
@@ -160,12 +176,13 @@ class Search {
       Candidate c;
       c.pattern = PrefixXamNames(v.xam, prefix);
       if (!IsSatisfiable(c.pattern, summary_)) continue;
+      Reannotate(&c);
       if (v.xam.HasRequired()) {
         // R-marked views are indexes: they can only be accessed given
         // bindings for the required attributes (Def. 2.2.6). Usable when
         // the query pins every required value with an equality formula —
         // the seed becomes an IndexScan with those constants (QEP11).
-        ULOAD_RETURN_NOT_OK(SeedIndexView(v, prefix));
+        ULOAD_RETURN_NOT_OK(SeedIndexView(v, prefix, c.ann));
         continue;
       }
       c.plan = LogicalPlan::PrefixNames(LogicalPlan::Scan(v.name), prefix);
@@ -177,10 +194,11 @@ class Search {
 
   // Builds an IndexScan seed for an R-marked view when the query provides
   // equality constants for all required attributes.
-  Status SeedIndexView(const NamedXam& v, const std::string& prefix) {
+  // `ann` annotates the view's pattern; pinning constants keeps it valid.
+  Status SeedIndexView(const NamedXam& v, const std::string& prefix,
+                       std::shared_ptr<const AnnotationSets> ann) {
     Xam pattern = PrefixXamNames(v.xam, prefix);
-    std::vector<std::vector<SummaryNodeId>> view_ann =
-        PathAnnotations(pattern, summary_);
+    const AnnotationSets& view_ann = *ann;
     std::vector<std::pair<std::string, AtomicValue>> bindings;
     for (XamNodeId id = 1; id < pattern.size(); ++id) {
       XamNode& n = pattern.node(id);
@@ -223,6 +241,7 @@ class Search {
     if (bindings.empty()) return Status::Ok();
     Candidate c;
     c.pattern = std::move(pattern);
+    c.ann = std::move(ann);
     c.plan = LogicalPlan::PrefixNames(
         LogicalPlan::IndexScan(v.name, std::move(bindings)), prefix);
     c.views = {v.name};
@@ -246,8 +265,7 @@ class Search {
     }
     std::vector<Candidate> kept;
     for (Candidate& c : seeds_) {
-      std::vector<std::vector<SummaryNodeId>> ann =
-          PathAnnotations(c.pattern, summary_);
+      const AnnotationSets& ann = *c.ann;
       bool relevant = false;
       for (XamNodeId id : c.pattern.ReturnNodes()) {
         for (SummaryNodeId s : ann[id]) {
@@ -272,6 +290,7 @@ class Search {
     std::string prefix = "u" + std::to_string(++fresh_counter_) + "_";
     Candidate c;
     c.pattern = PrefixXamNames(seed.pattern, prefix);
+    c.ann = seed.ann;  // renaming keeps the annotations
     c.plan = LogicalPlan::PrefixNames(seed.plan, prefix);
     c.views = seed.views;
     for (const auto& [key, value] : seed.aliases) {
@@ -303,11 +322,10 @@ class Search {
             IdKindAtLeast(bn.id_kind, IdKind::kStructural) &&
             (an.id_kind == IdKind::kParental) ==
                 (bn.id_kind == IdKind::kParental)) {
-          auto composed =
-              ComposeStructural(a.pattern, n1, b.pattern, n2, summary_);
+          auto composed = ComposeStructural(a.pattern, *a.ann, n1, b.pattern,
+                                            *b.ann, n2, summary_);
           if (composed.has_value()) {
-            Candidate c;
-            c.pattern = std::move(*composed);
+            Candidate c = Composed(std::move(*composed));
             c.plan = LogicalPlan::StructuralJoin(
                 a.plan, b.plan, a.PlanColumn(PatternAttr(a.pattern, n1, "_ID")),
                 Axis::kDescendant,
@@ -319,10 +337,10 @@ class Search {
         }
         // (2) Node-identity join: equality on ids of any kind.
         {
-          auto composed = ComposeMerge(a.pattern, n1, b.pattern, n2, summary_);
+          auto composed = ComposeMerge(a.pattern, *a.ann, n1, b.pattern,
+                                       *b.ann, n2, summary_);
           if (composed.has_value()) {
-            Candidate c;
-            c.pattern = std::move(*composed);
+            Candidate c = Composed(std::move(*composed));
             c.plan = LogicalPlan::ValueJoin(
                 a.plan, b.plan, a.PlanColumn(PatternAttr(a.pattern, n1, "_ID")),
                 Comparator::kEq,
@@ -350,11 +368,10 @@ class Search {
         // the ancestor at n1's (unique) depth and join by equality — n1's
         // ids only need equality.
         if (bn.id_kind == IdKind::kParental) {
-          std::vector<std::vector<SummaryNodeId>> ann =
-              PathAnnotations(a.pattern, summary_);
+          std::span<const SummaryNodeId> n1_ann = (*a.ann)[n1];
           uint32_t depth = 0;
-          bool uniform = !ann[n1].empty();
-          for (SummaryNodeId s : ann[n1]) {
+          bool uniform = !n1_ann.empty();
+          for (SummaryNodeId s : n1_ann) {
             if (depth == 0) {
               depth = summary_.node(s).depth;
             } else if (summary_.node(s).depth != depth) {
@@ -364,13 +381,12 @@ class Search {
           }
           // n1's ids must be Dewey too for the equality to be meaningful.
           if (uniform && depth > 0 && an.id_kind == IdKind::kParental) {
-            auto composed =
-                ComposeStructural(a.pattern, n1, b.pattern, n2, summary_);
+            auto composed = ComposeStructural(a.pattern, *a.ann, n1,
+                                              b.pattern, *b.ann, n2, summary_);
             if (composed.has_value()) {
               std::string derived =
                   b.PlanColumn(PatternAttr(b.pattern, n2, "_ID")) + "_anc";
-              Candidate c;
-              c.pattern = std::move(*composed);
+              Candidate c = Composed(std::move(*composed));
               c.plan = LogicalPlan::ValueJoin(
                   a.plan,
                   LogicalPlan::DeriveParent(
@@ -385,6 +401,14 @@ class Search {
         }
       }
     }
+  }
+
+  static Candidate Composed(ComposedPattern composed) {
+    Candidate c;
+    c.pattern = std::move(composed.pattern);
+    c.ann = std::make_shared<const AnnotationSets>(
+        std::move(composed.annotations));
+    return c;
   }
 
   static void MergeBookkeeping(const Candidate& a, const Candidate& b,
@@ -414,6 +438,7 @@ class Search {
     for (size_t mask = 0; mask < subsets; ++mask) {
       Candidate c = base;
       bool valid = true;
+      bool strictified = false;
       for (size_t i = 0; i < optional_nodes.size(); ++i) {
         bool strict = subsets == 2 ? (mask == 1)
                                    : ((mask >> i) & 1) != 0;
@@ -441,8 +466,10 @@ class Search {
         c.plan = LogicalPlan::Select(
             c.plan, Predicate::NotNull(
                         c.PlanColumn(PatternAttr(c.pattern, node, suffix))));
+        strictified = true;
       }
       if (!valid) continue;
+      if (strictified) Reannotate(&c);
       ULOAD_RETURN_NOT_OK(TryAssignments(c, results, seen_plans));
       if (results->size() >= opts_.max_results) return Status::Ok();
     }
@@ -455,8 +482,7 @@ class Search {
                         std::set<std::string>* seen_plans) {
     std::vector<XamNodeId> cand_returns = base.pattern.ReturnNodes();
     if (cand_returns.size() < query_returns_.size()) return Status::Ok();
-    std::vector<std::vector<SummaryNodeId>> cand_ann =
-        PathAnnotations(base.pattern, summary_);
+    const AnnotationSets& cand_ann = *base.ann;
 
     // Feasibility of pairing query return i with candidate return j.
     auto feasible = [&](size_t qi, size_t cj) {
@@ -524,25 +550,28 @@ class Search {
   // enforced anywhere (the candidate stays non-equivalent and is dropped).
   bool CompensateTags(const std::vector<int>& assign, Candidate* c) const {
     std::vector<XamNodeId> cand_returns = c->pattern.ReturnNodes();
-    std::vector<std::vector<SummaryNodeId>> cand_ann =
-        PathAnnotations(c->pattern, summary_);
-    auto intersects = [](const std::vector<SummaryNodeId>& a,
-                         const std::vector<SummaryNodeId>& b) {
+    // The annotations before any label is bound; re-annotated at the end.
+    std::shared_ptr<const AnnotationSets> ann = c->ann;
+    const AnnotationSets& cand_ann = *ann;
+    auto intersects = [](std::span<const SummaryNodeId> a,
+                         std::span<const SummaryNodeId> b) {
       for (SummaryNodeId s : a) {
         if (std::find(b.begin(), b.end(), s) != b.end()) return true;
       }
       return false;
     };
-    auto covers = [](const std::vector<SummaryNodeId>& cand,
-                     const std::vector<SummaryNodeId>& query) {
+    auto covers = [](std::span<const SummaryNodeId> cand,
+                     std::span<const SummaryNodeId> query) {
       for (SummaryNodeId s : query) {
         if (std::find(cand.begin(), cand.end(), s) == cand.end()) return false;
       }
       return true;
     };
     std::vector<bool> used(c->pattern.size(), false);
+    bool relabeled = false;
     auto enforce = [&](XamNodeId qn, XamNodeId cn) {
       used[cn] = true;
+      relabeled = true;
       c->pattern.node(cn).tag_value = query_->node(qn).tag_value;
       c->plan = LogicalPlan::Select(
           c->plan,
@@ -600,6 +629,7 @@ class Search {
       if (target == kXamRoot) return false;
       enforce(qn, target);
     }
+    if (relabeled) Reannotate(c);
     return true;
   }
 
@@ -613,9 +643,9 @@ class Search {
     // 1. Compensating value selections: query formulas absent from the
     //    candidate are enforced on stored values of the matching node when
     //    possible. Match query formula nodes against candidate nodes by
-    //    annotation inclusion.
-    std::vector<std::vector<SummaryNodeId>> cand_ann =
-        PathAnnotations(c.pattern, summary_);
+    //    annotation inclusion. Neither these selections nor the trim below
+    //    change the pattern's annotations.
+    const AnnotationSets& cand_ann = *c.ann;
     for (XamNodeId qn = 1; qn < query_->size(); ++qn) {
       const ValueFormula& f = query_->node(qn).val_formula;
       if (f.IsTrue()) continue;
@@ -692,9 +722,7 @@ class Search {
     }
 
     // 3. Verify S-equivalence with the query pattern.
-    if (stats_ != nullptr) stats_->equivalence_checks++;
-    ULOAD_ASSIGN_OR_RETURN(bool equiv,
-                           AreEquivalent(c.pattern, *query_, summary_));
+    ULOAD_ASSIGN_OR_RETURN(bool equiv, IsEquivalentToQuery(c));
     if (!equiv) return Status::Ok();
 
     std::string key = c.plan->ToString();
@@ -710,6 +738,60 @@ class Search {
     return Status::Ok();
   }
 
+  // Decides c.pattern ≡_S query. A candidate whose return annotations
+  // escape the query's cannot be contained in it, so it is rejected before
+  // any canonical model is built; proved verdicts are reused for later
+  // candidates that differ only in node names.
+  Result<bool> IsEquivalentToQuery(const Candidate& c) {
+    if (AnnotationsRefuteContainment(c.pattern, *c.ann, *query_, query_ann_)) {
+      if (stats_ != nullptr) stats_->equivalence_pruned++;
+      return false;
+    }
+    Xam by_id = c.pattern;
+    std::vector<std::pair<XamNodeId, ValueFormula>> formulas;
+    for (XamNodeId id = 1; id < by_id.size(); ++id) {
+      by_id.node(id).name = std::to_string(id);
+      const ValueFormula& f = by_id.node(id).val_formula;
+      if (!f.IsTrue()) formulas.emplace_back(id, f);
+    }
+    std::string key = PrintXam(by_id);
+    auto it = proved_.find(key);
+    if (it != proved_.end() && SameFormulas(it->second.formulas, formulas)) {
+      if (stats_ != nullptr) stats_->equivalence_memo_hits++;
+      return it->second.equivalent;
+    }
+    if (stats_ != nullptr) stats_->equivalence_checks++;
+    ContainmentStats st;
+    ULOAD_ASSIGN_OR_RETURN(
+        bool equiv, AreEquivalent(c.pattern, *query_, summary_, {}, &st));
+    NoteTruncation(st);
+    proved_.emplace(std::move(key), Proof{std::move(formulas), equiv});
+    return equiv;
+  }
+
+  // The printed key renders numeric constants with six decimals, so a key
+  // hit also compares the formulas exactly.
+  static bool SameFormulas(
+      const std::vector<std::pair<XamNodeId, ValueFormula>>& a,
+      const std::vector<std::pair<XamNodeId, ValueFormula>>& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].first != b[i].first || !a[i].second.EquivalentTo(b[i].second)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  void NoteTruncation(const ContainmentStats& st) {
+    if (st.truncated && stats_ != nullptr) stats_->containment_truncations++;
+  }
+
+  void Reannotate(Candidate* c) const {
+    c->ann = std::make_shared<const AnnotationSets>(
+        PathAnnotations(c->pattern, summary_));
+  }
+
   // --- Navigation (§5.2/§5.4) ----------------------------------------------
 
   // Greedily covers query return nodes that no candidate return node can
@@ -718,8 +800,7 @@ class Search {
   // some missing node cannot be covered or nothing was missing.
   std::optional<Candidate> NavigationExtended(const Candidate& base) {
     std::vector<XamNodeId> cand_returns = base.pattern.ReturnNodes();
-    std::vector<std::vector<SummaryNodeId>> cand_ann =
-        PathAnnotations(base.pattern, summary_);
+    const AnnotationSets& cand_ann = *base.ann;
 
     auto feasible = [&](XamNodeId qn, XamNodeId cn) {
       const XamNode& q = query_->node(qn);
@@ -752,9 +833,11 @@ class Search {
       }
       if (covered) continue;
       // Find an anchor: a top-level id-storing node whose annotation
-      // dominates (is an ancestor of) every path of the missing node.
+      // dominates (is an ancestor of) every path of the missing node. Only
+      // the base's nodes are annotated; nodes navigated to in earlier
+      // iterations are not anchors.
       XamNodeId anchor = -1;
-      for (XamNodeId cn = 1; cn < c.pattern.size(); ++cn) {
+      for (XamNodeId cn = 1; cn < base.pattern.size(); ++cn) {
         const XamNode& n = c.pattern.node(cn);
         if (!n.stores_id || c.pattern.NestingDepth(cn) != 0) continue;
         bool dominates = !query_ann_[qr].empty();
@@ -809,6 +892,7 @@ class Search {
       extended = true;
     }
     if (!extended) return std::nullopt;
+    Reannotate(&c);
     return c;
   }
 
@@ -853,8 +937,10 @@ class Search {
         proj_cols.push_back(
             c.PlanColumn(PatternAttr(c.pattern, sa.node, sa.suffix)));
       }
-      ULOAD_ASSIGN_OR_RETURN(bool contained,
-                             IsContained(c.pattern, *query_, summary_));
+      ContainmentStats st;
+      ULOAD_ASSIGN_OR_RETURN(
+          bool contained, IsContained(c.pattern, *query_, summary_, {}, &st));
+      NoteTruncation(st);
       if (!contained) continue;
       Piece piece;
       piece.cand = c;
@@ -869,11 +955,13 @@ class Search {
     for (size_t i = 0; i < pieces.size(); ++i) {
       for (size_t j = i + 1; j < pieces.size(); ++j) {
         if (stats_ != nullptr) stats_->equivalence_checks++;
+        ContainmentStats st;
         ULOAD_ASSIGN_OR_RETURN(
             bool covered,
             IsContainedInUnion(*query_,
                                {&pieces[i].trimmed, &pieces[j].trimmed},
-                               summary_));
+                               summary_, {}, &st));
+        NoteTruncation(st);
         if (!covered) continue;
         PlanPtr plan = LogicalPlan::Union(pieces[i].plan, pieces[j].plan);
         std::string key = plan->ToString();
@@ -909,8 +997,17 @@ class Search {
 
   const Xam* query_ = nullptr;
   std::vector<XamNodeId> query_returns_;
-  std::vector<std::vector<SummaryNodeId>> query_ann_;
+  AnnotationSets query_ann_;
   std::vector<Candidate> seeds_;
+  // Equivalence verdicts of this search, keyed by the candidate pattern
+  // printed with node names replaced by ids (containment never reads
+  // names), with the pattern's non-trivial formulas by node id. Lives as
+  // long as one Rewrite call, so nothing invalidates it.
+  struct Proof {
+    std::vector<std::pair<XamNodeId, ValueFormula>> formulas;
+    bool equivalent;
+  };
+  std::unordered_map<std::string, Proof> proved_;
   int nav_counter_ = 0;
   int fresh_counter_ = 0;
 };

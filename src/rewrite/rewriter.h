@@ -36,7 +36,15 @@ struct RewriteOptions {
 struct RewriteStats {
   size_t candidates_generated = 0;
   size_t adaptations_tried = 0;
+  // Containment proofs actually run (AreEquivalent, plus the union checks).
   size_t equivalence_checks = 0;
+  // Candidates rejected by annotation inclusion before any proof.
+  size_t equivalence_pruned = 0;
+  // Candidates answered by an earlier proof of the same pattern.
+  size_t equivalence_memo_hits = 0;
+  // Containment tests whose canonical model passed the cap (answered "not
+  // contained" without a refuting tree).
+  size_t containment_truncations = 0;
 };
 
 struct Rewriting {

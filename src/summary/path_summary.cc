@@ -90,14 +90,20 @@ PathSummary PathSummary::Build(Document* doc) {
     } else {
       sn.annotation = EdgeAnnotation::kStar;
     }
-    s.by_label_[sn.label].push_back(id);
   }
 
-  s.ComputePrePost();
+  s.BuildIndexes();
   return s;
 }
 
-void PathSummary::ComputePrePost() {
+void PathSummary::BuildIndexes() {
+  for (SummaryNodeId id = 1; id < static_cast<SummaryNodeId>(nodes_.size());
+       ++id) {
+    by_label_[nodes_[id].label].push_back(id);
+    if (nodes_[id].kind == NodeKind::kElement) element_nodes_.push_back(id);
+  }
+  by_pre_.assign(nodes_.size(), kNoSummaryNode);
+  last_pre_.assign(nodes_.size(), 0);
   uint32_t pre = 0;
   uint32_t post = 0;
   // Iterative DFS from the document node.
@@ -108,14 +114,24 @@ void PathSummary::ComputePrePost() {
     stack.pop_back();
     if (expanded) {
       nodes_[id].post = ++post;
+      last_pre_[id] = pre;
       continue;
     }
     nodes_[id].pre = ++pre;
+    by_pre_[pre - 1] = id;
     stack.emplace_back(id, true);
     const auto& kids = nodes_[id].children;
     for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
       stack.emplace_back(*it, false);
     }
+  }
+  for (const auto& [label, ids] : by_label_) {
+    std::vector<SummaryNodeId>& sorted = by_label_pre_[label];
+    sorted = ids;
+    std::sort(sorted.begin(), sorted.end(),
+              [this](SummaryNodeId a, SummaryNodeId b) {
+                return nodes_[a].pre < nodes_[b].pre;
+              });
   }
 }
 
@@ -132,15 +148,6 @@ const std::vector<SummaryNodeId>& PathSummary::NodesWithLabel(
   return it == by_label_.end() ? empty_ : it->second;
 }
 
-std::vector<SummaryNodeId> PathSummary::ElementNodes() const {
-  std::vector<SummaryNodeId> out;
-  for (SummaryNodeId id = 1; id < static_cast<SummaryNodeId>(nodes_.size());
-       ++id) {
-    if (nodes_[id].kind == NodeKind::kElement) out.push_back(id);
-  }
-  return out;
-}
-
 bool PathSummary::IsAncestor(SummaryNodeId a, SummaryNodeId b) const {
   return nodes_[a].pre < nodes_[b].pre && nodes_[b].post < nodes_[a].post;
 }
@@ -152,19 +159,23 @@ bool PathSummary::IsParent(SummaryNodeId a, SummaryNodeId b) const {
 std::vector<SummaryNodeId> PathSummary::Descendants(
     SummaryNodeId a, const std::string& label) const {
   std::vector<SummaryNodeId> out;
-  std::vector<SummaryNodeId> work(nodes_[a].children.rbegin(),
-                                  nodes_[a].children.rend());
-  while (!work.empty()) {
-    SummaryNodeId id = work.back();
-    work.pop_back();
-    const SummaryNode& sn = nodes_[id];
-    bool matches = label.empty()
-                       ? sn.kind != NodeKind::kText
-                       : sn.label == label;
-    if (matches) out.push_back(id);
-    for (auto it = sn.children.rbegin(); it != sn.children.rend(); ++it) {
-      work.push_back(*it);
+  const uint32_t first = nodes_[a].pre;  // pre of a; descendants follow it
+  const uint32_t last = last_pre_[a];
+  if (label.empty()) {
+    for (uint32_t pre = first + 1; pre <= last; ++pre) {
+      SummaryNodeId id = by_pre_[pre - 1];
+      if (nodes_[id].kind != NodeKind::kText) out.push_back(id);
     }
+    return out;
+  }
+  auto it = by_label_pre_.find(label);
+  if (it == by_label_pre_.end()) return out;
+  const std::vector<SummaryNodeId>& ids = it->second;
+  auto pos = std::upper_bound(
+      ids.begin(), ids.end(), first,
+      [this](uint32_t pre, SummaryNodeId id) { return pre < nodes_[id].pre; });
+  for (; pos != ids.end() && nodes_[*pos].pre <= last; ++pos) {
+    out.push_back(*pos);
   }
   return out;
 }
@@ -329,9 +340,8 @@ Result<PathSummary> PathSummary::Deserialize(std::string_view text) {
     const SummaryNode& n = s.nodes_[id];
     if (n.annotation != EdgeAnnotation::kStar) s.strong_edges_++;
     if (n.annotation == EdgeAnnotation::kOne) s.one_edges_++;
-    s.by_label_[n.label].push_back(id);
   }
-  s.ComputePrePost();
+  s.BuildIndexes();
   return s;
 }
 

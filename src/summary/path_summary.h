@@ -65,14 +65,17 @@ class PathSummary {
   const std::vector<SummaryNodeId>& NodesWithLabel(
       const std::string& label) const;
 
-  // All element-kind summary nodes.
-  std::vector<SummaryNodeId> ElementNodes() const;
+  // All element-kind summary nodes, in id order.
+  const std::vector<SummaryNodeId>& ElementNodes() const {
+    return element_nodes_;
+  }
 
   bool IsAncestor(SummaryNodeId a, SummaryNodeId b) const;
   bool IsParent(SummaryNodeId a, SummaryNodeId b) const;
 
-  // Descendants of `a` (excluding `a`), optionally filtered by label;
-  // empty label matches any element/attribute node.
+  // Descendants of `a` (excluding `a`) in pre-order, optionally filtered by
+  // label; empty label matches any element/attribute node. A range scan over
+  // `a`'s pre-order interval of the per-label index.
   std::vector<SummaryNodeId> Descendants(SummaryNodeId a,
                                          const std::string& label) const;
   // Children of `a` filtered the same way.
@@ -108,12 +111,22 @@ class PathSummary {
 
  private:
   std::vector<SummaryNode> nodes_;
+  // Label -> nodes in id order, and the same lists sorted by `pre`.
   std::unordered_map<std::string, std::vector<SummaryNodeId>> by_label_;
+  std::unordered_map<std::string, std::vector<SummaryNodeId>> by_label_pre_;
+  // Node ids in pre-order: by_pre_[n.pre - 1] is n.
+  std::vector<SummaryNodeId> by_pre_;
+  // Largest `pre` in each node's subtree: the descendants of `a` are the
+  // nodes with pre in (a.pre, last_pre_[a]].
+  std::vector<uint32_t> last_pre_;
+  std::vector<SummaryNodeId> element_nodes_;
   std::vector<SummaryNodeId> empty_;
   int64_t strong_edges_ = 0;
   int64_t one_edges_ = 0;
 
-  void ComputePrePost();
+  // Numbers the nodes in pre/post order and builds the label, pre-order and
+  // element indexes; runs once the node array is complete.
+  void BuildIndexes();
 };
 
 }  // namespace uload

@@ -281,5 +281,40 @@ TEST_F(ContainTest, EmbeddingAnnotationsMatchEnumeration) {
   EXPECT_EQ(from_annot.size(), 2u);  // person, item
 }
 
+TEST_F(ContainTest, TruncatedModelIsNotContained) {
+  // //name has two canonical trees (person/name and item/name); only the
+  // first is under //person/name. A cap of one tree must not answer
+  // "contained": the unchecked tree is the counterexample.
+  auto d = Document::Parse(
+      "<site><people><person><name>A</name></person></people>"
+      "<regions><item><name>B</name></item></regions></site>");
+  ASSERT_TRUE(d.ok());
+  Document doc = std::move(d).value();
+  PathSummary summary = PathSummary::Build(&doc);
+  auto p = ParseXam("xam\nnode e1 label=name id=s\nedge top // j e1\n");
+  auto q = ParseXam(
+      "xam\nnode e1 label=person\nnode e2 label=name id=s\n"
+      "edge top // j e1\nedge e1 / j e2\n");
+  ASSERT_TRUE(p.ok() && q.ok());
+  for (size_t limit : {1u, 2u, 1u << 16}) {
+    ContainmentOptions opts;
+    opts.model_limit = limit;
+    ContainmentStats st;
+    auto r = IsContained(*p, *q, summary, opts, &st);
+    ASSERT_TRUE(r.ok());
+    EXPECT_FALSE(*r) << "model_limit=" << limit;
+    // Only the one-tree cap stops before the refuting tree.
+    EXPECT_EQ(st.truncated, limit == 1) << "model_limit=" << limit;
+  }
+  // A model of exactly `model_limit` trees is complete, not truncated.
+  ContainmentOptions one;
+  one.model_limit = 1;
+  ContainmentStats st;
+  auto r = IsContained(*q, *p, summary, one, &st);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(*r);
+  EXPECT_FALSE(st.truncated);
+}
+
 }  // namespace
 }  // namespace uload

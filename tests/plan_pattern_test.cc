@@ -26,6 +26,20 @@ class PlanPatternTest : public ::testing::Test {
     EXPECT_TRUE(x.ok()) << x.status().ToString();
     return std::move(x).value();
   }
+  // The compositions take the sources' annotations.
+  std::optional<ComposedPattern> Structural(const Xam& p1, const char* n1,
+                                            const Xam& p2, const char* n2) {
+    return ComposeStructural(p1, PathAnnotations(p1, summary_),
+                             p1.NodeByName(n1), p2,
+                             PathAnnotations(p2, summary_), p2.NodeByName(n2),
+                             summary_);
+  }
+  std::optional<ComposedPattern> Merge(const Xam& p1, const char* n1,
+                                       const Xam& p2, const char* n2) {
+    return ComposeMerge(p1, PathAnnotations(p1, summary_), p1.NodeByName(n1),
+                        p2, PathAnnotations(p2, summary_), p2.NodeByName(n2),
+                        summary_);
+  }
   Document doc_;
   PathSummary summary_;
 };
@@ -63,11 +77,16 @@ TEST_F(PlanPatternTest, ComposeStructuralValidCase) {
   // excluded by the join, which the composed pattern also excludes).
   Xam people = P("xam\nnode a label=person id=s\nedge top // j a\n");
   Xam names = P("xam\nnode b label=name id=s val\nedge top // j b\n");
-  auto composed = ComposeStructural(people, people.NodeByName("a"), names,
-                                    names.NodeByName("b"), summary_);
+  auto composed = Structural(people, "a", names, "b");
   ASSERT_TRUE(composed.has_value());
   // The composed pattern has person with a name descendant.
-  EXPECT_EQ(composed->size(), 3);
+  EXPECT_EQ(composed->pattern.size(), 3);
+  // It comes with its own annotations: names below person only.
+  EXPECT_EQ(composed->annotations, PathAnnotations(composed->pattern, summary_));
+  XamNodeId name = composed->pattern.NodeByName("b");
+  ASSERT_EQ(composed->annotations[name].size(), 1u);
+  EXPECT_EQ(summary_.PathString(composed->annotations[name][0]),
+            "/site/people/person/name");
 }
 
 TEST_F(PlanPatternTest, ComposeStructuralRejectsLostConstraints) {
@@ -77,10 +96,7 @@ TEST_F(PlanPatternTest, ComposeStructuralRejectsLostConstraints) {
   Xam item_names = P(
       "xam\nnode i label=item\nnode b label=name id=s val\n"
       "edge top // j i\nedge i / j b\n");
-  auto composed = ComposeStructural(people, people.NodeByName("a"),
-                                    item_names, item_names.NodeByName("b"),
-                                    summary_);
-  EXPECT_FALSE(composed.has_value());
+  EXPECT_FALSE(Structural(people, "a", item_names, "b").has_value());
 }
 
 TEST_F(PlanPatternTest, ComposeStructuralRejectsDecoratedUpperChain) {
@@ -90,32 +106,27 @@ TEST_F(PlanPatternTest, ComposeStructuralRejectsDecoratedUpperChain) {
   Xam constrained = P(
       "xam\nnode i label=person val=\"x\"\nnode b label=name id=s val\n"
       "edge top // j i\nedge i / j b\n");
-  auto composed = ComposeStructural(people, people.NodeByName("a"),
-                                    constrained,
-                                    constrained.NodeByName("b"), summary_);
-  EXPECT_FALSE(composed.has_value());
+  EXPECT_FALSE(Structural(people, "a", constrained, "b").has_value());
 }
 
 TEST_F(PlanPatternTest, ComposeMergeUnifiesNodes) {
   Xam ids = P("xam\nnode a label=person id=s\nedge top // j a\n");
   Xam vals = P(
       "xam\nnode b label=person id=s val\nedge top // j b\n");
-  auto composed = ComposeMerge(ids, ids.NodeByName("a"), vals,
-                               vals.NodeByName("b"), summary_);
+  auto composed = Merge(ids, "a", vals, "b");
   ASSERT_TRUE(composed.has_value());
-  XamNodeId merged = composed->NodeByName("a");
+  XamNodeId merged = composed->pattern.NodeByName("a");
   ASSERT_GE(merged, 0);
-  EXPECT_TRUE(composed->node(merged).stores_id);
-  EXPECT_TRUE(composed->node(merged).stores_val);
-  EXPECT_EQ(composed->size(), 2);  // no extra node materialized
+  EXPECT_TRUE(composed->pattern.node(merged).stores_id);
+  EXPECT_TRUE(composed->pattern.node(merged).stores_val);
+  EXPECT_EQ(composed->pattern.size(), 2);  // no extra node materialized
+  EXPECT_EQ(composed->annotations, PathAnnotations(composed->pattern, summary_));
 }
 
 TEST_F(PlanPatternTest, ComposeMergeRejectsLabelClash) {
   Xam a = P("xam\nnode a label=person id=s\nedge top // j a\n");
   Xam b = P("xam\nnode b label=item id=s\nedge top // j b\n");
-  EXPECT_FALSE(ComposeMerge(a, a.NodeByName("a"), b, b.NodeByName("b"),
-                            summary_)
-                   .has_value());
+  EXPECT_FALSE(Merge(a, "a", b, "b").has_value());
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include "eval/xam_eval.h"
 #include "rewrite/rewriter.h"
 #include "storage/catalog.h"
+#include "workload/xmark.h"
+#include "workload/xmark_queries.h"
 #include "xam/xam_parser.h"
 #include "xml/document.h"
 
@@ -298,6 +300,50 @@ TEST_F(RewriteTest, IndexViewUnusableWithoutBindings) {
   auto r = rewriter.Rewrite(q);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
+}
+
+// Every candidate that reaches the equivalence test is settled exactly one
+// way: pruned by annotations, answered by an earlier proof, or proved. The
+// three counts add up to the 142 candidates this query sends to the test,
+// which a search without the two shortcuts would prove one by one, and both
+// shortcuts fire here.
+TEST(RewriteSearchStatsTest, ShortcutsAccountForEveryEquivalenceTest) {
+  Document doc = GenerateXMark(XMarkScale(0.02));
+  PathSummary summary = PathSummary::Build(&doc);
+  Rewriter rewriter(&summary, TagPartitionedModel(summary));
+  const NamedXam q01 = XMarkQueryPatterns()[0];
+  ASSERT_EQ(q01.name, "q01");
+  RewriteStats stats;
+  auto r = rewriter.Rewrite(q01.xam, {}, &stats);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->size(), 16u);
+  EXPECT_EQ(stats.equivalence_checks + stats.equivalence_pruned +
+                stats.equivalence_memo_hits,
+            142u);
+  EXPECT_GT(stats.equivalence_pruned, 0u);
+  EXPECT_GT(stats.equivalence_memo_hits, 0u);
+  EXPECT_LT(stats.equivalence_checks, 142u);
+  EXPECT_EQ(stats.containment_truncations, 0u);
+}
+
+// Navigation that covers several query return nodes anchors only on the
+// candidate's own nodes, never on nodes an earlier navigation step added
+// (they have no annotations). XMark q07 asks for three unrelated nodes that
+// none of the first ten path-partitioned views returns.
+TEST(RewriteNavigationTest, SeveralUncoveredReturnNodes) {
+  Document doc = GenerateXMark(XMarkScale(0.02));
+  PathSummary summary = PathSummary::Build(&doc);
+  std::vector<NamedXam> views = PathPartitionedModel(summary);
+  ASSERT_GE(views.size(), 10u);
+  views.resize(10);
+  Rewriter rewriter(&summary, views);
+  const NamedXam q07 = XMarkQueryPatterns()[6];
+  ASSERT_EQ(q07.name, "q07");
+  RewriteStats stats;
+  auto r = rewriter.Rewrite(q07.xam, {}, &stats);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_TRUE(r->empty());
+  EXPECT_GT(stats.candidates_generated, 0u);
 }
 
 }  // namespace
