@@ -1,28 +1,29 @@
-// End-to-end serving-path benchmark: the same rewritten XMark queries
-// executed through the legacy materializing path (per-pattern Evaluate +
-// explicit sort + pairwise products) and through the unified streaming
-// engine (one combined plan through the batched physical executor), swept
-// over batch sizes and thread budgets. Prints per-query timings, the
-// streaming-vs-legacy speedup, and the EXPLAIN-ANALYZE rendering of the
-// most interesting configuration. A `prepare` row per query times
-// Engine::Prepare, the rewriting half of Engine::Run that the execution rows
-// exclude.
+// End-to-end serving-path benchmark: rewritten XMark queries executed
+// through the streaming engine (one combined plan through the batched
+// physical executor), swept over batch sizes and thread budgets. Every
+// answer is checked byte for byte against the direct XQuery interpreter
+// (EvaluateQueryDirect) before it is timed; a mismatch exits 1. Prints
+// per-query timings relative to the default configuration and the
+// EXPLAIN-ANALYZE rendering of the serving plan. A `prepare` row per query
+// times Engine::Prepare, the rewriting half of Engine::Run that the
+// execution rows exclude.
 //
 // Run with --smoke for the CI leg: one iteration over a tiny document.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
 #include "engine/engine.h"
-#include "exec/memory_tracker.h"
 #include "exec/physical.h"
-#include "exec/query_control.h"
 #include "workload/xmark.h"
 #include "xml/serialize.h"
+#include "xquery/interp.h"
+#include "xquery/parser.h"
 
 namespace uload {
 namespace {
@@ -50,9 +51,7 @@ const QuerySpec kQueries[] = {
     // carries the text value, so the rewritten plan is a pure
     // scan → rename → select chain with no per-tuple navigation (the
     // predicate fuses INTO the scan loop), and the ~8% selectivity keeps
-    // serialization marginal. This is the shape where the classic tree's
-    // per-operator dispatch/accounting overhead dominates and fusion pays
-    // most — the fusion section's ≥2× bar is measured on this query.
+    // serialization marginal.
     {"pricey_auctions",
      "for $x in doc(\"x\")//closed_auction/price where $x > 290 "
      "return <p>{$x/text()}</p>"},
@@ -82,11 +81,11 @@ Result<std::string> ExecuteWith(Engine* engine,
   return engine->Execute(prepared, q);
 }
 
-// Sets one engine option between sections; no query is in flight.
-void SetFuse(Engine* engine, bool fuse) {
-  Engine::Options o = engine->options();
-  o.fuse = fuse;
-  engine->SetOptions(o);
+// The direct interpreter's answer: the oracle every timed answer must
+// equal.
+Result<std::string> DirectAnswer(const char* text, const Document& doc) {
+  ULOAD_ASSIGN_OR_RETURN(ExprPtr ast, ParseQuery(text));
+  return EvaluateQueryDirect(*ast, doc);
 }
 
 int Run(double scale, int reps) {
@@ -95,12 +94,11 @@ int Run(double scale, int reps) {
   std::unique_ptr<Engine> engine =
       MakeEngine(doc, Engine::Options::Backend::kPointer);
   if (engine == nullptr) return 1;
-  QueryRewriter qr(&engine->summary(), &engine->catalog());
 
-  bench::Header("query end-to-end: legacy materializing vs streaming engine");
+  bench::Header("query end-to-end: streaming engine");
   std::printf("xmark scale %.2f, %d rep(s)\n", scale, reps);
   std::printf("%-16s %-22s %12s %10s\n", "query", "config", "micros",
-              "vs legacy");
+              "vs *");
 
   const size_t kBatchSizes[] = {1, 64, 1024};
   const size_t kThreadBudgets[] = {1, 4};
@@ -118,33 +116,54 @@ int Run(double scale, int reps) {
                    r.status().ToString().c_str());
       return 1;
     }
-    std::string legacy_out;
-    double legacy = bench::AvgMicros(reps, [&] {
-      auto out = qr.ExecuteMaterialized(r->rewrite, &engine->store());
-      if (out.ok()) legacy_out = std::move(*out);
-    });
-    std::printf("%-16s %-22s %12.1f %10s\n", q.name, "legacy", legacy, "1.00x");
+    auto direct = DirectAnswer(q.text, doc);
+    if (!direct.ok()) {
+      std::fprintf(stderr, "%s: direct evaluation: %s\n", q.name,
+                   direct.status().ToString().c_str());
+      return 1;
+    }
+    // Times `exec` over the query and checks its last answer against the
+    // interpreter; false on a mismatch.
+    auto timed = [&](const char* what, double* micros,
+                     const std::function<Result<std::string>()>& exec) {
+      std::string out;
+      *micros = bench::AvgMicros(reps, [&] {
+        auto res = exec();
+        if (res.ok()) out = std::move(*res);
+      });
+      if (out != *direct) {
+        std::fprintf(stderr, "%s: %s result diverges from direct evaluation\n",
+                     q.name, what);
+        return false;
+      }
+      return true;
+    };
 
-    double default_micros = 0;
-    for (size_t threads : kThreadBudgets) {
-      for (size_t batch : kBatchSizes) {
-        std::string streaming_out;
-        double micros = bench::AvgMicros(reps, [&] {
-          auto out = ExecuteWith(engine.get(), *r, batch, threads);
-          if (out.ok()) streaming_out = std::move(*out);
-        });
-        if (streaming_out != legacy_out) {
-          std::fprintf(stderr, "%s: streaming result diverges from legacy\n",
-                       q.name);
+    double sweep[2][3];
+    for (size_t ti = 0; ti < 2; ++ti) {
+      for (size_t bi = 0; bi < 3; ++bi) {
+        if (!timed("streaming", &sweep[ti][bi], [&] {
+              return ExecuteWith(engine.get(), *r, kBatchSizes[bi],
+                                 kThreadBudgets[ti]);
+            })) {
           return 1;
         }
-        if (batch == kDefaultBatch && threads == 1) default_micros = micros;
+      }
+    }
+    const double default_micros = sweep[0][2];
+    auto vs_default = [&](double micros) {
+      return micros > 0 ? default_micros / micros : 0.0;
+    };
+    for (size_t ti = 0; ti < 2; ++ti) {
+      for (size_t bi = 0; bi < 3; ++bi) {
+        const size_t batch = kBatchSizes[bi];
+        const size_t threads = kThreadBudgets[ti];
         char config[64];
         std::snprintf(config, sizeof(config), "stream b=%zu t=%zu%s", batch,
                       threads,
                       batch == kDefaultBatch && threads == 1 ? " *" : "");
-        std::printf("%-16s %-22s %12.1f %9.2fx\n", q.name, config, micros,
-                    micros > 0 ? legacy / micros : 0.0);
+        std::printf("%-16s %-22s %12.1f %9.2fx\n", q.name, config,
+                    sweep[ti][bi], vs_default(sweep[ti][bi]));
       }
     }
 
@@ -162,14 +181,9 @@ int Run(double scale, int reps) {
       // what a real governed query pays.
       governed.timeout_ms = int64_t{3600} * 1000;
       governed.memory_limit_bytes = int64_t{4} << 30;
-      std::string streaming_out;
-      double micros = bench::AvgMicros(reps, [&] {
-        auto out = engine->Execute(*r, governed);
-        if (out.ok()) streaming_out = std::move(*out);
-      });
-      if (streaming_out != legacy_out) {
-        std::fprintf(stderr, "%s: governed result diverges from legacy\n",
-                     q.name);
+      double micros = 0;
+      if (!timed("governed", &micros,
+                 [&] { return engine->Execute(*r, governed); })) {
         return 1;
       }
       if (engine->memory().used() != 0) {
@@ -178,8 +192,7 @@ int Run(double scale, int reps) {
         return 1;
       }
       std::printf("%-16s %-22s %12.1f %9.2fx (vs * %+5.1f%%)\n", q.name,
-                  "stream governed", micros,
-                  micros > 0 ? legacy / micros : 0.0,
+                  "stream governed", micros, vs_default(micros),
                   default_micros > 0
                       ? (micros - default_micros) / default_micros * 100.0
                       : 0.0);
@@ -194,20 +207,15 @@ int Run(double scale, int reps) {
       Engine::Options o = engine->options();
       o.verify = false;
       engine->SetOptions(o);
-      std::string streaming_out;
-      double micros = bench::AvgMicros(reps, [&] {
-        auto out = ExecuteWith(engine.get(), *r, kDefaultBatch, 1);
-        if (out.ok()) streaming_out = std::move(*out);
+      double micros = 0;
+      bool same = timed("unverified", &micros, [&] {
+        return ExecuteWith(engine.get(), *r, kDefaultBatch, 1);
       });
       o.verify = true;
       engine->SetOptions(o);
-      if (streaming_out != legacy_out) {
-        std::fprintf(stderr, "%s: unverified result diverges from legacy\n",
-                     q.name);
-        return 1;
-      }
+      if (!same) return 1;
       std::printf("%-16s %-22s %12.1f %9.2fx\n", q.name, "stream no-verify",
-                  micros, micros > 0 ? legacy / micros : 0.0);
+                  micros, vs_default(micros));
     }
 
     // The front half every Engine::Run pays and the rows above leave out:
@@ -229,96 +237,6 @@ int Run(double scale, int reps) {
   }
   std::printf("(* = default engine configuration)\n");
 
-  // Pipeline fusion (E14): the same rewritten queries with the fused
-  // compiler (default — maximal non-breaking chains run as one
-  // FusedPipeline_φ tuple loop, exec/fusion.h) against the classic
-  // one-operator-per-node tree (ExecContext::set_fuse(false)). Each row
-  // compiles its plan once and times execution of the physical tree — the
-  // component fusion changes; parse/rewrite/verify/compile are identical in
-  // both configurations and are measured by the sections above. The full
-  // end-to-end output is still produced once per configuration and checked
-  // byte-identical fused-vs-unfused before any timing is reported. batch=1
-  // is where fusion pays off most: the classic tree pays virtual dispatch,
-  // governor checks and batch allocation per tuple *per chain operator*, the
-  // fused loop pays them once per tuple for the whole chain. The governed
-  // rows are the serving-path configuration (active deadline + memory
-  // accounting, as the query service arms them): there the classic tree
-  // additionally pays the governor round-trip per operator, the fused loop
-  // once per pipeline iteration.
-  bench::Header("pipeline fusion: fused tuple loop vs classic operator tree");
-  std::printf("%-16s %-22s %12s %12s\n", "query", "config", "micros",
-              "vs unfused");
-  struct FusionConfig {
-    size_t batch;
-    bool governed;
-  };
-  const FusionConfig kFusionConfigs[] = {
-      {1, false}, {1, true}, {kDefaultBatch, false}, {kDefaultBatch, true}};
-  for (const QuerySpec& q : kQueries) {
-    auto r = engine->Prepare(q.text);
-    if (!r.ok()) {
-      std::fprintf(stderr, "%s: prepare: %s\n", q.name,
-                   r.status().ToString().c_str());
-      return 1;
-    }
-    for (const FusionConfig& fc : kFusionConfigs) {
-      const size_t batch = fc.batch;
-      double unfused_us = 0;
-      std::string unfused_out;
-      for (bool fuse : {false, true}) {
-        ExecContext exec(batch);
-        exec.set_thread_budget(1);
-        exec.set_fuse(fuse);
-        std::shared_ptr<QueryControl> control;
-        MemoryTracker mem("bench-fusion", int64_t{4} << 30);
-        if (fc.governed) {
-          control = std::make_shared<QueryControl>();
-          control->set_deadline_ns(QueryControl::NowNs() +
-                                   int64_t{3600} * 1'000'000'000);
-          exec.set_control(control);
-          exec.set_memory_tracker(&mem);
-        }
-        // End-to-end differential (untimed): the serialized answer must be
-        // byte-identical across fuse settings.
-        std::string out_str;
-        {
-          SetFuse(engine.get(), fuse);
-          auto out = ExecuteWith(engine.get(), *r, batch, 1);
-          if (out.ok()) out_str = std::move(*out);
-        }
-        if (!fuse) {
-          unfused_out = out_str;
-        } else if (out_str != unfused_out) {
-          std::fprintf(stderr, "%s: fused result diverges from unfused\n",
-                       q.name);
-          return 1;
-        }
-        // Timed region: execution of the once-compiled physical tree.
-        auto root = CompilePhysicalPlan(r->plan, r->ctx, &exec);
-        if (!root.ok()) {
-          std::fprintf(stderr, "%s: compile: %s\n", q.name,
-                       root.status().ToString().c_str());
-          return 1;
-        }
-        // Warm-up run (first execution touches cold pages), then average
-        // over 3× the section reps: execution-only timings are small enough
-        // that scheduler noise would otherwise dominate the ratio.
-        (void)ExecutePhysical(root->get());
-        double micros = bench::AvgMicros(reps * 3, [&] {
-          auto rel = ExecutePhysical(root->get());
-          if (!rel.ok()) std::fprintf(stderr, "%s: exec failed\n", q.name);
-        });
-        if (!fuse) unfused_us = micros;
-        char config[64];
-        std::snprintf(config, sizeof(config), "%-8s b=%zu%s",
-                      fuse ? "fused" : "unfused", batch,
-                      fc.governed ? " gov" : "");
-        std::printf("%-16s %-22s %12.1f %11.2fx\n", q.name, config, micros,
-                    !fuse ? 1.0 : (micros > 0 ? unfused_us / micros : 0.0));
-      }
-    }
-  }
-
   // Backend comparison (E12): the same queries, the same storage model, the
   // same executor — only Options::backend differs. Over the columnar store
   // the simple tag collections run as virtual extents (ColumnarScan_φ /
@@ -328,7 +246,6 @@ int Run(double scale, int reps) {
   bench::Header("backend comparison: pointer tree vs columnar store");
   std::printf("%-16s %-22s %12s %12s\n", "query", "config", "micros",
               "vs pointer");
-  SetFuse(engine.get(), true);
   std::unique_ptr<Engine> col_engine =
       MakeEngine(doc, Engine::Options::Backend::kColumnar);
   if (col_engine == nullptr) return 1;

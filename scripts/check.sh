@@ -12,10 +12,6 @@
 #                                       # robustness under ASAN/UBSAN, the
 #                                       # engine/server torture under TSAN,
 #                                       # and a throughput-bench smoke run
-#   scripts/check.sh --fusion-sweep     # fused-pipeline suite + the fuse
-#                                       # grid dimensions under ASAN/UBSAN,
-#                                       # then the fused parallel/executor
-#                                       # tests under TSAN
 #   scripts/check.sh --chaos-sweep      # resilience bar (DESIGN.md §13):
 #                                       # retry/ladder/reaper/chaos-proxy/
 #                                       # kill-restart suites in the normal
@@ -47,12 +43,6 @@
 # (zero races is the acceptance bar), and the closed-loop throughput bench
 # in --smoke mode, which also verifies every wire answer byte-identical to
 # the in-process run.
-# The fusion-sweep leg (DESIGN.md §11) covers pipeline fusion: the fusion
-# suite (golden plans, breaker taxonomy, fused-vs-classic differentials,
-# verifier obligations, fault sites inside fused loops) plus the grids that
-# carry a fuse dimension (parallel differential, backend differential, fault
-# sweep) under ASAN/UBSAN, and the fused executor/parallel tests under TSAN —
-# the fused tuple loop must stay race-free under the exchange pool.
 # The backend-sweep leg (DESIGN.md §9) runs the storage-invariance bar under
 # ASAN/UBSAN: the pointer-vs-columnar differential grid (byte-identical
 # results across backends × batch sizes × thread budgets), the DocumentStore
@@ -76,8 +66,6 @@ BACKEND_FILTER='BackendDifferential.*:ColumnarStore.*:ColumnarRobustness.*'
 SERVER_FILTER='ServerTest.*:ServerDifferentialTest.*:ServerFrameRobustness.*'
 SERVER_FILTER="$SERVER_FILTER:WireCodes.*:AdmissionControl.*"
 TORTURE_FILTER='*EngineConcurrencyTest*:ServerTest.*:AdmissionControl.*'
-FUSION_FILTER='FusionTest.*:ExecParallelTest.*:BackendDifferential.*'
-FUSION_FILTER="$FUSION_FILTER:ExecFaultSweep.*"
 CHAOS_FILTER='RetryPolicy.*:DegradationLadder.*:SessionReaper.*:StatsFrame.*'
 CHAOS_FILTER="$CHAOS_FILTER:DeadlinePropagation.*:ChaosProxy.*:KillRestart.*"
 CHAOS_FILTER="$CHAOS_FILTER:ErrorDetailCompat.*"
@@ -179,22 +167,6 @@ if [[ "${1:-}" == "--chaos-sweep" ]]; then
   exit 0
 fi
 
-if [[ "${1:-}" == "--fusion-sweep" ]]; then
-  echo "== fusion suite + fuse-dimension grids under ASAN/UBSAN =="
-  cmake -B build-asan -S . -DASAN=ON
-  cmake --build build-asan -j
-  ./build-asan/tests/uload_tests --gtest_filter="$FUSION_FILTER"
-
-  echo "== fused executor/parallel tests under TSAN =="
-  cmake -B build-tsan -S . -DTSAN=ON
-  cmake --build build-tsan -j
-  TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/uload_tests \
-    --gtest_filter='*Fusion*:*Parallel*:*Exec*'
-
-  echo "Fusion-sweep checks passed."
-  exit 0
-fi
-
 if [[ "${1:-}" == "--backend-sweep" ]]; then
   echo "== backend sweep under ASAN/UBSAN =="
   cmake -B build-asan -S . -DASAN=ON
@@ -242,7 +214,8 @@ if [[ "${1:-}" != "fast" ]]; then
   echo "== bench smoke (Release) =="
   # Build every bench target in Release so bench sources can't rot, then run
   # the end-to-end query bench for one iteration over a tiny document — it
-  # doubles as a Release-mode differential check (streaming vs legacy).
+  # doubles as a Release-mode differential check (every answer against the
+  # direct XQuery interpreter).
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-release -j --target benches
   ./build-release/bench/bench_query_e2e --smoke

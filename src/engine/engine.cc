@@ -97,7 +97,6 @@ std::shared_ptr<QueryControl> Engine::BeginQuery(ExecContext* exec,
   exec->set_thread_budget(q.thread_budget != 0 ? q.thread_budget
                                                : options_.thread_budget);
   exec->set_verify_plans(options_.verify);
-  exec->set_fuse(options_.fuse);
   exec->set_memory_tracker(query_mem);
   exec->set_fault(options_.fault);
   std::shared_ptr<QueryControl> control =

@@ -75,11 +75,9 @@ class Engine {
     // Fault injection for robustness testing (disabled by default); see
     // FaultSpec in exec/exec_context.h.
     FaultSpec fault;
-    // Pipeline fusion (exec/fusion.h): compile maximal non-breaking operator
-    // chains into single FusedPipeline_φ tuple loops. On by default; off
-    // compiles the classic one-operator-per-node tree. Differential tests
-    // flip this to bisect fused-vs-unfused divergences — results are
-    // byte-identical either way.
+    // Inert: nothing reads it, and every plan compiles to fused pipelines
+    // (exec/fusion.h). Kept only because the benchmark's replay of
+    // Engine::Run (perfbench/trace.cc) still assigns it.
     bool fuse = true;
     RewriteOptions rewrite;
   };

@@ -143,14 +143,10 @@ class ExecContext {
   bool validate_batches() const { return validate_batches_; }
   void set_validate_batches(bool v) { validate_batches_ = v; }
 
-  // Pipeline fusion (exec/fusion.h): when set (the default), the compiler
-  // collapses each maximal non-breaking operator chain — scans, Select,
-  // Project, Navigate, Rename, Retype — into one FusedPipeline_φ operator
-  // running a tuple loop with no intermediate batches. Off compiles the
-  // classic one-operator-per-node tree; differential tests flip this flag to
-  // bisect fused-vs-unfused divergences.
-  bool fuse() const { return fuse_; }
-  void set_fuse(bool v) { fuse_ = v; }
+  // Inert: the compiler always fuses (exec/fusion.h is the one
+  // implementation of sources and unary operators). Kept only because the
+  // benchmark's replay of Engine::Run (perfbench/trace.cc) still calls it.
+  void set_fuse(bool) {}
 
   // --- Resource governor ----------------------------------------------------
 
@@ -188,7 +184,6 @@ class ExecContext {
     worker->set_control(control_);
     worker->set_memory_tracker(memory_tracker_);
     worker->set_fault(fault_);
-    worker->set_fuse(fuse_);
   }
 
   // Registers one operator and returns its stable counter slot. When
@@ -228,7 +223,6 @@ class ExecContext {
   size_t thread_budget_ = 1;
   bool verify_plans_ = true;
   bool validate_batches_ = kValidateBatchesDefault;
-  bool fuse_ = true;
   std::shared_ptr<QueryControl> control_ = std::make_shared<QueryControl>();
   MemoryTracker* memory_tracker_ = nullptr;
   FaultSpec fault_;

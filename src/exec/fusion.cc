@@ -182,9 +182,9 @@ void FusedPipelinePhys::CorruptStepSchemaForTesting(size_t i, SchemaPtr s) {
 
 OrderDescriptor FusedPipelinePhys::PropagateStepOrder(
     const StepView& s, const OrderDescriptor& in) {
-  // These are exactly the elided operators' ProvableOrder() rules; keeping
-  // them byte-equal is what lets the verifier prove fusion a no-op on order
-  // descriptors.
+  // A filter keeps tuple order; a projection (first-wins dedup included)
+  // keeps the longest key prefix it retains; navigation expands each input
+  // tuple into consecutive outputs; renames and retypes translate key names.
   switch (s.kind) {
     case StepKind::kSelect:
       return in;
@@ -281,8 +281,8 @@ void FusedPipelinePhys::RecomputeOrders() {
 }
 
 bool FusedPipelinePhys::TryAdoptOrder(const OrderDescriptor& order) {
-  // Translate the request backward through the chain (the elided operators'
-  // own adoption rules), then ask the source to prove the translated order.
+  // Translate the request backward through the chain, then ask the source
+  // to prove the translated order.
   std::vector<OrderDescriptor> want(steps_.size() + 1);
   want[steps_.size()] = order;
   for (size_t i = steps_.size(); i-- > 0;) {
@@ -303,7 +303,8 @@ bool FusedPipelinePhys::TryAdoptOrder(const OrderDescriptor& order) {
     }
     case SourceKind::kRows: {
       // The selected rows are a subsequence of the stored relation;
-      // sortedness is checked over exactly those rows (IndexScan_φ's rule).
+      // sortedness is checked over exactly those rows (same per-key
+      // contract as IsSortedBy: every key independently non-decreasing).
       for (const OrderKey& k : want[0].keys()) {
         int idx = src_rel_->schema().IndexOf(k.attr);
         if (idx < 0 || src_rel_->schema().attr(idx).is_collection) {
@@ -356,8 +357,8 @@ std::string FusedPipelinePhys::DescribeAnalyze(int indent) const {
   std::string out(static_cast<size_t>(indent) * 2, ' ');
   out += label();
   out += "  [" + metrics().ToString() + "]\n";
-  // Elided chain members, execution order, with their attribution slots —
-  // the logical chain stays explainable after fusion.
+  // Chain members, execution order, with their attribution slots — the
+  // logical chain stays explainable after fusion.
   std::string pad(static_cast<size_t>(indent + 1) * 2, ' ');
   if (src_kind_ != SourceKind::kOperator) {
     out += pad + "~ " + src_member_.label + "  [" +
@@ -374,9 +375,9 @@ std::string FusedPipelinePhys::DescribeAnalyze(int indent) const {
 }
 
 void FusedPipelinePhys::BindChildren(ExecContext* ctx) {
-  // Every elided member keeps a counter slot under its original label: the
-  // slots make DescribeAnalyze attribution work, and their registration
-  // ordinals keep the members addressable by the fault sweep.
+  // Every member keeps a counter slot under its own label: the slots make
+  // DescribeAnalyze attribution work, and their registration ordinals keep
+  // the members addressable by the fault sweep.
   auto reg = [&](Member& m) {
     m.metrics = ctx->Register(m.label, &m.ordinal);
     m.open_calls = 0;
@@ -423,11 +424,12 @@ Status FusedPipelinePhys::CheckMemberFaults(FaultSpec::Site site) {
 }
 
 Status FusedPipelinePhys::OpenImpl() {
-  // Interior fault sites first: a member the sweep addresses must fail here
-  // exactly as its standalone operator would have failed at Open().
+  // Member fault sites first: a member the sweep addresses fails at Open().
   ULOAD_RETURN_NOT_OK(CheckMemberFaults(FaultSpec::Site::kOpen));
+  ReleaseMemory(held_bytes());
   pending_.clear();
   ticks_ = 0;
+  uncharged_bytes_ = 0;
   spos_ = 0;
   cpos_ = 0;
   src_batch_.reset();
@@ -435,6 +437,8 @@ Status FusedPipelinePhys::OpenImpl() {
   src_done_ = false;
   for (Step& s : steps_) {
     s.buf.clear();
+    s.seen.clear();
+    s.seen_bytes = 0;
     if (s.kind == StepKind::kNavigate) {
       ULOAD_RETURN_NOT_OK(s.nav->BindInput(*s.in_schema));
     }
@@ -480,40 +484,6 @@ const Tuple* FusedPipelinePhys::PeekSourceTuple() const {
   }
 }
 
-Result<std::optional<Tuple>> FusedPipelinePhys::NextSourceTuple() {
-  switch (src_kind_) {
-    case SourceKind::kRelation:
-      if (spos_ >= src_rel_->size()) return std::optional<Tuple>();
-      return std::optional<Tuple>(src_rel_->tuple(spos_++));
-    case SourceKind::kOwned:
-      if (spos_ >= src_owned_.size()) return std::optional<Tuple>();
-      return std::optional<Tuple>(src_owned_.tuple(spos_++));
-    case SourceKind::kRows:
-      if (spos_ >= static_cast<int64_t>(src_rows_.size())) {
-        return std::optional<Tuple>();
-      }
-      return std::optional<Tuple>(src_rel_->tuple(src_rows_[spos_++]));
-    case SourceKind::kColumnar:
-      if (cpos_ >= crows_.size()) return std::optional<Tuple>();
-      return std::optional<Tuple>(src_reader_->MakeRow(crows_[cpos_++]));
-    case SourceKind::kOperator:
-      for (;;) {
-        if (src_batch_.has_value() && src_batch_pos_ < src_batch_->size()) {
-          return std::optional<Tuple>(
-              std::move(src_batch_->tuple(src_batch_pos_++)));
-        }
-        if (src_done_) return std::optional<Tuple>();
-        ULOAD_ASSIGN_OR_RETURN(src_batch_, src_op_->NextBatch());
-        src_batch_pos_ = 0;
-        if (!src_batch_.has_value()) {
-          src_done_ = true;
-          return std::optional<Tuple>();
-        }
-      }
-  }
-  return Status::Internal("unhandled fused source kind");
-}
-
 void FusedPipelinePhys::Emit(Tuple&& t, TupleBatch* out) {
   if (!out->full()) {
     out->Add(std::move(t));
@@ -539,6 +509,16 @@ Status FusedPipelinePhys::Apply(size_t i, Tuple&& t, TupleBatch* out) {
     }
     case StepKind::kProject: {
       Tuple p = s.projector->Apply(std::move(t));
+      if (s.dedup) {
+        std::string key = TupleToString(p);
+        int64_t key_bytes =
+            static_cast<int64_t>(sizeof(std::string) + key.capacity() + 48);
+        if (!s.seen.insert(std::move(key)).second) return Status::Ok();
+        s.seen_bytes += key_bytes;
+        uncharged_bytes_ += key_bytes;
+        OperatorMetrics& m = s.member.slot();
+        if (m.peak_bytes < s.seen_bytes) m.peak_bytes = s.seen_bytes;
+      }
       s.member.slot().tuples_produced += 1;
       return Apply(i + 1, std::move(p), out);
     }
@@ -566,45 +546,86 @@ Status FusedPipelinePhys::Apply(size_t i, Tuple&& t, TupleBatch* out) {
 Result<std::optional<TupleBatch>> FusedPipelinePhys::NextBatchImpl() {
   ULOAD_RETURN_NOT_OK(CheckMemberFaults(FaultSpec::Site::kNextBatch));
   TupleBatch out = NewBatch();
+  OperatorMetrics& src_slot = src_member_.slot();
+  if (steps_.empty() && src_kind_ != SourceKind::kOperator) {
+    // A bare source: every row is an output row, so rows are built straight
+    // into the batch (NextBatch's own check is the governor's check point).
+    if (src_kind_ == SourceKind::kColumnar) {
+      while (cpos_ < crows_.size() && !out.full()) {
+        out.Add(src_reader_->MakeRow(crows_[cpos_++]));
+      }
+    } else {
+      for (const Tuple* ref = PeekSourceTuple(); ref != nullptr && !out.full();
+           ref = PeekSourceTuple()) {
+        out.Add(*ref);
+        spos_ += 1;
+      }
+    }
+    src_slot.tuples_produced += static_cast<int64_t>(out.size());
+  }
   while (!out.full()) {
     if (!pending_.empty()) {
       out.Add(std::move(pending_.front()));
       pending_.pop_front();
       continue;
     }
+    // One pipeline iteration per source tuple. Relation-backed sources are
+    // read in place; only tuples that enter the chain are copied.
+    Tuple t;
+    const Tuple* ref = nullptr;
+    if (src_kind_ == SourceKind::kOperator) {
+      if (!src_batch_.has_value() || src_batch_pos_ >= src_batch_->size()) {
+        if (src_done_) break;
+        ULOAD_ASSIGN_OR_RETURN(src_batch_, src_op_->NextBatch());
+        src_batch_pos_ = 0;
+        if (!src_batch_.has_value()) src_done_ = true;
+        continue;
+      }
+      t = std::move(src_batch_->tuple(src_batch_pos_++));
+    } else if (src_kind_ == SourceKind::kColumnar) {
+      if (cpos_ >= crows_.size()) break;
+      t = src_reader_->MakeRow(crows_[cpos_++]);
+      src_slot.tuples_produced += 1;
+    } else {
+      ref = PeekSourceTuple();
+      if (ref == nullptr) break;
+      spos_ += 1;
+      src_slot.tuples_produced += 1;
+    }
+    // Per-pipeline-iteration governor granularity: one cancellation check
+    // per 1024 consumed source tuples keeps latency bounded when a selective
+    // chain drains many source tuples per produced batch, without paying a
+    // clock read per chain member.
+    if ((++ticks_ & 1023) == 0) ULOAD_RETURN_NOT_OK(CheckControl());
+    size_t first = 0;
     if (prefilter_step_ >= 0) {
       // Selection pushdown into the source read: the leading steps are
       // metadata-only, so the Select's predicate resolves the same
       // positional fields on the relation-resident tuple. Reject without
-      // ever copying; copy survivors past the already-evaluated Select.
-      const Tuple* ref = PeekSourceTuple();
-      if (ref == nullptr) break;
-      src_member_.slot().tuples_produced += 1;
-      if ((++ticks_ & 1023) == 0) ULOAD_RETURN_NOT_OK(CheckControl());
+      // ever copying; survivors continue past the already-evaluated Select.
       Step& sel = steps_[static_cast<size_t>(prefilter_step_)];
       ULOAD_ASSIGN_OR_RETURN(bool keep, sel.pred->Eval(*sel.in_schema, *ref));
       for (int i = 0; i < prefilter_step_; ++i) {
         steps_[static_cast<size_t>(i)].member.slot().tuples_produced += 1;
       }
-      spos_ += 1;
       if (!keep) continue;
       sel.member.slot().tuples_produced += 1;
-      Tuple t = *ref;
-      ULOAD_RETURN_NOT_OK(
-          Apply(static_cast<size_t>(prefilter_step_) + 1, std::move(t), &out));
+      first = static_cast<size_t>(prefilter_step_) + 1;
+    }
+    if (first == steps_.size()) {
+      // Nothing left to apply; the batch has room (checked above).
+      out.Add(ref != nullptr ? *ref : std::move(t));
       continue;
     }
-    ULOAD_ASSIGN_OR_RETURN(std::optional<Tuple> t, NextSourceTuple());
-    if (!t.has_value()) break;
-    if (src_kind_ != SourceKind::kOperator) {
-      src_member_.slot().tuples_produced += 1;
-    }
-    // Per-pipeline-iteration governor granularity: one cancellation check
-    // per 1024 consumed source tuples keeps latency bounded when a selective
-    // chain drains many source tuples per produced batch, without paying a
-    // clock read per elided operator.
-    if ((++ticks_ & 1023) == 0) ULOAD_RETURN_NOT_OK(CheckControl());
-    ULOAD_RETURN_NOT_OK(Apply(0, std::move(*t), &out));
+    if (ref != nullptr) t = *ref;
+    ULOAD_RETURN_NOT_OK(Apply(first, std::move(t), &out));
+  }
+  // Dedup seen-sets grow monotonically; their growth is charged once per
+  // output batch so the tracker sees it without per-tuple atomics.
+  if (uncharged_bytes_ > 0) {
+    int64_t bytes = uncharged_bytes_;
+    uncharged_bytes_ = 0;
+    ULOAD_RETURN_NOT_OK(ChargeMemory(bytes));
   }
   if (out.empty()) return std::optional<TupleBatch>();
   return std::optional<TupleBatch>(std::move(out));
@@ -615,7 +636,10 @@ void FusedPipelinePhys::CloseImpl() {
   src_batch_.reset();
   crows_.clear();
   crows_.shrink_to_fit();
-  for (Step& s : steps_) s.buf.clear();
+  for (Step& s : steps_) {
+    s.buf.clear();
+    s.seen.clear();
+  }
   if (src_op_ != nullptr) src_op_->Close();
 }
 
@@ -637,14 +661,12 @@ void FusedPipelineBuilder::SourceRelation(const NestedRelation* rel,
 }
 
 void FusedPipelineBuilder::SourceOwnedRelation(NestedRelation rel,
-                                               std::string label,
-                                               OrderDescriptor order) {
+                                               std::string label) {
   op_->src_kind_ = FusedPipelinePhys::SourceKind::kOwned;
   op_->src_owned_ = std::move(rel);
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;
   op_->src_schema_ = op_->src_owned_.schema_ptr();
-  op_->src_order_ = std::move(order);
   has_source_ = true;
 }
 
@@ -678,13 +700,6 @@ void FusedPipelineBuilder::SourceOperator(PhysicalPtr op) {
   has_source_ = true;
 }
 
-size_t FusedPipelineBuilder::step_count() const { return op_->steps_.size(); }
-
-bool FusedPipelineBuilder::has_inline_source() const {
-  return has_source_ &&
-         op_->src_kind_ != FusedPipelinePhys::SourceKind::kOperator;
-}
-
 const SchemaPtr& FusedPipelineBuilder::current_schema() const {
   return op_->steps_.empty() ? op_->src_schema_
                              : op_->steps_.back().out_schema;
@@ -701,15 +716,17 @@ Status FusedPipelineBuilder::AddSelect(PredicatePtr pred) {
   return Status::Ok();
 }
 
-Status FusedPipelineBuilder::AddProject(std::vector<std::string> attrs) {
+Status FusedPipelineBuilder::AddProject(std::vector<std::string> attrs,
+                                        bool dedup) {
   FusedPipelinePhys::Step s;
   s.kind = FusedPipelinePhys::StepKind::kProject;
   s.in_schema = current_schema();
   ULOAD_ASSIGN_OR_RETURN(s.projector,
                          TupleProjector::Make(*s.in_schema, attrs));
   s.out_schema = s.projector->schema();
-  s.member.label = "Project_phi";
+  s.member.label = dedup ? "Project0_phi" : "Project_phi";
   s.attrs = std::move(attrs);
+  s.dedup = dedup;
   op_->steps_.push_back(std::move(s));
   return Status::Ok();
 }
@@ -720,9 +737,8 @@ Status FusedPipelineBuilder::AddNavigate(const LogicalPlan* plan,
   s.kind = FusedPipelinePhys::StepKind::kNavigate;
   s.in_schema = current_schema();
   s.nav = std::make_unique<NavigationCore>(plan, doc);
-  // Same static bind the standalone operator performs at Open(): fail the
-  // build (and fall back to the unfused operator's diagnostics) rather than
-  // fuse a chain that cannot run.
+  // Bind statically as well as at Open(): fail the build rather than
+  // compile a chain that cannot run.
   ULOAD_RETURN_NOT_OK(s.nav->BindInput(*s.in_schema));
   s.out_schema = JoinOutputSchema(
       *s.in_schema, *s.nav->emit_schema(), plan->variant(),
@@ -759,10 +775,7 @@ Result<PhysicalPtr> FusedPipelineBuilder::Build() {
   if (!has_source_) {
     return Status::Internal("fused pipeline without a source");
   }
-  if (op_->steps_.empty()) {
-    return Status::Internal("fused pipeline without steps");
-  }
-  op_->schema_ = op_->steps_.back().out_schema;
+  op_->schema_ = current_schema();
   op_->RecomputeOrders();
   return PhysicalPtr(std::move(op_));
 }

@@ -1,42 +1,41 @@
-// Pipeline fusion: maximal non-breaking operator chains compiled into one
-// tuple-loop operator (ROADMAP item 3; the produce/consume design of
-// HyPer-style engines, realized as template composition instead of source
-// emission).
+// Pipeline fusion: the engine's one implementation of serial sources and
+// unary operators (the produce/consume design of HyPer-style engines,
+// realized as template composition instead of source emission).
 //
 // The compiler (exec/physical.cc) splits a plan at pipeline *breakers* —
-// Sort_φ, hash-join builds, StackTree buffering, Product/Union fan-in,
-// exchange boundaries — and collapses each maximal chain of non-breaking
-// operators (Scan/IndexScan/ColumnarScan/Unit sources, Select, Project,
-// Navigate, Rename, Retype) into a single FusedPipeline_φ. The fused
-// operator pulls source tuples from an inline cursor (materialized rows,
-// index row-id lists, columnar row sets) or from a child operator, and pushes
-// each tuple through the chain's steps in one loop: no intermediate
-// TupleBatch is materialized, no virtual NextBatch() boundary is crossed, and
-// the governor's cancel/deadline/memory checks run once per pipeline
-// iteration instead of once per elided operator.
+// Sort_φ, StackTree buffering, hash-join builds, Product/Union fan-in and
+// exchange boundaries — and compiles each maximal chain of unary operators
+// (Select, Project and first-wins dedup Project0, Navigate, Rename, Retype)
+// into a single FusedPipeline_φ. The chain may be empty: a bare source is a
+// zero-step pipeline. The fused operator pulls source tuples from an inline
+// cursor (materialized rows, index row-id lists, columnar row sets, the
+// unit relation, an evaluator-materialized fallback relation) or from a
+// breaker below it, and pushes each tuple through the chain's steps in one
+// loop: no intermediate TupleBatch is materialized, no virtual NextBatch()
+// boundary is crossed, and the governor's cancel/deadline/memory checks run
+// once per pipeline iteration instead of once per chain member.
 //
 // Contract with the rest of the engine:
 //  - Schemas/orders: the fused operator advertises the chain's *composed*
-//    output schema and order descriptor, and records every elided operator
-//    boundary (schema + order at that point) as a checkable obligation. The
-//    static plan verifier (verify/plan_verifier.cc) re-derives each step's
-//    output schema from its input schema and re-propagates the order
-//    descriptors, proving fusion is a no-op on both.
-//  - Metrics: each elided chain member keeps its own counter slot in the
-//    ExecContext (registered at Bind with the member's original label), and
-//    the fused loop attributes tuples flowing *out of* each step to that
-//    slot — DescribeAnalyze still explains the logical chain. Wall-clock is
-//    attributed at pipeline granularity (the per-member clock reads are
-//    exactly the overhead fusion removes).
+//    output schema and order descriptor, and records every member boundary
+//    (schema + order at that point) as a checkable obligation. The static
+//    plan verifier (verify/plan_verifier.cc) re-derives each step's output
+//    schema from its input schema and re-propagates the order descriptors.
+//  - Metrics: each chain member keeps its own counter slot in the
+//    ExecContext (registered at Bind with the member's label), and the fused
+//    loop attributes tuples flowing *out of* each step to that slot —
+//    DescribeAnalyze still explains the logical chain. Wall-clock is
+//    attributed at pipeline granularity.
 //  - Faults: the fault-injection spec is consulted per member site (ordinal
 //    and label, Open/NextBatch, per-member call counters), so the sweep
-//    still addresses interior sites that fusion elided.
+//    addresses every chain member.
 #ifndef ULOAD_EXEC_FUSION_H_
 #define ULOAD_EXEC_FUSION_H_
 
 #include <deque>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,12 +49,10 @@ namespace uload {
 class MaterializedView;   // storage/store.h
 class ColumnarRowReader;  // storage/virtual_scan.h
 
-// The document-navigation kernel shared by the standalone Navigate_φ
-// operator and the fused Navigate step: resolves the source identifier to a
-// store node, walks the navigation steps (child/descendant axes), and
-// applies the join variant (inner/semi/outer/nest) to produce output tuples.
-// Extracted so fused and unfused execution are the same code — differential
-// equality by construction.
+// The document-navigation kernel of the fused Navigate step: resolves the
+// source identifier to a store node, walks the navigation steps
+// (child/descendant axes), and applies the join variant
+// (inner/semi/outer/nest) to produce output tuples.
 class NavigationCore {
  public:
   NavigationCore(const LogicalPlan* plan, const DocumentStore* doc);
@@ -65,8 +62,7 @@ class NavigationCore {
   const SchemaPtr& emit_schema() const { return emit_schema_; }
 
   // Resolves the navigation source attribute against `input`. Fails when no
-  // document is attached or the source attribute is nested — the same
-  // errors (verbatim) the standalone operator reports at Open().
+  // document is attached or the source attribute is nested.
   Status BindInput(const Schema& input);
 
   // Expands one input tuple into zero or more output tuples, appended to
@@ -85,7 +81,8 @@ class NavigationCore {
 
 class FusedPipelineBuilder;
 
-// One fused chain. Constructed exclusively through FusedPipelineBuilder.
+// One pipeline: a source plus zero or more steps. Constructed exclusively
+// through FusedPipelineBuilder.
 class FusedPipelinePhys final : public PhysicalOperator {
  public:
   ~FusedPipelinePhys() override;
@@ -125,15 +122,11 @@ class FusedPipelinePhys final : public PhysicalOperator {
   // --- Verification / introspection surface --------------------------------
   size_t step_count() const { return steps_.size(); }
   StepView step(size_t i) const;
-  SourceKind source_kind() const { return src_kind_; }
   const SchemaPtr& source_schema() const { return src_schema_; }
   const OrderDescriptor& source_order() const;
-  std::string source_label() const { return src_label_; }
-  PhysicalOperator* source_operator() const { return src_op_.get(); }
 
-  // Order propagation across one fused step (forward direction): the same
-  // rule the elided operator's ProvableOrder() implemented. Shared by the
-  // fused operator and the plan verifier.
+  // Order propagation across one fused step (forward direction). Shared by
+  // the fused operator and the plan verifier.
   static OrderDescriptor PropagateStepOrder(const StepView& s,
                                             const OrderDescriptor& in);
 
@@ -153,9 +146,8 @@ class FusedPipelinePhys final : public PhysicalOperator {
   friend class FusedPipelineBuilder;
   FusedPipelinePhys() = default;
 
-  // Per-member attribution: a counter slot registered under the elided
-  // operator's original label, plus the call counters fault injection keys
-  // on. Unbound pipelines fall back to a private slot (resolved lazily so
+  // Per-member attribution: a counter slot registered under the member's
+  // label, plus the call counters fault injection keys on. Unbound pipelines fall back to a private slot (resolved lazily so
   // moving a Member never leaves a dangling self-pointer).
   struct Member {
     std::string label;
@@ -181,6 +173,11 @@ class FusedPipelinePhys final : public PhysicalOperator {
     PredicatePtr pred;                        // kSelect
     std::optional<TupleProjector> projector;  // kProject
     std::vector<std::string> attrs;           // kProject (for re-derivation)
+    bool dedup = false;                       // kProject: first-wins dedup
+    // kProject with dedup: the keys of every tuple emitted so far, and the
+    // bytes they hold (charged to the pipeline once per output batch).
+    std::set<std::string> seen;
+    int64_t seen_bytes = 0;
     std::unique_ptr<NavigationCore> nav;      // kNavigate
     std::string prefix;                       // kRename
     // Navigate expansion scratch, reused across tuples.
@@ -191,8 +188,6 @@ class FusedPipelinePhys final : public PhysicalOperator {
   // Pushes one source tuple through steps [i..) and emits survivors.
   Status Apply(size_t i, Tuple&& t, TupleBatch* out);
   void Emit(Tuple&& t, TupleBatch* out);
-  // Pulls the next source tuple, or nullopt at end of stream.
-  Result<std::optional<Tuple>> NextSourceTuple();
   // Relation-resident tuple at the current cursor without copying it, or
   // nullptr at end of stream (relation-backed sources only).
   const Tuple* PeekSourceTuple() const;
@@ -228,20 +223,18 @@ class FusedPipelinePhys final : public PhysicalOperator {
   bool src_done_ = false;
   std::deque<Tuple> pending_;  // overflow when a batch fills mid-expansion
   uint64_t ticks_ = 0;         // interior cancellation-check pacing
+  int64_t uncharged_bytes_ = 0;  // dedup growth not yet charged
   // Index of the first kSelect step when every earlier step is
   // metadata-only (kRename/kRetype — positional fields untouched) and the
   // source is relation-backed; -1 otherwise. The hot loop then evaluates
   // the predicate against the relation-resident tuple and copies only
-  // survivors — a fusion-only saving the classic tree cannot make, since
-  // its Scan must materialize every tuple into a batch before Select_φ
-  // sees it. Member counters are bumped exactly as the unfused tree would.
+  // survivors. Member counters are bumped as if every tuple were copied.
   int prefilter_step_ = -1;
 };
 
-// Assembles a FusedPipelinePhys bottom-up: one source, then steps in
-// execution order. Each Add* derives the step's output schema with the same
-// shared derivation the standalone operator uses (exec/plan_schemas.h) and
-// fails with the operator's original diagnostics on type errors.
+// Assembles a FusedPipelinePhys bottom-up: one source, then zero or more
+// steps in execution order. Each Add* derives the step's output schema with
+// the shared derivations of exec/plan_schemas.h and fails on type errors.
 class FusedPipelineBuilder {
  public:
   FusedPipelineBuilder();
@@ -249,32 +242,29 @@ class FusedPipelineBuilder {
 
   // Exactly one source, set before any step.
   void SourceRelation(const NestedRelation* rel, std::string label);
-  void SourceOwnedRelation(NestedRelation rel, std::string label,
-                           OrderDescriptor order = OrderDescriptor());
+  void SourceOwnedRelation(NestedRelation rel, std::string label);
   void SourceRows(const NestedRelation* data, std::vector<int64_t> rows,
                   std::string label);
   void SourceColumnar(const MaterializedView* view, std::string label);
   void SourceOperator(PhysicalPtr op);
 
   Status AddSelect(PredicatePtr pred);
-  Status AddProject(std::vector<std::string> attrs);
+  // `dedup` keeps only the first tuple of each distinct projection
+  // (Project0_φ).
+  Status AddProject(std::vector<std::string> attrs, bool dedup);
   Status AddNavigate(const LogicalPlan* plan, const DocumentStore* doc);
   Status AddRename(std::string prefix);
   Status AddRetype(SchemaPtr schema);
 
-  size_t step_count() const;
-  bool has_inline_source() const;
-  const SchemaPtr& current_schema() const;
-
-  // Finalizes the pipeline. Fails when no source was set or the chain has no
-  // steps (a bare source gains nothing from fusion and keeps its specialized
-  // operator).
+  // Finalizes the pipeline. Fails when no source was set.
   Result<PhysicalPtr> Build();
 
  private:
+  // Output schema of the pipeline built so far.
+  const SchemaPtr& current_schema() const;
+
   std::unique_ptr<FusedPipelinePhys> op_;
   bool has_source_ = false;
-  Status deferred_ = Status::Ok();
 };
 
 }  // namespace uload

@@ -1,16 +1,14 @@
 #include "exec/physical.h"
 
-#include <algorithm>
 #include <chrono>
 #include <deque>
-#include <set>
 #include <unordered_map>
 
 #include "exec/exchange.h"
+#include "exec/fusion.h"
 #include "exec/plan_schemas.h"
 #include "exec/structural_join.h"
 #include "opt/cost.h"
-#include "exec/fusion.h"
 #include "storage/virtual_scan.h"
 #include "verify/batch_validator.h"
 #include "verify/plan_verifier.h"
@@ -215,274 +213,6 @@ class PhysBase : public PhysicalOperator {
 
   SchemaPtr schema_ = Schema::Make({});
   OrderDescriptor order_;
-};
-
-// --- Scan_φ ----------------------------------------------------------------
-
-class ScanPhys : public PhysBase {
- public:
-  ScanPhys(const NestedRelation* rel, std::string name)
-      : rel_(rel), name_(std::move(name)) {
-    schema_ = rel->schema_ptr();
-  }
-  std::string label() const override { return "Scan_phi(" + name_ + ")"; }
-  PhysOpKind kind() const override { return PhysOpKind::kScan; }
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    Result<bool> sorted = IsSortedBy(order, *rel_);
-    if (!sorted.ok() || !*sorted) return false;
-    order_ = order;
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override {
-    pos_ = 0;
-    return Status::Ok();
-  }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    if (pos_ >= rel_->size()) return std::optional<TupleBatch>();
-    TupleBatch out = NewBatch();
-    while (pos_ < rel_->size() && !out.full()) out.Add(rel_->tuple(pos_++));
-    return std::optional<TupleBatch>(std::move(out));
-  }
-
- private:
-  const NestedRelation* rel_;
-  std::string name_;
-  int64_t pos_ = 0;
-};
-
-// A scan over an owned materialized relation (index lookups and the
-// materializing fallbacks reuse it).
-class MaterialPhys : public PhysBase {
- public:
-  MaterialPhys(NestedRelation data, std::string label, OrderDescriptor order)
-      : data_(std::move(data)), label_(std::move(label)) {
-    schema_ = data_.schema_ptr();
-    order_ = std::move(order);
-  }
-  std::string label() const override { return label_; }
-  PhysOpKind kind() const override { return PhysOpKind::kMaterial; }
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    Result<bool> sorted = IsSortedBy(order, data_);
-    if (!sorted.ok() || !*sorted) return false;
-    order_ = order;
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override {
-    pos_ = 0;
-    return Status::Ok();
-  }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    if (pos_ >= data_.size()) return std::optional<TupleBatch>();
-    TupleBatch out = NewBatch();
-    while (pos_ < data_.size() && !out.full()) out.Add(data_.tuple(pos_++));
-    return std::optional<TupleBatch>(std::move(out));
-  }
-
- private:
-  NestedRelation data_;
-  std::string label_;
-  int64_t pos_ = 0;
-};
-
-// --- IndexScan_φ -------------------------------------------------------------
-
-// Batch-streaming scan of an R-marked view restricted to the rows matched by
-// the lookup bindings. The catalog hands out the view's stored relation plus
-// the row ids (storage order); nothing is materialized per query.
-class IndexScanPhys : public PhysBase {
- public:
-  IndexScanPhys(const NestedRelation* data, std::vector<int64_t> rows,
-                std::string name)
-      : data_(data), rows_(std::move(rows)), name_(std::move(name)) {
-    schema_ = data_->schema_ptr();
-  }
-  std::string label() const override {
-    return "IndexScan_phi(" + name_ + ")";
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kIndexScan; }
-  // The selected rows are a subsequence of the stored relation; sortedness
-  // is checked over exactly those rows (same per-key contract as
-  // IsSortedBy: every key independently non-decreasing).
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    for (const OrderKey& k : order.keys()) {
-      int idx = data_->schema().IndexOf(k.attr);
-      if (idx < 0 || data_->schema().attr(idx).is_collection) return false;
-      for (size_t i = 1; i < rows_.size(); ++i) {
-        const AtomicValue& prev =
-            data_->tuple(rows_[i - 1]).fields[idx].atom();
-        const AtomicValue& cur = data_->tuple(rows_[i]).fields[idx].atom();
-        int c = AtomicValue::Compare(prev, cur);
-        if (k.ascending ? c > 0 : c < 0) return false;
-      }
-    }
-    order_ = order;
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override {
-    pos_ = 0;
-    return Status::Ok();
-  }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    if (pos_ >= rows_.size()) return std::optional<TupleBatch>();
-    TupleBatch out = NewBatch();
-    while (pos_ < rows_.size() && !out.full()) {
-      out.Add(data_->tuple(rows_[pos_++]));
-    }
-    return std::optional<TupleBatch>(std::move(out));
-  }
-
- private:
-  const NestedRelation* data_;
-  std::vector<int64_t> rows_;
-  std::string name_;
-  size_t pos_ = 0;
-};
-
-// --- σ_φ ---------------------------------------------------------------------
-
-class SelectPhys : public PhysBase {
- public:
-  SelectPhys(PhysicalPtr input, PredicatePtr pred)
-      : input_(std::move(input)), pred_(std::move(pred)) {
-    schema_ = input_->schema();
-    order_ = input_->order();
-  }
-  std::string label() const override {
-    return "Select_phi[" + pred_->ToString() + "]";
-  }
-  std::vector<PhysicalOperator*> children() const override {
-    return {input_.get()};
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kSelect; }
-  // A filter passes tuples through unchanged, so its provable order is
-  // exactly its input's.
-  OrderDescriptor ProvableOrder() const override { return input_->order(); }
-  // A filter preserves its input's order, so whatever order the input can
-  // prove, the selection inherits.
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    if (!input_->TryAdoptOrder(order)) return false;
-    order_ = input_->order();
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override { return input_->Open(); }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    // Vectorized filter: keep pulling input batches until one survives.
-    for (;;) {
-      ULOAD_ASSIGN_OR_RETURN(std::optional<TupleBatch> in,
-                             input_->NextBatch());
-      if (!in.has_value()) return std::optional<TupleBatch>();
-      TupleBatch out = NewBatch();
-      for (Tuple& t : in->tuples()) {
-        ULOAD_ASSIGN_OR_RETURN(bool keep, pred_->Eval(*schema_, t));
-        if (keep) out.Add(std::move(t));
-      }
-      if (!out.empty()) return std::optional<TupleBatch>(std::move(out));
-    }
-  }
-  void CloseImpl() override { input_->Close(); }
-
- private:
-  PhysicalPtr input_;
-  PredicatePtr pred_;
-};
-
-// --- π_φ ---------------------------------------------------------------------
-
-class ProjectPhys : public PhysBase {
- public:
-  static Result<PhysicalPtr> Make(PhysicalPtr input,
-                                  std::vector<std::string> attrs,
-                                  bool dedup) {
-    auto p = std::unique_ptr<ProjectPhys>(new ProjectPhys());
-    ULOAD_ASSIGN_OR_RETURN(p->proj_,
-                           TupleProjector::Make(*input->schema(), attrs));
-    p->schema_ = p->proj_->schema();
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input->order().keys()) {
-      if (!ResolveAttrPath(*p->schema_, k.attr).ok()) break;
-      kept.push_back(k);
-    }
-    p->order_ = OrderDescriptor(std::move(kept));
-    p->input_ = std::move(input);
-    p->dedup_ = dedup;
-    return PhysicalPtr(std::move(p));
-  }
-  std::string label() const override {
-    return dedup_ ? "Project0_phi" : "Project_phi";
-  }
-  std::vector<PhysicalOperator*> children() const override {
-    return {input_.get()};
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kProject; }
-  // The input's order survives for the longest key prefix whose attributes
-  // all survive the projection.
-  OrderDescriptor ProvableOrder() const override {
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input_->order().keys()) {
-      if (!ResolveAttrPath(*schema_, k.attr).ok()) break;
-      kept.push_back(k);
-    }
-    return OrderDescriptor(std::move(kept));
-  }
-  // A projection preserves tuple order; the input's order survives for the
-  // longest key prefix whose attributes are all retained (names unchanged).
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    for (const OrderKey& k : order.keys()) {
-      if (!ResolveAttrPath(*schema_, k.attr).ok()) return false;
-    }
-    if (!input_->TryAdoptOrder(order)) return false;
-    order_ = order;
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override {
-    seen_.clear();
-    ReleaseMemory(held_bytes());
-    return input_->Open();
-  }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    for (;;) {
-      ULOAD_ASSIGN_OR_RETURN(std::optional<TupleBatch> in,
-                             input_->NextBatch());
-      if (!in.has_value()) return std::optional<TupleBatch>();
-      TupleBatch out = NewBatch();
-      int64_t added_bytes = 0;
-      for (Tuple& t : in->tuples()) {
-        // The input batch is exclusively ours, so steal the kept fields
-        // instead of deep-copying them.
-        Tuple projected = proj_->Apply(std::move(t));
-        if (dedup_) {
-          std::string key = TupleToString(projected);
-          int64_t key_bytes =
-              static_cast<int64_t>(sizeof(std::string) + key.capacity() + 48);
-          if (!seen_.insert(std::move(key)).second) continue;
-          added_bytes += key_bytes;
-        }
-        out.Add(std::move(projected));
-      }
-      // The dedup set grows monotonically; charge its growth per input batch
-      // so the tracker sees it without per-tuple atomics.
-      if (added_bytes > 0) ULOAD_RETURN_NOT_OK(ChargeMemory(added_bytes));
-      if (!out.empty()) return std::optional<TupleBatch>(std::move(out));
-    }
-  }
-  void CloseImpl() override { input_->Close(); }
-
- private:
-  ProjectPhys() = default;
-  PhysicalPtr input_;
-  std::optional<TupleProjector> proj_;
-  bool dedup_ = false;
-  std::set<std::string> seen_;
 };
 
 // --- Sort_φ ------------------------------------------------------------------
@@ -1195,218 +925,17 @@ class UnionPhys : public PhysBase {
   bool on_right_ = false;
 };
 
-// --- Navigate ---------------------------------------------------------------
-
-class NavigatePhys : public PhysBase {
- public:
-  NavigatePhys(PhysicalPtr input, const LogicalPlan* plan,
-               const DocumentStore* doc)
-      : input_(std::move(input)), core_(plan, doc) {
-    schema_ = JoinOutputSchema(*input_->schema(), *core_.emit_schema(),
-                               plan->variant(),
-                               plan->nest_as().empty() ? plan->nav_emit().prefix
-                                                       : plan->nest_as());
-    order_ = input_->order();
-  }
-  std::string label() const override {
-    return "Navigate_phi[" + core_.plan()->left_attr() + "]";
-  }
-  std::vector<PhysicalOperator*> children() const override {
-    return {input_.get()};
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kNavigate; }
-  // Each input tuple expands into consecutive outputs, so the input's order
-  // survives for the longest key prefix over carried-over input attributes.
-  OrderDescriptor ProvableOrder() const override {
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input_->order().keys()) {
-      if (!ResolveAttrPath(*input_->schema(), k.attr).ok()) break;
-      kept.push_back(k);
-    }
-    return OrderDescriptor(std::move(kept));
-  }
-  // Navigation expands each input tuple into zero or more consecutive
-  // output tuples, so the input's order survives (non-strictly) for keys
-  // that refer to carried-over input attributes.
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    for (const OrderKey& k : order.keys()) {
-      if (!ResolveAttrPath(*input_->schema(), k.attr).ok()) return false;
-    }
-    if (!input_->TryAdoptOrder(order)) return false;
-    order_ = order;
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override {
-    ULOAD_RETURN_NOT_OK(core_.BindInput(*input_->schema()));
-    pending_.clear();
-    return input_->Open();
-  }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    TupleBatch out = NewBatch();
-    while (!out.full()) {
-      if (!pending_.empty()) {
-        out.Add(std::move(pending_.front()));
-        pending_.pop_front();
-        continue;
-      }
-      ULOAD_ASSIGN_OR_RETURN(std::optional<Tuple> t, input_->NextTuple());
-      if (!t.has_value()) break;
-      ULOAD_RETURN_NOT_OK(core_.Expand(*t, &pending_));
-    }
-    if (out.empty()) return std::optional<TupleBatch>();
-    return std::optional<TupleBatch>(std::move(out));
-  }
-  void CloseImpl() override { input_->Close(); }
-
- private:
-  PhysicalPtr input_;
-  NavigationCore core_;
-  std::deque<Tuple> pending_;
-};
-
-// --- Rename (metadata-only) --------------------------------------------------
-
-class RenamePhys : public PhysBase {
- public:
-  RenamePhys(PhysicalPtr input, const std::string& prefix)
-      : input_(std::move(input)), prefix_(prefix) {
-    schema_ = PrefixedSchema(*input_->schema(), prefix);
-    // A rename keeps tuple order; top-level order keys survive under their
-    // prefixed names.
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input_->order().keys()) {
-      if (k.attr.find('.') != std::string::npos) break;
-      kept.push_back(OrderKey{prefix_ + k.attr, k.ascending});
-    }
-    order_ = OrderDescriptor(std::move(kept));
-  }
-  std::string label() const override { return "Rename_phi"; }
-  std::vector<PhysicalOperator*> children() const override {
-    return {input_.get()};
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kRename; }
-  // Recompute the constructor's key translation from the input's current
-  // order: top-level keys survive under their prefixed names.
-  OrderDescriptor ProvableOrder() const override {
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input_->order().keys()) {
-      if (k.attr.find('.') != std::string::npos) break;
-      kept.push_back(OrderKey{prefix_ + k.attr, k.ascending});
-    }
-    return OrderDescriptor(std::move(kept));
-  }
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    // Strip the prefix off every key and ask the input.
-    std::vector<OrderKey> translated;
-    for (const OrderKey& k : order.keys()) {
-      if (k.attr.find('.') != std::string::npos) return false;
-      if (k.attr.compare(0, prefix_.size(), prefix_) != 0) return false;
-      translated.push_back(
-          OrderKey{k.attr.substr(prefix_.size()), k.ascending});
-    }
-    if (!input_->TryAdoptOrder(OrderDescriptor(std::move(translated)))) {
-      return false;
-    }
-    order_ = order;
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override { return input_->Open(); }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    ULOAD_ASSIGN_OR_RETURN(std::optional<TupleBatch> b, input_->NextBatch());
-    if (b.has_value()) b->set_schema(schema_);
-    return b;
-  }
-  void CloseImpl() override { input_->Close(); }
-
- private:
-  PhysicalPtr input_;
-  std::string prefix_;
-};
-
-// --- Retype (metadata-only) --------------------------------------------------
-
-// Re-tags the stream with a structurally identical schema (the rewriter's
-// view-schema stamp). Order descriptors name attributes, so the input's
-// advertised order carries over with its key names translated positionally
-// old-schema → new-schema; adoption requests translate the other way.
-class RetypePhys : public PhysBase {
- public:
-  static Result<PhysicalPtr> Make(PhysicalPtr input, SchemaPtr schema) {
-    ULOAD_RETURN_NOT_OK(CheckSameShape(*input->schema(), *schema));
-    auto p = std::unique_ptr<RetypePhys>(new RetypePhys());
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input->order().keys()) {
-      int idx = input->schema()->IndexOf(k.attr);
-      if (idx < 0 || schema->attr(idx).is_collection) break;
-      kept.push_back(OrderKey{schema->attr(idx).name, k.ascending});
-    }
-    p->order_ = OrderDescriptor(std::move(kept));
-    p->schema_ = std::move(schema);
-    p->input_ = std::move(input);
-    return PhysicalPtr(std::move(p));
-  }
-  std::string label() const override { return "Retype_phi"; }
-  std::vector<PhysicalOperator*> children() const override {
-    return {input_.get()};
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kRetype; }
-  // Recompute the constructor's positional key translation from the input's
-  // current order: old-schema names map to new-schema names by index.
-  OrderDescriptor ProvableOrder() const override {
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : input_->order().keys()) {
-      int idx = input_->schema()->IndexOf(k.attr);
-      if (idx < 0 || schema_->attr(idx).is_collection) break;
-      kept.push_back(OrderKey{schema_->attr(idx).name, k.ascending});
-    }
-    return OrderDescriptor(std::move(kept));
-  }
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    std::vector<OrderKey> translated;
-    for (const OrderKey& k : order.keys()) {
-      int idx = schema_->IndexOf(k.attr);
-      if (idx < 0 || schema_->attr(idx).is_collection) return false;
-      translated.push_back(
-          OrderKey{input_->schema()->attr(idx).name, k.ascending});
-    }
-    if (!input_->TryAdoptOrder(OrderDescriptor(std::move(translated)))) {
-      return false;
-    }
-    order_ = order;
-    return true;
-  }
-
- protected:
-  Status OpenImpl() override { return input_->Open(); }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    ULOAD_ASSIGN_OR_RETURN(std::optional<TupleBatch> b, input_->NextBatch());
-    if (b.has_value()) b->set_schema(schema_);
-    return b;
-  }
-  void CloseImpl() override { input_->Close(); }
-
- private:
-  RetypePhys() = default;
-  PhysicalPtr input_;
-};
-
 // --- Compiler ----------------------------------------------------------------
 
 class Compiler {
  public:
-  Compiler(const EvalContext& ctx, size_t thread_budget, bool fuse)
-      : ctx_(ctx),
-        thread_budget_(thread_budget == 0 ? 1 : thread_budget),
-        fuse_(fuse) {}
+  Compiler(const EvalContext& ctx, size_t thread_budget)
+      : ctx_(ctx), thread_budget_(thread_budget == 0 ? 1 : thread_budget) {}
 
   Result<PhysicalPtr> Compile(const PlanPtr& plan) {
     // Keep the logical plan alive for operators that reference it.
     roots_.push_back(plan);
-    return RecFuse(*plan);
+    return Rec(*plan);
   }
 
   // Sort_φ elision sites of the last Compile(): each operator must keep
@@ -1456,16 +985,6 @@ class Compiler {
     part_ = 0;
   }
 
-  // Fallback: evaluate the subtree with the materializing evaluator and
-  // stream the result (covers operators without a dedicated physical
-  // implementation, e.g. nested-attribute structural joins).
-  Result<PhysicalPtr> Materialize(const LogicalPlan& plan,
-                                  const std::string& label) {
-    ULOAD_ASSIGN_OR_RETURN(NestedRelation data, Evaluate(plan, ctx_));
-    return PhysicalPtr(std::make_unique<MaterialPhys>(
-        std::move(data), label, OrderDescriptor()));
-  }
-
   // Tuple count of a scannable leaf: a bound relation or a catalog view
   // (virtual extents report their row-set size without materializing);
   // -1 when the name resolves to neither.
@@ -1477,16 +996,28 @@ class Compiler {
     return -1;
   }
 
+  // Positions of a structural join's attributes in its compiled inputs;
+  // false when either is not a top-level attribute of its input.
+  static bool JoinPositions(const LogicalPlan& p, const PhysicalOperator& anc,
+                            const PhysicalOperator& desc, int* anc_idx,
+                            int* desc_idx) {
+    auto l = ResolveAttrPath(*anc.schema(), p.left_attr());
+    auto r = ResolveAttrPath(*desc.schema(), p.right_attr());
+    if (!l.ok() || !r.ok() || l->size() != 1 || r->size() != 1) return false;
+    *anc_idx = (*l)[0];
+    *desc_idx = (*r)[0];
+    return true;
+  }
+
   // Fans an eligible inner structural join out: the descendant side is a
   // Select*/Scan chain whose scan partitions into contiguous pre-order
   // ranges, the ancestor chain is replicated per worker (the join pulls
   // ancestors lazily, so each worker reads only the prefix its slice
   // needs). Worker streams are disjoint and locally ordered on the
   // descendant attribute, so ExchangeMerge reproduces the serial engine's
-  // output exactly. Returns nullptr when the shape or the sizes are not
-  // eligible.
-  Result<PhysicalPtr> TryParallelStructuralJoin(const LogicalPlan& p,
-                                                int anc_idx, int desc_idx) {
+  // output exactly. Returns nullptr when the shape, the sizes or the join
+  // attributes are not eligible.
+  Result<PhysicalPtr> TryParallelStructuralJoin(const LogicalPlan& p) {
     if (in_worker_ || thread_budget_ < 2) return PhysicalPtr();
     const LogicalPlan* anc_leaf = SelectChainLeaf(*p.left());
     const LogicalPlan* desc_leaf = SelectChainLeaf(*p.right());
@@ -1499,15 +1030,25 @@ class Compiler {
     if (dsize < 0) return PhysicalPtr();
     size_t n = ChooseWorkerCount(dsize, thread_budget_);
     if (n < 2) return PhysicalPtr();
+    size_t mark = obligations_.size();
     std::vector<PhysicalPtr> workers;
     EnterPartition(desc_leaf, n);
     for (size_t w = 0; w < n; ++w) {
       part_ = w;
-      Result<PhysicalPtr> l = RecFuse(*p.left());
-      Result<PhysicalPtr> r = RecFuse(*p.right());
+      Result<PhysicalPtr> l = Rec(*p.left());
+      Result<PhysicalPtr> r = Rec(*p.right());
       if (!l.ok() || !r.ok()) {
         LeavePartition();
         return !l.ok() ? l.status() : r.status();
+      }
+      int anc_idx = 0;
+      int desc_idx = 0;
+      if (!JoinPositions(p, **l, **r, &anc_idx, &desc_idx)) {
+        // Nested join attributes: the serial path materializes; the
+        // discarded worker trees take their obligations with them.
+        LeavePartition();
+        obligations_.resize(mark);
+        return PhysicalPtr();
       }
       PhysicalPtr anc = EnsureOrder(std::move(*l), p.left_attr());
       PhysicalPtr desc = EnsureOrder(std::move(*r), p.right_attr());
@@ -1519,19 +1060,16 @@ class Compiler {
         std::make_unique<ExchangeMergePhys>(std::move(workers)));
   }
 
-  // True when the logical operator is a non-breaking chain member the fused
-  // pipeline can run inline: Select, non-dedup Project (first-wins dedup
-  // buffers a seen-set — a breaker), Navigate with a document attached,
-  // Rename, Retype. Everything else — sorts, joins (build side or StackTree
-  // buffering), Product/Union fan-in, exchanges — breaks the pipeline.
-  bool Fusable(const LogicalPlan& p) const {
+  // True when the logical operator is a unary chain member the fused
+  // pipeline runs inline: Select, Project (first-wins dedup included),
+  // Navigate, Rename, Retype. Everything else — sorts, joins (build side or
+  // StackTree buffering), Product/Union fan-in, exchanges — breaks the
+  // pipeline.
+  static bool Fusable(const LogicalPlan& p) {
     switch (p.op()) {
       case PlanOp::kSelect:
-        return true;
       case PlanOp::kProject:
-        return !p.dedup();
       case PlanOp::kNavigate:
-        return ctx_.document != nullptr;
       case PlanOp::kPrefixNames:
       case PlanOp::kRetype:
         return true;
@@ -1540,58 +1078,24 @@ class Compiler {
     }
   }
 
-  // Compilation entry at a pipeline boundary: collapses the maximal
-  // non-breaking chain rooted at `p` into one FusedPipeline_φ running a
-  // single tuple loop (exec/fusion.h). Non-partitioned scans, streaming
-  // index bindings and Unit become inline sources (their operator boundary
-  // is elided too); anything else — breakers, partitioned scan leaves —
-  // stays an operator source underneath the fused chain. Chains of one step
-  // over an operator source gain nothing and compile classically, as does
-  // everything when fusion is off.
-  Result<PhysicalPtr> RecFuse(const LogicalPlan& p) {
-    if (!fuse_) return Rec(p);
+  // Compilation entry at a pipeline boundary: the maximal (possibly empty)
+  // chain of unary operators rooted at `p` becomes one FusedPipeline_φ
+  // running a single tuple loop (exec/fusion.h) over the source below the
+  // chain. That source is inline when it is a non-partitioned scan, an
+  // index binding, Unit or an evaluator fallback; otherwise it is the
+  // compiled breaker (or partitioned scan), which a chain-less pipeline
+  // returns as is.
+  Result<PhysicalPtr> Rec(const LogicalPlan& p) {
     std::vector<const LogicalPlan*> chain;  // top -> bottom
     const LogicalPlan* cur = &p;
     while (Fusable(*cur)) {
       chain.push_back(cur);
       cur = cur->left().get();
     }
-    if (chain.empty()) return Rec(p);
-
     FusedPipelineBuilder b;
-    bool inline_src = false;
-    if (cur->op() == PlanOp::kScan && !(in_worker_ && part_leaf_ == cur)) {
-      auto vit = ctx_.views.find(cur->relation());
-      if (vit != ctx_.views.end() &&
-          vit->second->virtual_store() != nullptr) {
-        b.SourceColumnar(vit->second,
-                         "ColumnarScan_phi(" + cur->relation() + ")");
-        inline_src = true;
-      } else {
-        auto it = ctx_.relations.find(cur->relation());
-        if (it == ctx_.relations.end()) {
-          return Status::NotFound("relation '" + cur->relation() +
-                                  "' unbound");
-        }
-        b.SourceRelation(it->second, "Scan_phi(" + cur->relation() + ")");
-        inline_src = true;
-      }
-    } else if (cur->op() == PlanOp::kIndexScan && ctx_.index_bind) {
-      ULOAD_ASSIGN_OR_RETURN(IndexBinding bind,
-                             ctx_.index_bind(cur->relation(),
-                                             cur->bindings()));
-      b.SourceRows(bind.data, std::move(bind.rows),
-                   "IndexScan_phi(" + cur->relation() + ")");
-      inline_src = true;
-    } else if (cur->op() == PlanOp::kUnit) {
-      NestedRelation unit(Schema::Make({}));
-      unit.Add(Tuple{});
-      b.SourceOwnedRelation(std::move(unit), "Unit_phi");
-      inline_src = true;
-    }
-    if (!inline_src) {
-      if (chain.size() < 2) return Rec(p);
-      ULOAD_ASSIGN_OR_RETURN(PhysicalPtr src, Rec(*cur));
+    ULOAD_ASSIGN_OR_RETURN(PhysicalPtr src, Source(*cur, &b));
+    if (src != nullptr) {
+      if (chain.empty()) return src;
       b.SourceOperator(std::move(src));
     }
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
@@ -1601,7 +1105,7 @@ class Compiler {
           ULOAD_RETURN_NOT_OK(b.AddSelect(n.predicate()));
           break;
         case PlanOp::kProject:
-          ULOAD_RETURN_NOT_OK(b.AddProject(n.attrs()));
+          ULOAD_RETURN_NOT_OK(b.AddProject(n.attrs(), n.dedup()));
           break;
         case PlanOp::kNavigate:
           ULOAD_RETURN_NOT_OK(b.AddNavigate(&n, ctx_.document));
@@ -1619,73 +1123,75 @@ class Compiler {
     return b.Build();
   }
 
-  Result<PhysicalPtr> Rec(const LogicalPlan& p) {
+  // Fallback: evaluates the subtree with the materializing evaluator and
+  // installs the result as the pipeline's inline source (operators without
+  // a streaming implementation, e.g. nested-attribute structural joins).
+  Result<PhysicalPtr> Materialize(const LogicalPlan& plan,
+                                  const std::string& label,
+                                  FusedPipelineBuilder* b) {
+    ULOAD_ASSIGN_OR_RETURN(NestedRelation data, Evaluate(plan, ctx_));
+    b->SourceOwnedRelation(std::move(data), label);
+    return PhysicalPtr();
+  }
+
+  // The source of the pipeline whose chain ends above `p`: either installed
+  // into `b` as an inline source (returns null), or compiled as an operator.
+  Result<PhysicalPtr> Source(const LogicalPlan& p, FusedPipelineBuilder* b) {
     switch (p.op()) {
       case PlanOp::kScan: {
         // Virtual column-backed extents (storage/store.h) have no
-        // materialized relation: route their scans straight to the columnar
-        // store. Materialized views resolve through `relations` as before.
+        // materialized relation: their rows stream straight off the
+        // columnar store. Materialized views resolve through `relations`.
         auto vit = ctx_.views.find(p.relation());
-        if (vit != ctx_.views.end() &&
-            vit->second->virtual_store() != nullptr) {
-          if (in_worker_ && part_leaf_ == &p) {
-            return PhysicalPtr(std::make_unique<ColumnarParallelScanPhys>(
-                vit->second, p.relation(), part_, nparts_));
-          }
-          return PhysicalPtr(
-              std::make_unique<ColumnarScanPhys>(vit->second, p.relation()));
-        }
+        bool columnar = vit != ctx_.views.end() &&
+                        vit->second->virtual_store() != nullptr;
         auto it = ctx_.relations.find(p.relation());
-        if (it == ctx_.relations.end()) {
+        if (!columnar && it == ctx_.relations.end()) {
           return Status::NotFound("relation '" + p.relation() + "' unbound");
         }
         if (in_worker_ && part_leaf_ == &p) {
+          if (columnar) {
+            return PhysicalPtr(std::make_unique<ColumnarParallelScanPhys>(
+                vit->second, p.relation(), part_, nparts_));
+          }
           return PhysicalPtr(std::make_unique<ParallelScanPhys>(
               it->second, p.relation(), part_, nparts_));
         }
-        return PhysicalPtr(
-            std::make_unique<ScanPhys>(it->second, p.relation()));
+        if (columnar) {
+          b->SourceColumnar(vit->second,
+                            "ColumnarScan_phi(" + p.relation() + ")");
+        } else {
+          b->SourceRelation(it->second, "Scan_phi(" + p.relation() + ")");
+        }
+        return PhysicalPtr();
       }
       case PlanOp::kIndexScan: {
-        // Preferred: the storage layer's streaming binding (view data +
-        // matching row ids, no per-query materialization). The materializing
-        // lookup hook stays as the fallback for hand-built contexts.
-        if (ctx_.index_bind) {
-          ULOAD_ASSIGN_OR_RETURN(IndexBinding b,
-                                 ctx_.index_bind(p.relation(), p.bindings()));
-          return PhysicalPtr(std::make_unique<IndexScanPhys>(
-              b.data, std::move(b.rows), p.relation()));
+        // The storage layer's streaming binding: view data + matching row
+        // ids, no per-query materialization.
+        if (!ctx_.index_bind) {
+          return Status::InvalidArgument("no index bind hook");
         }
-        if (!ctx_.index_lookup) {
-          return Status::InvalidArgument("no index lookup hook");
-        }
-        ULOAD_ASSIGN_OR_RETURN(NestedRelation data,
-                               ctx_.index_lookup(p.relation(), p.bindings()));
-        return PhysicalPtr(std::make_unique<MaterialPhys>(
-            std::move(data), "IndexLookup_phi(" + p.relation() + ")",
-            OrderDescriptor()));
+        ULOAD_ASSIGN_OR_RETURN(IndexBinding bind,
+                               ctx_.index_bind(p.relation(), p.bindings()));
+        b->SourceRows(bind.data, std::move(bind.rows),
+                      "IndexScan_phi(" + p.relation() + ")");
+        return PhysicalPtr();
       }
-      case PlanOp::kSelect: {
-        // Reached only when this node did not fuse (chain too short or a
-        // partitioned leaf below); the subtree below may still hold a
-        // fusable chain, so re-enter through RecFuse.
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, RecFuse(*p.left()));
-        return PhysicalPtr(
-            std::make_unique<SelectPhys>(std::move(in), p.predicate()));
-      }
-      case PlanOp::kProject: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, RecFuse(*p.left()));
-        return ProjectPhys::Make(std::move(in), p.attrs(), p.dedup());
+      case PlanOp::kUnit: {
+        NestedRelation unit(Schema::Make({}));
+        unit.Add(Tuple{});
+        b->SourceOwnedRelation(std::move(unit), "Unit_phi");
+        return PhysicalPtr();
       }
       case PlanOp::kProduct: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, RecFuse(*p.left()));
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, RecFuse(*p.right()));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left()));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right()));
         return PhysicalPtr(
             std::make_unique<ProductPhys>(std::move(l), std::move(r)));
       }
       case PlanOp::kValueJoin: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, RecFuse(*p.left()));
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, RecFuse(*p.right()));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left()));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right()));
         return PhysicalPtr(std::make_unique<ValueJoinPhys>(
             std::move(l), std::move(r), p.left_attr(), p.comparator(),
             p.right_attr(), p.variant(), p.nest_as()));
@@ -1694,58 +1200,44 @@ class Compiler {
         // Streaming StackTree for structural joins on top-level attrs:
         // StackTreeDesc (descendant-ordered output, Exchange-parallelizable)
         // for inner joins, the ancestor-grouped StackTreeAnc for the
-        // semi/outer/nest variants. Nested join attributes fall back to the
-        // materializing evaluator.
-        auto lres = ResolveAttrPath(*SchemaOf(p.left()), p.left_attr());
-        auto rres = ResolveAttrPath(*SchemaOf(p.right()), p.right_attr());
-        if (lres.ok() && rres.ok() && lres->size() == 1 &&
-            rres->size() == 1) {
-          if (p.variant() == JoinVariant::kInner) {
-            ULOAD_ASSIGN_OR_RETURN(
-                PhysicalPtr par,
-                TryParallelStructuralJoin(p, (*lres)[0], (*rres)[0]));
-            if (par) return PhysicalPtr(std::move(par));
-          }
-          ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, RecFuse(*p.left()));
-          ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, RecFuse(*p.right()));
-          PhysicalPtr anc = EnsureOrder(std::move(l), p.left_attr());
-          PhysicalPtr desc = EnsureOrder(std::move(r), p.right_attr());
-          if (p.variant() == JoinVariant::kInner) {
-            return PhysicalPtr(std::make_unique<StackTreeDescPhys>(
-                std::move(anc), std::move(desc), (*lres)[0], (*rres)[0],
-                p.axis()));
-          }
-          return PhysicalPtr(std::make_unique<StackTreeVariantPhys>(
-              std::move(anc), std::move(desc), (*lres)[0], (*rres)[0],
-              p.axis(), p.variant(), p.nest_as()));
+        // semi/outer/nest variants. Each child is compiled once and the join
+        // attributes are resolved on what was compiled; nested join
+        // attributes fall back to the materializing evaluator.
+        if (p.variant() == JoinVariant::kInner) {
+          ULOAD_ASSIGN_OR_RETURN(PhysicalPtr par, TryParallelStructuralJoin(p));
+          if (par) return par;
         }
-        return Materialize(p, "StackTreeAnc_phi(materialized)");
+        size_t mark = obligations_.size();
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left()));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right()));
+        int anc_idx = 0;
+        int desc_idx = 0;
+        if (!JoinPositions(p, *l, *r, &anc_idx, &desc_idx)) {
+          // The compiled children are discarded; so are their obligations.
+          obligations_.resize(mark);
+          return Materialize(p, "StackTreeAnc_phi(materialized)", b);
+        }
+        PhysicalPtr anc = EnsureOrder(std::move(l), p.left_attr());
+        PhysicalPtr desc = EnsureOrder(std::move(r), p.right_attr());
+        if (p.variant() == JoinVariant::kInner) {
+          return PhysicalPtr(std::make_unique<StackTreeDescPhys>(
+              std::move(anc), std::move(desc), anc_idx, desc_idx, p.axis()));
+        }
+        return PhysicalPtr(std::make_unique<StackTreeVariantPhys>(
+            std::move(anc), std::move(desc), anc_idx, desc_idx, p.axis(),
+            p.variant(), p.nest_as()));
       }
       case PlanOp::kUnion: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, RecFuse(*p.left()));
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, RecFuse(*p.right()));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left()));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right()));
         return PhysicalPtr(
             std::make_unique<UnionPhys>(std::move(l), std::move(r)));
-      }
-      case PlanOp::kNavigate: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, RecFuse(*p.left()));
-        return PhysicalPtr(
-            std::make_unique<NavigatePhys>(std::move(in), &p, ctx_.document));
-      }
-      case PlanOp::kPrefixNames: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, RecFuse(*p.left()));
-        return PhysicalPtr(
-            std::make_unique<RenamePhys>(std::move(in), p.nest_as()));
-      }
-      case PlanOp::kRetype: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, RecFuse(*p.left()));
-        return RetypePhys::Make(std::move(in), p.retype_schema());
       }
       case PlanOp::kSortOp: {
         // Sort_φ enforcer with elision: skipped when the input's advertised
         // order already covers the requested keys, or when the input can
         // prove (TryAdoptOrder) that its data satisfies them.
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, RecFuse(*p.left()));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, Rec(*p.left()));
         std::vector<OrderKey> keys;
         for (const std::string& a : p.attrs()) {
           keys.push_back(OrderKey{a, true});
@@ -1759,43 +1251,29 @@ class Compiler {
         return PhysicalPtr(
             std::make_unique<SortPhys>(std::move(in), std::move(required)));
       }
-      case PlanOp::kUnit: {
-        NestedRelation unit(Schema::Make({}));
-        unit.Add(Tuple{});
-        return PhysicalPtr(std::make_unique<MaterialPhys>(
-            std::move(unit), "Unit_phi", OrderDescriptor()));
-      }
       // Remaining operators materialize through the evaluator.
       case PlanOp::kDifference:
-        return Materialize(p, "Difference_phi(materialized)");
+        return Materialize(p, "Difference_phi(materialized)", b);
       case PlanOp::kNest:
-        return Materialize(p, "Nest_phi(materialized)");
+        return Materialize(p, "Nest_phi(materialized)", b);
       case PlanOp::kUnnest:
-        return Materialize(p, "Unnest_phi(materialized)");
+        return Materialize(p, "Unnest_phi(materialized)", b);
       case PlanOp::kXmlConstruct:
-        return Materialize(p, "Xml_phi(materialized)");
+        return Materialize(p, "Xml_phi(materialized)", b);
       case PlanOp::kDeriveParent:
-        return Materialize(p, "DeriveParent_phi(materialized)");
+        return Materialize(p, "DeriveParent_phi(materialized)", b);
+      case PlanOp::kSelect:
+      case PlanOp::kProject:
+      case PlanOp::kNavigate:
+      case PlanOp::kPrefixNames:
+      case PlanOp::kRetype:
+        break;
     }
     return Status::Internal("unhandled plan operator");
   }
 
-  // Output schema of a logical subtree, derived by compiling... to stay
-  // cheap, we compile the child twice only for structural joins; schema
-  // lookup goes through a temporary compilation of scans. The throwaway
-  // tree is discarded, so obligations recorded while probing must be
-  // dropped with it — they would dangle otherwise.
-  SchemaPtr SchemaOf(const PlanPtr& plan) {
-    size_t mark = obligations_.size();
-    auto phys = Rec(*plan);
-    obligations_.resize(mark);
-    if (!phys.ok()) return Schema::Make({});
-    return (*phys)->schema();
-  }
-
   const EvalContext& ctx_;
   size_t thread_budget_;
-  bool fuse_;
   // Worker-pipeline compilation state: while set, the scan at `part_leaf_`
   // compiles into slice `part_` of `nparts_`, and no nested exchange is
   // placed.
@@ -1813,8 +1291,7 @@ class Compiler {
 Result<PhysicalPtr> CompilePhysicalPlan(const PlanPtr& plan,
                                         const EvalContext& ctx,
                                         ExecContext* exec) {
-  Compiler compiler(ctx, exec == nullptr ? 1 : exec->thread_budget(),
-                    exec == nullptr ? true : exec->fuse());
+  Compiler compiler(ctx, exec == nullptr ? 1 : exec->thread_budget());
   ULOAD_ASSIGN_OR_RETURN(PhysicalPtr root, compiler.Compile(plan));
   if (exec != nullptr && exec->verify_plans()) {
     PhysicalVerifyOptions opts;

@@ -1,13 +1,19 @@
 // Physical operators (thesis §1.2.3): the batch-at-a-time execution engine.
 //
-// Each logical operator op has a physical counterpart op_φ; all physical
-// operators consume and produce streams of (possibly nested) tuples through
-// an Open/NextBatch/Close interface. A NextBatch() call returns up to one
-// TupleBatch (default 1024 tuples), so per-call costs — virtual dispatch,
-// runtime accounting, clock reads — amortize over the whole batch instead of
-// being paid per tuple. A thin NextTuple() adapter on the base class serves
-// operators with inherently tuple-wise consumption (the StackTree join walks
-// both inputs cursor-style) and legacy call sites.
+// All physical operators consume and produce streams of (possibly nested)
+// tuples through an Open/NextBatch/Close interface. Serial sources and the
+// unary operators (Select, Project, Project0, Navigate, Rename, Retype) run
+// inside FusedPipeline_φ (exec/fusion.h); the operators defined here are
+// the pipeline breakers — Sort_φ, the StackTree structural joins, the value
+// joins, Product and Union — plus the exchange operators of
+// exec/exchange.h.
+//
+// A NextBatch() call returns up to one TupleBatch (default 1024 tuples), so
+// per-call costs — virtual dispatch, runtime accounting, clock reads —
+// amortize over the whole batch instead of being paid per tuple. A thin
+// NextTuple() adapter on the base class serves operators with inherently
+// tuple-wise consumption (the StackTree joins walk both inputs
+// cursor-style; the value joins and Product pull their probe side).
 //
 // Structural joins are implemented by the streaming StackTreeAnc algorithm,
 // which requires both inputs in document order — the compiler tracks order
@@ -40,22 +46,14 @@ namespace uload {
 // it. Operators that no rule cares about report kOther.
 enum class PhysOpKind : uint8_t {
   kOther = 0,
-  kScan,
   kParallelScan,
-  kIndexScan,
-  kMaterial,
-  kSelect,
-  kProject,
   kSort,
   kStructuralJoin,  // StackTreeDesc and the StackTreeAnc variants
   kValueJoin,
   kProduct,
   kUnion,
-  kNavigate,
-  kRename,
-  kRetype,
   kExchangeMerge,
-  kFusedPipeline,
+  kFusedPipeline,  // every serial source and unary operator
 };
 
 // Pull-based batch-at-a-time physical operator.
@@ -90,7 +88,7 @@ class PhysicalOperator {
 
   // Operator-tree rendering with physical operator names; two spaces of
   // indentation per tree level. Virtual so FusedPipeline_φ can render its
-  // elided chain members as sub-lines.
+  // chain members as sub-lines.
   virtual std::string Describe(int indent = 0) const;
   // Describe() plus the per-operator runtime counters of the last
   // execution — EXPLAIN ANALYZE for an executed plan.
@@ -193,8 +191,8 @@ class PhysicalOperator {
   TupleBatch NewBatch() const { return TupleBatch(schema(), batch_size_); }
 
   // Fault spec adopted at Bind(); null unless injection is enabled.
-  // FusedPipeline_φ consults it for its interior member sites, so the fault
-  // sweep still addresses operators that fusion elided.
+  // FusedPipeline_φ consults it for its member sites, so the fault sweep
+  // addresses every chain member.
   const FaultSpec* fault_spec() const { return fault_; }
 
  private:
@@ -228,7 +226,11 @@ using PhysicalPtr = std::unique_ptr<PhysicalOperator>;
 
 // Compiles a logical plan into a physical operator tree. Inputs of
 // structural joins that are not already sorted on the join attribute get a
-// Sort_φ enforcer. Navigation/index operators capture the context. When
+// Sort_φ enforcer. Navigation steps and index sources capture the context;
+// plan operators without a streaming implementation (Difference, Nest,
+// Unnest, XmlConstruct, DeriveParent, structural joins on nested
+// attributes) are evaluated by the materializing evaluator at compile time
+// and streamed as a pipeline source. When
 // `exec` is non-null the compiled tree is bound to it (batch size + runtime
 // counters); `exec` must then outlive the returned tree.
 Result<PhysicalPtr> CompilePhysicalPlan(const PlanPtr& plan,

@@ -1,42 +1,8 @@
 #include "rewrite/query_rewriter.h"
 
-#include <unordered_map>
-
-#include "exec/evaluator.h"
 #include "xquery/parser.h"
 
 namespace uload {
-namespace {
-
-// Rebuilds `rel` under `schema` (same structural shape, different names).
-Result<NestedRelation> Retype(const NestedRelation& rel, SchemaPtr schema) {
-  // Structural compatibility check (atomic/collection pattern).
-  std::function<Status(const Schema&, const Schema&)> check =
-      [&](const Schema& a, const Schema& b) -> Status {
-    if (a.size() != b.size()) {
-      return Status::TypeError(
-          "rewritten plan schema {" + a.ToString() +
-          "} does not line up with query pattern schema {" + b.ToString() +
-          "}");
-    }
-    for (int i = 0; i < a.size(); ++i) {
-      if (a.attr(i).is_collection != b.attr(i).is_collection) {
-        return Status::TypeError("schema shape mismatch at attribute " +
-                                 a.attr(i).name);
-      }
-      if (a.attr(i).is_collection) {
-        ULOAD_RETURN_NOT_OK(check(*a.attr(i).nested, *b.attr(i).nested));
-      }
-    }
-    return Status::Ok();
-  };
-  ULOAD_RETURN_NOT_OK(check(rel.schema(), *schema));
-  NestedRelation out(std::move(schema), rel.kind());
-  out.mutable_tuples() = rel.tuples();
-  return out;
-}
-
-}  // namespace
 
 QueryRewriter::QueryRewriter(const PathSummary* summary,
                              const Catalog* catalog)
@@ -94,49 +60,6 @@ Result<PlanPtr> QueryRewriter::BuildPlan(const QueryRewriteResult& r) const {
     cur = LogicalPlan::Select(std::move(cur), pred);
   }
   return cur;
-}
-
-Result<std::string> QueryRewriter::ExecuteMaterialized(
-    const QueryRewriteResult& r, const DocumentStore* doc) const {
-  EvalContext ctx = catalog_->MakeEvalContext(doc);
-  // Materialize every pattern through its rewritten plan, retyped to the
-  // query pattern's schema so the template and cross predicates resolve.
-  std::vector<NestedRelation> mats;
-  for (size_t i = 0; i < r.pattern_rewritings.size(); ++i) {
-    ULOAD_ASSIGN_OR_RETURN(NestedRelation rel,
-                           Evaluate(*r.pattern_rewritings[i].plan, ctx));
-    ULOAD_ASSIGN_OR_RETURN(
-        NestedRelation retyped,
-        Retype(rel, r.translation.patterns[i].ViewSchema()));
-    // The query's for-loops follow document order; rewritten plans may
-    // deliver view order. Sort by the full tuple (leading attribute is the
-    // outermost id).
-    retyped.Sort();
-    mats.push_back(std::move(retyped));
-  }
-  if (mats.empty()) {
-    NestedRelation unit(Schema::Make({}));
-    unit.Add(Tuple{});
-    return ApplyTemplate(r.translation.templ, unit);
-  }
-  NestedRelation cur = std::move(mats[0]);
-  for (size_t i = 1; i < mats.size(); ++i) {
-    std::unordered_map<std::string, const NestedRelation*> rels{
-        {"L", &cur}, {"R", &mats[i]}};
-    ULOAD_ASSIGN_OR_RETURN(
-        cur, Evaluate(*LogicalPlan::Product(LogicalPlan::Scan("L"),
-                                            LogicalPlan::Scan("R")),
-                      rels));
-  }
-  for (const PredicatePtr& pred : r.translation.cross_predicates) {
-    NestedRelation filtered(cur.schema_ptr(), cur.kind());
-    for (const Tuple& t : cur.tuples()) {
-      ULOAD_ASSIGN_OR_RETURN(bool keep, pred->Eval(cur.schema(), t));
-      if (keep) filtered.Add(t);
-    }
-    cur = std::move(filtered);
-  }
-  return ApplyTemplate(r.translation.templ, cur);
 }
 
 }  // namespace uload

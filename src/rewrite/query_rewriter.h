@@ -41,13 +41,6 @@ class QueryRewriter {
   // Constant queries (no patterns) become the unit relation.
   Result<PlanPtr> BuildPlan(const QueryRewriteResult& r) const;
 
-  // Reference implementation: per-pattern materialization through the
-  // tuple-at-a-time evaluator, explicit sort, pairwise products. Kept as
-  // the differential-testing oracle for the streaming serving path
-  // (Engine::Run).
-  Result<std::string> ExecuteMaterialized(const QueryRewriteResult& r,
-                                          const DocumentStore* doc) const;
-
  private:
   const PathSummary* summary_;
   const Catalog* catalog_;

@@ -85,32 +85,38 @@ Tuple ColumnarRowReader::MakeRow(NodeIndex row) const {
   return t;
 }
 
-ColumnarScanBase::ColumnarScanBase(const MaterializedView* view,
-                                   std::string name, size_t part,
-                                   size_t nparts)
+ColumnarParallelScanPhys::ColumnarParallelScanPhys(
+    const MaterializedView* view, std::string name, size_t part,
+    size_t nparts)
     : reader_(view), name_(std::move(name)), part_(part), nparts_(nparts) {}
 
-bool ColumnarScanBase::TryAdoptOrder(const OrderDescriptor& order) {
+std::string ColumnarParallelScanPhys::label() const {
+  return "ColumnarParallelScan_phi(" + name_ + " " +
+         std::to_string(part_ + 1) + "/" + std::to_string(nparts_) + ")";
+}
+
+bool ColumnarParallelScanPhys::TryAdoptOrder(const OrderDescriptor& order) {
   if (!reader_.Satisfies(order)) return false;
   order_ = order;
   return true;
 }
 
-Status ColumnarScanBase::OpenImpl() {
+Status ColumnarParallelScanPhys::OpenImpl() {
   reader_.DecodeSlice(part_, nparts_, &rows_);
   pos_ = 0;
-  end_ = rows_.size();
   return ChargeMemory(static_cast<int64_t>(rows_.size() * sizeof(NodeIndex)));
 }
 
-Result<std::optional<TupleBatch>> ColumnarScanBase::NextBatchImpl() {
-  if (pos_ >= end_) return std::optional<TupleBatch>();
+Result<std::optional<TupleBatch>> ColumnarParallelScanPhys::NextBatchImpl() {
+  if (pos_ >= rows_.size()) return std::optional<TupleBatch>();
   TupleBatch out = NewBatch();
-  while (pos_ < end_ && !out.full()) out.Add(reader_.MakeRow(rows_[pos_++]));
+  while (pos_ < rows_.size() && !out.full()) {
+    out.Add(reader_.MakeRow(rows_[pos_++]));
+  }
   return std::optional<TupleBatch>(std::move(out));
 }
 
-void ColumnarScanBase::CloseImpl() {
+void ColumnarParallelScanPhys::CloseImpl() {
   rows_.clear();
   rows_.shrink_to_fit();
 }

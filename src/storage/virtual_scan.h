@@ -2,18 +2,18 @@
 //
 // A virtualized view has no materialized relation: its tuples are assembled
 // on the fly from the ColumnarDocument's columns, guided by the view's
-// compressed row-id set. ColumnarScanPhys is the serial Scan_φ counterpart;
-// ColumnarParallelScanPhys slices the row set into contiguous ranges exactly
-// like ParallelScan_φ (part*n/nparts), so worker streams stay disjoint and
-// locally ordered in document order and ExchangeMerge reproduces the serial
-// tuple sequence. Both report the generic Scan/ParallelScan operator kinds —
-// the plan verifier's placement and order rules apply unchanged, which is
-// the point: physically different access paths, same logical contract.
+// compressed row-id set. Serial scans run as the columnar source of a
+// FusedPipeline_φ (exec/fusion.h), which loops over the decoded rows
+// directly. ColumnarParallelScanPhys slices the row set into contiguous
+// ranges exactly like ParallelScan_φ (part*n/nparts), so worker streams stay
+// disjoint and locally ordered in document order and ExchangeMerge
+// reproduces the serial tuple sequence. It reports the generic ParallelScan
+// operator kind — the plan verifier's placement and order rules apply
+// unchanged, which is the point: physically different access paths, same
+// logical contract.
 //
 // ColumnarRowReader is the operator-independent core — row-set decoding,
-// tuple assembly, order adoption — shared by the scan operators here and by
-// the fused-pipeline source (exec/fusion.h), which loops over the decoded
-// rows directly without an operator boundary.
+// tuple assembly, order adoption — shared by both.
 #ifndef ULOAD_STORAGE_VIRTUAL_SCAN_H_
 #define ULOAD_STORAGE_VIRTUAL_SCAN_H_
 
@@ -66,15 +66,17 @@ class ColumnarRowReader {
   int tag_slot_ = -1;
 };
 
-// Common operator machinery over ColumnarRowReader.
-class ColumnarScanBase : public PhysicalOperator {
+// ParallelScan_φ over the `part`-th of `nparts` contiguous slices of a
+// virtual extent's row set.
+class ColumnarParallelScanPhys final : public PhysicalOperator {
  public:
-  ColumnarScanBase(const MaterializedView* view, std::string name,
-                   size_t part, size_t nparts);
+  ColumnarParallelScanPhys(const MaterializedView* view, std::string name,
+                           size_t part, size_t nparts);
 
   const SchemaPtr& schema() const override { return reader_.schema(); }
   const OrderDescriptor& order() const override { return order_; }
-
+  std::string label() const override;
+  PhysOpKind kind() const override { return PhysOpKind::kParallelScan; }
   bool TryAdoptOrder(const OrderDescriptor& order) override;
 
  protected:
@@ -82,6 +84,7 @@ class ColumnarScanBase : public PhysicalOperator {
   Result<std::optional<TupleBatch>> NextBatchImpl() override;
   void CloseImpl() override;
 
+ private:
   ColumnarRowReader reader_;
   std::string name_;
   size_t part_;
@@ -90,32 +93,6 @@ class ColumnarScanBase : public PhysicalOperator {
 
   std::vector<NodeIndex> rows_;
   size_t pos_ = 0;
-  size_t end_ = 0;
-};
-
-// Scan_φ over a virtual extent.
-class ColumnarScanPhys final : public ColumnarScanBase {
- public:
-  ColumnarScanPhys(const MaterializedView* view, std::string name)
-      : ColumnarScanBase(view, std::move(name), 0, 1) {}
-  std::string label() const override {
-    return "ColumnarScan_phi(" + name_ + ")";
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kScan; }
-};
-
-// ParallelScan_φ over the `part`-th of `nparts` contiguous slices of a
-// virtual extent's row set.
-class ColumnarParallelScanPhys final : public ColumnarScanBase {
- public:
-  ColumnarParallelScanPhys(const MaterializedView* view, std::string name,
-                           size_t part, size_t nparts)
-      : ColumnarScanBase(view, std::move(name), part, nparts) {}
-  std::string label() const override {
-    return "ColumnarParallelScan_phi(" + name_ + " " +
-           std::to_string(part_ + 1) + "/" + std::to_string(nparts_) + ")";
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kParallelScan; }
 };
 
 }  // namespace uload

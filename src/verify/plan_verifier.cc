@@ -364,18 +364,16 @@ Status PhysError(const std::string& path, const std::string& msg) {
 }
 
 // Fused-pipeline soundness (exec/fusion.h): fusion must be a no-op on
-// schemas and order descriptors. Each elided operator boundary is recorded
-// on the fused operator as a step with its input/output schema and order;
-// this re-derives every step's output schema from its input schema with the
-// shared derivations the standalone operators use, re-propagates the order
+// schemas and order descriptors. Each chain member's boundary is recorded on
+// the fused operator as a step with its input/output schema and order; this
+// re-derives every step's output schema from its input schema with the
+// shared derivations of the logical operators, re-propagates the order
 // descriptors forward from the source, and checks both against what the
 // fused operator recorded and finally advertises. A mis-fused plan — steps
 // composed in the wrong order, a boundary schema that drifted, an order the
-// chain cannot actually prove — fails here before it ever runs.
+// chain cannot actually prove — fails here before it ever runs. A zero-step
+// pipeline (a bare source) must advertise its source's schema.
 Status VerifyFusedSteps(const FusedPipelinePhys& f, const std::string& path) {
-  if (f.step_count() == 0) {
-    return PhysError(path, "fused pipeline with no steps");
-  }
   SchemaPtr cur = f.source_schema();
   OrderDescriptor cur_order = f.source_order();
   for (size_t i = 0; i < f.step_count(); ++i) {
@@ -487,7 +485,7 @@ Status WalkPhysical(const PhysicalOperator& op, const std::string& parent,
   }
 
   // (4) Fused pipelines: prove fusion was a no-op on schemas and orders by
-  // re-deriving every elided operator boundary.
+  // re-deriving every chain member's boundary.
   if (kind == PhysOpKind::kFusedPipeline) {
     ULOAD_RETURN_NOT_OK(
         VerifyFusedSteps(static_cast<const FusedPipelinePhys&>(op), path));

@@ -104,16 +104,10 @@ TEST(BackendDifferential, ByteIdenticalResultsAcrossTheWholeGrid) {
                            Engine::Options::Backend::kColumnar}) {
         for (size_t batch : kBatches) {
           for (size_t threads : kThreads) {
-           // Fusion dimension (exec/fusion.h): the fused compiler (default)
-           // and the classic tree must be byte-identical in every cell —
-           // the oracle above ran fused, so fuse=false cells prove fusion
-           // changes nothing observable.
-           for (bool fuse : {true, false}) {
             Engine::Options o;
             o.backend = backend;
             o.batch_size = batch;
             o.thread_budget = threads;
-            o.fuse = fuse;
             Engine engine{Document(c.doc), o};
             auto st = engine.InstallModel(m.make(engine.summary()));
             ASSERT_TRUE(st.ok()) << st.ToString();
@@ -126,8 +120,7 @@ TEST(BackendDifferential, ByteIdenticalResultsAcrossTheWholeGrid) {
                        ? "/columnar"
                        : "/pointer") +
                   "/b=" + std::to_string(batch) +
-                  "/t=" + std::to_string(threads) +
-                  "/fuse=" + std::to_string(fuse) + "/q" + std::to_string(qi);
+                  "/t=" + std::to_string(threads) + "/q" + std::to_string(qi);
               if (expected[qi].ok()) {
                 ASSERT_TRUE(out.ok())
                     << cell << ": " << out.status().ToString();
@@ -140,7 +133,6 @@ TEST(BackendDifferential, ByteIdenticalResultsAcrossTheWholeGrid) {
                     << cell;
               }
             }
-           }
           }
         }
       }

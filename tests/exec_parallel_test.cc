@@ -161,27 +161,18 @@ class ExecParallelTest : public ::testing::Test {
         << what << ": evaluator rows=" << reference->size()
         << " physical rows=" << serial->size();
 
-    // The grid adds the fusion dimension (exec/fusion.h): the fused compiler
-    // (default) and the classic one-operator-per-node tree must agree byte
-    // for byte at every (budget, batch) point — the serial baseline above
-    // compiled with fusion on, so fuse=false legs prove fusion is a no-op
-    // on results.
     for (size_t budget : {size_t{1}, size_t{2}, size_t{8}}) {
       for (size_t batch : {size_t{1}, size_t{7}, size_t{1024}}) {
-        for (bool fuse : {true, false}) {
-          ExecContext exec(batch);
-          exec.set_thread_budget(budget);
-          exec.set_fuse(fuse);
-          auto got = ExecutePhysicalPlan(plan, ctx, &exec);
-          ASSERT_TRUE(got.ok())
-              << what << " budget=" << budget << " batch=" << batch
-              << " fuse=" << fuse << ": " << got.status().ToString();
-          ASSERT_TRUE(serial->Equals(*got))
-              << what << " budget=" << budget << " batch=" << batch
-              << " fuse=" << fuse
-              << ": output diverges from serial (rows " << got->size()
-              << " vs " << serial->size() << ")";
-        }
+        ExecContext exec(batch);
+        exec.set_thread_budget(budget);
+        auto got = ExecutePhysicalPlan(plan, ctx, &exec);
+        ASSERT_TRUE(got.ok()) << what << " budget=" << budget
+                              << " batch=" << batch << ": "
+                              << got.status().ToString();
+        ASSERT_TRUE(serial->Equals(*got))
+            << what << " budget=" << budget << " batch=" << batch
+            << ": output diverges from serial (rows " << got->size()
+            << " vs " << serial->size() << ")";
       }
     }
   }

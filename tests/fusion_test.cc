@@ -1,10 +1,11 @@
 // Pipeline fusion tests (exec/fusion.h): every pipeline-breaker kind must
-// split the fused chain; fused execution must be byte-identical to the
-// classic one-operator-per-node tree; the static verifier must reject a
-// seeded mis-fused plan (corrupted boundary schema / advertised order); the
+// split the fused chain, and nothing else does — bare sources are zero-step
+// pipelines and first-wins dedup is a step; fused execution must agree with
+// the materializing evaluator; the static verifier must reject a seeded
+// mis-fused plan (corrupted boundary schema / advertised order); the
 // Explain surface must render the fused chain and DescribeAnalyze must
-// still attribute tuples to the elided chain members; and the governor —
-// deadline, cancellation, fault injection at interior member sites — must
+// attribute tuples to the chain members; and the governor — deadline,
+// cancellation, memory accounting, fault injection at member sites — must
 // reach through the fused loop.
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 
 #include "eval/tag_collections.h"
 #include "exec/fusion.h"
+#include "exec/memory_tracker.h"
 #include "exec/physical.h"
 #include "verify/plan_verifier.h"
 #include "workload/xmark.h"
@@ -47,32 +49,24 @@ class FusionTest : public ::testing::Test {
         JoinVariant::kLeftOuter);
   }
 
-  // Executes `plan` with fusion on and off; both must succeed and agree
-  // tuple for tuple. Returns the fused tree's Describe().
-  std::string CheckFusedAgainstUnfused(const PlanPtr& plan) {
-    ExecContext fused_exec;
-    auto fused_phys = CompilePhysicalPlan(plan, ctx_, &fused_exec);
-    EXPECT_TRUE(fused_phys.ok()) << fused_phys.status().ToString();
-    if (!fused_phys.ok()) return std::string();
-    auto fused = ExecutePhysical(fused_phys->get());
-    EXPECT_TRUE(fused.ok()) << fused.status().ToString();
-
-    ExecContext plain_exec;
-    plain_exec.set_fuse(false);
-    auto plain_phys = CompilePhysicalPlan(plan, ctx_, &plain_exec);
-    EXPECT_TRUE(plain_phys.ok()) << plain_phys.status().ToString();
-    if (!plain_phys.ok()) return std::string();
-    EXPECT_EQ((*plain_phys)->Describe().find("FusedPipeline_phi"),
-              std::string::npos)
-        << (*plain_phys)->Describe();
-    auto plain = ExecutePhysical(plain_phys->get());
-    EXPECT_TRUE(plain.ok()) << plain.status().ToString();
-    if (fused.ok() && plain.ok()) {
-      EXPECT_TRUE(fused->Equals(*plain))
-          << "fused rows=" << fused->size() << " unfused rows="
-          << plain->size() << "\n" << (*fused_phys)->Describe();
+  // Executes `plan` through the physical engine and the materializing
+  // evaluator; both must succeed and agree tuple for tuple. Returns the
+  // compiled tree's Describe().
+  std::string CheckAgainstEvaluator(const PlanPtr& plan) {
+    ExecContext exec;
+    auto phys = CompilePhysicalPlan(plan, ctx_, &exec);
+    EXPECT_TRUE(phys.ok()) << phys.status().ToString();
+    if (!phys.ok()) return std::string();
+    auto got = ExecutePhysical(phys->get());
+    EXPECT_TRUE(got.ok()) << got.status().ToString();
+    auto want = Evaluate(*plan, ctx_);
+    EXPECT_TRUE(want.ok()) << want.status().ToString();
+    if (got.ok() && want.ok()) {
+      EXPECT_TRUE(got->Equals(*want))
+          << "physical rows=" << got->size() << " evaluator rows="
+          << want->size() << "\n" << (*phys)->Describe();
     }
-    return (*fused_phys)->Describe();
+    return (*phys)->Describe();
   }
 
   Document doc_;
@@ -90,7 +84,7 @@ TEST_F(FusionTest, GoldenDescribeForScanSelectProject) {
   auto phys = CompilePhysicalPlan(plan, ctx_);
   ASSERT_TRUE(phys.ok()) << phys.status().ToString();
   // The whole chain — scan included — is one operator; its label names every
-  // elided member in execution order.
+  // member in execution order.
   EXPECT_EQ((*phys)->Describe(),
             "FusedPipeline_phi[Scan_phi(names) -> Select_phi[n_Val "
             "contains \"Smith\"] -> Project_phi]\n");
@@ -98,31 +92,50 @@ TEST_F(FusionTest, GoldenDescribeForScanSelectProject) {
   EXPECT_TRUE((*phys)->children().empty());
 }
 
-TEST_F(FusionTest, FusedChainsMatchUnfusedExecution) {
+TEST_F(FusionTest, FusedChainsMatchTheEvaluator) {
   // Select over a scan.
-  CheckFusedAgainstUnfused(
+  CheckAgainstEvaluator(
       LogicalPlan::Select(LogicalPlan::Scan("names"), SmithPred()));
   // Select → Project (drops a column the predicate needed).
-  CheckFusedAgainstUnfused(LogicalPlan::Project(
+  CheckAgainstEvaluator(LogicalPlan::Project(
       LogicalPlan::Select(LogicalPlan::Scan("names"), SmithPred()),
       {"n_ID"}, /*dedup=*/false));
   // Rename → Navigate → Select over the navigated value.
-  CheckFusedAgainstUnfused(LogicalPlan::Select(
+  CheckAgainstEvaluator(LogicalPlan::Select(
       NavChain(), Predicate::NotNull("em_ID")));
   // Retype at the top of a chain.
   std::vector<Attribute> renamed;
   for (const Attribute& a : names_.schema().attrs()) {
     renamed.push_back(Attribute::Atomic("r_" + a.name));
   }
-  CheckFusedAgainstUnfused(LogicalPlan::Retype(
+  CheckAgainstEvaluator(LogicalPlan::Retype(
       LogicalPlan::Select(LogicalPlan::Scan("names"), SmithPred()),
       Schema::Make(std::move(renamed))));
 }
 
-TEST_F(FusionTest, BareSourcesStayUnfused) {
+TEST_F(FusionTest, BareSourceIsAZeroStepPipeline) {
   auto phys = CompilePhysicalPlan(LogicalPlan::Scan("names"), ctx_);
-  ASSERT_TRUE(phys.ok());
-  EXPECT_EQ((*phys)->Describe(), "Scan_phi(names)\n");
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+  EXPECT_EQ((*phys)->Describe(), "FusedPipeline_phi[Scan_phi(names)]\n");
+  ASSERT_EQ((*phys)->kind(), PhysOpKind::kFusedPipeline);
+  EXPECT_EQ(static_cast<FusedPipelinePhys*>(phys->get())->step_count(), 0u);
+  EXPECT_TRUE(VerifyPhysicalPlan(**phys).ok());
+  auto rel = ExecutePhysical(phys->get());
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  EXPECT_TRUE(rel->Equals(names_));
+}
+
+TEST_F(FusionTest, EvaluatorFallbackIsAnInlineSource) {
+  // Difference has no streaming implementation: the evaluator materializes
+  // it at compile time, and the chain above runs over the result inline.
+  std::string desc = CheckAgainstEvaluator(LogicalPlan::Select(
+      LogicalPlan::Difference(
+          LogicalPlan::Scan("names"),
+          LogicalPlan::Select(LogicalPlan::Scan("names"), SmithPred())),
+      Predicate::NotNull("n_Val")));
+  EXPECT_EQ(desc,
+            "FusedPipeline_phi[Difference_phi(materialized) -> "
+            "Select_phi[n_Val is not null]]\n");
 }
 
 TEST_F(FusionTest, DescribeAnalyzeAttributesTuplesToChainMembers) {
@@ -137,9 +150,8 @@ TEST_F(FusionTest, DescribeAnalyzeAttributesTuplesToChainMembers) {
   ASSERT_TRUE(rel.ok());
   ASSERT_GT(rel->size(), 0);
   std::string analyzed = (*phys)->DescribeAnalyze();
-  // Each elided member renders its own attribution line with its original
-  // label and a per-member tuple count equal to what the standalone
-  // operator would have produced.
+  // Each member renders its own attribution line with its label and the
+  // number of tuples flowing out of it.
   EXPECT_NE(analyzed.find("~ Scan_phi(names)"), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("~ Select_phi"), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("~ Project_phi"), std::string::npos) << analyzed;
@@ -154,7 +166,7 @@ TEST_F(FusionTest, DescribeAnalyzeAttributesTuplesToChainMembers) {
 // is unchanged.
 TEST_F(FusionTest, SortBreaksTheChain) {
   // n_Val order is not provable from the scan, so the enforcer must stay.
-  std::string desc = CheckFusedAgainstUnfused(LogicalPlan::SortOp(
+  std::string desc = CheckAgainstEvaluator(LogicalPlan::SortOp(
       LogicalPlan::Select(LogicalPlan::Scan("names"), SmithPred()),
       {"n_Val"}));
   EXPECT_NE(desc.find("Sort_phi"), std::string::npos) << desc;
@@ -162,7 +174,7 @@ TEST_F(FusionTest, SortBreaksTheChain) {
 }
 
 TEST_F(FusionTest, StructuralJoinBreaksTheChain) {
-  std::string desc = CheckFusedAgainstUnfused(LogicalPlan::StructuralJoin(
+  std::string desc = CheckAgainstEvaluator(LogicalPlan::StructuralJoin(
       LogicalPlan::Scan("people"),
       LogicalPlan::Select(LogicalPlan::Scan("names"), SmithPred()), "p_ID",
       Axis::kDescendant, "n_ID", JoinVariant::kInner));
@@ -173,7 +185,7 @@ TEST_F(FusionTest, StructuralJoinBreaksTheChain) {
 }
 
 TEST_F(FusionTest, ValueJoinBuildBreaksTheChain) {
-  std::string desc = CheckFusedAgainstUnfused(LogicalPlan::ValueJoin(
+  std::string desc = CheckAgainstEvaluator(LogicalPlan::ValueJoin(
       LogicalPlan::Select(LogicalPlan::Scan("people"),
                           Predicate::NotNull("p_Val")),
       LogicalPlan::Select(LogicalPlan::Scan("names"),
@@ -188,7 +200,7 @@ TEST_F(FusionTest, ValueJoinBuildBreaksTheChain) {
 }
 
 TEST_F(FusionTest, ProductAndUnionBreakTheChain) {
-  std::string desc = CheckFusedAgainstUnfused(LogicalPlan::Product(
+  std::string desc = CheckAgainstEvaluator(LogicalPlan::Product(
       LogicalPlan::Select(LogicalPlan::Scan("people"),
                           Predicate::NotNull("p_ID")),
       LogicalPlan::Select(LogicalPlan::Scan("names"),
@@ -198,7 +210,7 @@ TEST_F(FusionTest, ProductAndUnionBreakTheChain) {
             std::string::npos)
       << desc;
 
-  desc = CheckFusedAgainstUnfused(LogicalPlan::Union(
+  desc = CheckAgainstEvaluator(LogicalPlan::Union(
       LogicalPlan::Select(LogicalPlan::Scan("names"),
                           Predicate::NotNull("n_ID")),
       LogicalPlan::Select(LogicalPlan::Scan("names"), SmithPred())));
@@ -206,16 +218,40 @@ TEST_F(FusionTest, ProductAndUnionBreakTheChain) {
   EXPECT_NE(desc.find("FusedPipeline_phi["), std::string::npos) << desc;
 }
 
-TEST_F(FusionTest, DedupProjectionBreaksTheChain) {
-  // First-wins dedup buffers a seen-set — a breaker. The chain below it
-  // still fuses.
-  std::string desc = CheckFusedAgainstUnfused(LogicalPlan::Project(
-      LogicalPlan::Select(LogicalPlan::Scan("names"), SmithPred()),
-      {"n_Val"}, /*dedup=*/true));
-  EXPECT_NE(desc.find("Project0_phi"), std::string::npos) << desc;
-  EXPECT_NE(desc.find("FusedPipeline_phi[Scan_phi(names)"),
+TEST_F(FusionTest, DedupProjectionFuses) {
+  // First-wins dedup is a chain step: it keeps its seen-set inside the
+  // fused loop, and the chain continues above it.
+  PlanPtr plan = LogicalPlan::Select(
+      LogicalPlan::Project(
+          LogicalPlan::Select(LogicalPlan::Scan("names"),
+                              Predicate::NotNull("n_ID")),
+          {"n_Val"}, /*dedup=*/true),
+      Predicate::NotNull("n_Val"));
+  std::string desc = CheckAgainstEvaluator(plan);
+  EXPECT_EQ(desc,
+            "FusedPipeline_phi[Scan_phi(names) -> Select_phi[n_ID is not "
+            "null] -> Project0_phi -> Select_phi[n_Val is not null]]\n");
+
+  // The seen-set is charged to the query's tracker, attributed to the
+  // dedup member, and returned when the pipeline closes.
+  MemoryTracker mem("dedup", int64_t{1} << 30);
+  ExecContext exec(/*batch_size=*/4);
+  exec.set_memory_tracker(&mem);
+  auto phys = CompilePhysicalPlan(plan, ctx_, &exec);
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+  auto rel = ExecutePhysical(phys->get());
+  ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+  ASSERT_GT(rel->size(), 1);
+  EXPECT_EQ(mem.used(), 0);
+  EXPECT_GT(mem.peak(), 0);
+  std::string analyzed = (*phys)->DescribeAnalyze();
+  size_t line = analyzed.find("~ Project0_phi");
+  ASSERT_NE(line, std::string::npos) << analyzed;
+  std::string member = analyzed.substr(line, analyzed.find('\n', line) - line);
+  EXPECT_NE(member.find("tuples=" + std::to_string(rel->size())),
             std::string::npos)
-      << desc;
+      << analyzed;
+  EXPECT_NE(member.find("mem="), std::string::npos) << analyzed;
 }
 
 TEST_F(FusionTest, ExchangeBoundaryBreaksTheChain) {
@@ -302,8 +338,8 @@ TEST_F(FusionTest, MemberFaultSitesStillInjectable) {
       LogicalPlan::Select(LogicalPlan::Scan("names"),
                           Predicate::NotNull("n_ID")),
       {"n_Val"}, /*dedup=*/false);
-  // Address an interior (elided) member by its original label: fusion must
-  // keep the site reachable for the sweep.
+  // Address each chain member by its label: fusion keeps every member's
+  // site reachable for the sweep.
   for (const char* target : {"Scan_phi", "Select_phi", "Project_phi"}) {
     for (FaultSpec::Site site :
          {FaultSpec::Site::kOpen, FaultSpec::Site::kNextBatch}) {

@@ -1,12 +1,15 @@
 // Access-path parity: a kIndexScan over an R-marked view must be
 // byte-identical to the full-scan-plus-select plan over the same bindings —
-// through both access paths (the streaming index_bind row handout and the
-// materializing index_lookup fallback), for every generated binding.
+// through both access paths (the physical engine's streaming index_bind row
+// handout and the evaluator's materializing index_lookup), for every
+// generated binding. Compiling a plan binds each index leaf exactly once.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
 
+#include "eval/tag_collections.h"
 #include "exec/physical.h"
 #include "storage/catalog.h"
 #include "storage/storage_models.h"
@@ -76,9 +79,7 @@ TEST_F(IndexScanTest, LookupMatchesScanPlusSelectForEveryKey) {
   ASSERT_GE(keys.size(), 2u);
   keys.insert("1871");
 
-  EvalContext streaming = catalog_.MakeEvalContext(&doc_);
-  EvalContext fallback = streaming;
-  fallback.index_bind = nullptr;  // forces the materializing lookup hook
+  EvalContext ctx = catalog_.MakeEvalContext(&doc_);
 
   for (const std::string& key : keys) {
     AtomicValue val = AtomicValue::String(key);
@@ -87,14 +88,16 @@ TEST_F(IndexScanTest, LookupMatchesScanPlusSelectForEveryKey) {
         LogicalPlan::Scan(name_),
         Predicate::CompareConst(key_attr, Comparator::kEq, val));
 
-    auto want = ExecutePhysicalPlan(scan_plan, streaming);
+    auto want = ExecutePhysicalPlan(scan_plan, ctx);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
     auto direct = view->Lookup({{key_attr, val}});
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
-    for (const EvalContext* ctx : {&streaming, &fallback}) {
-      auto got = ExecutePhysicalPlan(index_plan, *ctx);
-      ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto streamed = ExecutePhysicalPlan(index_plan, ctx);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    auto evaluated = Evaluate(*index_plan, ctx);
+    ASSERT_TRUE(evaluated.ok()) << evaluated.status().ToString();
+    for (const NestedRelation* got : {&*streamed, &*evaluated}) {
       // Byte-identical: same tuples, same (storage) order.
       EXPECT_TRUE(got->Equals(*want)) << "key " << key;
       EXPECT_EQ(got->ToString(), want->ToString()) << "key " << key;
@@ -112,13 +115,8 @@ TEST_F(IndexScanTest, StreamingPathCompilesToIndexScanOperator) {
       name_, {{key_attr, AtomicValue::String("1999")}});
   auto root = CompilePhysicalPlan(plan, ctx);
   ASSERT_TRUE(root.ok()) << root.status().ToString();
-  EXPECT_NE((*root)->Describe().find("IndexScan_phi"), std::string::npos);
-
-  EvalContext fallback = ctx;
-  fallback.index_bind = nullptr;
-  auto mat = CompilePhysicalPlan(plan, fallback);
-  ASSERT_TRUE(mat.ok()) << mat.status().ToString();
-  EXPECT_NE((*mat)->Describe().find("IndexLookup_phi"), std::string::npos);
+  EXPECT_EQ((*root)->Describe(),
+            "FusedPipeline_phi[IndexScan_phi(" + name_ + ")]\n");
 }
 
 TEST_F(IndexScanTest, IndexScanAdvertisesStorageOrder) {
@@ -136,6 +134,63 @@ TEST_F(IndexScanTest, IndexScanAdvertisesStorageOrder) {
   ASSERT_TRUE(root.ok()) << root.status().ToString();
   EXPECT_TRUE((*root)->TryAdoptOrder(OrderDescriptor::On(id_attr)));
   EXPECT_FALSE((*root)->order().empty());
+}
+
+// Each structural-join child is compiled once and its join attributes are
+// resolved on that compiled tree: over a left-deep chain of three joins
+// with IndexScan leaves, every leaf's index_bind hook fires exactly once.
+TEST(IndexScanCompileTest, JoinChainBindsEachLeafOnce) {
+  auto d = Document::Parse(kBib);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  Document doc = std::move(d).value();
+  std::map<std::string, NestedRelation> rels;
+  for (const auto& [tag, prefix] :
+       std::map<std::string, std::string>{
+           {"bib", "r"}, {"book", "k"}, {"title", "t"}, {"author", "a"}}) {
+    rels.emplace(tag, TagCollection(doc, tag, {prefix, true, true, false}));
+  }
+  std::map<std::string, int> calls;
+  EvalContext ctx;
+  ctx.document = &doc;
+  ctx.index_bind = [&](const std::string& name,
+                       const std::vector<std::pair<std::string, AtomicValue>>&)
+      -> Result<IndexBinding> {
+    ++calls[name];
+    IndexBinding b;
+    b.data = &rels.at(name);
+    for (int64_t i = 0; i < b.data->size(); ++i) b.rows.push_back(i);
+    return b;
+  };
+  ctx.index_lookup =
+      [&](const std::string& name,
+          const std::vector<std::pair<std::string, AtomicValue>>&)
+      -> Result<NestedRelation> { return rels.at(name); };
+
+  auto leaf = [](const std::string& name) {
+    return LogicalPlan::IndexScan(name, {});
+  };
+  PlanPtr plan = LogicalPlan::StructuralJoin(
+      LogicalPlan::StructuralJoin(
+          LogicalPlan::StructuralJoin(leaf("bib"), leaf("book"), "r_ID",
+                                      Axis::kDescendant, "k_ID",
+                                      JoinVariant::kInner),
+          leaf("title"), "k_ID", Axis::kChild, "t_ID", JoinVariant::kInner),
+      leaf("author"), "k_ID", Axis::kChild, "a_ID", JoinVariant::kInner);
+
+  ExecContext exec;
+  exec.set_thread_budget(1);
+  auto root = CompilePhysicalPlan(plan, ctx, &exec);
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  EXPECT_EQ(calls, (std::map<std::string, int>{
+                       {"bib", 1}, {"book", 1}, {"title", 1}, {"author", 1}}));
+
+  auto got = ExecutePhysical(root->get());
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  auto want = Evaluate(*plan, ctx);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_GT(want->size(), 0);
+  EXPECT_TRUE(got->EqualsUnordered(*want))
+      << "physical rows=" << got->size() << " evaluator rows=" << want->size();
 }
 
 }  // namespace
