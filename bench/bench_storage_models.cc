@@ -10,6 +10,7 @@
 
 #include "bench_util.h"
 #include "eval/xam_eval.h"
+#include "exec/physical.h"
 #include "rewrite/rewriter.h"
 #include "storage/catalog.h"
 #include "storage/columnar/columnar_document.h"
@@ -101,7 +102,7 @@ void RunQuery(const char* label, const Xam& q, const ModelRun& model,
   EvalContext ctx = catalog.MakeEvalContext(&doc);
   int64_t rows = 0;
   double exec_us = bench::AvgMicros(5, [&] {
-    auto res = Evaluate(*r->plan, ctx);
+    auto res = ExecutePhysicalPlan(r->plan, ctx);
     if (res.ok()) rows = res->size();
   });
   std::printf("  %-18s %-10s ops=%-3d views=%zu  rewrite=%6.1f us  "

@@ -83,7 +83,7 @@ BENCHMARK(BM_ParentChildStackTree);
 
 
 
-// --- Pipelined (iterator) vs materialized execution of a join plan ---------
+// --- Pipelined (iterator) execution of a join plan --------------------------
 
 #include "eval/tag_collections.h"
 #include "exec/physical.h"
@@ -109,15 +109,6 @@ struct PlanFixture {
                                        JoinVariant::kInner);
   }
 };
-
-void BM_MaterializedJoinPlan(benchmark::State& state) {
-  PlanFixture f(state.range(0) / 10.0);
-  for (auto _ : state) {
-    auto r = Evaluate(*f.plan, f.ctx);
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(BM_MaterializedJoinPlan)->Arg(2)->Arg(10);
 
 void BM_PipelinedJoinPlan(benchmark::State& state) {
   PlanFixture f(state.range(0) / 10.0);

@@ -74,9 +74,10 @@ int main() {
     // R-marked views support index lookups.
     const MaterializedView* idx = catalog.Find("idx_book_year_title");
     if (idx != nullptr) {
-      auto hit = idx->Lookup({{"idx_book_year_title_n2_Val", AtomicValue::String("1999")},
-                              {"idx_book_year_title_n3_Val",
-                               AtomicValue::String("Data on the Web")}});
+      auto hit = idx->LookupRows(
+          {{"idx_book_year_title_n2_Val", AtomicValue::String("1999")},
+           {"idx_book_year_title_n3_Val",
+            AtomicValue::String("Data on the Web")}});
       if (hit.ok()) {
         std::printf("  index lookup (1999, 'Data on the Web') -> %lld row(s)\n",
                     static_cast<long long>(hit->size()));

@@ -104,34 +104,6 @@ PlanPtr LogicalPlan::Union(PlanPtr left, PlanPtr right) {
   return p;
 }
 
-PlanPtr LogicalPlan::Difference(PlanPtr left, PlanPtr right) {
-  ULOAD_PLAN_FACTORY_PROLOG(kDifference)
-  m->left_ = std::move(left);
-  m->right_ = std::move(right);
-  return p;
-}
-
-PlanPtr LogicalPlan::Nest(PlanPtr input, std::string as) {
-  ULOAD_PLAN_FACTORY_PROLOG(kNest)
-  m->left_ = std::move(input);
-  m->nest_as_ = std::move(as);
-  return p;
-}
-
-PlanPtr LogicalPlan::Unnest(PlanPtr input, std::string attr) {
-  ULOAD_PLAN_FACTORY_PROLOG(kUnnest)
-  m->left_ = std::move(input);
-  m->attrs_ = {std::move(attr)};
-  return p;
-}
-
-PlanPtr LogicalPlan::XmlConstruct(PlanPtr input, XmlTemplate templ) {
-  ULOAD_PLAN_FACTORY_PROLOG(kXmlConstruct)
-  m->left_ = std::move(input);
-  m->templ_ = std::move(templ);
-  return p;
-}
-
 PlanPtr LogicalPlan::DeriveParent(PlanPtr input, std::string id_attr,
                                   std::string out_attr,
                                   uint32_t target_depth) {
@@ -244,18 +216,6 @@ void LogicalPlan::Render(int indent, std::string* out) const {
       break;
     case PlanOp::kUnion:
       *out += "Union\n";
-      break;
-    case PlanOp::kDifference:
-      *out += "Difference\n";
-      break;
-    case PlanOp::kNest:
-      *out += "Nest[" + nest_as_ + "]\n";
-      break;
-    case PlanOp::kUnnest:
-      *out += "Unnest[" + attrs_[0] + "]\n";
-      break;
-    case PlanOp::kXmlConstruct:
-      *out += "Xml[" + templ_.ToString() + "]\n";
       break;
     case PlanOp::kDeriveParent:
       *out += "DeriveParent[" + left_attr_ + " -> " + nest_as_ + " @depth " +

@@ -1,13 +1,16 @@
 // Logical algebra plans (thesis §1.2.2).
 //
 // Plans are immutable trees shared via shared_ptr. The operator set covers
-// everything the thesis uses: scans (plain and index lookups over R-marked
-// XAMs), selections, projections (duplicate-preserving and -eliminating),
-// cartesian products, value joins, the structural join family (parent-child
-// and ancestor-descendant; inner / semi / outer / nest / nest-outer), union,
-// difference, nest/unnest, XML construction, plus the two rewriting-support
+// what the rewriter and view construction build: scans (plain and index
+// lookups over R-marked XAMs), selections, projections
+// (duplicate-preserving and -eliminating), cartesian products, value joins,
+// the structural join family (parent-child and ancestor-descendant; inner /
+// semi / outer / nest / nest-outer), union, plus the two rewriting-support
 // operators: parent-ID derivation for navigational identifiers (§5.2) and
-// compensating navigation inside stored subtrees.
+// compensating navigation inside stored subtrees. Nesting happens only
+// through the nest join variants, and XML construction is the template
+// applied to the plan's output (algebra/xml_template.h), not a plan
+// operator.
 #ifndef ULOAD_ALGEBRA_LOGICAL_PLAN_H_
 #define ULOAD_ALGEBRA_LOGICAL_PLAN_H_
 
@@ -16,7 +19,6 @@
 #include <vector>
 
 #include "algebra/predicate.h"
-#include "algebra/xml_template.h"
 #include "xml/ids.h"
 
 namespace uload {
@@ -30,10 +32,6 @@ enum class PlanOp : uint8_t {
   kValueJoin,       // θ-join on atomic attributes
   kStructuralJoin,  // ≺ or ≺≺ join on identifier attributes
   kUnion,
-  kDifference,
-  kNest,            // pack all tuples into one tuple with one collection
-  kUnnest,
-  kXmlConstruct,
   kDeriveParent,    // Dewey-only: append the ancestor id at a given depth
   kNavigate,        // evaluate path steps from stored ids into the document
   kPrefixNames,     // rename every attribute (at all levels) with a prefix
@@ -97,10 +95,6 @@ class LogicalPlan {
                                 std::string right_attr, JoinVariant variant,
                                 std::string nest_as = "");
   static PlanPtr Union(PlanPtr left, PlanPtr right);
-  static PlanPtr Difference(PlanPtr left, PlanPtr right);
-  static PlanPtr Nest(PlanPtr input, std::string as);
-  static PlanPtr Unnest(PlanPtr input, std::string attr);
-  static PlanPtr XmlConstruct(PlanPtr input, XmlTemplate templ);
   static PlanPtr DeriveParent(PlanPtr input, std::string id_attr,
                               std::string out_attr, uint32_t target_depth);
   static PlanPtr Navigate(PlanPtr input, std::string id_attr,
@@ -136,7 +130,6 @@ class LogicalPlan {
   Axis axis() const { return axis_; }
   JoinVariant variant() const { return variant_; }
   const std::string& nest_as() const { return nest_as_; }
-  const XmlTemplate& xml_template() const { return templ_; }
   const std::vector<std::pair<std::string, AtomicValue>>& bindings() const {
     return bindings_;
   }
@@ -170,7 +163,6 @@ class LogicalPlan {
   Axis axis_ = Axis::kChild;
   JoinVariant variant_ = JoinVariant::kInner;
   std::string nest_as_;
-  XmlTemplate templ_;
   std::vector<std::pair<std::string, AtomicValue>> bindings_;
   std::vector<NavStep> nav_steps_;
   NavEmit nav_emit_;

@@ -1,118 +1,226 @@
 #include "eval/xam_eval.h"
 
-#include <algorithm>
-#include <unordered_map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "common/string_util.h"
 #include "eval/tag_collections.h"
 #include "eval/tuple_intersect.h"
-#include "exec/evaluator.h"
+#include "exec/physical.h"
+#include "verify/plan_verifier.h"
 
 namespace uload {
 namespace {
 
-// Builds the relation for the subtree rooted at `id` (not ⊤). Internal
-// invariant: the result always materializes <name>_ID as its first
-// top-level attribute so parents can join against it; Π_χ trims later.
-Result<NestedRelation> EvalSubtree(const Xam& xam, XamNodeId id,
-                                   const DocumentStore& doc) {
-  const XamNode& n = xam.node(id);
-
-  // Base collection: always carry the ID; Tag/Val/Cont as specified.
-  TagCollectionOptions opts;
-  opts.prefix = n.name;
-  opts.with_tag = n.stores_tag;
-  opts.with_val = n.stores_val || !n.val_formula.IsTrue();
-  opts.with_cont = n.stores_cont;
-  opts.id_kind = n.id_kind;
-  NestedRelation base =
-      n.is_attribute
-          ? AttributeCollection(
-                doc,
-                n.tag_value.empty() ? "" : n.tag_value.substr(1),  // drop '@'
-                opts)
-          : TagCollection(doc, n.tag_value, opts);
-
-  // σ_χ: value-formula filter (applied here rather than via a plan Select so
-  // general interval formulas work, not only v θ c atoms).
-  if (!n.val_formula.IsTrue()) {
-    NestedRelation filtered(base.schema_ptr(), base.kind());
-    int val_idx = base.schema().IndexOf(n.name + "_Val");
-    for (const Tuple& t : base.tuples()) {
-      const AtomicValue& v = t.fields[val_idx].atom();
-      // Untyped data: try both the string and its numeric reading.
-      bool ok = n.val_formula.SatisfiedBy(v);
-      if (!ok && v.is_string()) {
-        double d;
-        if (ParseNumber(v.as_string(), &d)) {
-          ok = n.val_formula.SatisfiedBy(AtomicValue::Number(d));
-        }
-      }
-      if (ok) filtered.Add(t);
-    }
-    base = std::move(filtered);
-    // If the formula was only a predicate (Val not stored), drop the Val
-    // column again so the schema matches ViewSchema.
-    if (!n.stores_val) {
-      std::vector<std::string> keep;
-      for (const Attribute& a : base.schema().attrs()) {
-        if (a.name != n.name + "_Val") keep.push_back(a.name);
-      }
-      EvalContext ctx;
-      std::unordered_map<std::string, const NestedRelation*> rels{
-          {"base", &base}};
-      ctx.relations = rels;
-      ULOAD_ASSIGN_OR_RETURN(
-          base,
-          Evaluate(*LogicalPlan::Project(LogicalPlan::Scan("base"), keep),
-                   ctx));
-    }
-  }
-
-  // Fold children left-to-right with structural joins (Def. 2.2.4).
-  NestedRelation cur = std::move(base);
-  for (const XamEdge& e : n.edges) {
-    ULOAD_ASSIGN_OR_RETURN(NestedRelation child,
-                           EvalSubtree(xam, e.child, doc));
-    PlanPtr plan = LogicalPlan::StructuralJoin(
-        LogicalPlan::Scan("L"), LogicalPlan::Scan("R"), n.name + "_ID",
-        e.axis, xam.node(e.child).name + "_ID", e.variant,
-        xam.node(e.child).name);
-    std::unordered_map<std::string, const NestedRelation*> rels{
-        {"L", &cur}, {"R", &child}};
-    ULOAD_ASSIGN_OR_RETURN(cur, Evaluate(*plan, rels, &doc));
-  }
-  return cur;
+// A node whose stored identifiers are Dewey paths. Its base collection
+// carries the Dewey id under <name>_ID and the (pre, post, depth) id it
+// joins on under <name>_SID; every other node joins on its <name>_ID.
+bool StoresDewey(const XamNode& n) {
+  return n.stores_id && n.id_kind == IdKind::kParental;
 }
 
-// Dotted attribute paths of the view schema relative to the subtree rooted
-// at `id`, with `prefix` accumulated from enclosing nested collections.
-void CollectViewPaths(const Xam& xam, XamNodeId id, const std::string& prefix,
-                      std::vector<std::string>* out) {
-  const XamNode& n = xam.node(id);
-  if (id != kXamRoot) {
-    if (n.stores_id) out->push_back(prefix + n.name + "_ID");
-    if (n.stores_tag) out->push_back(prefix + n.name + "_Tag");
-    if (n.stores_val) out->push_back(prefix + n.name + "_Val");
-    if (n.stores_cont) out->push_back(prefix + n.name + "_Cont");
+// True when `v` (untyped data) satisfies `formula` as a string or, failing
+// that, as its numeric reading.
+bool SatisfiesFormula(const ValueFormula& formula, const AtomicValue& v) {
+  if (formula.SatisfiedBy(v)) return true;
+  double d;
+  return v.is_string() && ParseNumber(v.as_string(), &d) &&
+         formula.SatisfiedBy(AtomicValue::Number(d));
+}
+
+// [[χ]]_d as one logical plan run by the streaming engine (Def. 2.2.4): a
+// scan of each node's base collection, one structural join per edge with
+// that edge's variant, a product under ⊤, and the projection Π_χ. Joins
+// always run on (pre, post, depth) identifiers; a node's declared id kind
+// shows up only in the columns Π_χ keeps.
+class XamPlanner {
+ public:
+  XamPlanner(const Xam& xam, const DocumentStore& doc)
+      : xam_(xam), doc_(doc) {}
+
+  Result<NestedRelation> Run() {
+    PlanPtr plan = JoinTree();
+    ULOAD_ASSIGN_OR_RETURN(SchemaPtr schema, VerifyLogicalPlan(*plan, ctx_));
+    plan = ProjectView(std::move(plan), *schema);
+    ExecContext exec;  // verifies the compiled plan before it runs
+    return ExecutePhysicalPlan(plan, ctx_, &exec);
   }
-  for (const XamEdge& e : n.edges) {
-    if (e.nested()) {
-      // The nested collection attribute is named after the child node; the
-      // child's own attributes live inside it.
-      CollectViewPaths(xam, e.child,
-                       prefix + xam.node(e.child).name + ".", out);
-    } else if (e.semi()) {
-      // Semijoined subtrees contribute no attributes.
-    } else {
-      CollectViewPaths(xam, e.child, prefix, out);
+
+ private:
+  std::string JoinColumn(XamNodeId id) const {
+    const XamNode& n = xam_.node(id);
+    return n.name + (StoresDewey(n) ? "_SID" : "_ID");
+  }
+
+  // Binds `rel` as the base relation `name` and returns its scan.
+  PlanPtr Bind(const std::string& name, NestedRelation rel) {
+    bases_.push_back(std::make_unique<NestedRelation>(std::move(rel)));
+    ctx_.relations[name] = bases_.back().get();
+    return LogicalPlan::Scan(name);
+  }
+
+  // The node's tag-derived collection in document order, filtered by its
+  // value formula (general interval formulas, not only v θ c atoms) and,
+  // for a `/` child of ⊤, restricted to the document's root element.
+  PlanPtr Base(XamNodeId id, bool root_only) {
+    const XamNode& n = xam_.node(id);
+    const bool filter = !n.val_formula.IsTrue();
+    TagCollectionOptions opts{n.name, n.stores_tag, n.stores_val || filter,
+                              n.stores_cont};
+    NestedRelation base =
+        n.is_attribute
+            ? AttributeCollection(
+                  doc_, n.tag_value.empty() ? "" : n.tag_value.substr(1), opts)
+            : TagCollection(doc_, n.tag_value, opts);
+    const bool dewey = StoresDewey(n);
+    if (!filter && !root_only && !dewey) return Bind(n.name, std::move(base));
+    // A Val fetched only for the formula is not part of the collection.
+    const int val = base.schema().IndexOf(n.name + "_Val");
+    const int drop = n.stores_val ? -1 : val;
+    std::vector<Attribute> attrs = base.schema().attrs();
+    if (drop >= 0) attrs.erase(attrs.begin() + drop);
+    if (dewey) {
+      attrs[0] = Attribute::Atomic(JoinColumn(id));
+      attrs.insert(attrs.begin(), Attribute::Atomic(n.name + "_ID"));
+    }
+    NestedRelation out(Schema::Make(std::move(attrs)));
+    const uint32_t root_pre = doc_.sid(doc_.root()).pre;
+    for (Tuple& t : base.mutable_tuples()) {
+      const uint32_t pre = t.fields[0].atom().sid().pre;
+      if (root_only && pre != root_pre) continue;
+      if (filter && !SatisfiesFormula(n.val_formula, t.fields[val].atom())) {
+        continue;
+      }
+      if (drop >= 0) t.fields.erase(t.fields.begin() + drop);
+      if (dewey) {
+        t.fields.emplace(t.fields.begin(),
+                         AtomicValue::Dewey(doc_.Dewey(doc_.NodeByPre(pre))));
+      }
+      out.Add(std::move(t));
+    }
+    return Bind(n.name, std::move(out));
+  }
+
+  // The subtree rooted at `id` (not ⊤): its base joined with each child
+  // subtree, left to right.
+  PlanPtr Subtree(XamNodeId id, bool root_only) {
+    const XamNode& n = xam_.node(id);
+    PlanPtr cur = Base(id, root_only);
+    for (const XamEdge& e : n.edges) {
+      PlanPtr child = Subtree(e.child, /*root_only=*/false);
+      // A nested collection keeps its tuples in the order of the subtree.
+      if (e.nested()) child = Ordered(std::move(child), e.child);
+      cur = LogicalPlan::StructuralJoin(
+          std::move(cur), std::move(child), JoinColumn(id), e.axis,
+          JoinColumn(e.child), e.variant, xam_.node(e.child).name);
+    }
+    return cur;
+  }
+
+  // The nodes whose ids make up the top level of the subtree at `id`, in
+  // schema order (semijoined and nested subtrees add no
+  // top-level rows).
+  void TopLevelNodes(XamNodeId id, std::vector<XamNodeId>* out) const {
+    if (id != kXamRoot) out->push_back(id);
+    for (const XamEdge& e : xam_.node(id).edges) {
+      if (!e.semi() && !e.nested()) TopLevelNodes(e.child, out);
     }
   }
-}
+
+  // Document order, lexicographically over the top-level nodes: the order
+  // of a nested-loop join tree over document-ordered base collections. The
+  // compiler drops the sort where the stream already proves it.
+  PlanPtr Ordered(PlanPtr plan, XamNodeId id) const {
+    std::vector<XamNodeId> nodes;
+    TopLevelNodes(id, &nodes);
+    std::vector<std::string> keys;
+    for (XamNodeId n : nodes) keys.push_back(JoinColumn(n));
+    return LogicalPlan::SortOp(std::move(plan), std::move(keys));
+  }
+
+  PlanPtr JoinTree() {
+    const XamNode& top = xam_.node(kXamRoot);
+    // ⊤ is the document node: existential (semijoined) and grouped
+    // (nested) children hang off its single tuple; the other children
+    // combine by product — they all are descendants of the document node.
+    const std::string top_id = top.name + "_ID";
+    Tuple doc_node;
+    doc_node.fields.emplace_back(
+        AtomicValue::Sid(doc_.sid(doc_.document_node())));
+    NestedRelation top_rel(Schema::Make({Attribute::Atomic(top_id)}));
+    top_rel.Add(std::move(doc_node));
+    const PlanPtr top_scan = Bind(top.name, std::move(top_rel));
+    PlanPtr cur;
+    for (const XamEdge& e : top.edges) {
+      PlanPtr sub = Subtree(e.child, /*root_only=*/e.axis == Axis::kChild);
+      if (e.semi() || e.nested()) {
+        if (e.nested()) sub = Ordered(std::move(sub), e.child);
+        sub = LogicalPlan::StructuralJoin(
+            top_scan, std::move(sub), top_id, Axis::kDescendant,
+            JoinColumn(e.child), e.variant, xam_.node(e.child).name);
+      }
+      cur = cur == nullptr ? std::move(sub)
+                           : LogicalPlan::Product(std::move(cur),
+                                                  std::move(sub));
+    }
+    return Ordered(std::move(cur), kXamRoot);
+  }
+
+  // Π_χ over the join tree `plan` of output schema `schema`: exactly the
+  // specified attributes. Pattern semantics are sets of tuples (Def.
+  // 2.2.3(2)(iii)); top-level rows are distinct on the ids of the top-level
+  // nodes, so only dropping one of those ids can create duplicates.
+  // First-wins elimination keeps document order.
+  PlanPtr ProjectView(PlanPtr plan, const Schema& schema) const {
+    std::vector<std::string> paths;
+    CollectViewPaths(kXamRoot, "", &paths);
+    std::vector<XamNodeId> top_level;
+    TopLevelNodes(kXamRoot, &top_level);
+    bool dedup = false;
+    for (XamNodeId n : top_level) dedup |= !xam_.node(n).stores_id;
+    bool identity = !dedup && schema.size() == static_cast<int>(paths.size());
+    for (int i = 0; identity && i < schema.size(); ++i) {
+      identity = !schema.attr(i).is_collection &&
+                 schema.attr(i).name == paths[static_cast<size_t>(i)];
+    }
+    if (identity) return plan;
+    return LogicalPlan::Project(std::move(plan), std::move(paths), dedup);
+  }
+
+  // Dotted attribute paths of the view schema relative to the subtree
+  // rooted at `id`, with `prefix` accumulated from enclosing nested
+  // collections.
+  void CollectViewPaths(XamNodeId id, const std::string& prefix,
+                        std::vector<std::string>* out) const {
+    const XamNode& n = xam_.node(id);
+    if (id != kXamRoot) {
+      if (n.stores_id) out->push_back(prefix + n.name + "_ID");
+      if (n.stores_tag) out->push_back(prefix + n.name + "_Tag");
+      if (n.stores_val) out->push_back(prefix + n.name + "_Val");
+      if (n.stores_cont) out->push_back(prefix + n.name + "_Cont");
+    }
+    for (const XamEdge& e : n.edges) {
+      if (e.nested()) {
+        // The nested collection attribute is named after the child node;
+        // the child's own attributes live inside it.
+        CollectViewPaths(e.child, prefix + xam_.node(e.child).name + ".",
+                         out);
+      } else if (!e.semi()) {
+        // Semijoined subtrees contribute no attributes.
+        CollectViewPaths(e.child, prefix, out);
+      }
+    }
+  }
+
+  const Xam& xam_;
+  const DocumentStore& doc_;
+  std::vector<std::unique_ptr<NestedRelation>> bases_;
+  EvalContext ctx_;
+};
 
 // Removes duplicate tuples inside nested collections (the top level is
-// handled by the duplicate-eliminating projection); stable, so document
-// order is preserved.
+// handled by Π_χ); stable, so document order is preserved.
 void DedupNestedCollections(const Schema& schema, TupleList* tuples) {
   for (int i = 0; i < schema.size(); ++i) {
     if (!schema.attr(i).is_collection) continue;
@@ -131,99 +239,16 @@ void DedupNestedCollections(const Schema& schema, TupleList* tuples) {
 }  // namespace
 
 Result<NestedRelation> EvaluateXam(const Xam& xam, const DocumentStore& doc) {
-  const XamNode& top = xam.node(kXamRoot);
-  if (top.edges.empty()) {
-    // ⊤ alone: a single tuple carrying the root id (Def. 2.2.2) — projected
-    // to nothing by the view schema.
+  if (xam.node(kXamRoot).edges.empty()) {
+    // ⊤ alone: no pattern nodes, nothing stored.
     return NestedRelation(Schema::Make({}));
   }
-
-  // ⊤'s children: a / edge restricts matches to the root element; // allows
-  // any element. Multiple children combine by cartesian product (they are
-  // all descendants of the document root).
-  NestedRelation cur;
-  bool first = true;
-  for (const XamEdge& e : top.edges) {
-    ULOAD_ASSIGN_OR_RETURN(NestedRelation sub, EvalSubtree(xam, e.child, doc));
-    if (e.axis == Axis::kChild) {
-      // Keep only matches that are the document root element (or attributes
-      // of the document node, which do not exist — so only the root).
-      NestedRelation filtered(sub.schema_ptr(), sub.kind());
-      const std::string id_attr = xam.node(e.child).name + "_ID";
-      int idx = sub.schema().IndexOf(id_attr);
-      NodeIndex root = doc.root();
-      for (const Tuple& t : sub.tuples()) {
-        const AtomicValue& v = t.fields[idx].atom();
-        bool is_root = false;
-        if (v.kind() == AtomicValue::Kind::kSid) {
-          is_root = v.sid() == doc.sid(root);
-        } else if (v.kind() == AtomicValue::Kind::kDewey) {
-          is_root = v.dewey() == doc.Dewey(root);
-        }
-        if (is_root) filtered.Add(t);
-      }
-      sub = std::move(filtered);
-    }
-    if (e.semi()) {
-      if (sub.empty()) {
-        return NestedRelation(xam.ViewSchema(), CollectionKind::kList);
-      }
-      continue;  // existential only: no attributes contributed
-    }
-    if (e.nested()) {
-      // Nest the whole subtree into a single tuple with one collection
-      // (grouping at the root level). kNestOuter yields the tuple even when
-      // the collection is empty; kNestJoin yields nothing then.
-      if (sub.empty() && e.variant == JoinVariant::kNestJoin) {
-        return NestedRelation(xam.ViewSchema(), CollectionKind::kList);
-      }
-      SchemaPtr ns = Schema::Make({Attribute::Collection(
-          xam.node(e.child).name, sub.schema_ptr())});
-      NestedRelation nested(ns, sub.kind());
-      Tuple t;
-      t.fields.emplace_back(sub.tuples());
-      nested.Add(std::move(t));
-      sub = std::move(nested);
-    }
-    if (first) {
-      cur = std::move(sub);
-      first = false;
-    } else {
-      std::unordered_map<std::string, const NestedRelation*> rels{
-          {"L", &cur}, {"R", &sub}};
-      ULOAD_ASSIGN_OR_RETURN(
-          cur, Evaluate(*LogicalPlan::Product(LogicalPlan::Scan("L"),
-                                              LogicalPlan::Scan("R")),
-                        rels));
-    }
-  }
-
-  // Order by document order of the first (outermost) ID column if requested.
-  if (xam.ordered() && cur.schema().size() > 0) {
-    cur.Sort();  // full-tuple sort; leading attr is the outermost ID
-  }
-
-  // Π_χ: retain exactly the specified attributes, then eliminate duplicate
-  // tuples (Def. 2.2.3(2)(iii)). Pattern semantics are *sets* of return-node
-  // tuples; for ordered XAMs the stable deduplication keeps the earliest
-  // occurrence, preserving document order.
-  std::vector<std::string> paths;
-  CollectViewPaths(xam, kXamRoot, "", &paths);
-  if (paths.empty()) {
-    // No stored attributes anywhere: the view's information content is just
-    // emptiness or not; represent as 0-column tuples.
-    NestedRelation out(Schema::Make({}));
-    for (int64_t i = 0; i < cur.size(); ++i) out.Add(Tuple{});
-    out.Deduplicate();
-    return out;
-  }
-  std::unordered_map<std::string, const NestedRelation*> rels{{"in", &cur}};
-  ULOAD_ASSIGN_OR_RETURN(
-      NestedRelation out,
-      Evaluate(*LogicalPlan::Project(LogicalPlan::Scan("in"), paths,
-                                     /*dedup=*/true),
-               rels));
+  XamPlanner planner(xam, doc);
+  ULOAD_ASSIGN_OR_RETURN(NestedRelation out, planner.Run());
   DedupNestedCollections(out.schema(), &out.mutable_tuples());
+  // Extents live as long as their catalog: drop the collector's growth
+  // slack.
+  out.mutable_tuples().shrink_to_fit();
   return out;
 }
 

@@ -172,6 +172,7 @@ FusedPipelinePhys::StepView FusedPipelinePhys::step(size_t i) const {
   v.pred = s.pred.get();
   if (s.kind == StepKind::kProject) v.attrs = &s.attrs;
   if (s.nav != nullptr) v.nav = s.nav->plan();
+  v.derive = s.derive;
   if (s.kind == StepKind::kRename) v.prefix = &s.prefix;
   return v;
 }
@@ -184,9 +185,11 @@ OrderDescriptor FusedPipelinePhys::PropagateStepOrder(
     const StepView& s, const OrderDescriptor& in) {
   // A filter keeps tuple order; a projection (first-wins dedup included)
   // keeps the longest key prefix it retains; navigation expands each input
-  // tuple into consecutive outputs; renames and retypes translate key names.
+  // tuple into consecutive outputs; parent derivation only appends a
+  // column; renames and retypes translate key names.
   switch (s.kind) {
     case StepKind::kSelect:
+    case StepKind::kDeriveParent:
       return in;
     case StepKind::kProject: {
       std::vector<OrderKey> kept;
@@ -239,6 +242,8 @@ bool FusedPipelinePhys::TranslateOrderBack(const Step& s,
       *in = out;
       return true;
     case StepKind::kNavigate:
+    case StepKind::kDeriveParent:
+      // Appended columns have no counterpart below the step.
       for (const OrderKey& k : out.keys()) {
         if (!ResolveAttrPath(*s.in_schema, k.attr).ok()) return false;
       }
@@ -291,12 +296,6 @@ bool FusedPipelinePhys::TryAdoptOrder(const OrderDescriptor& order) {
   switch (src_kind_) {
     case SourceKind::kRelation: {
       Result<bool> sorted = IsSortedBy(want[0], *src_rel_);
-      if (!sorted.ok() || !*sorted) return false;
-      src_order_ = want[0];
-      break;
-    }
-    case SourceKind::kOwned: {
-      Result<bool> sorted = IsSortedBy(want[0], src_owned_);
       if (!sorted.ok() || !*sorted) return false;
       src_order_ = want[0];
       break;
@@ -444,8 +443,7 @@ Status FusedPipelinePhys::OpenImpl() {
     }
   }
   prefilter_step_ = -1;
-  if (src_kind_ == SourceKind::kRelation || src_kind_ == SourceKind::kOwned ||
-      src_kind_ == SourceKind::kRows) {
+  if (src_kind_ == SourceKind::kRelation || src_kind_ == SourceKind::kRows) {
     for (size_t i = 0; i < steps_.size(); ++i) {
       if (steps_[i].kind == StepKind::kSelect) {
         prefilter_step_ = static_cast<int>(i);
@@ -473,8 +471,6 @@ const Tuple* FusedPipelinePhys::PeekSourceTuple() const {
   switch (src_kind_) {
     case SourceKind::kRelation:
       return spos_ < src_rel_->size() ? &src_rel_->tuple(spos_) : nullptr;
-    case SourceKind::kOwned:
-      return spos_ < src_owned_.size() ? &src_owned_.tuple(spos_) : nullptr;
     case SourceKind::kRows:
       return spos_ < static_cast<int64_t>(src_rows_.size())
                  ? &src_rel_->tuple(src_rows_[spos_])
@@ -532,6 +528,22 @@ Status FusedPipelinePhys::Apply(size_t i, Tuple&& t, TupleBatch* out) {
         ULOAD_RETURN_NOT_OK(Apply(i + 1, std::move(o), out));
       }
       return Status::Ok();
+    }
+    case StepKind::kDeriveParent: {
+      const AtomicValue& id = t.fields[s.derive_idx].atom();
+      if (id.kind() == AtomicValue::Kind::kDewey) {
+        t.fields.emplace_back(AtomicValue::Dewey(
+            DeweyAncestorAtDepth(id.dewey(), s.derive->target_depth())));
+      } else if (id.is_null()) {
+        t.fields.emplace_back(AtomicValue::Null());
+      } else {
+        return Status::TypeError(
+            "DeriveParent requires navigational (Dewey) identifiers; "
+            "attribute '" +
+            s.derive->left_attr() + "' holds " + id.ToString());
+      }
+      s.member.slot().tuples_produced += 1;
+      return Apply(i + 1, std::move(t), out);
     }
     case StepKind::kRename:
     case StepKind::kRetype:
@@ -660,16 +672,6 @@ void FusedPipelineBuilder::SourceRelation(const NestedRelation* rel,
   has_source_ = true;
 }
 
-void FusedPipelineBuilder::SourceOwnedRelation(NestedRelation rel,
-                                               std::string label) {
-  op_->src_kind_ = FusedPipelinePhys::SourceKind::kOwned;
-  op_->src_owned_ = std::move(rel);
-  op_->src_label_ = std::move(label);
-  op_->src_member_.label = op_->src_label_;
-  op_->src_schema_ = op_->src_owned_.schema_ptr();
-  has_source_ = true;
-}
-
 void FusedPipelineBuilder::SourceRows(const NestedRelation* data,
                                       std::vector<int64_t> rows,
                                       std::string label) {
@@ -744,6 +746,25 @@ Status FusedPipelineBuilder::AddNavigate(const LogicalPlan* plan,
       *s.in_schema, *s.nav->emit_schema(), plan->variant(),
       plan->nest_as().empty() ? plan->nav_emit().prefix : plan->nest_as());
   s.member.label = "Navigate_phi[" + plan->left_attr() + "]";
+  op_->steps_.push_back(std::move(s));
+  return Status::Ok();
+}
+
+Status FusedPipelineBuilder::AddDeriveParent(const LogicalPlan* plan) {
+  FusedPipelinePhys::Step s;
+  s.kind = FusedPipelinePhys::StepKind::kDeriveParent;
+  s.in_schema = current_schema();
+  ULOAD_ASSIGN_OR_RETURN(AttrPath lp,
+                         ResolveAttrPath(*s.in_schema, plan->left_attr()));
+  if (lp.size() != 1) {
+    return Status::NotImplemented("DeriveParent_phi on nested attribute");
+  }
+  s.derive = plan;
+  s.derive_idx = lp[0];
+  s.out_schema = DeriveParentSchema(*s.in_schema, plan->nest_as());
+  s.member.label = "DeriveParent_phi[" + plan->left_attr() + " -> " +
+                   plan->nest_as() + " @depth " +
+                   std::to_string(plan->target_depth()) + "]";
   op_->steps_.push_back(std::move(s));
   return Status::Ok();
 }

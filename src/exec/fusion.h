@@ -5,12 +5,12 @@
 // The compiler (exec/physical.cc) splits a plan at pipeline *breakers* —
 // Sort_φ, StackTree buffering, hash-join builds, Product/Union fan-in and
 // exchange boundaries — and compiles each maximal chain of unary operators
-// (Select, Project and first-wins dedup Project0, Navigate, Rename, Retype)
-// into a single FusedPipeline_φ. The chain may be empty: a bare source is a
-// zero-step pipeline. The fused operator pulls source tuples from an inline
-// cursor (materialized rows, index row-id lists, columnar row sets, the
-// unit relation, an evaluator-materialized fallback relation) or from a
-// breaker below it, and pushes each tuple through the chain's steps in one
+// (Select, Project and first-wins dedup Project0, Navigate, DeriveParent,
+// Rename, Retype) into a single FusedPipeline_φ. The chain may be empty: a
+// bare source is a zero-step pipeline. The fused operator pulls source
+// tuples from an inline cursor (materialized rows, index row-id lists,
+// columnar row sets, the unit relation) or from a breaker below it, and
+// pushes each tuple through the chain's steps in one
 // loop: no intermediate TupleBatch is materialized, no virtual NextBatch()
 // boundary is crossed, and the governor's cancel/deadline/memory checks run
 // once per pipeline iteration instead of once per chain member.
@@ -87,10 +87,9 @@ class FusedPipelinePhys final : public PhysicalOperator {
  public:
   ~FusedPipelinePhys() override;
 
-  enum class StepKind : uint8_t { kSelect, kProject, kNavigate, kRename,
-                                  kRetype };
-  enum class SourceKind : uint8_t { kRelation, kOwned, kRows, kColumnar,
-                                    kOperator };
+  enum class StepKind : uint8_t { kSelect, kProject, kNavigate,
+                                  kDeriveParent, kRename, kRetype };
+  enum class SourceKind : uint8_t { kRelation, kRows, kColumnar, kOperator };
 
   // Read-only view of one fused step, the verifier's surface: the recorded
   // boundary schemas/orders are the obligations fusion must discharge, and
@@ -105,6 +104,7 @@ class FusedPipelinePhys final : public PhysicalOperator {
     const Predicate* pred = nullptr;                  // kSelect
     const std::vector<std::string>* attrs = nullptr;  // kProject
     const LogicalPlan* nav = nullptr;                 // kNavigate
+    const LogicalPlan* derive = nullptr;              // kDeriveParent
     const std::string* prefix = nullptr;              // kRename
   };
 
@@ -179,6 +179,8 @@ class FusedPipelinePhys final : public PhysicalOperator {
     std::set<std::string> seen;
     int64_t seen_bytes = 0;
     std::unique_ptr<NavigationCore> nav;      // kNavigate
+    const LogicalPlan* derive = nullptr;      // kDeriveParent
+    int derive_idx = 0;                       // kDeriveParent source column
     std::string prefix;                       // kRename
     // Navigate expansion scratch, reused across tuples.
     std::deque<Tuple> buf;
@@ -209,13 +211,12 @@ class FusedPipelinePhys final : public PhysicalOperator {
   OrderDescriptor src_order_;  // inline sources only; kOperator asks the op
   Member src_member_;          // inline sources only
   const NestedRelation* src_rel_ = nullptr;    // kRelation / kRows
-  NestedRelation src_owned_;                   // kOwned
   std::vector<int64_t> src_rows_;              // kRows
   std::unique_ptr<ColumnarRowReader> src_reader_;  // kColumnar
   PhysicalPtr src_op_;                         // kOperator
 
   // Cursors / runtime state.
-  int64_t spos_ = 0;                  // kRelation/kOwned/kRows cursor
+  int64_t spos_ = 0;                  // kRelation/kRows cursor
   std::vector<NodeIndex> crows_;      // kColumnar decoded slice
   size_t cpos_ = 0;
   std::optional<TupleBatch> src_batch_;  // kOperator buffered batch
@@ -242,7 +243,6 @@ class FusedPipelineBuilder {
 
   // Exactly one source, set before any step.
   void SourceRelation(const NestedRelation* rel, std::string label);
-  void SourceOwnedRelation(NestedRelation rel, std::string label);
   void SourceRows(const NestedRelation* data, std::vector<int64_t> rows,
                   std::string label);
   void SourceColumnar(const MaterializedView* view, std::string label);
@@ -253,6 +253,8 @@ class FusedPipelineBuilder {
   // (Project0_φ).
   Status AddProject(std::vector<std::string> attrs, bool dedup);
   Status AddNavigate(const LogicalPlan* plan, const DocumentStore* doc);
+  // Appends the Dewey ancestor of `plan`'s id column at its target depth.
+  Status AddDeriveParent(const LogicalPlan* plan);
   Status AddRename(std::string prefix);
   Status AddRetype(SchemaPtr schema);
 

@@ -1,7 +1,8 @@
 // Order descriptors (thesis §1.2.3): which attribute(s) an operator's output
 // is sorted on, possibly inside nested collections (e.g. ⇃A2.A21⇂).
-// Structural join operators require document-order inputs; the evaluator
-// uses SortBy to establish the required order and IsSortedBy to verify it.
+// Structural join operators require document-order inputs; Sort_φ uses
+// SortBy to establish the required order, and scans use IsSortedBy to prove
+// that their stored order already holds.
 #ifndef ULOAD_EXEC_ORDER_DESCRIPTOR_H_
 #define ULOAD_EXEC_ORDER_DESCRIPTOR_H_
 

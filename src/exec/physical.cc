@@ -7,7 +7,6 @@
 #include "exec/exchange.h"
 #include "exec/fusion.h"
 #include "exec/plan_schemas.h"
-#include "exec/structural_join.h"
 #include "opt/cost.h"
 #include "storage/virtual_scan.h"
 #include "verify/batch_validator.h"
@@ -281,6 +280,49 @@ class SortPhys : public PhysBase {
   bool input_open_ = false;
 };
 
+// --- Node-id order and containment ------------------------------------------
+
+// The StackTree joins accept both identifier representations. (pre, post,
+// depth) triples keep their label arithmetic; Dewey paths compare in
+// document order and decide containment by prefix. Identifiers of different
+// kinds never contain one another, so a join over mixed kinds is empty.
+Status CheckNodeId(const AtomicValue& v) {
+  if (v.kind() == AtomicValue::Kind::kSid ||
+      v.kind() == AtomicValue::Kind::kDewey) {
+    return Status::Ok();
+  }
+  return Status::TypeError("structural join over a non-identifier value " +
+                           v.ToString());
+}
+
+bool BothSid(const AtomicValue& a, const AtomicValue& b) {
+  return a.kind() == AtomicValue::Kind::kSid &&
+         b.kind() == AtomicValue::Kind::kSid;
+}
+
+// `a` starts before `b` in document order.
+bool StartsBefore(const AtomicValue& a, const AtomicValue& b) {
+  if (BothSid(a, b)) return a.sid().pre < b.sid().pre;
+  return AtomicValue::Compare(a, b) < 0;
+}
+
+// `a`'s subtree ends before `b`, given that `a` does not start after `b`:
+// `a` is neither `b` nor one of its ancestors.
+bool EndsBefore(const AtomicValue& a, const AtomicValue& b) {
+  if (BothSid(a, b)) return a.sid().post < b.sid().post;
+  return AtomicValue::Compare(a, b) != 0 && !AtomicValue::IsAncestorOf(a, b);
+}
+
+bool StructurallyRelated(Axis axis, const AtomicValue& a,
+                         const AtomicValue& d) {
+  if (BothSid(a, d)) {
+    return axis == Axis::kChild ? IsParent(a.sid(), d.sid())
+                                : IsAncestor(a.sid(), d.sid());
+  }
+  return axis == Axis::kChild ? AtomicValue::IsParentOf(a, d)
+                              : AtomicValue::IsAncestorOf(a, d);
+}
+
 // --- Streaming StackTreeDesc_φ (inner structural joins) ----------------------
 
 // Requires both inputs in document order on the join attributes (the
@@ -347,21 +389,14 @@ class StackTreeDescPhys : public PhysBase {
       ULOAD_ASSIGN_OR_RETURN(std::optional<Tuple> d, desc_->NextTuple());
       if (!d.has_value()) break;
       const AtomicValue& did = d->fields[desc_idx_].atom();
-      if (did.kind() != AtomicValue::Kind::kSid) {
-        return Status::TypeError(
-            "streaming structural join requires (pre, post, depth) ids");
-      }
+      ULOAD_RETURN_NOT_OK(CheckNodeId(did));
       // Pull ancestors that start before this descendant.
       while (next_anc_.has_value()) {
         const AtomicValue& aid = next_anc_->fields[anc_idx_].atom();
-        if (aid.kind() != AtomicValue::Kind::kSid) {
-          return Status::TypeError(
-              "streaming structural join requires (pre, post, depth) ids");
-        }
-        if (aid.sid().pre >= did.sid().pre) break;
+        ULOAD_RETURN_NOT_OK(CheckNodeId(aid));
+        if (!StartsBefore(aid, did)) break;
         while (!stack_.empty() &&
-               stack_.back().fields[anc_idx_].atom().sid().post <
-                   aid.sid().post) {
+               EndsBefore(stack_.back().fields[anc_idx_].atom(), aid)) {
           stack_.pop_back();
         }
         stack_.push_back(std::move(*next_anc_));
@@ -369,15 +404,13 @@ class StackTreeDescPhys : public PhysBase {
       }
       // Pop finished ancestors.
       while (!stack_.empty() &&
-             stack_.back().fields[anc_idx_].atom().sid().post <
-                 did.sid().post) {
+             EndsBefore(stack_.back().fields[anc_idx_].atom(), did)) {
         stack_.pop_back();
       }
       for (const Tuple& a : stack_) {
-        const StructuralId& asid = a.fields[anc_idx_].atom().sid();
-        bool match = axis_ == Axis::kChild ? IsParent(asid, did.sid())
-                                           : IsAncestor(asid, did.sid());
-        if (match) pending_.push_back(ConcatTuples(a, *d));
+        if (StructurallyRelated(axis_, a.fields[anc_idx_].atom(), did)) {
+          pending_.push_back(ConcatTuples(a, *d));
+        }
       }
     }
     if (out.empty()) return std::optional<TupleBatch>();
@@ -510,37 +543,28 @@ class StackTreeVariantPhys : public PhysBase {
     }
     const AtomicValue& did = d->fields[desc_idx_].atom();
     if (did.is_null()) return Status::Ok();  // null ids match nothing
-    if (did.kind() != AtomicValue::Kind::kSid) {
-      return Status::TypeError(
-          "streaming structural join requires (pre, post, depth) ids");
-    }
+    ULOAD_RETURN_NOT_OK(CheckNodeId(did));
     // Pull ancestors that start before this descendant.
     while (next_anc_.has_value()) {
       const AtomicValue& aid = next_anc_->fields[anc_idx_].atom();
       if (!aid.is_null()) {
-        if (aid.kind() != AtomicValue::Kind::kSid) {
-          return Status::TypeError(
-              "streaming structural join requires (pre, post, depth) ids");
-        }
-        if (aid.sid().pre >= did.sid().pre) break;
+        ULOAD_RETURN_NOT_OK(CheckNodeId(aid));
+        if (!StartsBefore(aid, did)) break;
       }
       ULOAD_RETURN_NOT_OK(PushAncestor(std::move(*next_anc_)));
       ULOAD_ASSIGN_OR_RETURN(next_anc_, anc_->NextTuple());
     }
     // Ancestors whose subtree ended before this descendant are complete —
-    // no current or future descendant (pre-ascending) can fall inside them.
+    // no current or future descendant (document-ordered) can fall inside
+    // them.
     while (!stack_.empty() &&
-           stack_.back()->t.fields[anc_idx_].atom().sid().post <
-               did.sid().post) {
+           EndsBefore(stack_.back()->t.fields[anc_idx_].atom(), did)) {
       stack_.back()->done = true;
       stack_.pop_back();
     }
     int64_t d_bytes = -1;
     for (AncState* a : stack_) {
-      const StructuralId& asid = a->t.fields[anc_idx_].atom().sid();
-      bool match = axis_ == Axis::kChild ? IsParent(asid, did.sid())
-                                         : IsAncestor(asid, did.sid());
-      if (match) {
+      if (StructurallyRelated(axis_, a->t.fields[anc_idx_].atom(), did)) {
         if (d_bytes < 0) d_bytes = ApproxTupleBytes(*d);
         ULOAD_RETURN_NOT_OK(TrackGrow(d_bytes));
         a->matches.push_back(*d);
@@ -558,15 +582,11 @@ class StackTreeVariantPhys : public PhysBase {
       inflight_.push_back(AncState{std::move(t), {}, true});
       return Status::Ok();
     }
-    if (aid.kind() != AtomicValue::Kind::kSid) {
-      return Status::TypeError(
-          "streaming structural join requires (pre, post, depth) ids");
-    }
+    ULOAD_RETURN_NOT_OK(CheckNodeId(aid));
     // Entries the new ancestor is disjoint from are complete: their whole
     // subtree precedes it, hence precedes every future descendant too.
     while (!stack_.empty() &&
-           stack_.back()->t.fields[anc_idx_].atom().sid().post <
-               aid.sid().post) {
+           EndsBefore(stack_.back()->t.fields[anc_idx_].atom(), aid)) {
       stack_.back()->done = true;
       stack_.pop_back();
     }
@@ -1044,7 +1064,7 @@ class Compiler {
       int anc_idx = 0;
       int desc_idx = 0;
       if (!JoinPositions(p, **l, **r, &anc_idx, &desc_idx)) {
-        // Nested join attributes: the serial path materializes; the
+        // Nested join attributes: the serial path reports them; the
         // discarded worker trees take their obligations with them.
         LeavePartition();
         obligations_.resize(mark);
@@ -1062,14 +1082,15 @@ class Compiler {
 
   // True when the logical operator is a unary chain member the fused
   // pipeline runs inline: Select, Project (first-wins dedup included),
-  // Navigate, Rename, Retype. Everything else — sorts, joins (build side or
-  // StackTree buffering), Product/Union fan-in, exchanges — breaks the
-  // pipeline.
+  // Navigate, DeriveParent, Rename, Retype. Everything else — sorts, joins
+  // (build side or StackTree buffering), Product/Union fan-in, exchanges —
+  // breaks the pipeline.
   static bool Fusable(const LogicalPlan& p) {
     switch (p.op()) {
       case PlanOp::kSelect:
       case PlanOp::kProject:
       case PlanOp::kNavigate:
+      case PlanOp::kDeriveParent:
       case PlanOp::kPrefixNames:
       case PlanOp::kRetype:
         return true;
@@ -1082,7 +1103,7 @@ class Compiler {
   // chain of unary operators rooted at `p` becomes one FusedPipeline_φ
   // running a single tuple loop (exec/fusion.h) over the source below the
   // chain. That source is inline when it is a non-partitioned scan, an
-  // index binding, Unit or an evaluator fallback; otherwise it is the
+  // index binding or Unit; otherwise it is the
   // compiled breaker (or partitioned scan), which a chain-less pipeline
   // returns as is.
   Result<PhysicalPtr> Rec(const LogicalPlan& p) {
@@ -1110,6 +1131,9 @@ class Compiler {
         case PlanOp::kNavigate:
           ULOAD_RETURN_NOT_OK(b.AddNavigate(&n, ctx_.document));
           break;
+        case PlanOp::kDeriveParent:
+          ULOAD_RETURN_NOT_OK(b.AddDeriveParent(&n));
+          break;
         case PlanOp::kPrefixNames:
           ULOAD_RETURN_NOT_OK(b.AddRename(n.nest_as()));
           break;
@@ -1121,17 +1145,6 @@ class Compiler {
       }
     }
     return b.Build();
-  }
-
-  // Fallback: evaluates the subtree with the materializing evaluator and
-  // installs the result as the pipeline's inline source (operators without
-  // a streaming implementation, e.g. nested-attribute structural joins).
-  Result<PhysicalPtr> Materialize(const LogicalPlan& plan,
-                                  const std::string& label,
-                                  FusedPipelineBuilder* b) {
-    ULOAD_ASSIGN_OR_RETURN(NestedRelation data, Evaluate(plan, ctx_));
-    b->SourceOwnedRelation(std::move(data), label);
-    return PhysicalPtr();
   }
 
   // The source of the pipeline whose chain ends above `p`: either installed
@@ -1178,9 +1191,13 @@ class Compiler {
         return PhysicalPtr();
       }
       case PlanOp::kUnit: {
-        NestedRelation unit(Schema::Make({}));
-        unit.Add(Tuple{});
-        b->SourceOwnedRelation(std::move(unit), "Unit_phi");
+        // No attributes, one empty tuple; immutable, so plans share it.
+        static const NestedRelation unit = [] {
+          NestedRelation r(Schema::Make({}));
+          r.Add(Tuple{});
+          return r;
+        }();
+        b->SourceRelation(&unit, "Unit_phi");
         return PhysicalPtr();
       }
       case PlanOp::kProduct: {
@@ -1201,21 +1218,20 @@ class Compiler {
         // StackTreeDesc (descendant-ordered output, Exchange-parallelizable)
         // for inner joins, the ancestor-grouped StackTreeAnc for the
         // semi/outer/nest variants. Each child is compiled once and the join
-        // attributes are resolved on what was compiled; nested join
-        // attributes fall back to the materializing evaluator.
+        // attributes are resolved on what was compiled; a join on a nested
+        // attribute has no streaming implementation.
         if (p.variant() == JoinVariant::kInner) {
           ULOAD_ASSIGN_OR_RETURN(PhysicalPtr par, TryParallelStructuralJoin(p));
           if (par) return par;
         }
-        size_t mark = obligations_.size();
         ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left()));
         ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right()));
         int anc_idx = 0;
         int desc_idx = 0;
         if (!JoinPositions(p, *l, *r, &anc_idx, &desc_idx)) {
-          // The compiled children are discarded; so are their obligations.
-          obligations_.resize(mark);
-          return Materialize(p, "StackTreeAnc_phi(materialized)", b);
+          return Status::NotImplemented(
+              "structural join on a nested attribute (" + p.left_attr() +
+              ", " + p.right_attr() + ")");
         }
         PhysicalPtr anc = EnsureOrder(std::move(l), p.left_attr());
         PhysicalPtr desc = EnsureOrder(std::move(r), p.right_attr());
@@ -1251,20 +1267,10 @@ class Compiler {
         return PhysicalPtr(
             std::make_unique<SortPhys>(std::move(in), std::move(required)));
       }
-      // Remaining operators materialize through the evaluator.
-      case PlanOp::kDifference:
-        return Materialize(p, "Difference_phi(materialized)", b);
-      case PlanOp::kNest:
-        return Materialize(p, "Nest_phi(materialized)", b);
-      case PlanOp::kUnnest:
-        return Materialize(p, "Unnest_phi(materialized)", b);
-      case PlanOp::kXmlConstruct:
-        return Materialize(p, "Xml_phi(materialized)", b);
-      case PlanOp::kDeriveParent:
-        return Materialize(p, "DeriveParent_phi(materialized)", b);
       case PlanOp::kSelect:
       case PlanOp::kProject:
       case PlanOp::kNavigate:
+      case PlanOp::kDeriveParent:
       case PlanOp::kPrefixNames:
       case PlanOp::kRetype:
         break;

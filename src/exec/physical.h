@@ -34,8 +34,9 @@
 #include <string>
 #include <vector>
 
+#include "algebra/logical_plan.h"
 #include "algebra/tuple_batch.h"
-#include "exec/evaluator.h"
+#include "exec/eval_context.h"
 #include "exec/exec_context.h"
 #include "exec/order_descriptor.h"
 
@@ -227,12 +228,12 @@ using PhysicalPtr = std::unique_ptr<PhysicalOperator>;
 // Compiles a logical plan into a physical operator tree. Inputs of
 // structural joins that are not already sorted on the join attribute get a
 // Sort_φ enforcer. Navigation steps and index sources capture the context;
-// plan operators without a streaming implementation (Difference, Nest,
-// Unnest, XmlConstruct, DeriveParent, structural joins on nested
-// attributes) are evaluated by the materializing evaluator at compile time
-// and streamed as a pipeline source. When
-// `exec` is non-null the compiled tree is bound to it (batch size + runtime
-// counters); `exec` must then outlive the returned tree.
+// navigation and parent-derivation steps refer to their plan nodes, so
+// `plan` must outlive the returned tree. Every operator has a streaming
+// implementation; a structural join on a nested attribute has none and
+// fails with NotImplemented. When `exec` is non-null the compiled tree is
+// bound to it (batch size + runtime counters); `exec` must then outlive the
+// returned tree.
 Result<PhysicalPtr> CompilePhysicalPlan(const PlanPtr& plan,
                                         const EvalContext& ctx,
                                         ExecContext* exec = nullptr);

@@ -35,25 +35,6 @@ SchemaPtr ProjSchema(const Schema& schema, const ProjTree& tree) {
   return Schema::Make(std::move(attrs));
 }
 
-Tuple ProjTuple(const Schema& schema, const ProjTree& tree, const Tuple& t) {
-  Tuple out;
-  for (const auto& [idx, sub] : tree.children) {
-    const Attribute& a = schema.attr(idx);
-    const Field& f = t.fields[idx];
-    if (sub.keep_all || !a.is_collection || !f.is_collection()) {
-      out.fields.push_back(f);
-    } else {
-      TupleList nested;
-      nested.reserve(f.collection().size());
-      for (const Tuple& s : f.collection()) {
-        nested.push_back(ProjTuple(*a.nested, sub, s));
-      }
-      out.fields.emplace_back(std::move(nested));
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 SchemaPtr JoinOutputSchema(const Schema& left, const Schema& right,
@@ -73,6 +54,13 @@ SchemaPtr JoinOutputSchema(const Schema& left, const Schema& right,
     }
   }
   return Schema::Make({});
+}
+
+SchemaPtr DeriveParentSchema(const Schema& input,
+                             const std::string& out_attr) {
+  std::vector<Attribute> attrs = input.attrs();
+  attrs.push_back(Attribute::Atomic(out_attr));
+  return Schema::Make(std::move(attrs));
 }
 
 SchemaPtr PrefixedSchema(const Schema& schema, const std::string& prefix) {
@@ -103,14 +91,6 @@ Result<SchemaPtr> ProjectionSchema(const Schema& schema,
   ProjTree tree;
   ULOAD_RETURN_NOT_OK(BuildProjTree(schema, attrs, &tree));
   return ProjSchema(schema, tree);
-}
-
-Result<Tuple> ProjectTupleTo(const Schema& schema,
-                             const std::vector<std::string>& attrs,
-                             const Tuple& tuple) {
-  ProjTree tree;
-  ULOAD_RETURN_NOT_OK(BuildProjTree(schema, attrs, &tree));
-  return ProjTuple(schema, tree, tuple);
 }
 
 Result<TupleProjector> TupleProjector::Make(

@@ -1,5 +1,5 @@
-// Output-schema derivation shared by the materializing evaluator and the
-// physical (iterator) engine.
+// Output-schema derivation shared by the physical (iterator) engine, the plan
+// verifier and the test oracle.
 #ifndef ULOAD_EXEC_PLAN_SCHEMAS_H_
 #define ULOAD_EXEC_PLAN_SCHEMAS_H_
 
@@ -14,6 +14,9 @@ namespace uload {
 SchemaPtr JoinOutputSchema(const Schema& left, const Schema& right,
                            JoinVariant variant, const std::string& nest_as);
 
+// Schema of a DeriveParent: the input plus one atomic column `out_attr`.
+SchemaPtr DeriveParentSchema(const Schema& input, const std::string& out_attr);
+
 // Schema with every attribute (at all nesting levels) renamed to
 // <prefix><name>.
 SchemaPtr PrefixedSchema(const Schema& schema, const std::string& prefix);
@@ -25,11 +28,6 @@ SchemaPtr NavigateEmitSchema(const NavEmit& emit);
 // their collection structure).
 Result<SchemaPtr> ProjectionSchema(const Schema& schema,
                                    const std::vector<std::string>& attrs);
-
-// Per-tuple projection matching ProjectionSchema.
-Result<Tuple> ProjectTupleTo(const Schema& schema,
-                             const std::vector<std::string>& attrs,
-                             const Tuple& tuple);
 
 // Prebuilt projection: resolves the dotted paths against the schema once so
 // the per-tuple apply does no string work — the batched executor's hot path.

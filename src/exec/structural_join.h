@@ -3,8 +3,10 @@
 // StackTreeDesc / StackTreeAnc are the physical operators of Al-Khalifa et
 // al. [7]: both require their inputs sorted by document order; the former
 // emits result pairs ordered by the descendant id, the latter by the
-// ancestor id. The kernels work over id arrays; the evaluator maps relation
-// attributes onto them and builds the semi/outer/nest variants on top.
+// ancestor id. The kernels work over id arrays: the E8 bench times them,
+// and the test oracle (tests/support/evaluator.h) maps relation attributes
+// onto them and builds the semi/outer/nest variants on top. The engine's
+// streaming joins are StackTreeDesc_φ / StackTreeAnc_φ in exec/physical.cc.
 #ifndef ULOAD_EXEC_STRUCTURAL_JOIN_H_
 #define ULOAD_EXEC_STRUCTURAL_JOIN_H_
 

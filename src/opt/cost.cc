@@ -175,23 +175,6 @@ double EstimatePlanCost(
         Est r = rec(*p.right());
         return Est{l.cost + r.cost, l.card + r.card};
       }
-      case PlanOp::kDifference: {
-        Est l = rec(*p.left());
-        Est r = rec(*p.right());
-        return Est{l.cost + r.cost + (l.card + r.card), l.card};
-      }
-      case PlanOp::kNest: {
-        Est in = rec(*p.left());
-        return Est{in.cost + in.card, 1};
-      }
-      case PlanOp::kUnnest: {
-        Est in = rec(*p.left());
-        return Est{in.cost + in.card, in.card * 4.0};
-      }
-      case PlanOp::kXmlConstruct: {
-        Est in = rec(*p.left());
-        return Est{in.cost + in.card, 1};
-      }
       case PlanOp::kDeriveParent: {
         Est in = rec(*p.left());
         return Est{in.cost + in.card * 0.2, in.card};

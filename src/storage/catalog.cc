@@ -38,18 +38,8 @@ EvalContext Catalog::MakeEvalContext(const DocumentStore* doc) const {
     }
   }
   ctx.document = doc;
-  ctx.index_lookup =
-      [this](const std::string& name,
-             const std::vector<std::pair<std::string, AtomicValue>>& bindings)
-      -> Result<NestedRelation> {
-    const MaterializedView* v = Find(name);
-    if (v == nullptr) {
-      return Status::NotFound("no view named '" + name + "'");
-    }
-    return v->Lookup(bindings);
-  };
-  // Streaming binding for the physical engine: the view's stored relation
-  // plus matching row ids, no intermediate materialization.
+  // The view's stored relation plus matching row ids, no intermediate
+  // materialization.
   ctx.index_bind =
       [this](const std::string& name,
              const std::vector<std::pair<std::string, AtomicValue>>& bindings)

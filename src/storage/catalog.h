@@ -8,7 +8,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/evaluator.h"
+#include "exec/eval_context.h"
 #include "storage/store.h"
 
 namespace uload {
@@ -27,11 +27,10 @@ class Catalog {
 
   // Evaluation context binding every view by name: materialized views bind
   // their data into `relations`; virtual column-backed extents appear only
-  // in `views` (the physical compiler streams them off the columnar store,
-  // the evaluator materializes them lazily). Both index access paths for
-  // R-marked views are wired (materializing `index_lookup` for the
-  // evaluator, batch-streaming `index_bind` for the physical engine), and
-  // `doc` backs Navigate operators.
+  // in `views` (the physical compiler streams them off the columnar store).
+  // R-marked views are reached through `index_bind`, which hands out the
+  // stored relation and the matching row ids, and `doc` backs Navigate
+  // operators.
   EvalContext MakeEvalContext(const DocumentStore* doc) const;
 
   int64_t TotalBytes() const;

@@ -237,15 +237,6 @@ Result<std::vector<int64_t>> MaterializedView::LookupRows(
   return rows;
 }
 
-Result<NestedRelation> MaterializedView::Lookup(
-    const std::vector<std::pair<std::string, AtomicValue>>& bindings) const {
-  ULOAD_ASSIGN_OR_RETURN(std::vector<int64_t> rows, LookupRows(bindings));
-  const NestedRelation& d = data();
-  NestedRelation out(d.schema_ptr(), d.kind());
-  for (int64_t i : rows) out.Add(d.tuple(i));
-  return out;
-}
-
 MaterializedView::StorageBytes MaterializedView::ApproximateBytesBreakdown()
     const {
   StorageBytes b;

@@ -9,7 +9,7 @@
 // rows, so scans stream straight off the columns and the view costs only a
 // compressed row-id list. Everything else falls back to materialization,
 // which is correct for any backend. data() materializes a virtual view
-// lazily for the oracle paths.
+// lazily for the test oracle.
 #ifndef ULOAD_STORAGE_STORE_H_
 #define ULOAD_STORAGE_STORE_H_
 
@@ -85,7 +85,7 @@ class MaterializedView {
 
   // The view's extent as a materialized relation. For virtual extents this
   // materializes on first call (thread-safe) — the physical scan paths never
-  // call it; the oracle evaluator and index fallbacks do.
+  // call it; the test oracle does.
   const NestedRelation& data() const;
 
   // The view schema without materializing (== data().schema_ptr()).
@@ -106,15 +106,11 @@ class MaterializedView {
   bool emit_val() const { return emit_val_; }
   IdKind id_kind() const { return id_kind_; }
 
-  // Access for R-marked views: equality bindings over required top-level
-  // attributes (attr name -> constant). Uses the hash index when all bound
-  // attributes are top-level atoms.
-  Result<NestedRelation> Lookup(
-      const std::vector<std::pair<std::string, AtomicValue>>& bindings) const;
-
-  // Streaming access path: the row indices of data() matching `bindings`,
-  // in storage (document) order. Lookup() is exactly data() restricted to
-  // these rows; the physical engine streams them without materializing.
+  // Access path for R-marked views: the row indices of data() matching the
+  // equality `bindings` (attr name -> constant), in storage (document)
+  // order. Uses the hash index when the bindings cover exactly the indexed
+  // top-level attributes; the physical engine streams the rows without
+  // materializing.
   Result<std::vector<int64_t>> LookupRows(
       const std::vector<std::pair<std::string, AtomicValue>>& bindings) const;
 

@@ -24,10 +24,6 @@ const char* OpName(PlanOp op) {
     case PlanOp::kValueJoin: return "ValueJoin";
     case PlanOp::kStructuralJoin: return "StructuralJoin";
     case PlanOp::kUnion: return "Union";
-    case PlanOp::kDifference: return "Difference";
-    case PlanOp::kNest: return "Nest";
-    case PlanOp::kUnnest: return "Unnest";
-    case PlanOp::kXmlConstruct: return "XmlConstruct";
     case PlanOp::kDeriveParent: return "DeriveParent";
     case PlanOp::kNavigate: return "Navigate";
     case PlanOp::kPrefixNames: return "PrefixNames";
@@ -89,23 +85,6 @@ Status CheckPredicate(const Predicate& p, const Schema& schema,
       return CheckPredicate(*p.left(), schema, path);
   }
   return Status::Internal("unhandled predicate kind");
-}
-
-// Mirror of the evaluator's NestedJoinSchema: a structural join whose
-// ancestor attribute is nested applies at the joined level, rebuilding the
-// collection schemas above it.
-SchemaPtr NestedJoinOutputSchema(const Schema& schema, const Schema& right,
-                                 const LogicalPlan& plan, const AttrPath& lp,
-                                 size_t depth) {
-  if (depth + 1 == lp.size()) {
-    return JoinOutputSchema(schema, right, plan.variant(), plan.nest_as());
-  }
-  std::vector<Attribute> attrs = schema.attrs();
-  const Attribute& a = schema.attr(lp[depth]);
-  attrs[lp[depth]] = Attribute::Collection(
-      a.name, NestedJoinOutputSchema(*a.nested, right, plan, lp, depth + 1),
-      a.collection_kind);
-  return Schema::Make(std::move(attrs));
 }
 
 // Template walker: `scope` is the schema value references resolve against
@@ -211,30 +190,11 @@ class LogicalVerifier {
         }
         return l;
       }
-      case PlanOp::kDifference: {
-        ULOAD_ASSIGN_OR_RETURN(SchemaPtr l, Infer(*p.left(), path));
-        ULOAD_RETURN_NOT_OK(Infer(*p.right(), path).status());
-        return l;
-      }
-      case PlanOp::kNest: {
-        ULOAD_ASSIGN_OR_RETURN(SchemaPtr in, Infer(*p.left(), path));
-        return Schema::Make({Attribute::Collection(
-            p.nest_as().empty() ? "A1" : p.nest_as(), std::move(in))});
-      }
-      case PlanOp::kUnnest:
-        return InferUnnest(p, path);
-      case PlanOp::kXmlConstruct: {
-        ULOAD_ASSIGN_OR_RETURN(SchemaPtr in, Infer(*p.left(), path));
-        ULOAD_RETURN_NOT_OK(CheckTemplate(p.xml_template(), *in, path));
-        return Schema::Make({Attribute::Atomic("xml")});
-      }
       case PlanOp::kDeriveParent: {
         ULOAD_ASSIGN_OR_RETURN(SchemaPtr in, Infer(*p.left(), path));
         ULOAD_RETURN_NOT_OK(CheckColumn(*in, p.left_attr(), path,
                                         "DeriveParent source column", true));
-        std::vector<Attribute> attrs = in->attrs();
-        attrs.push_back(Attribute::Atomic(p.nest_as()));
-        return Schema::Make(std::move(attrs));
+        return DeriveParentSchema(*in, p.nest_as());
       }
       case PlanOp::kNavigate: {
         ULOAD_ASSIGN_OR_RETURN(SchemaPtr in, Infer(*p.left(), path));
@@ -280,22 +240,17 @@ class LogicalVerifier {
   }
 
  private:
+  // The schema of an index scan is its view's schema, read from the
+  // catalog binding: verification never runs the index lookup itself.
   Result<SchemaPtr> InferIndexScan(const LogicalPlan& p,
                                    const std::string& path) {
-    SchemaPtr schema;
-    if (ctx_.index_bind) {
-      ULOAD_ASSIGN_OR_RETURN(IndexBinding b,
-                             ctx_.index_bind(p.relation(), p.bindings()));
-      schema = b.data->schema_ptr();
-    } else if (ctx_.index_lookup) {
-      ULOAD_ASSIGN_OR_RETURN(NestedRelation data,
-                             ctx_.index_lookup(p.relation(), p.bindings()));
-      schema = data.schema_ptr();
-    } else {
-      return Status::InvalidArgument(
-          "plan verification: at " + path +
-          ": plan contains IndexScan but context has no index hook");
+    auto vit = ctx_.views.find(p.relation());
+    if (vit == ctx_.views.end()) {
+      return Status::NotFound("plan verification: at " + path +
+                              ": index view '" + p.relation() +
+                              "' not bound in evaluation context");
     }
+    const SchemaPtr& schema = vit->second->schema();
     for (const auto& [name, value] : p.bindings()) {
       (void)value;
       ULOAD_RETURN_NOT_OK(
@@ -321,32 +276,12 @@ class LogicalVerifier {
     ULOAD_RETURN_NOT_OK(CheckColumn(*r, p.right_attr(), path,
                                     "right join column", rp->size() == 1));
     if (p.op() == PlanOp::kStructuralJoin && lp->size() > 1) {
-      return NestedJoinOutputSchema(*l, *r, p, *lp, 0);
+      // No executor implements it (CompilePhysicalPlan rejects it too).
+      return Status::NotImplemented("plan verification: at " + path +
+                                    ": structural join on nested attribute '" +
+                                    p.left_attr() + "'");
     }
     return JoinOutputSchema(*l, *r, p.variant(), p.nest_as());
-  }
-
-  Result<SchemaPtr> InferUnnest(const LogicalPlan& p,
-                                const std::string& path) {
-    ULOAD_ASSIGN_OR_RETURN(SchemaPtr in, Infer(*p.left(), path));
-    Result<AttrPath> r = ResolveAttrPath(*in, p.attrs()[0]);
-    if (!r.ok()) return Unresolved(path, "unnested column", p.attrs()[0], *in);
-    if (r->size() != 1) {
-      return Status::NotImplemented("unnest of non-top-level attribute");
-    }
-    const Attribute& attr = in->attr((*r)[0]);
-    if (!attr.is_collection) {
-      return Status::TypeError("plan verification: at " + path +
-                               ": unnest of atomic attribute '" +
-                               p.attrs()[0] + "'");
-    }
-    std::vector<Attribute> attrs;
-    for (int i = 0; i < in->size(); ++i) {
-      if (i == (*r)[0]) continue;
-      attrs.push_back(in->attr(i));
-    }
-    for (const Attribute& a : attr.nested->attrs()) attrs.push_back(a);
-    return Schema::Make(std::move(attrs));
   }
 
   const EvalContext& ctx_;
@@ -420,6 +355,11 @@ Status VerifyFusedSteps(const FusedPipelinePhys& f, const std::string& path) {
                                                         : n.nest_as());
         break;
       }
+      case FusedPipelinePhys::StepKind::kDeriveParent:
+        ULOAD_RETURN_NOT_OK(CheckColumn(*cur, s.derive->left_attr(), here,
+                                        "DeriveParent source column", true));
+        expected = DeriveParentSchema(*cur, s.derive->nest_as());
+        break;
       case FusedPipelinePhys::StepKind::kRename:
         expected = PrefixedSchema(*cur, *s.prefix);
         break;

@@ -47,7 +47,7 @@
 
 #include "algebra/logical_plan.h"
 #include "algebra/xml_template.h"
-#include "exec/evaluator.h"
+#include "exec/eval_context.h"
 #include "exec/physical.h"
 
 namespace uload {
@@ -56,8 +56,8 @@ namespace uload {
 // reference along the way. Returns the root schema, or a TypeError whose
 // message carries the operator path, the offending column and the candidate
 // columns of the input schema. Base-relation schemas come from `ctx` (the
-// same context the plan would execute under); index-scan schemas resolve
-// through the context's index hooks.
+// same context the plan would execute under); index-scan schemas are the
+// schemas of the context's views, so verification runs no index lookup.
 Result<SchemaPtr> VerifyLogicalPlan(const LogicalPlan& plan,
                                     const EvalContext& ctx);
 

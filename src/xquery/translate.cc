@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "eval/xam_eval.h"
-#include "exec/evaluator.h"
 
 namespace uload {
 namespace {
@@ -520,12 +519,14 @@ Result<std::string> EvaluateTranslated(const Translation& tr,
   }
   NestedRelation cur = std::move(mats[0]);
   for (size_t i = 1; i < mats.size(); ++i) {
-    std::unordered_map<std::string, const NestedRelation*> rels{
-        {"L", &cur}, {"R", &mats[i]}};
-    ULOAD_ASSIGN_OR_RETURN(
-        cur, Evaluate(*LogicalPlan::Product(LogicalPlan::Scan("L"),
-                                            LogicalPlan::Scan("R")),
-                      rels));
+    NestedRelation product(Schema::Concat(cur.schema(), mats[i].schema()),
+                           cur.kind());
+    for (const Tuple& l : cur.tuples()) {
+      for (const Tuple& r : mats[i].tuples()) {
+        product.Add(ConcatTuples(l, r));
+      }
+    }
+    cur = std::move(product);
   }
   for (const PredicatePtr& pred : tr.cross_predicates) {
     NestedRelation filtered(cur.schema_ptr(), cur.kind());

@@ -12,6 +12,7 @@
 #include "exec/physical.h"
 #include "rewrite/query_rewriter.h"
 #include "storage/storage_models.h"
+#include "support/evaluator.h"
 #include "workload/xmark.h"
 #include "xquery/parser.h"
 

@@ -15,6 +15,7 @@
 #include "eval/tag_collections.h"
 #include "exec/exchange.h"
 #include "exec/physical.h"
+#include "support/evaluator.h"
 #include "verify/plan_verifier.h"
 #include "workload/pattern_gen.h"
 #include "workload/xmark.h"

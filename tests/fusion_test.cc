@@ -1,12 +1,12 @@
 // Pipeline fusion tests (exec/fusion.h): every pipeline-breaker kind must
 // split the fused chain, and nothing else does — bare sources are zero-step
-// pipelines and first-wins dedup is a step; fused execution must agree with
-// the materializing evaluator; the static verifier must reject a seeded
-// mis-fused plan (corrupted boundary schema / advertised order); the
-// Explain surface must render the fused chain and DescribeAnalyze must
-// attribute tuples to the chain members; and the governor — deadline,
-// cancellation, memory accounting, fault injection at member sites — must
-// reach through the fused loop.
+// pipelines, and first-wins dedup and parent derivation are steps; fused
+// execution must agree with the materializing test oracle; the static
+// verifier must reject a seeded mis-fused plan (corrupted boundary schema /
+// advertised order); the Explain surface must render the fused chain and
+// DescribeAnalyze must attribute tuples to the chain members; and the
+// governor — deadline, cancellation, memory accounting, fault injection at
+// member sites — must reach through the fused loop.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +17,7 @@
 #include "exec/fusion.h"
 #include "exec/memory_tracker.h"
 #include "exec/physical.h"
+#include "support/evaluator.h"
 #include "verify/plan_verifier.h"
 #include "workload/xmark.h"
 
@@ -29,7 +30,14 @@ class FusionTest : public ::testing::Test {
     doc_ = GenerateXMark(XMarkScale(0.05));
     people_ = TagCollection(doc_, "person", {"p", true, true, false});
     names_ = TagCollection(doc_, "name", {"n", true, true, false});
-    ctx_.relations = {{"people", &people_}, {"names", &names_}};
+    dpeople_ = TagCollection(doc_, "person",
+                             {"q", false, false, false, IdKind::kParental});
+    dnames_ = TagCollection(doc_, "name",
+                            {"d", false, true, false, IdKind::kParental});
+    ctx_.relations = {{"people", &people_},
+                      {"names", &names_},
+                      {"dpeople", &dpeople_},
+                      {"dnames", &dnames_}};
     ctx_.document = &doc_;
   }
 
@@ -72,6 +80,9 @@ class FusionTest : public ::testing::Test {
   Document doc_;
   NestedRelation people_;
   NestedRelation names_;
+  // Dewey-id (IdKind::kParental) collections.
+  NestedRelation dpeople_;
+  NestedRelation dnames_;
   EvalContext ctx_;
 };
 
@@ -125,17 +136,30 @@ TEST_F(FusionTest, BareSourceIsAZeroStepPipeline) {
   EXPECT_TRUE(rel->Equals(names_));
 }
 
-TEST_F(FusionTest, EvaluatorFallbackIsAnInlineSource) {
-  // Difference has no streaming implementation: the evaluator materializes
-  // it at compile time, and the chain above runs over the result inline.
-  std::string desc = CheckAgainstEvaluator(LogicalPlan::Select(
-      LogicalPlan::Difference(
-          LogicalPlan::Scan("names"),
-          LogicalPlan::Select(LogicalPlan::Scan("names"), SmithPred())),
-      Predicate::NotNull("n_Val")));
+TEST_F(FusionTest, DeriveParentIsAFusedStep) {
+  // Dewey ids derive their ancestors in place: DeriveParent is one more
+  // chain member, not a pipeline source of its own.
+  PlanPtr derive = LogicalPlan::DeriveParent(LogicalPlan::Scan("dnames"),
+                                             "d_ID", "d_anc", 3);
+  std::string desc = CheckAgainstEvaluator(
+      LogicalPlan::Select(derive, Predicate::NotNull("d_anc")));
   EXPECT_EQ(desc,
-            "FusedPipeline_phi[Difference_phi(materialized) -> "
-            "Select_phi[n_Val is not null]]\n");
+            "FusedPipeline_phi[Scan_phi(dnames) -> DeriveParent_phi[d_ID -> "
+            "d_anc @depth 3] -> Select_phi[d_anc is not null]]\n");
+  // The rewriter's ancestor-derivation shape: an equality join of the
+  // ancestors' ids with the derived column.
+  desc = CheckAgainstEvaluator(LogicalPlan::ValueJoin(
+      LogicalPlan::Scan("dpeople"), derive, "q_ID", Comparator::kEq,
+      "d_anc"));
+  EXPECT_NE(desc.find("DeriveParent_phi"), std::string::npos) << desc;
+  // (pre, post, depth) ids cannot derive their ancestors.
+  PlanPtr sid_derive =
+      LogicalPlan::DeriveParent(LogicalPlan::Scan("names"), "n_ID", "anc", 2);
+  auto phys = CompilePhysicalPlan(sid_derive, ctx_);
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+  auto rel = ExecutePhysical(phys->get());
+  ASSERT_FALSE(rel.ok());
+  EXPECT_EQ(rel.status().code(), StatusCode::kTypeError);
 }
 
 TEST_F(FusionTest, DescribeAnalyzeAttributesTuplesToChainMembers) {

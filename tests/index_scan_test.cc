@@ -1,8 +1,9 @@
 // Access-path parity: a kIndexScan over an R-marked view must be
 // byte-identical to the full-scan-plus-select plan over the same bindings —
-// through both access paths (the physical engine's streaming index_bind row
-// handout and the evaluator's materializing index_lookup), for every
-// generated binding. Compiling a plan binds each index leaf exactly once.
+// on the physical engine and on the test oracle, both of which read the
+// index through the index_bind row handout — for every generated binding.
+// Compiling a plan binds each index leaf exactly once; verifying it binds
+// none.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -14,6 +15,8 @@
 #include "storage/catalog.h"
 #include "storage/storage_models.h"
 #include "summary/path_summary.h"
+#include "support/evaluator.h"
+#include "verify/plan_verifier.h"
 #include "xml/document.h"
 
 namespace uload {
@@ -90,8 +93,10 @@ TEST_F(IndexScanTest, LookupMatchesScanPlusSelectForEveryKey) {
 
     auto want = ExecutePhysicalPlan(scan_plan, ctx);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    auto direct = view->Lookup({{key_attr, val}});
-    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    auto rows = view->LookupRows({{key_attr, val}});
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    NestedRelation direct(view->data().schema_ptr(), view->data().kind());
+    for (int64_t i : *rows) direct.Add(view->data().tuple(i));
 
     auto streamed = ExecutePhysicalPlan(index_plan, ctx);
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
@@ -101,7 +106,7 @@ TEST_F(IndexScanTest, LookupMatchesScanPlusSelectForEveryKey) {
       // Byte-identical: same tuples, same (storage) order.
       EXPECT_TRUE(got->Equals(*want)) << "key " << key;
       EXPECT_EQ(got->ToString(), want->ToString()) << "key " << key;
-      EXPECT_EQ(got->ToString(), direct->ToString()) << "key " << key;
+      EXPECT_EQ(got->ToString(), direct.ToString()) << "key " << key;
     }
   }
 }
@@ -136,6 +141,36 @@ TEST_F(IndexScanTest, IndexScanAdvertisesStorageOrder) {
   EXPECT_FALSE((*root)->order().empty());
 }
 
+// The verifier takes an index scan's schema from the catalog's views: it
+// never calls the index hook, while compilation calls it once per scan.
+TEST_F(IndexScanTest, VerificationNeverProbesTheIndex) {
+  const MaterializedView* view = catalog_.Find(name_);
+  ASSERT_NE(view, nullptr);
+  const std::string key_attr = AttrEndingWith(view->data().schema(), "_Val");
+  EvalContext ctx = catalog_.MakeEvalContext(&doc_);
+  int calls = 0;
+  auto bind = ctx.index_bind;
+  ctx.index_bind =
+      [&](const std::string& name,
+          const std::vector<std::pair<std::string, AtomicValue>>& bindings) {
+        ++calls;
+        return bind(name, bindings);
+      };
+  PlanPtr plan = LogicalPlan::Union(
+      LogicalPlan::IndexScan(name_, {{key_attr, AtomicValue::String("1999")}}),
+      LogicalPlan::IndexScan(name_,
+                             {{key_attr, AtomicValue::String("2002")}}));
+  auto schema = VerifyLogicalPlan(*plan, ctx);
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  EXPECT_EQ((*schema)->ToString(), view->schema()->ToString());
+  EXPECT_EQ(calls, 0);
+  ExecContext exec;
+  ASSERT_TRUE(exec.verify_plans());
+  auto root = CompilePhysicalPlan(plan, ctx, &exec);
+  ASSERT_TRUE(root.ok()) << root.status().ToString();
+  EXPECT_EQ(calls, 2);
+}
+
 // Each structural-join child is compiled once and its join attributes are
 // resolved on that compiled tree: over a left-deep chain of three joins
 // with IndexScan leaves, every leaf's index_bind hook fires exactly once.
@@ -161,11 +196,6 @@ TEST(IndexScanCompileTest, JoinChainBindsEachLeafOnce) {
     for (int64_t i = 0; i < b.data->size(); ++i) b.rows.push_back(i);
     return b;
   };
-  ctx.index_lookup =
-      [&](const std::string& name,
-          const std::vector<std::pair<std::string, AtomicValue>>&)
-      -> Result<NestedRelation> { return rels.at(name); };
-
   auto leaf = [](const std::string& name) {
     return LogicalPlan::IndexScan(name, {});
   };

@@ -1,5 +1,5 @@
-// The physical (iterator) engine must agree with the materializing
-// evaluator on every plan shape, and the compiler must insert Sort_φ
+// The physical (iterator) engine must agree with the materializing test
+// oracle on every plan shape, and the compiler must insert Sort_φ
 // enforcers so streaming structural joins receive document-order inputs.
 #include <gtest/gtest.h>
 
@@ -8,6 +8,8 @@
 #include "rewrite/rewriter.h"
 #include "storage/catalog.h"
 #include "storage/storage_models.h"
+#include "support/evaluator.h"
+#include "verify/plan_verifier.h"
 #include "workload/xmark.h"
 #include "xam/xam_parser.h"
 
@@ -109,6 +111,61 @@ TEST_F(PhysicalTest, JoinVariantsAgree) {
                                            Axis::kDescendant, "n_ID", v,
                                            "grp"));
   }
+}
+
+// The StackTree joins accept Dewey ids: document order is Dewey order and
+// containment is the prefix test. Ids of different kinds never join.
+TEST_F(PhysicalTest, DeweyStructuralJoinsAgree) {
+  NestedRelation dpeople = TagCollection(
+      doc_, "person", {"p", false, false, false, IdKind::kParental});
+  NestedRelation dnames = TagCollection(
+      doc_, "name", {"n", false, true, false, IdKind::kParental});
+  ctx_.relations["dpeople"] = &dpeople;
+  ctx_.relations["dnames"] = &dnames;
+  for (Axis axis : {Axis::kChild, Axis::kDescendant}) {
+    for (JoinVariant v : {JoinVariant::kInner, JoinVariant::kSemi,
+                          JoinVariant::kLeftOuter, JoinVariant::kNestJoin,
+                          JoinVariant::kNestOuter}) {
+      PlanPtr plan = LogicalPlan::StructuralJoin(
+          LogicalPlan::Scan("dpeople"), LogicalPlan::Scan("dnames"), "p_ID",
+          axis, "n_ID", v, "grp");
+      CheckAgree(plan);
+      auto dewey = ExecutePhysicalPlan(plan, ctx_);
+      auto sid = ExecutePhysicalPlan(
+          LogicalPlan::StructuralJoin(LogicalPlan::Scan("people"),
+                                      LogicalPlan::Scan("names"), "p_ID",
+                                      axis, "n_ID", v, "grp"),
+          ctx_);
+      ASSERT_TRUE(dewey.ok() && sid.ok());
+      EXPECT_EQ(dewey->size(), sid->size());
+    }
+  }
+  auto mixed = ExecutePhysicalPlan(
+      LogicalPlan::StructuralJoin(LogicalPlan::Scan("dpeople"),
+                                  LogicalPlan::Scan("names"), "p_ID",
+                                  Axis::kDescendant, "n_ID",
+                                  JoinVariant::kInner),
+      ctx_);
+  ASSERT_TRUE(mixed.ok()) << mixed.status().ToString();
+  EXPECT_EQ(mixed->size(), 0);
+}
+
+// A structural join on an attribute inside a nested collection has no
+// streaming implementation: compilation says so instead of falling back.
+TEST_F(PhysicalTest, NestedAttributeStructuralJoinIsNotImplemented) {
+  PlanPtr grouped = LogicalPlan::StructuralJoin(
+      LogicalPlan::Scan("people"), LogicalPlan::Scan("names"), "p_ID",
+      Axis::kDescendant, "n_ID", JoinVariant::kNestOuter, "grp");
+  PlanPtr plan = LogicalPlan::StructuralJoin(
+      grouped, LogicalPlan::Scan("names"), "grp.n_ID", Axis::kDescendant,
+      "n_ID", JoinVariant::kSemi);
+  auto phys = CompilePhysicalPlan(plan, ctx_);
+  ASSERT_FALSE(phys.ok());
+  EXPECT_EQ(phys.status().code(), StatusCode::kNotImplemented)
+      << phys.status().ToString();
+  auto schema = VerifyLogicalPlan(*plan, ctx_);
+  ASSERT_FALSE(schema.ok());
+  EXPECT_EQ(schema.status().code(), StatusCode::kNotImplemented);
 }
 
 TEST_F(PhysicalTest, ProductUnionNavigate) {

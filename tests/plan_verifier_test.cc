@@ -99,10 +99,14 @@ TEST_F(PlanVerifierTest, UnboundRelationFiresNotFound) {
 }
 
 TEST_F(PlanVerifierTest, SortOverCollectionAttributeFiresDiagnostic) {
-  // Nest folds the whole input into one collection attribute; sorting on it
-  // would read .atom() out of a collection field.
+  // The nest join groups each person's names into one collection
+  // attribute; sorting on it would read .atom() out of a collection field.
   PlanPtr plan = LogicalPlan::SortOp(
-      LogicalPlan::Nest(LogicalPlan::Scan("people"), "grp"), {"grp"});
+      LogicalPlan::StructuralJoin(LogicalPlan::Scan("people"),
+                                  LogicalPlan::Scan("names"), "p_ID",
+                                  Axis::kDescendant, "n_ID",
+                                  JoinVariant::kNestOuter, "grp"),
+      {"grp"});
   auto schema = VerifyLogicalPlan(*plan, ctx_);
   ASSERT_FALSE(schema.ok());
   EXPECT_NE(schema.status().message().find("collection attribute"),

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "eval/xam_eval.h"
+#include "exec/physical.h"
 #include "rewrite/rewriter.h"
 #include "storage/catalog.h"
+#include "support/evaluator.h"
 #include "workload/xmark.h"
 #include "workload/xmark_queries.h"
 #include "xam/xam_parser.h"
@@ -59,8 +61,9 @@ class RewriteTest : public ::testing::Test {
     views_ = std::move(views);
   }
 
-  // Rewrites `query`, executes the best plan, and checks the result data
-  // equals the query pattern's direct evaluation (ignoring column names).
+  // Rewrites `query`, executes every rewriting on the streaming engine and
+  // on the test oracle, and checks both results equal the query pattern's
+  // extent (ignoring column names).
   void CheckRewriteExecutes(const Xam& query, int expect_min_results = 1,
                             const RewriteOptions& opts = {}) {
     Rewriter rewriter(&summary_, views_);
@@ -73,15 +76,20 @@ class RewriteTest : public ::testing::Test {
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
     EvalContext ctx = catalog_.MakeEvalContext(&doc_);
     for (const Rewriting& r : *rewritings) {
-      auto got = Evaluate(*r.plan, ctx);
-      ASSERT_TRUE(got.ok()) << got.status().ToString() << "\n"
-                            << r.plan->ToString();
-      EXPECT_TRUE(SameData(*direct, *got))
-          << "plan:\n"
-          << r.plan->ToString() << "pattern:\n"
-          << r.pattern.ToString() << "direct:\n"
-          << direct->ToString() << "got:\n"
-          << got->ToString();
+      auto oracle = Evaluate(*r.plan, ctx);
+      auto streamed = ExecutePhysicalPlan(r.plan, ctx);
+      for (const Result<NestedRelation>* got : {&oracle, &streamed}) {
+        const char* engine = got == &oracle ? "oracle" : "streaming";
+        ASSERT_TRUE(got->ok()) << engine << ": " << got->status().ToString()
+                               << "\n"
+                               << r.plan->ToString();
+        EXPECT_TRUE(SameData(*direct, **got))
+            << engine << " plan:\n"
+            << r.plan->ToString() << "pattern:\n"
+            << r.pattern.ToString() << "direct:\n"
+            << direct->ToString() << "got:\n"
+            << (*got)->ToString();
+      }
     }
   }
 

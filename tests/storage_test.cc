@@ -5,6 +5,7 @@
 #include "eval/tuple_intersect.h"
 #include "storage/catalog.h"
 #include "storage/storage_models.h"
+#include "support/evaluator.h"
 #include "xam/xam_parser.h"
 #include "xml/document.h"
 
@@ -39,13 +40,13 @@ TEST_F(StorageTest, MaterializeAndLookup) {
   EXPECT_EQ(view->data().size(), 2);
 
   // Exact lookup through the hash index.
-  auto hit = view->Lookup(
+  auto hit = view->LookupRows(
       {{idx.name + "_n2_Val", AtomicValue::String("1999")},
        {idx.name + "_n3_Val", AtomicValue::String("Data on the Web")}});
   ASSERT_TRUE(hit.ok()) << hit.status().ToString();
   EXPECT_EQ(hit->size(), 1);
 
-  auto miss = view->Lookup(
+  auto miss = view->LookupRows(
       {{idx.name + "_n2_Val", AtomicValue::String("1999")},
        {idx.name + "_n3_Val", AtomicValue::String("No Such Book")}});
   ASSERT_TRUE(miss.ok());
@@ -53,7 +54,7 @@ TEST_F(StorageTest, MaterializeAndLookup) {
 
   // Partial bindings fall back to a filtered scan.
   auto partial =
-      view->Lookup({{idx.name + "_n2_Val", AtomicValue::String("2002")}});
+      view->LookupRows({{idx.name + "_n2_Val", AtomicValue::String("2002")}});
   ASSERT_TRUE(partial.ok());
   EXPECT_EQ(partial->size(), 1);
 }
@@ -73,7 +74,7 @@ TEST_F(StorageTest, CatalogEvalContext) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->size(), 3);
 
-  // IndexScan goes through the catalog's lookup hook.
+  // IndexScan goes through the catalog's index_bind hook.
   Catalog with_index;
   NamedXam idx = ValueIndex("book", {"year"});
   ASSERT_TRUE(with_index.AddXam(idx.name, idx.xam, doc_).ok());
