@@ -227,7 +227,7 @@ if [[ "${1:-}" != "fast" ]]; then
   cmake -B build-tsan -S . -DTSAN=ON
   cmake --build build-tsan -j
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/uload_tests \
-    --gtest_filter='*Parallel*:*BoundedBatchQueue*:*Physical*:*Exec*:*Engine*:*IndexScan*:*Server*:*Fusion*:*Mutex*:*Chaos*:*Retry*'
+    --gtest_filter='*Parallel*:*BoundedBatchQueue*:*Physical*:*Exec*:*Engine*:*IndexScan*:*Server*:*Fusion*:*Mutex*:*Chaos*:*Retry*:*RewriterReuse*'
 fi
 
 echo "All checks passed."

@@ -323,7 +323,6 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
     }
 
     std::vector<VarConjunction> phis;
-    bool any = false;
     bool tree_ok = false;  // an embedding free of value constraints
                            // verifies the tree outright
     for (const Xam* q : usable) {
@@ -370,7 +369,6 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
           }
         }
         if (!sat) return true;
-        any = true;
         if (phi_m.empty()) {
           // No value constraints: this embedding alone verifies the tree.
           tree_ok = true;
@@ -393,7 +391,6 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
       contained = false;
       return false;  // stop the enumeration
     }
-    (void)any;
     return true;
   });
   // Only a refuting tree stops the enumeration early, so an incomplete one

@@ -71,14 +71,16 @@ void Engine::SetOptions(Options options) {
 
 Status Engine::InstallModel(std::vector<NamedXam> model) {
   catalog_ = Catalog();
-  for (NamedXam& v : model) {
-    ULOAD_RETURN_NOT_OK(catalog_.AddXam(v.name, std::move(v.xam), *store_));
+  Status st = Status::Ok();
+  for (size_t i = 0; i < model.size() && st.ok(); ++i) {
+    st = catalog_.AddXam(model[i].name, std::move(model[i].xam), *store_);
   }
-  return Status::Ok();
-}
-
-Status Engine::AddView(std::string name, Xam definition) {
-  return catalog_.AddXam(std::move(name), std::move(definition), *store_);
+  std::vector<NamedXam> views;
+  for (const auto& v : catalog_.views()) {
+    views.push_back(NamedXam{v->name(), v->definition()});
+  }
+  rewriter_ = Rewriter(&summary_, std::move(views));
+  return st;
 }
 
 Engine::QueryOptions Engine::EffectiveQueryOptions() const {
@@ -155,10 +157,10 @@ void Engine::Cancel() {
 
 Result<Engine::PreparedQuery> Engine::Prepare(
     const std::string& query) const {
-  QueryRewriter qr(&summary_, &catalog_);
   PreparedQuery p;
-  ULOAD_ASSIGN_OR_RETURN(p.rewrite, qr.Rewrite(query, options_.rewrite));
-  ULOAD_ASSIGN_OR_RETURN(p.plan, qr.BuildPlan(p.rewrite));
+  ULOAD_ASSIGN_OR_RETURN(
+      p.rewrite, QueryRewriter::Rewrite(rewriter_, query, options_.rewrite));
+  ULOAD_ASSIGN_OR_RETURN(p.plan, QueryRewriter::BuildPlan(p.rewrite));
   p.ctx = catalog_.MakeEvalContext(store_);
   // Verify-before-execute: prove the combined plan schema-consistent and the
   // template's bindings resolvable before a single tuple flows. The compiled

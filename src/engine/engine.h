@@ -126,16 +126,16 @@ class Engine {
   const Options& options() const { return options_; }
 
   // Replaces the installed storage model: materializes every XAM of `model`
-  // over the document into a fresh catalog.
+  // over the document into a fresh catalog, then rebuilds the rewriter over
+  // it. A failed install keeps the views added before the failure, and the
+  // rewriter follows them.
   Status InstallModel(std::vector<NamedXam> model);
-  // Adds one more view to the installed model.
-  Status AddView(std::string name, Xam definition);
 
   // Rewrites `query` over the installed views and streams the combined plan
   // through the physical executor into serialized XML. Thread-safe against
   // concurrent Run/ExplainAnalyze/Explain/Cancel/Save on the same engine
-  // (full matrix in DESIGN.md §10); InstallModel/AddView/SetOptions still
-  // require no queries in flight.
+  // (full matrix in DESIGN.md §10); InstallModel/SetOptions still require
+  // no queries in flight.
   [[nodiscard]] Result<std::string> Run(const std::string& query);
   // As above with per-call governor overrides (admission-control path).
   [[nodiscard]] Result<std::string> Run(const std::string& query,
@@ -144,8 +144,7 @@ class Engine {
   // The front half of every query: `query` rewritten over the installed
   // views, the combined logical plan, and the context it executes in, with
   // plan and template verified when Options::verify is set. Refers into the
-  // catalog and the store, so it stays valid until the next
-  // InstallModel/AddView.
+  // catalog and the store, so it stays valid until the next InstallModel.
   struct PreparedQuery {
     QueryRewriteResult rewrite;
     PlanPtr plan;
@@ -238,6 +237,9 @@ class Engine {
   const DocumentStore* store_ = nullptr;
   PathSummary summary_;
   Catalog catalog_;
+  // Per-catalog: built over the empty catalog on construction, rebuilt by
+  // every InstallModel.
+  Rewriter rewriter_{&summary_, {}};
   Options options_;
   MemoryTracker engine_memory_{"engine"};
   // Guards the in-flight control set and the published metrics snapshot;

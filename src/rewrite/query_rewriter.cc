@@ -4,36 +4,21 @@
 
 namespace uload {
 
-QueryRewriter::QueryRewriter(const PathSummary* summary,
-                             const Catalog* catalog)
-    : summary_(summary), catalog_(catalog) {}
-
-Result<QueryRewriteResult> QueryRewriter::Rewrite(
-    std::string_view query, const RewriteOptions& opts) const {
+Result<QueryRewriteResult> QueryRewriter::Rewrite(const Rewriter& rewriter,
+                                                  std::string_view query,
+                                                  const RewriteOptions& opts) {
   ULOAD_ASSIGN_OR_RETURN(ExprPtr ast, ParseQuery(query));
-  return Rewrite(*ast, opts);
-}
-
-Result<QueryRewriteResult> QueryRewriter::Rewrite(
-    const Expr& query, const RewriteOptions& opts) const {
   QueryRewriteResult out;
-  ULOAD_ASSIGN_OR_RETURN(out.translation, TranslateQuery(query));
-
-  std::vector<NamedXam> views;
-  for (const auto& v : catalog_->views()) {
-    views.push_back(NamedXam{v->name(), v->definition()});
-  }
-  Rewriter rewriter(summary_, views);
-  for (size_t i = 0; i < out.translation.patterns.size(); ++i) {
-    ULOAD_ASSIGN_OR_RETURN(
-        Rewriting best,
-        rewriter.RewriteBest(out.translation.patterns[i], opts));
+  ULOAD_ASSIGN_OR_RETURN(out.translation, TranslateQuery(*ast));
+  for (const Xam& pattern : out.translation.patterns) {
+    ULOAD_ASSIGN_OR_RETURN(Rewriting best,
+                           rewriter.RewriteBest(pattern, opts));
     out.pattern_rewritings.push_back(std::move(best));
   }
   return out;
 }
 
-Result<PlanPtr> QueryRewriter::BuildPlan(const QueryRewriteResult& r) const {
+Result<PlanPtr> QueryRewriter::BuildPlan(const QueryRewriteResult& r) {
   PlanPtr cur;
   for (size_t i = 0; i < r.pattern_rewritings.size(); ++i) {
     SchemaPtr view_schema = r.translation.patterns[i].ViewSchema();

@@ -21,29 +21,24 @@ struct QueryRewriteResult {
   std::vector<Rewriting> pattern_rewritings;
 };
 
+// Stateless: callers that construct one (perfbench/trace.cc) keep
+// compiling; everyone else calls the static members.
 class QueryRewriter {
  public:
-  // The rewriter reads view definitions from `catalog` and constraints from
-  // `summary`; both must outlive this object.
-  QueryRewriter(const PathSummary* summary, const Catalog* catalog);
+  QueryRewriter(const PathSummary*, const Catalog*) {}
 
-  // Finds the cheapest rewriting for every pattern of `query`. Fails with
-  // NotFound when some pattern has no equivalent rewriting.
-  Result<QueryRewriteResult> Rewrite(std::string_view query,
-                                     const RewriteOptions& opts = {}) const;
-  Result<QueryRewriteResult> Rewrite(const Expr& query,
-                                     const RewriteOptions& opts = {}) const;
+  // Finds `rewriter`'s cheapest rewriting for every pattern of `query`.
+  // Fails with NotFound when some pattern has no equivalent rewriting.
+  static Result<QueryRewriteResult> Rewrite(const Rewriter& rewriter,
+                                            std::string_view query,
+                                            const RewriteOptions& opts = {});
 
   // Assembles the whole query into ONE logical plan: every pattern's
   // rewritten plan retyped to the pattern's view schema and ordered by a
   // Sort_φ enforcer (elidable when the stream can prove document order),
   // patterns combined by products, cross predicates as selections on top.
   // Constant queries (no patterns) become the unit relation.
-  Result<PlanPtr> BuildPlan(const QueryRewriteResult& r) const;
-
- private:
-  const PathSummary* summary_;
-  const Catalog* catalog_;
+  static Result<PlanPtr> BuildPlan(const QueryRewriteResult& r);
 };
 
 }  // namespace uload

@@ -76,23 +76,49 @@ bool IdKindAtLeast(IdKind kind, IdKind needed) {
   return static_cast<int>(kind) >= static_cast<int>(needed);
 }
 
+// Annotation tests: `outer` contains every summary node of `inner`; `a` and
+// `b` share a summary node.
+bool Covers(std::span<const SummaryNodeId> outer,
+            std::span<const SummaryNodeId> inner) {
+  return std::all_of(inner.begin(), inner.end(), [&](SummaryNodeId s) {
+    return std::find(outer.begin(), outer.end(), s) != outer.end();
+  });
+}
+
+bool Intersects(std::span<const SummaryNodeId> a,
+                std::span<const SummaryNodeId> b) {
+  return std::any_of(a.begin(), a.end(), [&](SummaryNodeId s) {
+    return std::find(b.begin(), b.end(), s) != b.end();
+  });
+}
+
+// Whether pattern node `c` stores every attribute query node `q` stores.
+bool StoresAll(const XamNode& c, const XamNode& q) {
+  return (!q.stores_id || c.stores_id) && (!q.stores_tag || c.stores_tag) &&
+         (!q.stores_val || c.stores_val) && (!q.stores_cont || c.stores_cont);
+}
+
 // ---------------------------------------------------------------------------
 // The search engine.
 // ---------------------------------------------------------------------------
 
 class Search {
  public:
-  Search(const PathSummary& summary, const std::vector<NamedXam>& views,
+  Search(const PathSummary& summary, const std::vector<Rewriter::View>& views,
+         const std::unordered_map<std::string, double>& cards,
          const RewriteOptions& opts, RewriteStats* stats)
-      : summary_(summary), views_(views), opts_(opts), stats_(stats) {}
+      : summary_(summary),
+        views_(views),
+        cards_(cards),
+        opts_(opts),
+        stats_(stats) {}
 
   Result<std::vector<Rewriting>> Run(const Xam& query) {
     query_ = &query;
     query_returns_ = query.ReturnNodes();
     query_ann_ = PathAnnotations(query, summary_);
 
-    ULOAD_RETURN_NOT_OK(BuildSeeds());
-    PruneIrrelevantSeeds();
+    BuildSeeds();
     std::vector<Candidate> all = seeds_;
     // Navigation extensions (§5.2/§5.4) on seeds first: cover query nodes
     // absent from every view by navigating from stored identifiers; the
@@ -138,23 +164,12 @@ class Search {
     }
     // Rank by the summary-derived cost estimate, breaking ties by plan
     // size (the thesis's preference for minimal plans, §5.3).
-    std::unordered_map<std::string, double> view_cards;
     auto view_card = [&](const std::string& name) {
-      auto it = view_cards.find(name);
-      if (it != view_cards.end()) return it->second;
-      double card = 1000.0;
-      for (const NamedXam& v : views_) {
-        if (v.name == name) {
-          card = EstimateCardinality(v.xam, summary_);
-          break;
-        }
-      }
-      view_cards.emplace(name, card);
-      return card;
+      auto it = cards_.find(name);
+      return it == cards_.end() ? 1000.0 : it->second;
     };
     for (Rewriting& r : results) {
-      r.estimated_cost =
-          EstimatePlanCost(*r.plan, summary_, view_card);
+      r.estimated_cost = EstimatePlanCost(*r.plan, summary_, view_card);
     }
     std::stable_sort(results.begin(), results.end(),
                      [](const Rewriting& a, const Rewriting& b) {
@@ -169,91 +184,10 @@ class Search {
  private:
   // --- Seeds ---------------------------------------------------------------
 
-  Status BuildSeeds() {
-    int idx = 0;
-    for (const NamedXam& v : views_) {
-      std::string prefix = "v" + std::to_string(idx++) + "_";
-      Candidate c;
-      c.pattern = PrefixXamNames(v.xam, prefix);
-      if (!IsSatisfiable(c.pattern, summary_)) continue;
-      Reannotate(&c);
-      if (v.xam.HasRequired()) {
-        // R-marked views are indexes: they can only be accessed given
-        // bindings for the required attributes (Def. 2.2.6). Usable when
-        // the query pins every required value with an equality formula —
-        // the seed becomes an IndexScan with those constants (QEP11).
-        ULOAD_RETURN_NOT_OK(SeedIndexView(v, prefix, c.ann));
-        continue;
-      }
-      c.plan = LogicalPlan::PrefixNames(LogicalPlan::Scan(v.name), prefix);
-      c.views = {v.name};
-      seeds_.push_back(std::move(c));
-    }
-    return Status::Ok();
-  }
-
-  // Builds an IndexScan seed for an R-marked view when the query provides
-  // equality constants for all required attributes.
-  // `ann` annotates the view's pattern; pinning constants keeps it valid.
-  Status SeedIndexView(const NamedXam& v, const std::string& prefix,
-                       std::shared_ptr<const AnnotationSets> ann) {
-    Xam pattern = PrefixXamNames(v.xam, prefix);
-    const AnnotationSets& view_ann = *ann;
-    std::vector<std::pair<std::string, AtomicValue>> bindings;
-    for (XamNodeId id = 1; id < pattern.size(); ++id) {
-      XamNode& n = pattern.node(id);
-      if (n.id_required || n.tag_required) {
-        return Status::Ok();  // only value keys are matched against queries
-      }
-      if (!n.val_required) continue;
-      // Find a query node with a single-equality formula whose annotation
-      // lies within this view node's annotation.
-      bool pinned = false;
-      for (XamNodeId qn = 1; qn < query_->size(); ++qn) {
-        AtomicValue constant;
-        if (!query_->node(qn).val_formula.IsSingleEquality(&constant)) {
-          continue;
-        }
-        bool within = !query_ann_[qn].empty();
-        for (SummaryNodeId s : query_ann_[qn]) {
-          if (std::find(view_ann[id].begin(), view_ann[id].end(), s) ==
-              view_ann[id].end()) {
-            within = false;
-            break;
-          }
-        }
-        if (!within) continue;
-        // Pin: the pattern's node now carries the equality; the plan binds
-        // the index key. The view stored Val under this name (required
-        // attrs are materialized like stored ones).
-        n.val_required = false;
-        n.val_formula = n.val_formula.And(ValueFormula::Equals(constant));
-        bindings.emplace_back(
-            v.xam.node(v.xam.NodeByName(n.name.substr(prefix.size())))
-                    .name +
-                "_Val",
-            constant);
-        pinned = true;
-        break;
-      }
-      if (!pinned) return Status::Ok();  // key not fully bound: unusable
-    }
-    if (bindings.empty()) return Status::Ok();
-    Candidate c;
-    c.pattern = std::move(pattern);
-    c.ann = std::move(ann);
-    c.plan = LogicalPlan::PrefixNames(
-        LogicalPlan::IndexScan(v.name, std::move(bindings)), prefix);
-    c.views = {v.name};
-    seeds_.push_back(std::move(c));
-    return Status::Ok();
-  }
-
-  // Discards views that cannot possibly contribute to the query: a view is
-  // relevant when some return-node annotation intersects the query nodes'
-  // annotations or their ancestors (ancestor views contribute identifiers
-  // for structural joins and navigation anchors).
-  void PruneIrrelevantSeeds() {
+  // One seed per relevant view: some return-node annotation lies on a query
+  // node's path or above it (ancestor views contribute identifiers for
+  // structural joins and navigation anchors).
+  void BuildSeeds() {
     std::set<SummaryNodeId> interesting;
     for (XamNodeId qn = 1; qn < query_->size(); ++qn) {
       for (SummaryNodeId s : query_ann_[qn]) {
@@ -263,22 +197,60 @@ class Search {
         }
       }
     }
-    std::vector<Candidate> kept;
-    for (Candidate& c : seeds_) {
-      const AnnotationSets& ann = *c.ann;
-      bool relevant = false;
-      for (XamNodeId id : c.pattern.ReturnNodes()) {
-        for (SummaryNodeId s : ann[id]) {
-          if (interesting.count(s) != 0) {
-            relevant = true;
-            break;
-          }
-        }
-        if (relevant) break;
+    for (const Rewriter::View& v : views_) {
+      if (std::none_of(v.return_ann.begin(), v.return_ann.end(),
+                       [&](SummaryNodeId s) {
+                         return interesting.count(s) != 0;
+                       })) {
+        continue;
       }
-      if (relevant) kept.push_back(std::move(c));
+      if (v.index) {
+        SeedIndexView(v);
+      } else {
+        seeds_.push_back(Candidate{v.plan, v.pattern, v.ann, {}, {v.name}});
+      }
     }
-    seeds_ = std::move(kept);
+  }
+
+  // R-marked views are indexes: they can only be accessed given bindings
+  // for the required attributes (Def. 2.2.6). Usable when the query pins
+  // every required value with an equality formula — the seed becomes an
+  // IndexScan with those constants (QEP11). Pinning edits a copy of the
+  // view's pattern and keeps its annotations valid.
+  void SeedIndexView(const Rewriter::View& v) {
+    Candidate c{nullptr, v.pattern, v.ann, {}, {v.name}};
+    std::vector<std::pair<std::string, AtomicValue>> bindings;
+    for (XamNodeId id = 1; id < c.pattern.size(); ++id) {
+      XamNode& n = c.pattern.node(id);
+      if (n.id_required || n.tag_required) {
+        return;  // only value keys are matched against queries
+      }
+      if (!n.val_required) continue;
+      // Find a query node with a single-equality formula whose annotation
+      // lies within this view node's annotation.
+      bool pinned = false;
+      for (XamNodeId qn = 1; qn < query_->size(); ++qn) {
+        AtomicValue constant;
+        if (!query_->node(qn).val_formula.IsSingleEquality(&constant) ||
+            query_ann_[qn].empty() || !Covers((*v.ann)[id], query_ann_[qn])) {
+          continue;
+        }
+        // Pin: the pattern's node now carries the equality; the plan binds
+        // the index key. The view stored Val under this name (required
+        // attrs are materialized like stored ones).
+        n.val_required = false;
+        n.val_formula = n.val_formula.And(ValueFormula::Equals(constant));
+        bindings.emplace_back(n.name.substr(v.prefix.size()) + "_Val",
+                              constant);
+        pinned = true;
+        break;
+      }
+      if (!pinned) return;  // key not fully bound: unusable
+    }
+    if (bindings.empty()) return;
+    c.plan = LogicalPlan::PrefixNames(
+        LogicalPlan::IndexScan(v.name, std::move(bindings)), v.prefix);
+    seeds_.push_back(std::move(c));
   }
 
   // --- Compositions (§5.5) -------------------------------------------------
@@ -349,7 +321,6 @@ class Search {
             MergeBookkeeping(a, b, &c);
             // The merged node carries n1's name; attrs that only b stored
             // must alias to b's plan columns.
-            const XamNode& merged = c.pattern.node(n1);
             auto alias = [&](bool a_has, bool b_has, const char* suffix) {
               if (!a_has && b_has) {
                 c.aliases[PatternAttr(c.pattern, n1, suffix)] =
@@ -360,7 +331,6 @@ class Search {
             alias(an.stores_tag, bn.stores_tag, "_Tag");
             alias(an.stores_val, bn.stores_val, "_Val");
             alias(an.stores_cont, bn.stores_cont, "_Cont");
-            (void)merged;
             out->push_back(std::move(c));
           }
         }
@@ -482,29 +452,7 @@ class Search {
                         std::set<std::string>* seen_plans) {
     std::vector<XamNodeId> cand_returns = base.pattern.ReturnNodes();
     if (cand_returns.size() < query_returns_.size()) return Status::Ok();
-    const AnnotationSets& cand_ann = *base.ann;
-
-    // Feasibility of pairing query return i with candidate return j.
-    auto feasible = [&](size_t qi, size_t cj) {
-      const XamNode& qn = query_->node(query_returns_[qi]);
-      const XamNode& cn = base.pattern.node(cand_returns[cj]);
-      if (qn.stores_id &&
-          (!cn.stores_id || !IdKindAtLeast(cn.id_kind, qn.id_kind))) {
-        return false;
-      }
-      if (qn.stores_tag && !cn.stores_tag) return false;
-      if (qn.stores_val && !cn.stores_val) return false;
-      if (qn.stores_cont && !cn.stores_cont) return false;
-      // Annotations must intersect.
-      const auto& qa = query_ann_[query_returns_[qi]];
-      const auto& ca = cand_ann[cand_returns[cj]];
-      for (SummaryNodeId s : qa) {
-        if (std::find(ca.begin(), ca.end(), s) != ca.end()) return true;
-      }
-      return false;
-    };
-
-    std::vector<int> assign(query_returns_.size(), -1);
+    std::vector<XamNodeId> assign(query_returns_.size(), kXamRoot);
     size_t emitted = 0;
     std::function<Status(size_t, size_t)> rec =
         [&](size_t qi, size_t from) -> Status {
@@ -516,17 +464,29 @@ class Search {
         return FinishAssignment(base, assign, results, seen_plans);
       }
       for (size_t cj = from; cj < cand_returns.size(); ++cj) {
-        if (!feasible(qi, cj)) continue;
-        assign[qi] = static_cast<int>(cj);
+        if (!CanServe(base, cand_returns[cj], query_returns_[qi])) continue;
+        assign[qi] = cand_returns[cj];
         ULOAD_RETURN_NOT_OK(rec(qi + 1, cj + 1));
-        assign[qi] = -1;
       }
       return Status::Ok();
     };
     return rec(0, 0);
   }
 
-  Status FinishAssignment(const Candidate& base, const std::vector<int>& assign,
+  // Whether candidate return node `cn` can play query return node `qn`: it
+  // stores every attribute `qn` stores, ids at least as strong, and their
+  // annotations meet.
+  bool CanServe(const Candidate& c, XamNodeId cn, XamNodeId qn) const {
+    const XamNode& q = query_->node(qn);
+    const XamNode& n = c.pattern.node(cn);
+    return StoresAll(n, q) &&
+           (!q.stores_id || IdKindAtLeast(n.id_kind, q.id_kind)) &&
+           Intersects(query_ann_[qn], (*c.ann)[cn]);
+  }
+
+  // `assign[i]` is the candidate node playing query_returns_[i].
+  Status FinishAssignment(const Candidate& base,
+                          const std::vector<XamNodeId>& assign,
                           std::vector<Rewriting>* results,
                           std::set<std::string>* seen_plans) {
     if (stats_ != nullptr) stats_->adaptations_tried++;
@@ -548,25 +508,11 @@ class Search {
   // stores tags — the pattern node gains the label, the plan gains
   // Select[col_Tag = label]. Returns false when some restriction cannot be
   // enforced anywhere (the candidate stays non-equivalent and is dropped).
-  bool CompensateTags(const std::vector<int>& assign, Candidate* c) const {
-    std::vector<XamNodeId> cand_returns = c->pattern.ReturnNodes();
+  bool CompensateTags(const std::vector<XamNodeId>& assign,
+                      Candidate* c) const {
     // The annotations before any label is bound; re-annotated at the end.
     std::shared_ptr<const AnnotationSets> ann = c->ann;
     const AnnotationSets& cand_ann = *ann;
-    auto intersects = [](std::span<const SummaryNodeId> a,
-                         std::span<const SummaryNodeId> b) {
-      for (SummaryNodeId s : a) {
-        if (std::find(b.begin(), b.end(), s) != b.end()) return true;
-      }
-      return false;
-    };
-    auto covers = [](std::span<const SummaryNodeId> cand,
-                     std::span<const SummaryNodeId> query) {
-      for (SummaryNodeId s : query) {
-        if (std::find(cand.begin(), cand.end(), s) == cand.end()) return false;
-      }
-      return true;
-    };
     std::vector<bool> used(c->pattern.size(), false);
     bool relabeled = false;
     auto enforce = [&](XamNodeId qn, XamNodeId cn) {
@@ -585,7 +531,7 @@ class Search {
     std::vector<bool> handled(query_->size(), false);
     for (size_t qi = 0; qi < assign.size(); ++qi) {
       XamNodeId qn = query_returns_[qi];
-      XamNodeId cn = cand_returns[assign[qi]];
+      XamNodeId cn = assign[qi];
       const XamNode& qnode = query_->node(qn);
       if (qnode.tag_value.empty() || qnode.is_attribute) continue;
       const XamNode& cnode = c->pattern.node(cn);
@@ -594,7 +540,7 @@ class Search {
         continue;
       }
       if (!cnode.tag_value.empty() || !cnode.stores_tag) continue;
-      if (!covers(cand_ann[cn], query_ann_[qn])) continue;
+      if (!Covers(cand_ann[cn], query_ann_[qn])) continue;
       enforce(qn, cn);
       handled[qn] = true;
     }
@@ -606,12 +552,9 @@ class Search {
       // Already enforced: some candidate node carries the same label on an
       // annotation that reaches the query node's paths.
       bool enforced = false;
-      for (XamNodeId cn = 1; cn < c->pattern.size(); ++cn) {
-        if (c->pattern.node(cn).tag_value != tag) continue;
-        if (intersects(cand_ann[cn], query_ann_[qn])) {
-          enforced = true;
-          break;
-        }
+      for (XamNodeId cn = 1; cn < c->pattern.size() && !enforced; ++cn) {
+        enforced = c->pattern.node(cn).tag_value == tag &&
+                   Intersects(cand_ann[cn], query_ann_[qn]);
       }
       if (enforced) continue;
       XamNodeId target = kXamRoot;  // sentinel: no target yet
@@ -622,7 +565,7 @@ class Search {
           continue;
         }
         if (c->pattern.NestingDepth(cn) != 0) continue;
-        if (!covers(cand_ann[cn], query_ann_[qn])) continue;
+        if (!Covers(cand_ann[cn], query_ann_[qn])) continue;
         target = cn;
         break;
       }
@@ -633,11 +576,11 @@ class Search {
     return true;
   }
 
-  Status FinishVariant(const Candidate& base, const std::vector<int>& assign,
+  Status FinishVariant(const Candidate& base,
+                       const std::vector<XamNodeId>& assign,
                        bool compensate_tags, std::vector<Rewriting>* results,
                        std::set<std::string>* seen_plans, bool* emitted) {
     Candidate c = base;
-    std::vector<XamNodeId> cand_returns = c.pattern.ReturnNodes();
     if (compensate_tags && !CompensateTags(assign, &c)) return Status::Ok();
 
     // 1. Compensating value selections: query formulas absent from the
@@ -655,15 +598,7 @@ class Search {
         if (!c.pattern.node(cn).stores_val) continue;
         if (c.pattern.NestingDepth(cn) != 0) continue;
         if (!c.pattern.node(cn).val_formula.IsTrue()) continue;
-        bool covers = true;
-        for (SummaryNodeId s : query_ann_[qn]) {
-          if (std::find(cand_ann[cn].begin(), cand_ann[cn].end(), s) ==
-              cand_ann[cn].end()) {
-            covers = false;
-            break;
-          }
-        }
-        if (!covers) continue;
+        if (!Covers(cand_ann[cn], query_ann_[qn])) continue;
         c.pattern.ValPredicate(cn, c.pattern.node(cn).val_formula.And(f));
         c.plan = LogicalPlan::Select(
             c.plan,
@@ -672,54 +607,9 @@ class Search {
       }
     }
 
-    // 2. Trim the pattern: assigned return nodes keep exactly the query's
-    //    attributes; all other stored attributes are dropped.
-    std::vector<bool> keep_node(c.pattern.size(), false);
-    std::vector<std::string> proj_cols;
+    // 2. Trim to the query's attributes.
     std::vector<std::pair<std::string, std::string>> attr_map;
-    for (size_t qi = 0; qi < assign.size(); ++qi) {
-      XamNodeId cn = cand_returns[assign[qi]];
-      XamNodeId qn = query_returns_[qi];
-      keep_node[cn] = true;
-      XamNode& node = c.pattern.node(cn);
-      const XamNode& qnode = query_->node(qn);
-      node.stores_id = qnode.stores_id;
-      node.stores_tag = qnode.stores_tag;
-      node.stores_val = qnode.stores_val;
-      node.stores_cont = qnode.stores_cont;
-    }
-    for (XamNodeId id = 1; id < c.pattern.size(); ++id) {
-      if (keep_node[id]) continue;
-      XamNode& node = c.pattern.node(id);
-      node.stores_id = false;
-      node.stores_tag = false;
-      node.stores_val = false;
-      node.stores_cont = false;
-    }
-    // Projection columns in the trimmed pattern's schema order.
-    std::vector<StoredAttr> stored;
-    CollectStored(c.pattern, kXamRoot, &stored);
-    for (const StoredAttr& sa : stored) {
-      proj_cols.push_back(
-          c.PlanColumn(PatternAttr(c.pattern, sa.node, sa.suffix)));
-    }
-    // Map query attrs to plan columns.
-    {
-      std::vector<StoredAttr> qstored;
-      CollectStored(*query_, kXamRoot, &qstored);
-      if (qstored.size() != stored.size()) return Status::Ok();  // mismatch
-      for (size_t i = 0; i < stored.size(); ++i) {
-        attr_map.emplace_back(
-            PatternAttr(*query_, qstored[i].node, qstored[i].suffix),
-            c.PlanColumn(PatternAttr(c.pattern, stored[i].node,
-                                     stored[i].suffix)));
-      }
-    }
-    if (!proj_cols.empty()) {
-      // Pattern semantics are sets of return tuples (the duplicate
-      // eliminating Π of Def. 2.2.3); the plan must match.
-      c.plan = LogicalPlan::Project(c.plan, proj_cols, /*dedup=*/true);
-    }
+    if (!Trim(assign, &c, &attr_map)) return Status::Ok();
 
     // 3. Verify S-equivalence with the query pattern.
     ULOAD_ASSIGN_OR_RETURN(bool equiv, IsEquivalentToQuery(c));
@@ -736,6 +626,44 @@ class Search {
     results->push_back(std::move(r));
     *emitted = true;
     return Status::Ok();
+  }
+
+  // Trims `c` to the query's needs: `assign[i]` stores exactly what
+  // query_returns_[i] stores and every other node stores nothing. The plan
+  // is projected onto the trimmed pattern's columns, eliminating duplicates
+  // (pattern semantics are sets of return tuples, the Π of Def. 2.2.3), and
+  // `attr_map` pairs the query's attributes with those columns. False when
+  // the two schemas do not line up.
+  bool Trim(const std::vector<XamNodeId>& assign, Candidate* c,
+            std::vector<std::pair<std::string, std::string>>* attr_map) const {
+    std::vector<const XamNode*> role(c->pattern.size(), nullptr);
+    for (size_t i = 0; i < assign.size(); ++i) {
+      role[assign[i]] = &query_->node(query_returns_[i]);
+    }
+    for (XamNodeId id = 1; id < c->pattern.size(); ++id) {
+      XamNode& node = c->pattern.node(id);
+      node.stores_id = role[id] != nullptr && role[id]->stores_id;
+      node.stores_tag = role[id] != nullptr && role[id]->stores_tag;
+      node.stores_val = role[id] != nullptr && role[id]->stores_val;
+      node.stores_cont = role[id] != nullptr && role[id]->stores_cont;
+    }
+    std::vector<StoredAttr> stored;
+    CollectStored(c->pattern, kXamRoot, &stored);
+    std::vector<StoredAttr> qstored;
+    CollectStored(*query_, kXamRoot, &qstored);
+    if (qstored.size() != stored.size()) return false;
+    std::vector<std::string> proj_cols;
+    for (size_t i = 0; i < stored.size(); ++i) {
+      proj_cols.push_back(c->PlanColumn(
+          PatternAttr(c->pattern, stored[i].node, stored[i].suffix)));
+      attr_map->emplace_back(
+          PatternAttr(*query_, qstored[i].node, qstored[i].suffix),
+          proj_cols.back());
+    }
+    if (!proj_cols.empty()) {
+      c->plan = LogicalPlan::Project(c->plan, proj_cols, /*dedup=*/true);
+    }
+    return true;
   }
 
   // Decides c.pattern ≡_S query. A candidate whose return annotations
@@ -801,37 +729,13 @@ class Search {
   std::optional<Candidate> NavigationExtended(const Candidate& base) {
     std::vector<XamNodeId> cand_returns = base.pattern.ReturnNodes();
     const AnnotationSets& cand_ann = *base.ann;
-
-    auto feasible = [&](XamNodeId qn, XamNodeId cn) {
-      const XamNode& q = query_->node(qn);
-      const XamNode& c = base.pattern.node(cn);
-      if (q.stores_id &&
-          (!c.stores_id || !IdKindAtLeast(c.id_kind, q.id_kind))) {
-        return false;
-      }
-      if (q.stores_tag && !c.stores_tag) return false;
-      if (q.stores_val && !c.stores_val) return false;
-      if (q.stores_cont && !c.stores_cont) return false;
-      for (SummaryNodeId s : query_ann_[qn]) {
-        if (std::find(cand_ann[cn].begin(), cand_ann[cn].end(), s) !=
-            cand_ann[cn].end()) {
-          return true;
-        }
-      }
-      return false;
-    };
-
     Candidate c = base;
     bool extended = false;
     for (XamNodeId qr : query_returns_) {
-      bool covered = false;
-      for (XamNodeId cr : cand_returns) {
-        if (feasible(qr, cr)) {
-          covered = true;
-          break;
-        }
+      if (std::any_of(cand_returns.begin(), cand_returns.end(),
+                      [&](XamNodeId cr) { return CanServe(base, cr, qr); })) {
+        continue;
       }
-      if (covered) continue;
       // Find an anchor: a top-level id-storing node whose annotation
       // dominates (is an ancestor of) every path of the missing node. Only
       // the base's nodes are annotated; nodes navigated to in earlier
@@ -904,51 +808,27 @@ class Search {
     // Collect candidates strictly contained in the query whose trimmed
     // schemas line up with the query's needs (single-assignment trim).
     struct Piece {
-      Candidate cand;
-      Xam trimmed;
-      PlanPtr plan;
+      Candidate cand;  // trimmed
+      std::vector<std::pair<std::string, std::string>> attr_map;
     };
     std::vector<Piece> pieces;
     for (const Candidate& base : all) {
       std::vector<XamNodeId> cand_returns = base.pattern.ReturnNodes();
       if (cand_returns.size() != query_returns_.size()) continue;
-      Candidate c = base;
       bool ok = true;
-      std::vector<std::string> proj_cols;
-      for (size_t i = 0; i < query_returns_.size(); ++i) {
-        XamNode& node = c.pattern.node(cand_returns[i]);
-        const XamNode& qnode = query_->node(query_returns_[i]);
-        if ((qnode.stores_id && !node.stores_id) ||
-            (qnode.stores_tag && !node.stores_tag) ||
-            (qnode.stores_val && !node.stores_val) ||
-            (qnode.stores_cont && !node.stores_cont)) {
-          ok = false;
-          break;
-        }
-        node.stores_id = qnode.stores_id;
-        node.stores_tag = qnode.stores_tag;
-        node.stores_val = qnode.stores_val;
-        node.stores_cont = qnode.stores_cont;
+      for (size_t i = 0; i < query_returns_.size() && ok; ++i) {
+        ok = StoresAll(base.pattern.node(cand_returns[i]),
+                       query_->node(query_returns_[i]));
       }
       if (!ok) continue;
-      std::vector<StoredAttr> stored;
-      CollectStored(c.pattern, kXamRoot, &stored);
-      for (const StoredAttr& sa : stored) {
-        proj_cols.push_back(
-            c.PlanColumn(PatternAttr(c.pattern, sa.node, sa.suffix)));
-      }
+      Piece piece{base, {}};
+      if (!Trim(cand_returns, &piece.cand, &piece.attr_map)) continue;
       ContainmentStats st;
-      ULOAD_ASSIGN_OR_RETURN(
-          bool contained, IsContained(c.pattern, *query_, summary_, {}, &st));
+      ULOAD_ASSIGN_OR_RETURN(bool contained,
+                             IsContained(piece.cand.pattern, *query_, summary_,
+                                         {}, &st));
       NoteTruncation(st);
       if (!contained) continue;
-      Piece piece;
-      piece.cand = c;
-      piece.trimmed = c.pattern;
-      piece.plan = proj_cols.empty()
-                       ? c.plan
-                       : LogicalPlan::Project(c.plan, proj_cols,
-                                              /*dedup=*/true);
       pieces.push_back(std::move(piece));
       if (pieces.size() > 12) break;  // bounded
     }
@@ -959,26 +839,18 @@ class Search {
         ULOAD_ASSIGN_OR_RETURN(
             bool covered,
             IsContainedInUnion(*query_,
-                               {&pieces[i].trimmed, &pieces[j].trimmed},
+                               {&pieces[i].cand.pattern, &pieces[j].cand.pattern},
                                summary_, {}, &st));
         NoteTruncation(st);
         if (!covered) continue;
-        PlanPtr plan = LogicalPlan::Union(pieces[i].plan, pieces[j].plan);
+        PlanPtr plan =
+            LogicalPlan::Union(pieces[i].cand.plan, pieces[j].cand.plan);
         std::string key = plan->ToString();
         if (!seen_plans->insert(key).second) continue;
         Rewriting r;
         r.plan = plan;
         r.pattern = *query_;  // the union is equivalent to the query pattern
-        std::vector<StoredAttr> qstored;
-        CollectStored(*query_, kXamRoot, &qstored);
-        std::vector<StoredAttr> cstored;
-        CollectStored(pieces[i].trimmed, kXamRoot, &cstored);
-        for (size_t k = 0; k < qstored.size() && k < cstored.size(); ++k) {
-          r.attr_map.emplace_back(
-              PatternAttr(*query_, qstored[k].node, qstored[k].suffix),
-              pieces[i].cand.PlanColumn(PatternAttr(
-                  pieces[i].trimmed, cstored[k].node, cstored[k].suffix)));
-        }
+        r.attr_map = pieces[i].attr_map;
         r.views_used = pieces[i].cand.views;
         r.views_used.insert(r.views_used.end(), pieces[j].cand.views.begin(),
                             pieces[j].cand.views.end());
@@ -991,7 +863,8 @@ class Search {
   }
 
   const PathSummary& summary_;
-  const std::vector<NamedXam>& views_;
+  const std::vector<Rewriter::View>& views_;
+  const std::unordered_map<std::string, double>& cards_;
   const RewriteOptions& opts_;
   RewriteStats* stats_;
 
@@ -1015,12 +888,34 @@ class Search {
 }  // namespace
 
 Rewriter::Rewriter(const PathSummary* summary, std::vector<NamedXam> views)
-    : summary_(summary), views_(std::move(views)) {}
+    : summary_(summary) {
+  for (size_t i = 0; i < views.size(); ++i) {
+    const NamedXam& v = views[i];
+    cards_.emplace(v.name, EstimateCardinality(v.xam, *summary_));
+    View view;
+    view.prefix = "v" + std::to_string(i) + "_";
+    view.pattern = PrefixXamNames(v.xam, view.prefix);
+    if (!IsSatisfiable(view.pattern, *summary_)) continue;
+    view.name = v.name;
+    view.ann = std::make_shared<const AnnotationSets>(
+        PathAnnotations(view.pattern, *summary_));
+    for (XamNodeId id : view.pattern.ReturnNodes()) {
+      view.return_ann.insert(view.return_ann.end(), (*view.ann)[id].begin(),
+                             (*view.ann)[id].end());
+    }
+    view.index = v.xam.HasRequired();
+    if (!view.index) {
+      view.plan = LogicalPlan::PrefixNames(LogicalPlan::Scan(view.name),
+                                           view.prefix);
+    }
+    views_.push_back(std::move(view));
+  }
+}
 
 Result<std::vector<Rewriting>> Rewriter::Rewrite(const Xam& query,
                                                  const RewriteOptions& opts,
                                                  RewriteStats* stats) const {
-  Search search(*summary_, views_, opts, stats);
+  Search search(*summary_, views_, cards_, opts, stats);
   return search.Run(query);
 }
 

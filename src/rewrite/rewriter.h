@@ -14,14 +14,22 @@
 //    pattern (Ch. 4 containment, both ways);
 //  * unions (§5.3): pairs of strictly-contained candidates whose union is
 //    S-equivalent to the query.
+//
+// A Rewriter lives as long as its view set (the Engine keeps one per
+// installed catalog): its constructor computes everything the search needs
+// from a view alone, and each Rewrite call keeps only per-query state, so
+// concurrent Rewrite calls on one Rewriter are safe.
 #ifndef ULOAD_REWRITE_REWRITER_H_
 #define ULOAD_REWRITE_REWRITER_H_
 
 #include <map>
+#include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
+#include "containment/embedding.h"
 #include "rewrite/plan_pattern.h"
 #include "storage/storage_models.h"
 #include "summary/path_summary.h"
@@ -62,7 +70,8 @@ struct Rewriting {
 class Rewriter {
  public:
   // `views` are the storage XAMs the optimizer knows about (the catalog
-  // contents); the summary provides the structural constraints.
+  // contents); the summary provides the structural constraints and must
+  // outlive the rewriter.
   Rewriter(const PathSummary* summary, std::vector<NamedXam> views);
 
   // All equivalent rewritings found for `query`, cheapest (fewest operators)
@@ -76,9 +85,24 @@ class Rewriter {
                                 const RewriteOptions& opts = {},
                                 RewriteStats* stats = nullptr) const;
 
+  // What the search knows about one satisfiable view before any query.
+  struct View {
+    std::string name;
+    std::string prefix;  // "v<i>_", i = the view's position in the input
+    Xam pattern;         // the definition with every name prefixed
+    std::shared_ptr<const AnnotationSets> ann;  // PathAnnotations(pattern)
+    std::vector<SummaryNodeId> return_ann;  // ann of every return node
+    // R-marked (Def. 2.2.6): an index seed needs the query's constants, so
+    // `plan` is null and the search builds an IndexScan per query.
+    bool index = false;
+    PlanPtr plan;  // the prefixed Scan
+  };
+
  private:
   const PathSummary* summary_;
-  std::vector<NamedXam> views_;
+  std::vector<View> views_;
+  // EstimateCardinality of every view, by name (the first view of a name).
+  std::unordered_map<std::string, double> cards_;
 };
 
 }  // namespace uload

@@ -235,6 +235,54 @@ TEST(EngineDeweyViewTest, DeweyAncestorViewAnswersLikeTheInterpreter) {
   }
 }
 
+// The engine builds its rewriter once per catalog, so every InstallModel
+// must rebuild it: a query only the old model answers stops rewriting, and
+// the new model's queries match the interpreter.
+TEST(EngineRewriterTest, FollowsEachInstalledModel) {
+  Engine engine(GenerateXMark(XMarkScale(0.02)));
+  // Rewrites over tag-partitioned storage only (see the XMark corpus table).
+  const std::string tag_only =
+      "for $x in doc(\"x\")//closed_auction where $x/price > 100 "
+      "return <p>{$x/price/text()}</p>";
+  const std::string edge_query =
+      "for $x in doc(\"x\")//person/name where $x = \"Smith\" return $x";
+  ASSERT_TRUE(engine.InstallModel(TagPartitionedModel(engine.summary())).ok());
+  auto before = engine.Run(tag_only);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(*before, DirectResult(tag_only, engine.document()));
+
+  ASSERT_TRUE(engine.InstallModel(EdgeModel()).ok());
+  auto after = engine.Run(tag_only);
+  EXPECT_EQ(after.status().code(), StatusCode::kNotFound)
+      << after.status().ToString();
+  auto edge = engine.Run(edge_query);
+  ASSERT_TRUE(edge.ok()) << edge.status().ToString();
+  EXPECT_EQ(*edge, DirectResult(edge_query, engine.document()));
+}
+
+// A failed install keeps the views added before the failure, and the
+// rewriter is rebuilt over them too: queries over the first `v` run.
+TEST(EngineRewriterTest, FailedInstallStillRebuildsTheRewriter) {
+  auto d = Document::Parse(
+      "<site><item><description><keyword>fast</keyword></description></item>"
+      "<item><description><keyword>red</keyword></description></item></site>");
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  Engine engine(std::move(d).value());
+  auto v = ParseXam(
+      "xam\nnode e1 label=description id=s\nnode e2 label=keyword id=s val\n"
+      "edge top // j e1\nedge e1 // j e2\n");
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  Status st = engine.InstallModel({{"v", *v}, {"v", *v}});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  ASSERT_EQ(engine.catalog().views().size(), 1u);
+  const std::string q =
+      "for $x in doc(\"x\")//description//keyword return <k>{$x/text()}</k>";
+  auto run = engine.Run(q);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_EQ(*run, DirectResult(q, engine.document()));
+  EXPECT_EQ(*run, "<k>fast</k><k>red</k>");
+}
+
 class EngineTest : public ::testing::Test {
  protected:
   void SetUp() override {

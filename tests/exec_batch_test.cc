@@ -5,6 +5,7 @@
 // (every-tuple-a-boundary, odd split, everything-in-one-batch).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -134,14 +135,14 @@ class ExecBatchCorpusTest : public ::testing::Test {
   }
   void InstallModel(std::vector<NamedXam> model) {
     catalog_ = Catalog();
-    for (NamedXam& v : model) {
-      auto st = catalog_.AddXam(v.name, std::move(v.xam), doc_);
+    for (const NamedXam& v : model) {
+      auto st = catalog_.AddXam(v.name, v.xam, doc_);
       ASSERT_TRUE(st.ok()) << st.ToString();
     }
+    rewriter_ = std::make_unique<Rewriter>(&summary_, std::move(model));
   }
   void CheckQueryPlans(const std::string& query) {
-    QueryRewriter qr(&summary_, &catalog_);
-    auto r = qr.Rewrite(query);
+    auto r = QueryRewriter::Rewrite(*rewriter_, query);
     ASSERT_TRUE(r.ok()) << query << " -> " << r.status().ToString();
     EvalContext ctx = catalog_.MakeEvalContext(&doc_);
     for (const Rewriting& rw : r->pattern_rewritings) {
@@ -152,6 +153,7 @@ class ExecBatchCorpusTest : public ::testing::Test {
   Document doc_;
   PathSummary summary_;
   Catalog catalog_;
+  std::unique_ptr<Rewriter> rewriter_;
 };
 
 TEST_F(ExecBatchCorpusTest, BibQueriesOverTagStore) {

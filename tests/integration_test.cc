@@ -100,12 +100,12 @@ TEST_F(IntegrationTest, CustomViewBeatsGenericStore) {
   std::vector<NamedXam> model = TagPartitionedModel(summary());
   model.push_back(TIndex("book", "title"));
   InstallModel(std::move(model));
-  QueryRewriter qr(&engine_->summary(), &engine_->catalog());
-  auto r = qr.Rewrite("for $x in doc(\"b\")//book return <t>{$x/title/text()}</t>");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  ASSERT_EQ(r->pattern_rewritings.size(), 1u);
+  auto p = engine_->Prepare(
+      "for $x in doc(\"b\")//book return <t>{$x/title/text()}</t>");
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  ASSERT_EQ(p->rewrite.pattern_rewritings.size(), 1u);
   // Prefer plans scanning fewer views.
-  EXPECT_LE(r->pattern_rewritings[0].views_used.size(), 2u);
+  EXPECT_LE(p->rewrite.pattern_rewritings[0].views_used.size(), 2u);
 }
 
 TEST_F(IntegrationTest, XMarkQueriesOverTagStore) {
@@ -122,8 +122,7 @@ TEST_F(IntegrationTest, XMarkQueriesOverTagStore) {
 TEST_F(IntegrationTest, MissingViewsSurfaceNotFound) {
   Load(kBib);
   InstallModel({});  // empty catalog
-  QueryRewriter qr(&engine_->summary(), &engine_->catalog());
-  auto r = qr.Rewrite("doc(\"b\")//book/title");
+  auto r = engine_->Prepare("doc(\"b\")//book/title");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }

@@ -3,6 +3,8 @@
 // same data as evaluating the query pattern directly on the document.
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "eval/xam_eval.h"
 #include "exec/physical.h"
 #include "rewrite/rewriter.h"
@@ -352,6 +354,92 @@ TEST(RewriteNavigationTest, SeveralUncoveredReturnNodes) {
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE(r->empty());
   EXPECT_GT(stats.candidates_generated, 0u);
+}
+
+// The rewriter is built once per catalog and serves every query after. A
+// reused rewriter must find what a fresh one over the same views finds, so
+// no search may leave a trace in the per-catalog state.
+class RewriterReuse : public RewriteTest {
+ protected:
+  void SetUp() override {
+    RewriteTest::SetUp();
+    Setup({ValueIndex("person", {"name"}),
+           {"pnames", P("xam\nnode e1 label=person\nnode e2 label=name id=s "
+                        "val\nedge top // j e1\nedge e1 / j e2\n")},
+           {"inames", P("xam\nnode e1 label=item\nnode e2 label=name id=s "
+                        "val\nedge top // j e1\nedge e1 / j e2\n")},
+           {"items", P("xam\nnode e1 label=item id=s\nedge top // j e1\n")}});
+    // The index view pinned with two different constants in turn, a
+    // navigation extension, a union, and the first constant again.
+    for (const char* name : {"Ann", "Bob"}) {
+      sequence_.push_back(P(
+          "xam\nnode e1 label=person id=s\nnode e2 label=name val=\"" +
+          std::string(name) +
+          "\"\nedge top // j e1\nedge e1 / s e2\n"));
+    }
+    sequence_.push_back(P(
+        "xam\nnode e1 label=item id=s\nnode e2 label=keyword id=s val\n"
+        "edge top // j e1\nedge e1 // j e2\n"));
+    sequence_.push_back(P("xam\nnode e1 label=name id=s val\nedge top // j e1\n"));
+    sequence_.push_back(sequence_[0]);
+  }
+
+  // Everything a search reports: each rewriting's plan, then the counters.
+  static std::string Outcome(const Rewriter& rewriter, const Xam& query) {
+    RewriteStats st;
+    auto r = rewriter.Rewrite(query, {}, &st);
+    std::string out = r.ok() ? "" : r.status().ToString();
+    for (const Rewriting& w : r.ok() ? *r : std::vector<Rewriting>{}) {
+      out += w.plan->ToString() + "\n";
+    }
+    for (size_t n : {st.candidates_generated, st.adaptations_tried,
+                     st.equivalence_checks, st.equivalence_pruned,
+                     st.equivalence_memo_hits, st.containment_truncations}) {
+      out += std::to_string(n) + " ";
+    }
+    return out;
+  }
+
+  std::vector<std::string> Run(const Rewriter& rewriter) const {
+    std::vector<std::string> out;
+    for (const Xam& q : sequence_) out.push_back(Outcome(rewriter, q));
+    return out;
+  }
+
+  std::vector<Xam> sequence_;
+};
+
+TEST_F(RewriterReuse, MatchesFreshRewriter) {
+  Rewriter reused(&summary_, views_);
+  std::vector<std::string> got = Run(reused);
+  ASSERT_EQ(got.size(), sequence_.size());
+  for (size_t i = 0; i < sequence_.size(); ++i) {
+    EXPECT_EQ(got[i], Outcome(Rewriter(&summary_, views_), sequence_[i]))
+        << "query " << i;
+  }
+  // The sequence reaches the paths it is meant to cover.
+  EXPECT_NE(got[0].find("IndexScan(idx_person_name, idx_person_name_n2_Val="
+                        "\"Ann\")"),
+            std::string::npos)
+      << got[0];
+  EXPECT_NE(got[1].find("idx_person_name_n2_Val=\"Bob\""), std::string::npos)
+      << got[1];
+  EXPECT_EQ(got[1].find("Ann"), std::string::npos) << got[1];
+  EXPECT_NE(got[2].find("Navigate"), std::string::npos) << got[2];
+  EXPECT_NE(got[3].find("Union"), std::string::npos) << got[3];
+  EXPECT_EQ(got[4], got[0]);
+}
+
+TEST_F(RewriterReuse, ConcurrentSearchesOnOneRewriter) {
+  const Rewriter rewriter(&summary_, views_);
+  const std::vector<std::string> serial = Run(rewriter);
+  std::vector<std::vector<std::string>> got(4);
+  std::vector<std::thread> threads;
+  for (auto& out : got) {
+    threads.emplace_back([&] { out = Run(rewriter); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const auto& out : got) EXPECT_EQ(out, serial);
 }
 
 }  // namespace

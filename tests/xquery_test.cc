@@ -5,7 +5,6 @@
 
 #include "xquery/interp.h"
 #include "xquery/parser.h"
-#include "xquery/pattern_extract.h"
 #include "xquery/translate.h"
 
 namespace uload {
@@ -70,6 +69,12 @@ class XQueryTest : public ::testing::Test {
     EXPECT_EQ(*direct, *algv) << "query: " << query << "\ntranslation:\n"
                               << tr->ToString();
     return *direct;
+  }
+
+  // The query patterns and compensations of `query` (§3.3.3).
+  static Result<Translation> Translate(std::string_view query) {
+    ULOAD_ASSIGN_OR_RETURN(ExprPtr ast, ParseQuery(query));
+    return TranslateQuery(*ast);
   }
 };
 
@@ -241,7 +246,7 @@ TEST_F(XQueryTest, AgreeFig31Shape) {
 }
 
 TEST_F(XQueryTest, Fig31PatternShapes) {
-  auto ep = ExtractPatterns(
+  auto ep = Translate(
       "for $x in doc(\"d\")/a/*, $y in doc(\"d\")//b return "
       "<res1>{$x//c,"
       "<res2>{$y//e,"
@@ -267,7 +272,7 @@ TEST_F(XQueryTest, Fig31PatternShapes) {
 TEST_F(XQueryTest, CompensationRecordedForOuterRefInNestedBlock) {
   // e is emitted inside the d-loop but belongs to $y: the pattern cannot
   // express the d -> e dependency; a compensating selection is recorded.
-  auto ep = ExtractPatterns(
+  auto ep = Translate(
       "for $y in doc(\"d\")//b return "
       "<res1>{for $z in $y//d return <res2>{$y//e}</res2>}</res1>");
   ASSERT_TRUE(ep.ok()) << ep.status().ToString();
@@ -301,13 +306,13 @@ TEST_F(XQueryTest, AgreeContains) {
 
 TEST_F(XQueryTest, PatternsAreMaximal) {
   // A chained query stays in ONE pattern even across a nested block.
-  auto ep = ExtractPatterns(
+  auto ep = Translate(
       "for $x in doc(\"d\")//b return "
       "<r>{for $z in $x//d return <s>{$z//h}</s>}</r>");
   ASSERT_TRUE(ep.ok());
   EXPECT_EQ(ep->patterns.size(), 1u);
   // Unrelated roots split patterns.
-  auto ep2 = ExtractPatterns(
+  auto ep2 = Translate(
       "for $x in doc(\"d\")//b, $y in doc(\"d\")//a return <r></r>");
   ASSERT_TRUE(ep2.ok());
   EXPECT_EQ(ep2->patterns.size(), 2u);
