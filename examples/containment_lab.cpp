@@ -1,6 +1,7 @@
 // A tour of the Chapter 4 machinery: canonical models, containment under
 // summary constraints (including the cases only the summary makes true),
-// decorated unions, and minimization.
+// decorated unions, and minimization. Exits 1 when a result it prints does
+// not hold, so the tour doubles as a test.
 #include <cstdio>
 
 #include "containment/containment.h"
@@ -17,6 +18,16 @@ uload::Xam P(const char* text) {
     std::exit(1);
   }
   return std::move(x).value();
+}
+
+bool ok = true;
+
+// Records a printed result that must hold.
+void Expect(bool holds, const char* what) {
+  if (!holds) {
+    std::printf("UNEXPECTED: %s does not hold\n", what);
+    ok = false;
+  }
 }
 
 }  // namespace
@@ -38,6 +49,7 @@ int main() {
   for (size_t i = 0; i < model.size() && i < 3; ++i) {
     std::printf("%s\n", model[i].ToString(summary).c_str());
   }
+  Expect(!model.empty(), "a non-empty canonical model");
 
   // 2. Containment that only holds under the summary (§4.4).
   Xam via_star = P(
@@ -50,6 +62,7 @@ int main() {
               (c1.ok() && *c1) ? "⊆" : "⊄", (c2.ok() && *c2) ? "⊇" : "⊅",
               (c1.ok() && c2.ok() && *c1 && *c2) ? "equivalent"
                                                  : "not equivalent");
+  Expect(c1.ok() && c2.ok() && *c1 && *c2, "//people/* ≡ //person");
 
   // 3. Decorated union coverage (§4.4.2).
   Xam mid = P("xam\nnode e1 label=price id=s val>50\nedge top // j e1\n");
@@ -60,6 +73,8 @@ int main() {
   std::printf("price>50 in price<200: %s; in (price<200 ∪ price>100): %s\n",
               (single.ok() && *single) ? "yes" : "no",
               (both.ok() && *both) ? "yes" : "no");
+  Expect(single.ok() && !*single, "price>50 ⊄ price<200");
+  Expect(both.ok() && *both, "price>50 ⊆ price<200 ∪ price>100");
 
   // 4. Minimization (§4.5).
   Xam verbose = P(
@@ -72,5 +87,5 @@ int main() {
                 verbose.size(), (*minima)[0].size(),
                 (*minima)[0].ToString().c_str());
   }
-  return 0;
+  return ok ? 0 : 1;
 }

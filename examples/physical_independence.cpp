@@ -44,6 +44,7 @@ int main() {
                       std::move(custom)});
   }
 
+  int failures = 0;
   for (Model& model : models) {
     std::printf("=== storage: %s ===\n", model.name);
     auto st = engine.InstallModel(std::move(model.views));
@@ -62,8 +63,10 @@ int main() {
                 r.views_used.size());
     std::printf("%s", r.plan->ToString().c_str());
     auto result = engine.Execute(*prepared, Engine::QueryOptions());
+    bool matches = result.ok() && *result == *direct;
     std::printf("  result matches direct evaluation: %s\n\n",
-                (result.ok() && *result == *direct) ? "yes" : "NO");
+                matches ? "yes" : "NO");
+    if (!matches) failures++;
   }
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

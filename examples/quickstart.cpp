@@ -70,7 +70,7 @@ int main() {
   // 5. Cross-check against the direct interpreter.
   auto ast = ParseQuery(query);
   auto direct = EvaluateQueryDirect(**ast, engine.document());
-  std::printf("\ndirect interpreter agrees: %s\n",
-              (direct.ok() && *direct == *result) ? "yes" : "NO");
-  return 0;
+  bool agrees = direct.ok() && *direct == *result;
+  std::printf("\ndirect interpreter agrees: %s\n", agrees ? "yes" : "NO");
+  return agrees ? 0 : 1;
 }

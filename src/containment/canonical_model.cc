@@ -7,6 +7,17 @@
 namespace uload {
 namespace {
 
+// Appends a node on summary path `path` below node `parent` (-1 for the
+// root); returns its index.
+int AddNode(CanonicalTree* t, SummaryNodeId path, int parent) {
+  int idx = static_cast<int>(t->nodes.size());
+  CanonicalNode& n = t->nodes.emplace_back();
+  n.path = path;
+  n.parent = parent;
+  if (parent >= 0) t->nodes[parent].children.push_back(idx);
+  return idx;
+}
+
 // Builds the canonical tree for one embedding, skipping pattern subtrees
 // whose root is flagged erased.
 CanonicalTree BuildTree(const Xam& p, const PathSummary& s,
@@ -14,17 +25,11 @@ CanonicalTree BuildTree(const Xam& p, const PathSummary& s,
                         const std::vector<bool>& erased) {
   CanonicalTree t;
   t.image.assign(p.size(), -1);
-  CanonicalNode root;
-  root.label = "#document";
-  root.kind = NodeKind::kDocument;
-  root.path = s.document_node();
-  t.nodes.push_back(std::move(root));
-  t.image[kXamRoot] = 0;
+  t.image[kXamRoot] = AddNode(&t, s.document_node(), -1);
 
   // Pre-order so parents are materialized before children.
   for (XamNodeId id : p.PreOrder()) {
-    if (id == kXamRoot) continue;
-    if (erased[id]) continue;
+    if (id == kXamRoot || erased[id]) continue;
     if (e[id] == kNoSummaryNode) continue;  // unembeddable optional subtree
     XamNodeId pparent = p.node(id).parent;
     if (t.image[pparent] < 0) continue;  // inside an erased subtree
@@ -34,35 +39,12 @@ CanonicalTree BuildTree(const Xam& p, const PathSummary& s,
          cur = s.node(cur).parent) {
       chain.push_back(cur);
     }
-    std::reverse(chain.begin(), chain.end());
     int attach = t.image[pparent];
-    for (SummaryNodeId mid : chain) {
-      CanonicalNode cn;
-      cn.label = s.node(mid).label;
-      cn.kind = s.node(mid).kind;
-      cn.path = mid;
-      cn.parent = attach;
-      int idx = static_cast<int>(t.nodes.size());
-      t.nodes.push_back(std::move(cn));
-      t.nodes[attach].children.push_back(idx);
-      attach = idx;
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      attach = AddNode(&t, *it, attach);
     }
-    CanonicalNode cn;
-    cn.label = s.node(e[id]).label;
-    cn.kind = s.node(e[id]).kind;
-    cn.path = e[id];
-    cn.formula = p.node(id).val_formula;
-    cn.parent = attach;
-    int idx = static_cast<int>(t.nodes.size());
-    t.nodes.push_back(std::move(cn));
-    t.nodes[attach].children.push_back(idx);
-    t.image[id] = idx;
-  }
-
-  for (XamNodeId r : p.ReturnNodes()) {
-    t.return_paths.push_back(t.image[r] >= 0 ? t.nodes[t.image[r]].path
-                                             : kNoSummaryNode);
-    t.return_images.push_back(t.image[r]);
+    t.image[id] = AddNode(&t, e[id], attach);
+    t.nodes[t.image[id]].formula = p.node(id).val_formula;
   }
   return t;
 }
@@ -142,7 +124,7 @@ std::string CanonicalTree::ToString(const PathSummary& summary) const {
     stack.pop_back();
     out.append(indent * 2, ' ');
     const CanonicalNode& n = nodes[node];
-    out += n.label + " @" + summary.PathString(n.path);
+    out += summary.node(n.path).label + " @" + summary.PathString(n.path);
     if (!n.formula.IsTrue()) out += " [" + n.formula.ToString() + "]";
     out += "\n";
     for (auto it = n.children.rbegin(); it != n.children.rend(); ++it) {
@@ -156,29 +138,18 @@ bool StrongGuaranteed(const Xam& p, XamNodeId node, Axis axis,
                       SummaryNodeId at, const PathSummary& summary) {
   const XamNode& pn = p.node(node);
   if (!pn.val_formula.IsTrue()) return false;  // values are never guaranteed
-  // Candidate summary nodes for this pattern node below `at`.
-  std::vector<SummaryNodeId> cands =
-      axis == Axis::kChild ? summary.ChildrenWithLabel(at, pn.tag_value)
-                           : summary.Descendants(at, pn.tag_value);
-  for (SummaryNodeId cand : cands) {
-    const SummaryNode& sn = summary.node(cand);
-    bool kind_ok = pn.is_attribute ? sn.kind == NodeKind::kAttribute
-                                   : sn.kind == NodeKind::kElement;
-    if (!kind_ok) continue;
-    if (axis == Axis::kChild) {
-      if (sn.annotation == EdgeAnnotation::kStar) continue;
-    } else {
-      if (!summary.AllStrongBetween(at, cand)) continue;
+  for (SummaryNodeId cand : SummaryCandidates(p, node, axis, at, summary)) {
+    bool strong = axis == Axis::kChild
+                      ? summary.node(cand).annotation != EdgeAnnotation::kStar
+                      : summary.AllStrongBetween(at, cand);
+    if (!strong) continue;
+    // Optional children may legally be absent.
+    if (std::all_of(pn.edges.begin(), pn.edges.end(), [&](const XamEdge& e) {
+          return e.optional() ||
+                 StrongGuaranteed(p, e.child, e.axis, cand, summary);
+        })) {
+      return true;
     }
-    bool children_ok = true;
-    for (const XamEdge& e : pn.edges) {
-      if (e.optional()) continue;  // may legally be absent
-      if (!StrongGuaranteed(p, e.child, e.axis, cand, summary)) {
-        children_ok = false;
-        break;
-      }
-    }
-    if (children_ok) return true;
   }
   return false;
 }
@@ -187,31 +158,21 @@ void AugmentWithStrongClosure(const PathSummary& summary, CanonicalTree* t) {
   // Work on a growing node vector; newly added virtual nodes are themselves
   // expanded (the summary is a tree, so this terminates).
   for (size_t i = 0; i < t->nodes.size(); ++i) {
-    if (t->nodes[i].kind == NodeKind::kText) continue;
-    SummaryNodeId at = t->nodes[i].path;
-    for (SummaryNodeId c : summary.node(at).children) {
+    const SummaryNode& at = summary.node(t->nodes[i].path);
+    if (at.kind == NodeKind::kText) continue;
+    for (SummaryNodeId c : at.children) {
       if (summary.node(c).annotation == EdgeAnnotation::kStar) continue;
       if (summary.node(c).kind == NodeKind::kText) continue;
       // Skip when a real child on this path already exists: for '1' edges it
       // IS the guaranteed instance; for '+' edges no *additional* instance
       // is guaranteed.
-      bool realized = false;
-      for (int child : t->nodes[i].children) {
-        if (t->nodes[child].path == c) {
-          realized = true;
-          break;
-        }
+      const std::vector<int>& kids = t->nodes[i].children;
+      if (std::any_of(kids.begin(), kids.end(),
+                      [&](int k) { return t->nodes[k].path == c; })) {
+        continue;
       }
-      if (realized) continue;
-      CanonicalNode vn;
-      vn.label = summary.node(c).label;
-      vn.kind = summary.node(c).kind;
-      vn.path = c;
-      vn.parent = static_cast<int>(i);
-      vn.virtual_node = true;
-      int idx = static_cast<int>(t->nodes.size());
-      t->nodes.push_back(std::move(vn));
-      t->nodes[i].children.push_back(idx);
+      int idx = AddNode(t, c, static_cast<int>(i));
+      t->nodes[idx].virtual_node = true;
     }
   }
 }
@@ -232,101 +193,7 @@ bool ForEachCanonicalTree(const Xam& p, const PathSummary& summary,
   std::set<std::string> seen;
   std::vector<bool> erased(p.size(), false);
   bool keep_going = true;
-  // Embeddings are enumerated lazily through a streaming variant: we reuse
-  // EmbedIntoSummary in chunks is not possible without re-running, so the
-  // enumerator below walks embeddings one at a time.
-  class Walker {
-   public:
-    Walker(const Xam& p, const PathSummary& s) : p_(p), s_(s) {
-      order_ = p_.PreOrder();
-      image_.assign(p_.size(), kNoSummaryNode);
-      image_[kXamRoot] = s_.document_node();
-    }
-    // Calls cb per embedding; cb returns false to abort. Returns false if
-    // aborted.
-    bool Run(const std::function<bool(const SummaryEmbedding&)>& cb) {
-      return Recurse(1, cb);
-    }
-
-   private:
-    // Summary candidates for `node` below `base`, filtered by kind/label.
-    std::vector<SummaryNodeId> Candidates(XamNodeId node,
-                                          SummaryNodeId base) const {
-      const XamNode& pn = p_.node(node);
-      const XamEdge& edge = p_.IncomingEdge(node);
-      std::vector<SummaryNodeId> raw =
-          edge.axis == Axis::kChild
-              ? s_.ChildrenWithLabel(base, pn.tag_value)
-              : s_.Descendants(base, pn.tag_value);
-      std::vector<SummaryNodeId> out;
-      for (SummaryNodeId c : raw) {
-        const SummaryNode& sn = s_.node(c);
-        bool kind_ok = pn.is_attribute
-                           ? sn.kind == NodeKind::kAttribute &&
-                                 (pn.tag_value.empty() ||
-                                  sn.label == pn.tag_value)
-                           : sn.kind == NodeKind::kElement;
-        if (kind_ok) out.push_back(c);
-      }
-      return out;
-    }
-
-    // Whether the subtree rooted at `node` admits a full embedding when
-    // `node` maps to `at` (optional children may be ⊥, required ones may
-    // not).
-    bool SubtreeEmbeds(XamNodeId node, SummaryNodeId at) const {
-      for (const XamEdge& e : p_.node(node).edges) {
-        if (e.optional()) continue;
-        bool found = false;
-        for (SummaryNodeId c : Candidates(e.child, at)) {
-          if (SubtreeEmbeds(e.child, c)) {
-            found = true;
-            break;
-          }
-        }
-        if (!found) return false;
-      }
-      return true;
-    }
-
-    bool Recurse(size_t idx,
-                 const std::function<bool(const SummaryEmbedding&)>& cb) {
-      if (idx == order_.size()) return cb(image_);
-      XamNodeId node = order_[idx];
-      const XamEdge& edge = p_.IncomingEdge(node);
-      SummaryNodeId base = image_[p_.node(node).parent];
-      if (base == kNoSummaryNode) {
-        // Inside an unembeddable optional subtree: the whole subtree is ⊥.
-        image_[node] = kNoSummaryNode;
-        return Recurse(idx + 1, cb);
-      }
-      std::vector<SummaryNodeId> candidates;
-      for (SummaryNodeId c : Candidates(node, base)) {
-        if (SubtreeEmbeds(node, c)) candidates.push_back(c);
-      }
-      for (SummaryNodeId c : candidates) {
-        image_[node] = c;
-        if (!Recurse(idx + 1, cb)) return false;
-      }
-      image_[node] = kNoSummaryNode;
-      if (candidates.empty() && edge.optional()) {
-        // An optional subtree with no summary embedding maps to ⊥ — the
-        // documents conforming to S simply never realize it. Skipping the
-        // embedding entirely (the pre-fix behavior) silently shrank the
-        // canonical model and made containment accept too much.
-        return Recurse(idx + 1, cb);
-      }
-      return true;
-    }
-
-    const Xam& p_;
-    const PathSummary& s_;
-    std::vector<XamNodeId> order_;
-    SummaryEmbedding image_;
-  };
-
-  Walker walker(p, summary);
-  walker.Run([&](const SummaryEmbedding& e) {
+  ForEachEmbedding(p, summary, [&](const SummaryEmbedding& e) {
     // Only optional children this embedding realizes can be erased: one
     // already at ⊥ (itself or below a ⊥ parent) builds the same tree
     // either way, and enumerating it would double the work per such edge.

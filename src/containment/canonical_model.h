@@ -1,11 +1,11 @@
 // S-canonical models of patterns (thesis §4.3).
 //
 // A canonical tree t_e is a small labeled tree derived from an embedding
-// e : p → S: one node per pattern node (labeled with its image's label, and
-// carrying the pattern node's value formula), plus the summary chain nodes
-// connecting consecutive images (decorated with T). Canonical trees of
-// optional patterns are additionally derived by erasing subtrees below
-// subsets of optional edges (§4.3.2).
+// e : p → S: one node per pattern node (sitting on its image, and carrying
+// the pattern node's value formula), plus the summary chain nodes
+// connecting consecutive images (decorated with T). Nodes keep summary ids,
+// not labels. Canonical trees of optional patterns are additionally derived
+// by erasing subtrees below subsets of optional edges (§4.3.2).
 #ifndef ULOAD_CONTAINMENT_CANONICAL_MODEL_H_
 #define ULOAD_CONTAINMENT_CANONICAL_MODEL_H_
 
@@ -20,9 +20,8 @@
 
 namespace uload {
 
+// Label and kind are the summary node's: `summary.node(path)`.
 struct CanonicalNode {
-  std::string label;
-  NodeKind kind = NodeKind::kElement;
   SummaryNodeId path = kNoSummaryNode;  // summary node this one sits on
   ValueFormula formula = ValueFormula::True();
   int parent = -1;
@@ -37,16 +36,9 @@ struct CanonicalTree {
   // nodes[0] is the root (the document node).
   std::vector<CanonicalNode> nodes;
   // Image of each pattern node (indexed by XamNodeId); -1 when the node was
-  // erased by an optional-edge subset.
+  // erased by an optional-edge subset or maps to ⊥. The images of the
+  // pattern's return nodes are the return tuple of Prop. 4.3.1 / 4.4.1.
   std::vector<int> image;
-  // For each pattern return node (pre-order): the *summary path* of its
-  // image, or kNoSummaryNode (⊥) when erased. This is the return tuple of
-  // Prop. 4.3.1 / 4.4.1.
-  std::vector<SummaryNodeId> return_paths;
-  // The canonical node realizing each return position (-1 = ⊥). Containment
-  // requires the container's return nodes to map to these exact nodes
-  // (Prop. 4.4.1 condition 2: "same return nodes").
-  std::vector<int> return_images;
 
   std::string ToString(const PathSummary& summary) const;
 };

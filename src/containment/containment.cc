@@ -10,6 +10,12 @@ namespace {
 // indices (§4.4.2's v_1..v_|S| specialized to the tree at hand).
 using VarConjunction = std::map<int, ValueFormula>;
 
+// Calls of ImpliesDisjunction one implication test may make.
+constexpr int kImplicationBudget = 100000;
+// Disjuncts (container embeddings with value constraints) one canonical
+// tree may collect before its matcher stops.
+constexpr size_t kMaxDisjuncts = 64;
+
 bool ConjAddAtom(VarConjunction* conj, int var, const ValueFormula& f) {
   auto it = conj->find(var);
   if (it == conj->end()) {
@@ -43,24 +49,18 @@ bool ImpliesDisjunction(const std::vector<VarConjunction>& bs, size_t idx,
   return true;
 }
 
-bool Implies(const VarConjunction& a, const std::vector<VarConjunction>& bs) {
-  VarConjunction current = a;
-  for (const auto& [var, f] : current) {
-    (void)var;
+// A ⇒ B_1 ∨ ... ∨ B_m within kImplicationBudget; a search that runs out
+// answers false and is counted in `stats`.
+bool Implies(const VarConjunction& a, const std::vector<VarConjunction>& bs,
+             ContainmentStats* stats) {
+  for (const auto& [var, f] : a) {
     if (f.IsFalse()) return true;  // vacuous premise
   }
-  int budget = 100000;
-  return ImpliesDisjunction(bs, 0, &current, &budget);
-}
-
-// Label/kind compatibility between a pattern node and a canonical node.
-bool NodeMatches(const XamNode& pn, const CanonicalNode& cn) {
-  if (pn.is_attribute) {
-    return cn.kind == NodeKind::kAttribute &&
-           (pn.tag_value.empty() || cn.label == pn.tag_value);
-  }
-  if (cn.kind != NodeKind::kElement) return false;
-  return pn.is_wildcard() || cn.label == pn.tag_value;
+  VarConjunction current = a;
+  int budget = kImplicationBudget;
+  bool implied = ImpliesDisjunction(bs, 0, &current, &budget);
+  if (budget < 0) ++stats->implication_budget_exhausted;
+  return implied;
 }
 
 // Enumerates embeddings of pattern q into canonical tree t with
@@ -72,12 +72,10 @@ class TreeMatcher {
       : q_(q), t_(t), s_(s) {
     // Precompute descendants lists of every canonical node.
     desc_.resize(t_.nodes.size());
-    anc_chain_.resize(t_.nodes.size());
     for (size_t i = 0; i < t_.nodes.size(); ++i) {
       for (int cur = t_.nodes[i].parent; cur >= 0;
            cur = t_.nodes[cur].parent) {
         desc_[cur].push_back(static_cast<int>(i));
-        anc_chain_[i].push_back(cur);
       }
     }
   }
@@ -106,7 +104,7 @@ class TreeMatcher {
   // below canonical node `at` (for the maximality of optional matches).
   bool SubtreeEmbeddable(XamNodeId node, int candidate) {
     const XamNode& pn = q_.node(node);
-    if (!NodeMatches(pn, t_.nodes[candidate])) return false;
+    if (!Matches(pn, candidate)) return false;
     // Value compatibility: the tree node's formula must be satisfiable with
     // the pattern's (structure check; precise value reasoning happens in the
     // §4.4.2 implication condition).
@@ -125,6 +123,10 @@ class TreeMatcher {
       if (!found) return false;
     }
     return true;
+  }
+
+  bool Matches(const XamNode& pn, int cand) const {
+    return NodeMatches(pn, s_.node(t_.nodes[cand].path));
   }
 
   const std::vector<int>& CandidatesBelow(int at, Axis axis) const {
@@ -165,7 +167,7 @@ class TreeMatcher {
     // Collect viable candidates.
     std::vector<int> cands;
     for (int cand : CandidatesBelow(base, edge.axis)) {
-      if (!NodeMatches(pn, t_.nodes[cand])) continue;
+      if (!Matches(pn, cand)) continue;
       if (t_.nodes[cand].formula.And(pn.val_formula).IsFalse()) continue;
       if (SubtreeEmbeddable(node, cand)) cands.push_back(cand);
     }
@@ -210,9 +212,8 @@ class TreeMatcher {
 
   const Xam& q_;
   const CanonicalTree& t_;
-  [[maybe_unused]] const PathSummary& s_;
+  const PathSummary& s_;
   std::vector<std::vector<int>> desc_;
-  std::vector<std::vector<int>> anc_chain_;
   bool stop_ = false;
 };
 
@@ -282,19 +283,17 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
   // depths (Prop. 4.4.4 2a).
   std::vector<const Xam*> usable;
   for (const Xam* q : qs) {
-    if (opts.check_attributes && !AttributesCompatible(p, *q)) continue;
-    if (!opts.check_attributes &&
-        p.ReturnNodes().size() != q->ReturnNodes().size()) {
-      continue;
+    if (AttributesCompatible(p, *q) && NestingDepthsCompatible(p, *q)) {
+      usable.push_back(q);
     }
-    if (!NestingDepthsCompatible(p, *q)) continue;
-    usable.push_back(q);
   }
   if (usable.empty()) {
     // p ⊆ ∅-union only when p itself is unsatisfiable.
     return !IsSatisfiable(p, summary);
   }
 
+  ContainmentStats ignored;
+  if (stats == nullptr) stats = &ignored;
   const bool nested_check = p.HasNestedEdges();
   std::vector<XamNodeId> p_returns = p.ReturnNodes();
 
@@ -334,7 +333,7 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
         // Return-tuple condition: the container's return nodes must land on
         // exactly p's return images ("same return nodes", Prop. 4.4.1(2)).
         for (size_t i = 0; i < q_returns.size(); ++i) {
-          if (image[q_returns[i]] != t.return_images[i]) return true;
+          if (image[q_returns[i]] != t.image[p_returns[i]]) return true;
         }
         // Nesting sequences (Prop. 4.4.4 2b).
         if (nested_check || q->HasNestedEdges()) {
@@ -379,13 +378,15 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
         // already covers the tree's constraints (§4.4.2's condition). The
         // size cap keeps adversarial cases bounded; truncation can only
         // make the test fail, never wrongly succeed (sound).
-        if (Implies(phi_te, phis)) {
+        if (Implies(phi_te, phis, stats)) {
           tree_ok = true;
           return false;
         }
-        return phis.size() < 64;
+        if (phis.size() < kMaxDisjuncts) return true;
+        ++stats->disjunct_cap_hits;
+        return false;
       });
-      if (stats != nullptr) stats->embeddings_checked += phis.size();
+      stats->embeddings_checked += phis.size();
     }
     if (!tree_ok) {
       contained = false;
@@ -397,10 +398,8 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
   // that left `contained` standing hit the model cap: the trees never
   // checked could refute containment.
   bool truncated = !complete && contained;
-  if (stats != nullptr) {
-    stats->canonical_model_size = model_size;
-    stats->truncated = stats->truncated || truncated;
-  }
+  stats->canonical_model_size = model_size;
+  stats->truncated = stats->truncated || truncated;
   return contained && !truncated;
 }
 

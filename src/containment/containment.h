@@ -29,8 +29,6 @@ struct ContainmentOptions {
   // model with more trees answers "not contained": an unchecked tree could
   // be the counterexample.
   size_t model_limit = 1u << 16;
-  // Check Prop. 4.4.3's attribute-spec condition on paired return nodes.
-  bool check_attributes = true;
 };
 
 struct ContainmentStats {
@@ -39,6 +37,13 @@ struct ContainmentStats {
   // The canonical model passed `model_limit`, so the answer was "not
   // contained" without a refuting tree.
   bool truncated = false;
+  // Proofs cut short inside a canonical tree: the tree may stay unverified,
+  // so "not contained" may come from a limit rather than a counterexample.
+  // Both add up across calls that share the stats. Container matchers
+  // stopped by the per-tree cap of 64 value-constrained embeddings:
+  size_t disjunct_cap_hits = 0;
+  // Implication tests that ran out of their 100,000-step search budget:
+  size_t implication_budget_exhausted = 0;
 };
 
 // p ⊆_S q.

@@ -3,113 +3,103 @@
 #include <algorithm>
 
 namespace uload {
-namespace {
 
-// Candidate summary nodes for a pattern node, given its own constraints.
 bool NodeMatches(const XamNode& pn, const SummaryNode& sn) {
-  if (pn.is_attribute) {
-    if (sn.kind != NodeKind::kAttribute) return false;
-    // Attribute pattern labels carry the '@' prefix, as do summary labels.
-    return pn.tag_value.empty() || sn.label == pn.tag_value;
-  }
-  if (sn.kind != NodeKind::kElement) return false;
-  return pn.is_wildcard() || sn.label == pn.tag_value;
+  // Attribute pattern labels carry the '@' prefix, as do summary labels.
+  NodeKind kind = pn.is_attribute ? NodeKind::kAttribute : NodeKind::kElement;
+  return sn.kind == kind && (pn.is_wildcard() || sn.label == pn.tag_value);
 }
 
-class Enumerator {
- public:
-  Enumerator(const Xam& p, const PathSummary& s, size_t limit)
-      : p_(p), s_(s), limit_(limit) {
-    order_ = p_.PreOrder();
-    image_.assign(p_.size(), kNoSummaryNode);
-  }
+std::vector<SummaryNodeId> SummaryCandidates(const Xam& p, XamNodeId node,
+                                             Axis axis, SummaryNodeId at,
+                                             const PathSummary& summary) {
+  const XamNode& pn = p.node(node);
+  std::vector<SummaryNodeId> out =
+      axis == Axis::kChild ? summary.ChildrenWithLabel(at, pn.tag_value)
+                           : summary.Descendants(at, pn.tag_value);
+  std::erase_if(out, [&](SummaryNodeId c) {
+    return !NodeMatches(pn, summary.node(c));
+  });
+  return out;
+}
 
-  std::vector<SummaryEmbedding> Run() {
-    image_[kXamRoot] = s_.document_node();
-    Recurse(1);
-    return std::move(found_);
-  }
+namespace {
 
- private:
-  std::vector<SummaryNodeId> Candidates(XamNodeId node,
-                                        SummaryNodeId base) const {
-    const XamNode& pn = p_.node(node);
-    const XamEdge& edge = p_.IncomingEdge(node);
-    std::vector<SummaryNodeId> raw =
-        edge.axis == Axis::kChild
-            ? s_.ChildrenWithLabel(base, pn.tag_value)
-            : s_.Descendants(base, pn.tag_value);
-    std::vector<SummaryNodeId> out;
-    for (SummaryNodeId c : raw) {
-      if (NodeMatches(pn, s_.node(c))) out.push_back(c);
+// Whether `node`'s subtree fully embeds with `node` at `at` (optional
+// children may map to ⊥).
+bool SubtreeEmbeds(const Xam& p, XamNodeId node, SummaryNodeId at,
+                   const PathSummary& s) {
+  for (const XamEdge& e : p.node(node).edges) {
+    if (e.optional()) continue;
+    std::vector<SummaryNodeId> cands =
+        SummaryCandidates(p, e.child, e.axis, at, s);
+    if (std::none_of(cands.begin(), cands.end(), [&](SummaryNodeId c) {
+          return SubtreeEmbeds(p, e.child, c, s);
+        })) {
+      return false;
     }
-    return out;
   }
+  return true;
+}
 
-  // Whether `node`'s subtree fully embeds with `node` at `at` (optional
-  // children may map to ⊥).
-  bool SubtreeEmbeds(XamNodeId node, SummaryNodeId at) const {
-    for (const XamEdge& e : p_.node(node).edges) {
-      if (e.optional()) continue;
-      bool found = false;
-      for (SummaryNodeId c : Candidates(e.child, at)) {
-        if (SubtreeEmbeds(e.child, c)) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) return false;
-    }
-    return true;
-  }
+// Backtracking over the pattern's nodes in pre-order: each node takes every
+// candidate below its parent's image whose subtree still embeds.
+struct Walk {
+  const Xam& p;
+  const PathSummary& s;
+  const std::function<bool(const SummaryEmbedding&)>& fn;
+  std::vector<XamNodeId> order;
+  SummaryEmbedding image;
 
-  void Recurse(size_t idx) {
-    if (found_.size() >= limit_) return;
-    if (idx == order_.size()) {
-      found_.push_back(image_);
-      return;
-    }
-    XamNodeId node = order_[idx];
-    const XamEdge& edge = p_.IncomingEdge(node);
-    SummaryNodeId base = image_[p_.node(node).parent];
+  // Returns false once `fn` has stopped the walk.
+  bool Recurse(size_t idx) {
+    if (idx == order.size()) return fn(image);
+    XamNodeId node = order[idx];
+    const XamEdge& edge = p.IncomingEdge(node);
+    SummaryNodeId base = image[p.node(node).parent];
     if (base == kNoSummaryNode) {
       // Inside an unembeddable optional subtree: stays ⊥.
-      image_[node] = kNoSummaryNode;
-      Recurse(idx + 1);
-      return;
+      image[node] = kNoSummaryNode;
+      return Recurse(idx + 1);
     }
-    std::vector<SummaryNodeId> candidates;
-    for (SummaryNodeId c : Candidates(node, base)) {
-      if (SubtreeEmbeds(node, c)) candidates.push_back(c);
-    }
+    std::vector<SummaryNodeId> candidates =
+        SummaryCandidates(p, node, edge.axis, base, s);
+    std::erase_if(candidates, [&](SummaryNodeId c) {
+      return !SubtreeEmbeds(p, node, c, s);
+    });
     for (SummaryNodeId c : candidates) {
-      image_[node] = c;
-      Recurse(idx + 1);
-      if (found_.size() >= limit_) return;
+      image[node] = c;
+      if (!Recurse(idx + 1)) return false;
     }
-    image_[node] = kNoSummaryNode;
-    if (candidates.empty() && edge.optional()) {
-      // No summary embedding for this optional subtree: it maps to ⊥ and
-      // the rest of the pattern may still embed.
-      Recurse(idx + 1);
-    }
+    image[node] = kNoSummaryNode;
+    // An optional subtree with no placement maps to ⊥ and the rest of the
+    // pattern may still embed: documents conforming to S never realize it,
+    // so dropping the embedding would shrink the canonical model and make
+    // containment accept too much.
+    if (candidates.empty() && edge.optional()) return Recurse(idx + 1);
+    return true;
   }
-
-  const Xam& p_;
-  const PathSummary& s_;
-  size_t limit_;
-  std::vector<XamNodeId> order_;
-  SummaryEmbedding image_;
-  std::vector<SummaryEmbedding> found_;
 };
 
 }  // namespace
 
+bool ForEachEmbedding(
+    const Xam& p, const PathSummary& summary,
+    const std::function<bool(const SummaryEmbedding&)>& fn) {
+  Walk walk{p, summary, fn, p.PreOrder(),
+            SummaryEmbedding(p.size(), kNoSummaryNode)};
+  walk.image[kXamRoot] = summary.document_node();
+  return walk.Recurse(1);
+}
+
 std::vector<SummaryEmbedding> EmbedIntoSummary(const Xam& p,
-                                               const PathSummary& summary,
-                                               size_t limit) {
-  Enumerator e(p, summary, limit);
-  return e.Run();
+                                               const PathSummary& summary) {
+  std::vector<SummaryEmbedding> out;
+  ForEachEmbedding(p, summary, [&](const SummaryEmbedding& e) {
+    out.push_back(e);
+    return true;
+  });
+  return out;
 }
 
 AnnotationSets PathAnnotations(const Xam& p, const PathSummary& summary) {
@@ -131,7 +121,7 @@ AnnotationSets PathAnnotations(const Xam& p, const PathSummary& summary) {
       }
     } else if (pn.is_attribute) {
       for (SummaryNodeId s = 1; s < summary.size(); ++s) {
-        if (summary.node(s).kind == NodeKind::kAttribute) add(s);
+        if (NodeMatches(pn, summary.node(s))) add(s);
       }
     } else {
       const std::vector<SummaryNodeId>& elements = summary.ElementNodes();
@@ -222,7 +212,8 @@ AnnotationSets PathAnnotations(const Xam& p, const PathSummary& summary) {
 }
 
 bool IsSatisfiable(const Xam& p, const PathSummary& summary) {
-  return !EmbedIntoSummary(p, summary, 1).empty();
+  return !ForEachEmbedding(p, summary,
+                           [](const SummaryEmbedding&) { return false; });
 }
 
 }  // namespace uload

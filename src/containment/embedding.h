@@ -7,6 +7,7 @@
 #define ULOAD_CONTAINMENT_EMBEDDING_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -19,12 +20,30 @@ namespace uload {
 // document node.
 using SummaryEmbedding = std::vector<SummaryNodeId>;
 
-// Enumerates all embeddings of the *strict* skeleton of `p` (optional and
-// nested edges treated as plain structural edges). Stops after `limit`
-// embeddings.
+// Label/kind compatibility: `pn` may map to `sn` (a wildcard matches any
+// element, an attribute wildcard any attribute).
+bool NodeMatches(const XamNode& pn, const SummaryNode& sn);
+
+// The summary nodes pattern node `node` may map to when its parent maps to
+// `at` and it is entered by `axis`: children (/) or descendants (//) of
+// `at` that match the node, in pre-order.
+std::vector<SummaryNodeId> SummaryCandidates(const Xam& p, XamNodeId node,
+                                             Axis axis, SummaryNodeId at,
+                                             const PathSummary& summary);
+
+// Streams the embeddings of `p` into the summary to `fn`, which returns
+// false to stop. Nested edges count as plain structural edges; a subtree
+// below an optional edge that has no placement maps to ⊥
+// (kNoSummaryNode). This is the only enumeration of embeddings: canonical
+// models, EmbedIntoSummary and IsSatisfiable all walk it. Returns false iff
+// `fn` stopped the walk.
+bool ForEachEmbedding(
+    const Xam& p, const PathSummary& summary,
+    const std::function<bool(const SummaryEmbedding&)>& fn);
+
+// All embeddings, in ForEachEmbedding's order.
 std::vector<SummaryEmbedding> EmbedIntoSummary(const Xam& p,
-                                               const PathSummary& summary,
-                                               size_t limit = SIZE_MAX);
+                                               const PathSummary& summary);
 
 // Path annotations of a pattern: one summary-node set per XAM node id,
 // stored flat (two allocations whatever the pattern's size), since the

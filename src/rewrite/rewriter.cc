@@ -712,7 +712,10 @@ class Search {
   }
 
   void NoteTruncation(const ContainmentStats& st) {
-    if (st.truncated && stats_ != nullptr) stats_->containment_truncations++;
+    if (stats_ == nullptr) return;
+    if (st.truncated) stats_->containment_truncations++;
+    stats_->disjunct_cap_hits += st.disjunct_cap_hits;
+    stats_->implication_budget_exhausted += st.implication_budget_exhausted;
   }
 
   void Reannotate(Candidate* c) const {

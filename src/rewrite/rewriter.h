@@ -53,6 +53,12 @@ struct RewriteStats {
   // Containment tests whose canonical model passed the cap (answered "not
   // contained" without a refuting tree).
   size_t containment_truncations = 0;
+  // Proofs cut short inside a canonical tree, summed over every containment
+  // test (ContainmentStats' fields of the same names). Together with
+  // containment_truncations they tell "no rewriting because a proof was cut
+  // short" from "no rewriting exists".
+  size_t disjunct_cap_hits = 0;
+  size_t implication_budget_exhausted = 0;
 };
 
 struct Rewriting {

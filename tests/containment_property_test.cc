@@ -4,14 +4,20 @@
 //    document conforming to the summary is a subset of q's extent;
 //  * canonical models: every mod_S(p) tree realizes a satisfiable shape and
 //    return paths match the pattern's annotations;
+//  * the embedding walk: its images are exactly the path annotations;
 //  * translation: random generated queries agree between the interpreter
 //    and the algebraic evaluation.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
 #include "containment/containment.h"
 #include "eval/xam_eval.h"
+#include "workload/dblp.h"
 #include "workload/pattern_gen.h"
 #include "workload/xmark.h"
+#include "workload/xmark_queries.h"
 #include "xquery/interp.h"
 #include "xquery/parser.h"
 #include "xquery/translate.h"
@@ -92,11 +98,12 @@ TEST_P(CanonicalModelProps, TreesMatchAnnotations) {
   ASSERT_FALSE(model.empty()) << p.ToString();
   std::vector<XamNodeId> returns = p.ReturnNodes();
   for (const CanonicalTree& t : model) {
-    ASSERT_EQ(t.return_paths.size(), returns.size());
-    for (size_t i = 0; i < returns.size(); ++i) {
-      if (t.return_paths[i] == kNoSummaryNode) continue;  // erased optional
-      const auto& allowed = annots[returns[i]];
-      EXPECT_NE(std::find(allowed.begin(), allowed.end(), t.return_paths[i]),
+    ASSERT_EQ(t.image.size(), p.size());
+    for (XamNodeId r : returns) {
+      if (t.image[r] < 0) continue;  // erased optional
+      const auto& allowed = annots[r];
+      EXPECT_NE(std::find(allowed.begin(), allowed.end(),
+                          t.nodes[t.image[r]].path),
                 allowed.end())
           << "return path outside the node's annotation";
     }
@@ -110,6 +117,97 @@ TEST_P(CanonicalModelProps, TreesMatchAnnotations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, CanonicalModelProps, ::testing::Range(0, 12));
+
+// Self-containment of the XMark query patterns over XMark 0.1: verdict,
+// |mod_S(p)| and container embeddings checked, per pattern in order.
+TEST(CanonicalModelProps, XMarkQueryModelsArePinned) {
+  Document doc = GenerateXMark(XMarkScale(0.1));
+  PathSummary summary = PathSummary::Build(&doc);
+  struct Golden {
+    size_t model_size;
+    size_t embeddings;
+  };
+  const std::vector<Golden> golden = {
+      {1, 1}, {1, 0}, {1, 0}, {1, 1}, {1, 1},     // q01-q05
+      {6, 0}, {1404, 0}, {1, 0}, {1, 0}, {1, 0},  // q06-q10
+      {1, 1}, {1, 1}, {1, 0}, {11, 0}, {2, 0},    // q11-q15
+      {1, 0}, {1, 0}, {1, 0}, {6, 0}, {1, 1}};    // q16-q20
+  std::vector<NamedXam> queries = XMarkQueryPatterns();
+  ASSERT_EQ(queries.size(), golden.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ContainmentStats st;
+    auto r = IsContained(queries[i].xam, queries[i].xam, summary, {}, &st);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_TRUE(*r) << queries[i].name;
+    EXPECT_EQ(st.canonical_model_size, golden[i].model_size)
+        << queries[i].name;
+    EXPECT_EQ(st.embeddings_checked, golden[i].embeddings) << queries[i].name;
+    EXPECT_FALSE(st.truncated) << queries[i].name;
+  }
+}
+
+// The embedding walk against arc consistency: for every node, the non-⊥
+// images over all embeddings are exactly its path annotation, and a pattern
+// is satisfiable iff some embedding exists. The prune-before-prove filter
+// (AnnotationsRefuteContainment) is sound only because of this exactness.
+class EmbeddingWalk
+    : public ::testing::TestWithParam<std::tuple<const char*, int>> {
+ protected:
+  static const PathSummary& Summary(const std::string& name) {
+    static const PathSummary xmark = [] {
+      Document doc = GenerateXMark(XMarkScale(0.1));
+      return PathSummary::Build(&doc);
+    }();
+    static const PathSummary dblp = [] {
+      Document doc = GenerateDblp();
+      return PathSummary::Build(&doc);
+    }();
+    return name == "xmark" ? xmark : dblp;
+  }
+};
+
+TEST_P(EmbeddingWalk, ImagesAreExactlyTheAnnotations) {
+  const auto [name, optional_percent] = GetParam();
+  const PathSummary& summary = Summary(name);
+  PatternGenerator gen(&summary, 7u + optional_percent);
+  PatternGenOptions opts;
+  opts.optional_percent = optional_percent;
+  if (std::string(name) == "dblp") {
+    opts.return_labels = {"author", "title", "year"};
+  }
+  // 50 patterns per instance, so 100 per summary.
+  for (int i = 0; i < 50; ++i) {
+    opts.nodes = 2 + i % 5;
+    opts.return_nodes = 1 + (i / 5) % 2;
+    Xam p = gen.Generate(opts);
+    std::vector<std::set<SummaryNodeId>> images(p.size());
+    bool any = false;
+    ForEachEmbedding(p, summary, [&](const SummaryEmbedding& e) {
+      any = true;
+      for (XamNodeId id = 0; id < p.size(); ++id) {
+        if (e[id] != kNoSummaryNode) images[id].insert(e[id]);
+      }
+      return true;
+    });
+    AnnotationSets annotations = PathAnnotations(p, summary);
+    for (XamNodeId id = 0; id < p.size(); ++id) {
+      std::set<SummaryNodeId> annotated(annotations[id].begin(),
+                                        annotations[id].end());
+      EXPECT_EQ(images[id], annotated) << "node " << id << "\n"
+                                       << p.ToString();
+    }
+    EXPECT_EQ(IsSatisfiable(p, summary), any) << p.ToString();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, EmbeddingWalk,
+                         ::testing::Combine(::testing::Values("xmark", "dblp"),
+                                            ::testing::Values(0, 30)),
+                         [](const auto& info) {
+                           return std::string(std::get<0>(info.param)) +
+                                  "_optional" +
+                                  std::to_string(std::get<1>(info.param));
+                         });
 
 // Random query generator over the XMark structure: simple FLWRs with
 // where predicates and constructed results.

@@ -132,11 +132,6 @@ TEST_F(ContainTest, AttributeSpecsMustMatch) {
   Xam p = P("xam\nnode e1 label=name id=s val\nedge top // j e1\n");
   Xam q = P("xam\nnode e1 label=name id=s\nedge top // j e1\n");
   EXPECT_FALSE(Contained(p, q));
-  ContainmentOptions lax;
-  lax.check_attributes = false;
-  auto r = IsContained(p, q, summary_, lax);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(*r);
 }
 
 TEST_F(ContainTest, DecoratedPerNodeImplication) {
@@ -267,18 +262,47 @@ TEST_F(ContainTest, RootChildEdgeRestricts) {
   EXPECT_TRUE(Contained(any_site, site_child));  // site only at the root
 }
 
-TEST_F(ContainTest, EmbeddingAnnotationsMatchEnumeration) {
+TEST_F(ContainTest, CanonicalTreeToString) {
   Xam p = P(
-      "xam\nnode e1 id=s\nnode e2 label=name val\n"
+      "xam\nnode e1 label=person\nnode e2 label=age id=s val>20\n"
       "edge top // j e1\nedge e1 / j e2\n");
-  auto annots = PathAnnotations(p, summary_);
-  auto embs = EmbedIntoSummary(p, summary_);
-  // The e1 annotation is exactly the set of first components of embeddings.
-  std::set<SummaryNodeId> from_embs;
-  for (const auto& e : embs) from_embs.insert(e[1]);
-  std::set<SummaryNodeId> from_annot(annots[1].begin(), annots[1].end());
-  EXPECT_EQ(from_embs, from_annot);
-  EXPECT_EQ(from_annot.size(), 2u);  // person, item
+  std::vector<CanonicalTree> model = CanonicalModel(p, summary_);
+  ASSERT_EQ(model.size(), 1u);
+  // Labels come from the summary nodes the tree sits on.
+  EXPECT_EQ(model[0].ToString(summary_),
+            "#document @/\n"
+            "  site @/site\n"
+            "    people @/site/people\n"
+            "      person @/site/people/person\n"
+            "        age @/site/people/person/age [v>20]\n");
+}
+
+TEST_F(ContainTest, DisjunctCapIsCounted) {
+  // name[1 <= val <= 70] is not covered by the 70 points val = i (1.5 is a
+  // counter-model), and each tree collects more value-constrained
+  // embeddings than the per-tree disjunct cap allows.
+  Xam p = P(
+      "xam\nnode e1 label=name id=s val>=1 val<=70\nedge top // j e1\n");
+  std::vector<Xam> points;
+  for (int i = 1; i <= 70; ++i) {
+    points.push_back(P("xam\nnode e1 label=name id=s val=" +
+                       std::to_string(i) + "\nedge top // j e1\n"));
+  }
+  std::vector<const Xam*> union_of;
+  for (const Xam& q : points) union_of.push_back(&q);
+  ContainmentStats st;
+  auto r = IsContainedInUnion(p, union_of, summary_, {}, &st);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(*r);
+  EXPECT_GE(st.disjunct_cap_hits, 1u);
+  EXPECT_EQ(st.implication_budget_exhausted, 0u);
+  EXPECT_FALSE(st.truncated);
+  // Below the cap nothing is counted.
+  ContainmentStats few;
+  r = IsContainedInUnion(p, {union_of[0], union_of[1]}, summary_, {}, &few);
+  ASSERT_TRUE(r.ok());
+  EXPECT_FALSE(*r);
+  EXPECT_EQ(few.disjunct_cap_hits, 0u);
 }
 
 TEST_F(ContainTest, TruncatedModelIsNotContained) {

@@ -334,6 +334,8 @@ TEST(RewriteSearchStatsTest, ShortcutsAccountForEveryEquivalenceTest) {
   EXPECT_GT(stats.equivalence_memo_hits, 0u);
   EXPECT_LT(stats.equivalence_checks, 142u);
   EXPECT_EQ(stats.containment_truncations, 0u);
+  EXPECT_EQ(stats.disjunct_cap_hits, 0u);
+  EXPECT_EQ(stats.implication_budget_exhausted, 0u);
 }
 
 // Navigation that covers several query return nodes anchors only on the
@@ -394,7 +396,8 @@ class RewriterReuse : public RewriteTest {
     }
     for (size_t n : {st.candidates_generated, st.adaptations_tried,
                      st.equivalence_checks, st.equivalence_pruned,
-                     st.equivalence_memo_hits, st.containment_truncations}) {
+                     st.equivalence_memo_hits, st.containment_truncations,
+                     st.disjunct_cap_hits, st.implication_budget_exhausted}) {
       out += std::to_string(n) + " ";
     }
     return out;
