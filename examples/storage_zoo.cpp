@@ -53,7 +53,7 @@ int main() {
         std::printf("  error: %s\n", st.ToString().c_str());
         continue;
       }
-      tuples += catalog.Find(v.name)->data().size();
+      tuples += catalog.Find(v.name)->row_count();
     }
     std::printf("  %zu structure(s), %lld tuples, ~%lld bytes\n",
                 catalog.views().size(), static_cast<long long>(tuples),

@@ -215,10 +215,12 @@ if [[ "${1:-}" != "fast" ]]; then
   # Build every bench target in Release so bench sources can't rot, then run
   # the end-to-end query bench for one iteration over a tiny document — it
   # doubles as a Release-mode differential check (every answer against the
-  # direct XQuery interpreter).
+  # direct XQuery interpreter) — and print the storage-model plan and
+  # footprint tables (E7, E12) without running the timed benchmarks.
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-release -j --target benches
   ./build-release/bench/bench_query_e2e --smoke
+  ./build-release/bench/bench_storage_models --benchmark_filter='^$'
 
   echo "== ASAN/UBSAN configuration =="
   run_config build-asan -DASAN=ON

@@ -13,7 +13,7 @@ using VarConjunction = std::map<int, ValueFormula>;
 // Calls of ImpliesDisjunction one implication test may make.
 constexpr int kImplicationBudget = 100000;
 // Disjuncts (container embeddings with value constraints) one canonical
-// tree may collect before its matcher stops.
+// tree may collect, over all containers of a union.
 constexpr size_t kMaxDisjuncts = 64;
 
 bool ConjAddAtom(VarConjunction* conj, int var, const ValueFormula& f) {
@@ -373,7 +373,12 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
           tree_ok = true;
           return false;  // stop matching this tree
         }
+        // A capped tree collects no more disjuncts and runs no more
+        // implication tests; only a constraint-free embedding (above) can
+        // still verify it.
+        if (phis.size() == kMaxDisjuncts) return true;
         phis.push_back(std::move(phi_m));
+        ++stats->embeddings_checked;
         // Incremental coverage: stop as soon as the accumulated disjunction
         // already covers the tree's constraints (§4.4.2's condition). The
         // size cap keeps adversarial cases bounded; truncation can only
@@ -386,7 +391,6 @@ Result<bool> IsContainedInUnion(const Xam& p, const std::vector<const Xam*>& qs,
         ++stats->disjunct_cap_hits;
         return false;
       });
-      stats->embeddings_checked += phis.size();
     }
     if (!tree_ok) {
       contained = false;

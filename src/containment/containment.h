@@ -39,8 +39,8 @@ struct ContainmentStats {
   bool truncated = false;
   // Proofs cut short inside a canonical tree: the tree may stay unverified,
   // so "not contained" may come from a limit rather than a counterexample.
-  // Both add up across calls that share the stats. Container matchers
-  // stopped by the per-tree cap of 64 value-constrained embeddings:
+  // Both add up across calls that share the stats. Canonical trees that
+  // reached the per-tree cap of 64 value-constrained embeddings:
   size_t disjunct_cap_hits = 0;
   // Implication tests that ran out of their 100,000-step search budget:
   size_t implication_budget_exhausted = 0;

@@ -13,15 +13,7 @@ NestedRelation Collect(const DocumentStore& doc, const std::string& label,
     attrs.push_back(Attribute::Atomic(opts.prefix + "_Cont"));
   }
   NestedRelation out(Schema::Make(std::move(attrs)), CollectionKind::kList);
-  const int64_t n = doc.size();
-  for (NodeIndex i = 1; i < n; ++i) {
-    NodeKind k = doc.kind(i);
-    if (attributes) {
-      if (k != NodeKind::kAttribute) continue;
-    } else {
-      if (k != NodeKind::kElement) continue;
-    }
-    if (!label.empty() && doc.label(i) != label) continue;
+  for (NodeIndex i : CollectionRows(doc, label, attributes)) {
     Tuple t;
     t.fields.emplace_back(MakeNodeId(doc, i, opts.id_kind));
     if (opts.with_tag) {
@@ -39,6 +31,20 @@ NestedRelation Collect(const DocumentStore& doc, const std::string& label,
 }
 
 }  // namespace
+
+std::vector<NodeIndex> CollectionRows(const DocumentStore& doc,
+                                      std::string_view label,
+                                      bool attributes) {
+  const NodeKind kind = attributes ? NodeKind::kAttribute : NodeKind::kElement;
+  std::vector<NodeIndex> rows;
+  const int64_t n = doc.size();
+  for (NodeIndex i = 1; i < n; ++i) {
+    if (doc.kind(i) != kind) continue;
+    if (!label.empty() && doc.label(i) != label) continue;
+    rows.push_back(i);
+  }
+  return rows;
+}
 
 AtomicValue MakeNodeId(const DocumentStore& doc, NodeIndex n, IdKind kind) {
   if (kind == IdKind::kParental) {

@@ -6,6 +6,8 @@
 #define ULOAD_EVAL_TAG_COLLECTIONS_H_
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "algebra/relation.h"
 #include "xml/document_store.h"
@@ -22,6 +24,12 @@ struct TagCollectionOptions {
   // Identifier representation materialized in the ID column.
   IdKind id_kind = IdKind::kStructural;
 };
+
+// The nodes of R_t(d) (`attributes` false) or R_t^α(d) (true), in document
+// order; an empty `label` selects every element or every attribute.
+std::vector<NodeIndex> CollectionRows(const DocumentStore& doc,
+                                      std::string_view label,
+                                      bool attributes);
 
 // R_t(d) (elements with tag `label`), or R_*(d) when `label` is empty.
 // Tuples follow document order.

@@ -174,7 +174,9 @@ class XamPlanner {
   // First-wins elimination keeps document order.
   PlanPtr ProjectView(PlanPtr plan, const Schema& schema) const {
     std::vector<std::string> paths;
-    CollectViewPaths(kXamRoot, "", &paths);
+    for (const Xam::StoredAttr& a : xam_.StoredAttrs()) {
+      paths.push_back(xam_.AttrPath(a.node, a.suffix));
+    }
     std::vector<XamNodeId> top_level;
     TopLevelNodes(kXamRoot, &top_level);
     bool dedup = false;
@@ -186,31 +188,6 @@ class XamPlanner {
     }
     if (identity) return plan;
     return LogicalPlan::Project(std::move(plan), std::move(paths), dedup);
-  }
-
-  // Dotted attribute paths of the view schema relative to the subtree
-  // rooted at `id`, with `prefix` accumulated from enclosing nested
-  // collections.
-  void CollectViewPaths(XamNodeId id, const std::string& prefix,
-                        std::vector<std::string>* out) const {
-    const XamNode& n = xam_.node(id);
-    if (id != kXamRoot) {
-      if (n.stores_id) out->push_back(prefix + n.name + "_ID");
-      if (n.stores_tag) out->push_back(prefix + n.name + "_Tag");
-      if (n.stores_val) out->push_back(prefix + n.name + "_Val");
-      if (n.stores_cont) out->push_back(prefix + n.name + "_Cont");
-    }
-    for (const XamEdge& e : n.edges) {
-      if (e.nested()) {
-        // The nested collection attribute is named after the child node;
-        // the child's own attributes live inside it.
-        CollectViewPaths(e.child, prefix + xam_.node(e.child).name + ".",
-                         out);
-      } else if (!e.semi()) {
-        // Semijoined subtrees contribute no attributes.
-        CollectViewPaths(e.child, prefix, out);
-      }
-    }
   }
 
   const Xam& xam_;

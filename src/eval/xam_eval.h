@@ -4,7 +4,8 @@
 // (Def. 2.2.4): each node contributes its tag-derived base collection
 // filtered by its value formula; edges contribute structural
 // (semi/outer/nest) joins; the final projection Π_χ retains exactly the
-// specified attributes (Def. 2.2.5). The tree is a logical plan compiled
+// specified attributes (Def. 2.2.5), the ones Xam::StoredAttrs() lists in
+// the layout every catalog view shares. The tree is a logical plan compiled
 // and run by the streaming engine (exec/physical.h), the same executor
 // queries use. R-marked XAMs are evaluated against a bindings list via
 // nested tuple intersection (Def. 2.2.6).
@@ -19,7 +20,8 @@
 namespace uload {
 
 // Evaluates a XAM without R markers (markers, if present, are ignored: this
-// computes [[χ⁰]]_d). The result's schema is xam.ViewSchema(). Tuples follow
+// computes [[χ⁰]]_d). The result's schema is xam.ViewSchema(), projected
+// through xam.StoredAttrs(): semijoined subtrees store nothing. Tuples follow
 // document order, lexicographically over the nodes that make up the top
 // level, whether or not the XAM is ordered.
 Result<NestedRelation> EvaluateXam(const Xam& xam, const DocumentStore& doc);

@@ -8,7 +8,40 @@
 namespace uload {
 namespace {
 
+// Per-tuple operator weights. The rewriter ranks rewritings only by their
+// relative cost, so these need to order access paths sensibly, not to
+// predict time.
+constexpr double kScanWeight = 1.0;      // per scanned tuple
+constexpr double kJoinWeight = 2.0;      // per join input, product output
+constexpr double kNavigateWeight = 8.0;  // per *visited* document node
+constexpr double kSelectWeight = 0.5;    // per selected input tuple
+// Default selectivity of any value predicate or selection.
 constexpr double kPredicateSelectivity = 0.1;
+
+// Navigation traversal shape. A child-axis step examines each frontier
+// node's children (kNavigateChildFanout per node); a descendant-axis step
+// walks whole subtrees, estimated as kNavigateDescendantFactor visited nodes
+// per matching target (subtrees of distinct frontier nodes are disjoint, so
+// the document's total node count — known exactly from the summary — bounds
+// the sum).
+constexpr double kNavigateChildFanout = 8.0;
+constexpr double kNavigateDescendantFactor = 16.0;
+
+// Batch-at-a-time iteration (exec/physical.h): virtual dispatch, runtime
+// accounting, and clock reads are paid once per NextBatch() call, while a
+// small residual (branching, cursor advance) stays per tuple.
+constexpr double kPerTupleOverhead = 0.05;  // per tuple per operator
+constexpr double kPerBatchOverhead = 2.0;   // per NextBatch() call
+constexpr double kBatchSize = 1024.0;       // tuples per batch
+
+// Iteration overhead one operator pays to push `card` tuples downstream:
+// the per-tuple residual plus ceil(card / kBatchSize) NextBatch() calls (at
+// least one, even for an empty stream).
+double IterationOverhead(double card) {
+  double tuples = std::max(card, 0.0);
+  double batches = std::max(1.0, std::ceil(tuples / kBatchSize));
+  return tuples * kPerTupleOverhead + batches * kPerBatchOverhead;
+}
 
 // Cardinality of the subtree rooted at `node`, per instance of the parent's
 // path `at`: how many subtree matches hang below one parent node.
@@ -85,18 +118,9 @@ size_t ExchangeQueueCapacity(size_t workers, int64_t budget_bytes,
   return std::min(cap, static_cast<size_t>(share));
 }
 
-double IterationOverhead(double card, const CostModel& model) {
-  double tuples = std::max(card, 0.0);
-  double batches =
-      std::max(1.0, std::ceil(tuples / std::max(1.0, model.batch_size)));
-  return tuples * model.per_tuple_overhead +
-         batches * model.per_batch_overhead;
-}
-
 double EstimatePlanCost(
     const LogicalPlan& plan, const PathSummary& summary,
-    const std::function<double(const std::string&)>& view_card,
-    const CostModel& model) {
+    const std::function<double(const std::string&)>& view_card) {
   // Returns (cost, cardinality) bottom-up.
   struct Est {
     double cost = 0;
@@ -126,12 +150,12 @@ double EstimatePlanCost(
       case PlanOp::kIndexScan: {
         double card = view_card(p.relation());
         double factor = p.op() == PlanOp::kIndexScan ? 0.05 : 1.0;
-        return Est{card * model.scan_weight * factor, card * factor};
+        return Est{card * kScanWeight * factor, card * factor};
       }
       case PlanOp::kSelect: {
         Est in = rec(*p.left());
-        return Est{in.cost + in.card * model.select_weight,
-                   in.card * model.value_selectivity};
+        return Est{in.cost + in.card * kSelectWeight,
+                   in.card * kPredicateSelectivity};
       }
       case PlanOp::kProject:
       case PlanOp::kPrefixNames: {
@@ -142,7 +166,7 @@ double EstimatePlanCost(
         Est l = rec(*p.left());
         Est r = rec(*p.right());
         double card = l.card * r.card;
-        return Est{l.cost + r.cost + card * model.join_weight, card};
+        return Est{l.cost + r.cost + card * kJoinWeight, card};
       }
       case PlanOp::kValueJoin:
       case PlanOp::kStructuralJoin: {
@@ -153,22 +177,7 @@ double EstimatePlanCost(
         double card = std::min(l.card * r.card,
                                std::max(l.card, r.card) * 4.0);
         if (p.variant() == JoinVariant::kSemi) card = l.card;
-        double join_cost = (l.card + r.card) * model.join_weight;
-        // Structural joins are the operators the physical compiler can fan
-        // out over worker threads (descendant side partitioned, exchange on
-        // top): the join work divides across workers, but each worker costs
-        // a startup and every output tuple crosses the exchange.
-        size_t workers =
-            p.op() == PlanOp::kStructuralJoin
-                ? ChooseWorkerCount(static_cast<int64_t>(r.card),
-                                    model.thread_budget)
-                : 1;
-        if (workers > 1) {
-          join_cost = join_cost / static_cast<double>(workers) +
-                      static_cast<double>(workers) * model.worker_startup +
-                      card * model.exchange_tuple_weight;
-        }
-        return Est{l.cost + r.cost + join_cost, card};
+        return Est{l.cost + r.cost + (l.card + r.card) * kJoinWeight, card};
       }
       case PlanOp::kUnion: {
         Est l = rec(*p.left());
@@ -203,15 +212,15 @@ double EstimatePlanCost(
           if (step.axis == Axis::kDescendant) {
             visited = std::min(
                 total_nodes,
-                std::max(frontier, matches) * model.navigate_descendant_factor);
+                std::max(frontier, matches) * kNavigateDescendantFactor);
           } else {
-            visited = frontier * model.navigate_child_fanout;
+            visited = frontier * kNavigateChildFanout;
           }
           visited_total += visited;
           frontier = std::max(1.0, matches > 0 ? std::min(visited, matches)
                                                : visited);
         }
-        return Est{in.cost + visited_total * model.navigate_weight, card};
+        return Est{in.cost + visited_total * kNavigateWeight, card};
       }
       case PlanOp::kRetype: {
         // Metadata-only re-tag: the stream passes through untouched.
@@ -231,7 +240,7 @@ double EstimatePlanCost(
     }
     return Est{};
     }();
-    est.cost += IterationOverhead(est.card, model);
+    est.cost += IterationOverhead(est.card);
     return est;
   };
   return rec(plan).cost;

@@ -25,53 +25,11 @@ namespace uload {
 // Value predicates apply a default selectivity of 0.1.
 double EstimateCardinality(const Xam& pattern, const PathSummary& summary);
 
-struct CostModel {
-  double scan_weight = 1.0;        // per scanned tuple
-  double join_weight = 2.0;        // per output tuple of a join
-  double navigate_weight = 8.0;    // navigation, per *visited* document node
-  double select_weight = 0.5;
-  double value_selectivity = 0.1;  // default predicate selectivity
-
-  // Navigation traversal shape. A child-axis step examines each frontier
-  // node's children (`navigate_child_fanout` per node); a descendant-axis
-  // step walks whole subtrees, estimated as `navigate_descendant_factor`
-  // visited nodes per matching target (subtrees of distinct frontier nodes
-  // are disjoint, so the document's total node count — known exactly from
-  // the summary — bounds the sum).
-  double navigate_child_fanout = 8.0;
-  double navigate_descendant_factor = 16.0;
-
-  // Batch-at-a-time iteration (exec/physical.h): virtual dispatch, runtime
-  // accounting, and clock reads are paid once per NextBatch() call, while a
-  // small residual (branching, cursor advance) stays per tuple. Separating
-  // the two lets the model predict how batch size trades off against the
-  // tuple-at-a-time degenerate case (batch_size = 1).
-  double per_tuple_overhead = 0.05;  // residual cost per tuple per operator
-  double per_batch_overhead = 2.0;   // fixed cost per NextBatch() call
-  double batch_size = 1024.0;        // configured tuples per batch
-
-  // Intra-query parallelism (exec/exchange.h): the physical compiler may
-  // fan a structural join out over worker threads, partitioning the
-  // descendant scan and collecting through an exchange. Spawning a worker
-  // costs `worker_startup`; every tuple crossing the exchange queue plus
-  // the k-way merge pays `exchange_tuple_weight`. `thread_budget` mirrors
-  // ExecContext::thread_budget() so plan costs can be ranked for the
-  // parallelism the engine will actually use (1 = serial).
-  double worker_startup = 50.0;
-  double exchange_tuple_weight = 0.1;
-  size_t thread_budget = 1;
-};
-
-// Iteration overhead one operator pays to push `card` tuples downstream:
-// per-tuple residual plus the per-batch cost of ceil(card / batch_size)
-// NextBatch() calls (at least one call even for an empty stream).
-double IterationOverhead(double card, const CostModel& model);
-
 // Number of Exchange workers worth spawning to partition an input of `rows`
 // tuples under `budget` threads: min(budget, rows), capped at 64 so a huge
 // budget cannot degenerate into thousands of near-empty partitions. Returns
 // 1 (serial) when the budget or the input cannot sustain two workers. The
-// physical compiler and the cost estimator share this policy.
+// physical compiler's fan-out policy for structural joins.
 size_t ChooseWorkerCount(int64_t rows, size_t budget);
 
 // Capacity (in batches) of each of the per-worker SPSC queues between
@@ -83,13 +41,12 @@ size_t ChooseWorkerCount(int64_t rows, size_t budget);
 size_t ExchangeQueueCapacity(size_t workers, int64_t budget_bytes,
                              int64_t batch_bytes);
 
-// Estimated cost of a plan whose leaf scans are the named patterns.
-// `view_cards` supplies per-relation base cardinalities (e.g. from the
-// catalog); missing names fall back to `default_card`.
+// Estimated cost of a plan whose leaf scans are the named patterns, priced
+// for serial batch-at-a-time execution. `view_card` supplies per-relation
+// base cardinalities (e.g. from the catalog).
 double EstimatePlanCost(
     const LogicalPlan& plan, const PathSummary& summary,
-    const std::function<double(const std::string&)>& view_card,
-    const CostModel& model = {});
+    const std::function<double(const std::string&)>& view_card);
 
 }  // namespace uload
 

@@ -31,42 +31,6 @@ struct Candidate {
   }
 };
 
-// Dotted attribute path of `id`'s attribute with `suffix` in pattern `x`
-// (prefix of nested-collection entries above, including `id` itself when
-// its incoming edge is nested).
-std::string PatternAttr(const Xam& x, XamNodeId id, const char* suffix) {
-  std::string prefix;
-  std::vector<const std::string*> parts;
-  for (XamNodeId cur = id; cur != kXamRoot; cur = x.node(cur).parent) {
-    if (x.IncomingEdge(cur).nested()) parts.push_back(&x.node(cur).name);
-  }
-  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-    prefix += **it;
-    prefix += '.';
-  }
-  return prefix + x.node(id).name + suffix;
-}
-
-// All (node, attr-suffix) pairs a pattern stores, in view-schema order.
-struct StoredAttr {
-  XamNodeId node;
-  const char* suffix;
-};
-
-void CollectStored(const Xam& x, XamNodeId id, std::vector<StoredAttr>* out) {
-  const XamNode& n = x.node(id);
-  if (id != kXamRoot) {
-    if (n.stores_id) out->push_back({id, "_ID"});
-    if (n.stores_tag) out->push_back({id, "_Tag"});
-    if (n.stores_val) out->push_back({id, "_Val"});
-    if (n.stores_cont) out->push_back({id, "_Cont"});
-  }
-  for (const XamEdge& e : n.edges) {
-    if (e.semi()) continue;
-    CollectStored(x, e.child, out);
-  }
-}
-
 // Search bounds (§5.5): candidate plans combine at most this many views,
 // and the candidate pool stops growing at this size.
 constexpr int kMaxViewsPerPlan = 3;
@@ -299,9 +263,9 @@ class Search {
           if (composed.has_value()) {
             Candidate c = Composed(std::move(*composed));
             c.plan = LogicalPlan::StructuralJoin(
-                a.plan, b.plan, a.PlanColumn(PatternAttr(a.pattern, n1, "_ID")),
+                a.plan, b.plan, a.PlanColumn(a.pattern.AttrPath(n1, "_ID")),
                 Axis::kDescendant,
-                b.PlanColumn(PatternAttr(b.pattern, n2, "_ID")),
+                b.PlanColumn(b.pattern.AttrPath(n2, "_ID")),
                 JoinVariant::kInner);
             MergeBookkeeping(a, b, &c);
             out->push_back(std::move(c));
@@ -314,17 +278,17 @@ class Search {
           if (composed.has_value()) {
             Candidate c = Composed(std::move(*composed));
             c.plan = LogicalPlan::ValueJoin(
-                a.plan, b.plan, a.PlanColumn(PatternAttr(a.pattern, n1, "_ID")),
+                a.plan, b.plan, a.PlanColumn(a.pattern.AttrPath(n1, "_ID")),
                 Comparator::kEq,
-                b.PlanColumn(PatternAttr(b.pattern, n2, "_ID")),
+                b.PlanColumn(b.pattern.AttrPath(n2, "_ID")),
                 JoinVariant::kInner);
             MergeBookkeeping(a, b, &c);
             // The merged node carries n1's name; attrs that only b stored
             // must alias to b's plan columns.
             auto alias = [&](bool a_has, bool b_has, const char* suffix) {
               if (!a_has && b_has) {
-                c.aliases[PatternAttr(c.pattern, n1, suffix)] =
-                    b.PlanColumn(PatternAttr(b.pattern, n2, suffix));
+                c.aliases[c.pattern.AttrPath(n1, suffix)] =
+                    b.PlanColumn(b.pattern.AttrPath(n2, suffix));
               }
             };
             alias(an.stores_id, bn.stores_id, "_ID");
@@ -355,14 +319,14 @@ class Search {
                                               b.pattern, *b.ann, n2, summary_);
             if (composed.has_value()) {
               std::string derived =
-                  b.PlanColumn(PatternAttr(b.pattern, n2, "_ID")) + "_anc";
+                  b.PlanColumn(b.pattern.AttrPath(n2, "_ID")) + "_anc";
               Candidate c = Composed(std::move(*composed));
               c.plan = LogicalPlan::ValueJoin(
                   a.plan,
                   LogicalPlan::DeriveParent(
-                      b.plan, b.PlanColumn(PatternAttr(b.pattern, n2, "_ID")),
+                      b.plan, b.PlanColumn(b.pattern.AttrPath(n2, "_ID")),
                       derived, depth),
-                  a.PlanColumn(PatternAttr(a.pattern, n1, "_ID")),
+                  a.PlanColumn(a.pattern.AttrPath(n1, "_ID")),
                   Comparator::kEq, derived, JoinVariant::kInner);
               MergeBookkeeping(a, b, &c);
               out->push_back(std::move(c));
@@ -435,7 +399,7 @@ class Search {
         }
         c.plan = LogicalPlan::Select(
             c.plan, Predicate::NotNull(
-                        c.PlanColumn(PatternAttr(c.pattern, node, suffix))));
+                        c.PlanColumn(c.pattern.AttrPath(node, suffix))));
         strictified = true;
       }
       if (!valid) continue;
@@ -522,7 +486,7 @@ class Search {
       c->plan = LogicalPlan::Select(
           c->plan,
           Predicate::CompareConst(
-              c->PlanColumn(PatternAttr(c->pattern, cn, "_Tag")),
+              c->PlanColumn(c->pattern.AttrPath(cn, "_Tag")),
               Comparator::kEq,
               AtomicValue::String(query_->node(qn).tag_value)));
     };
@@ -602,7 +566,7 @@ class Search {
         c.pattern.ValPredicate(cn, c.pattern.node(cn).val_formula.And(f));
         c.plan = LogicalPlan::Select(
             c.plan,
-            f.ToPredicate(c.PlanColumn(PatternAttr(c.pattern, cn, "_Val"))));
+            f.ToPredicate(c.PlanColumn(c.pattern.AttrPath(cn, "_Val"))));
         break;
       }
     }
@@ -647,17 +611,15 @@ class Search {
       node.stores_val = role[id] != nullptr && role[id]->stores_val;
       node.stores_cont = role[id] != nullptr && role[id]->stores_cont;
     }
-    std::vector<StoredAttr> stored;
-    CollectStored(c->pattern, kXamRoot, &stored);
-    std::vector<StoredAttr> qstored;
-    CollectStored(*query_, kXamRoot, &qstored);
+    const std::vector<Xam::StoredAttr> stored = c->pattern.StoredAttrs();
+    const std::vector<Xam::StoredAttr> qstored = query_->StoredAttrs();
     if (qstored.size() != stored.size()) return false;
     std::vector<std::string> proj_cols;
     for (size_t i = 0; i < stored.size(); ++i) {
       proj_cols.push_back(c->PlanColumn(
-          PatternAttr(c->pattern, stored[i].node, stored[i].suffix)));
+          c->pattern.AttrPath(stored[i].node, stored[i].suffix)));
       attr_map->emplace_back(
-          PatternAttr(*query_, qstored[i].node, qstored[i].suffix),
+          query_->AttrPath(qstored[i].node, qstored[i].suffix),
           proj_cols.back());
     }
     if (!proj_cols.empty()) {
@@ -794,7 +756,7 @@ class Search {
       emit.id_kind = q.id_kind;
       emit.prefix = name;
       c.plan = LogicalPlan::Navigate(
-          c.plan, c.PlanColumn(PatternAttr(c.pattern, anchor, "_ID")),
+          c.plan, c.PlanColumn(c.pattern.AttrPath(anchor, "_ID")),
           {NavStep{Axis::kDescendant, q.tag_value}}, emit, variant);
       extended = true;
     }

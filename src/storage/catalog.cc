@@ -31,8 +31,7 @@ EvalContext Catalog::MakeEvalContext(const DocumentStore* doc) const {
   EvalContext ctx;
   for (const auto& v : views_) {
     ctx.views.emplace(v->name(), v.get());
-    // Virtual extents stay out of `relations`: binding their data() here
-    // would force materialization up front and defeat the virtualization.
+    // Virtual extents store no tuples; scans stream them off the columns.
     if (v->virtual_store() == nullptr) {
       ctx.relations.emplace(v->name(), &v->data());
     }

@@ -1,5 +1,6 @@
 #include "storage/store.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "eval/tag_collections.h"
@@ -59,7 +60,6 @@ Result<MaterializedView> MaterializedView::Materialize(
   v.name_ = std::move(name);
   v.definition_ = std::move(definition);
   v.schema_ = v.definition_.ViewSchema();
-  v.doc_ = &doc;
 
   const auto* columnar = dynamic_cast<const ColumnarDocument*>(&doc);
   if (columnar != nullptr && QualifiesAsVirtualExtent(v.definition_)) {
@@ -67,40 +67,27 @@ Result<MaterializedView> MaterializedView::Materialize(
     // delta+varint list; scans stream the columns directly.
     const XamNode& n =
         v.definition_.node(v.definition_.node(kXamRoot).edges[0].child);
-    v.columnar_ = columnar;
-    v.emit_tag_ = n.stores_tag;
-    v.emit_val_ = n.stores_val;
-    v.id_kind_ = n.id_kind;
-    const bool attributes = n.is_attribute;
-    const std::string label =
-        attributes ? (n.tag_value.empty() ? "" : n.tag_value.substr(1))
-                   : n.tag_value;
-    std::vector<NodeIndex> rows;
-    bool values_cheap = true;
-    const int64_t size = columnar->size();
-    for (NodeIndex i = 1; i < size; ++i) {
-      NodeKind k = columnar->kind(i);
-      if (attributes ? k != NodeKind::kAttribute : k != NodeKind::kElement) {
-        continue;
-      }
-      if (!label.empty() && columnar->label(i) != label) continue;
-      if (v.emit_val_ && !columnar->cheap_value(i)) values_cheap = false;
-      rows.push_back(i);
-    }
+    std::string_view label = n.tag_value;
+    if (n.is_attribute && !label.empty()) label.remove_prefix(1);  // '@'
+    std::vector<NodeIndex> rows =
+        CollectionRows(*columnar, label, n.is_attribute);
     // A Val-emitting extent stays virtual only if every row's value is
     // dictionary-backed (leaf elements, attributes). Interior elements
     // would pay an O(subtree) text walk per tuple on every scan — there,
     // materializing once is the cheaper physical design.
-    if (values_cheap) {
+    if (!n.stores_val ||
+        std::all_of(rows.begin(), rows.end(), [&](NodeIndex i) {
+          return columnar->cheap_value(i);
+        })) {
+      v.data_ = NestedRelation(v.schema_);
+      v.columnar_ = columnar;
       v.rowset_rows_ = static_cast<int64_t>(rows.size());
       PutDeltaVarints(rows, &v.rowset_);
       return v;
     }
-    v.columnar_ = nullptr;
   }
 
   ULOAD_ASSIGN_OR_RETURN(v.data_, EvaluateXam(v.definition_, doc));
-  v.materialized_.v.store(true, std::memory_order_release);
 
   // Build the index over required *top-level* attributes.
   const Schema& schema = v.data_.schema();
@@ -124,61 +111,9 @@ Result<MaterializedView> MaterializedView::Materialize(
   return v;
 }
 
-std::vector<NodeIndex> MaterializedView::VirtualRows() const {
-  std::vector<NodeIndex> rows;
-  rows.reserve(static_cast<size_t>(rowset_rows_));
-  DeltaVarintReader reader(reinterpret_cast<const uint8_t*>(rowset_.data()),
-                           rowset_.size());
-  uint64_t row = 0;
-  for (int64_t i = 0; i < rowset_rows_; ++i) {
-    if (!reader.Next(&row)) break;  // unreachable: we encoded it ourselves
-    rows.push_back(static_cast<NodeIndex>(row));
-  }
-  return rows;
-}
-
-void MaterializedView::MaterializeNow() const {
-  MutexLock lock(&data_mu_);
-  // Another thread may have materialized between our acquire-load and the
-  // lock; relaxed suffices under the mutex.
-  if (materialized_.v.load(std::memory_order_relaxed)) return;
-  MaterializeLocked();
-}
-
-void MaterializedView::MaterializeLocked() const {
-  // Build the extent straight from the row set: tuples are exactly what
-  // EvaluateXam produces for a qualifying XAM (ID first, then Tag/Val),
-  // already deduplicated (IDs are unique) and in document order.
-  NestedRelation out(schema_, CollectionKind::kList);
-  for (NodeIndex i : VirtualRows()) {
-    Tuple t;
-    t.fields.emplace_back(MakeNodeId(*columnar_, i, id_kind_));
-    if (emit_tag_) {
-      t.fields.emplace_back(
-          AtomicValue::String(std::string(columnar_->label(i))));
-    }
-    if (emit_val_) {
-      t.fields.emplace_back(AtomicValue::String(columnar_->Value(i)));
-    }
-    out.Add(std::move(t));
-  }
-  data_ = std::move(out);
-  materialized_.v.store(true, std::memory_order_release);
-}
-
-const NestedRelation& MaterializedView::data() const {
-  if (!materialized_.v.load(std::memory_order_acquire)) MaterializeNow();
-  return data_;
-}
-
-int64_t MaterializedView::row_count() const {
-  if (columnar_ != nullptr) return rowset_rows_;
-  return data_.size();
-}
-
 Result<std::vector<int64_t>> MaterializedView::LookupRows(
     const std::vector<std::pair<std::string, AtomicValue>>& bindings) const {
-  const NestedRelation& d = data();
+  const NestedRelation& d = data_;
   // Fast path: bindings cover exactly the indexed attributes.
   if (!index_attrs_.empty() && bindings.size() == index_attrs_.size()) {
     std::vector<AtomicValue> key_vals(index_attrs_.size());
@@ -242,11 +177,7 @@ MaterializedView::StorageBytes MaterializedView::ApproximateBytesBreakdown()
   StorageBytes b;
   b.virtualized = columnar_ != nullptr;
   b.rowset_bytes = static_cast<int64_t>(rowset_.size());
-  if (!b.virtualized) {
-    // A lazily materialized virtual extent is a cache over the shared column
-    // store, not storage — count tuple payloads for real views only.
-    for (const Tuple& t : data_.tuples()) b.data_bytes += TupleBytes(t);
-  }
+  for (const Tuple& t : data_.tuples()) b.data_bytes += TupleBytes(t);
   for (const auto& [key, rows] : index_) {
     b.index_bytes += static_cast<int64_t>(key.size()) + 16 +
                      static_cast<int64_t>(rows.size()) * 8;

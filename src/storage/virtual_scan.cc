@@ -13,12 +13,12 @@ ColumnarRowReader::ColumnarRowReader(const MaterializedView* view)
   // tag spells it out.
   const Xam& xam = view_->definition();
   const XamNode& n = xam.node(xam.node(kXamRoot).edges[0].child);
-  tag_constant_ = view_->emit_tag() && !n.is_wildcard();
+  tag_constant_ = n.stores_tag && !n.is_wildcard();
   // Assemble the prototype row once. The gate rejects parental ids, so the
   // ID field is always a (pre, post, depth) triple; a constant Tag never
   // changes after this.
   proto_.fields.emplace_back(AtomicValue::Sid(StructuralId{}));
-  if (view_->emit_tag()) {
+  if (n.stores_tag) {
     tag_slot_ = static_cast<int>(proto_.fields.size());
     // Attribute tags drop the '@' sigil, mirroring what label() stores.
     std::string const_tag;
@@ -27,7 +27,7 @@ ColumnarRowReader::ColumnarRowReader(const MaterializedView* view)
     }
     proto_.fields.emplace_back(AtomicValue::String(std::move(const_tag)));
   }
-  if (view_->emit_val()) {
+  if (n.stores_val) {
     val_slot_ = static_cast<int>(proto_.fields.size());
     proto_.fields.emplace_back(AtomicValue::String(std::string()));
   }

@@ -3,6 +3,18 @@
 #include <cassert>
 
 namespace uload {
+namespace {
+
+// Calls `fn` with the suffix of each attribute `n` stores, in schema order.
+template <typename Fn>
+void ForEachStoredSuffix(const XamNode& n, Fn fn) {
+  if (n.stores_id) fn("_ID");
+  if (n.stores_tag) fn("_Tag");
+  if (n.stores_val) fn("_Val");
+  if (n.stores_cont) fn("_Cont");
+}
+
+}  // namespace
 
 Xam::Xam() {
   XamNode top;
@@ -170,12 +182,12 @@ bool Xam::HasRequired() const {
 void Xam::CollectSchema(XamNodeId id, std::vector<Attribute>* attrs) const {
   const XamNode& n = nodes_[id];
   if (id != kXamRoot) {
-    if (n.stores_id) attrs->push_back(Attribute::Atomic(n.name + "_ID"));
-    if (n.stores_tag) attrs->push_back(Attribute::Atomic(n.name + "_Tag"));
-    if (n.stores_val) attrs->push_back(Attribute::Atomic(n.name + "_Val"));
-    if (n.stores_cont) attrs->push_back(Attribute::Atomic(n.name + "_Cont"));
+    ForEachStoredSuffix(n, [&](const char* suffix) {
+      attrs->push_back(Attribute::Atomic(n.name + suffix));
+    });
   }
   for (const XamEdge& e : n.edges) {
+    if (e.semi()) continue;  // existential only
     if (e.nested()) {
       std::vector<Attribute> sub;
       CollectSchema(e.child, &sub);
@@ -191,6 +203,35 @@ SchemaPtr Xam::ViewSchema() const {
   std::vector<Attribute> attrs;
   CollectSchema(kXamRoot, &attrs);
   return Schema::Make(std::move(attrs));
+}
+
+std::vector<Xam::StoredAttr> Xam::StoredAttrs() const {
+  std::vector<StoredAttr> out;
+  for (XamNodeId id : ReturnNodes()) {
+    ForEachStoredSuffix(nodes_[id], [&](const char* suffix) {
+      out.push_back({id, suffix});
+    });
+  }
+  return out;
+}
+
+std::string Xam::NestedPrefix(XamNodeId id) const {
+  std::vector<const std::string*> parts;
+  for (XamNodeId cur = id; cur != kXamRoot; cur = nodes_[cur].parent) {
+    if (IncomingEdge(cur).nested()) parts.push_back(&nodes_[cur].name);
+  }
+  std::string out;
+  for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
+    out += **it;
+    out += '.';
+  }
+  return out;
+}
+
+std::string Xam::AttrPath(XamNodeId id, std::string_view suffix) const {
+  std::string out = NestedPrefix(id) + nodes_[id].name;
+  out += suffix;
+  return out;
 }
 
 bool Xam::StructurallyEquals(const Xam& other) const {

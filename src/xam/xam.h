@@ -16,6 +16,7 @@
 #define ULOAD_XAM_XAM_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "algebra/logical_plan.h"
@@ -125,7 +126,8 @@ class Xam {
 
   // Node ids in pre-order (root first).
   std::vector<XamNodeId> PreOrder() const;
-  // Returning nodes (storing >= 1 attribute), in pre-order.
+  // Returning nodes (storing >= 1 attribute) outside semijoined subtrees,
+  // in pre-order.
   std::vector<XamNodeId> ReturnNodes() const;
   // Node by name; -1 if absent.
   XamNodeId NodeByName(const std::string& name) const;
@@ -150,11 +152,28 @@ class Xam {
   bool HasNestedEdges() const;
   bool HasRequired() const;
 
-  // The nested-relation schema of the data this XAM stores. Attribute names
-  // are "<node>_ID", "<node>_Tag", "<node>_Val", "<node>_Cont"; a nested
-  // (nj/no) edge contributes one collection attribute named after the child
-  // node, containing the child subtree's attributes.
+  // The nested-relation schema of the data this XAM stores (Defs.
+  // 2.2.3–2.2.4). Attribute names are "<node>_ID", "<node>_Tag",
+  // "<node>_Val", "<node>_Cont"; a nested (nj/no) edge contributes one
+  // collection attribute named after the child node, containing the child
+  // subtree's attributes; a semijoined subtree stores nothing. This is the
+  // schema of EvaluateXam's result and of every catalog view's extent.
   SchemaPtr ViewSchema() const;
+
+  // One stored attribute: `node`'s ID, Tag, Val or Cont (`suffix` is
+  // "_ID", "_Tag", "_Val" or "_Cont").
+  struct StoredAttr {
+    XamNodeId node;
+    const char* suffix;
+  };
+  // The atomic attributes of ViewSchema(), flattened, in schema order.
+  std::vector<StoredAttr> StoredAttrs() const;
+  // Dotted prefix of the nested collections holding `id`'s attributes:
+  // "a.b." when `id` lies in collection a and, inside it, b (a node whose
+  // own incoming edge is nested opens its collection); "" at the top level.
+  std::string NestedPrefix(XamNodeId id) const;
+  // Dotted path of `id`'s attribute with `suffix`, e.g. "a.b.e3_Val".
+  std::string AttrPath(XamNodeId id, std::string_view suffix) const;
 
   // Structural equality of the two XAM trees (names ignored).
   bool StructurallyEquals(const Xam& other) const;

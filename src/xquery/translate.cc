@@ -61,29 +61,6 @@ class Translator {
     return p;
   }
 
-  // Root-relative dotted prefix for attributes of `id`'s own tuple level:
-  // the chain of nested-edge entry names from the root down to (and
-  // including) every nested entry at or above `id`.
-  std::string RootPrefix(const Xam& x, XamNodeId id) const {
-    std::vector<const std::string*> parts;
-    for (XamNodeId cur = id; cur != kXamRoot; cur = x.node(cur).parent) {
-      if (x.IncomingEdge(cur).nested()) {
-        parts.push_back(&x.node(cur).name);
-      }
-    }
-    std::string out;
-    for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-      out += **it;
-      out += '.';
-    }
-    return out;
-  }
-
-  std::string RootAttr(const Xam& x, XamNodeId id,
-                       const std::string& suffix) const {
-    return RootPrefix(x, id) + x.node(id).name + suffix;
-  }
-
   // --- Pattern-side helpers ------------------------------------------------
 
   // Adds the chain of `steps` below `from` in pattern `p`; the first edge
@@ -267,7 +244,7 @@ class Translator {
           AttachChain(p, it->second.node, w.lhs.steps,
                       JoinVariant::kNestOuter));
       patterns_[p].StoreVal(lnode);
-      std::string lattr = RootAttr(patterns_[p], lnode, "_Val");
+      std::string lattr = patterns_[p].AttrPath(lnode, "_Val");
       if (w.cmp == Comparator::kContainsWord) {
         cross_preds_.push_back(Predicate::CompareConst(
             lattr, Comparator::kContainsWord, w.constant));
@@ -284,7 +261,7 @@ class Translator {
           AttachChain(rp, rit->second.node, w.rhs.steps,
                       JoinVariant::kNestOuter));
       patterns_[rp].StoreVal(rnode);
-      std::string rattr = RootAttr(patterns_[rp], rnode, "_Val");
+      std::string rattr = patterns_[rp].AttrPath(rnode, "_Val");
       cross_preds_.push_back(Predicate::CompareAttrs(lattr, w.cmp, rattr));
     }
     return Status::Ok();
@@ -359,13 +336,13 @@ class Translator {
     }
     ULOAD_RETURN_NOT_OK(TrWhere(f.where, /*allow_cross=*/false));
 
-    // New template scope: the entry collection. RootPrefix(entry) already
+    // New template scope: the entry collection. NestedPrefix(entry) already
     // ends with "<entry>." because the entry's own incoming edge is nested.
     Scope inner;
     inner.root = false;
     inner.pattern = p;
     inner.entry = entry;
-    inner.prefix = RootPrefix(patterns_[p], entry);
+    inner.prefix = patterns_[p].NestedPrefix(entry);
 
     // Collection attribute path relative to the enclosing scope (the prefix
     // without its trailing dot).
@@ -418,7 +395,7 @@ class Translator {
       MarkOutput(p, node, path.text_result);
       bool value_out = path.text_result || patterns_[p].node(node).is_attribute;
       return TemplateNode::ValueRef(
-          RootAttr(patterns_[p], node, value_out ? "_Val" : "_Cont"),
+          patterns_[p].AttrPath(node, value_out ? "_Val" : "_Cont"),
           /*raw=*/!value_out);
     }
     auto it = vars_.find(path.variable);
@@ -441,7 +418,7 @@ class Translator {
     bool value_out = path.text_result || patterns_[p].node(node).is_attribute;
     const std::string suffix = value_out ? "_Val" : "_Cont";
     const bool raw = !value_out;
-    std::string root_attr = RootAttr(patterns_[p], node, suffix);
+    std::string root_attr = patterns_[p].AttrPath(node, suffix);
 
     if (scope.root) {
       return TemplateNode::ValueRef(root_attr, raw);
@@ -456,7 +433,7 @@ class Translator {
     // only exposes it when the block's collection is non-empty:
     //   (entry_ID not null) ∨ (entry_ID null ∧ ref null).
     std::string entry_id =
-        RootAttr(patterns_[scope.pattern], scope.entry, "_ID");
+        patterns_[scope.pattern].AttrPath(scope.entry, "_ID");
     compensations_.push_back(Predicate::Or(
         Predicate::NotNull(entry_id),
         Predicate::And(Predicate::IsNull(entry_id),

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "eval/xam_eval.h"
+#include "exec/physical.h"
 #include "storage/columnar/columnar_document.h"
 #include "storage/columnar/columnar_format.h"
 #include "storage/columnar/varint.h"
@@ -199,6 +201,31 @@ TEST(ColumnarStore, ColumnarEnginePlansUseVirtualExtentScans) {
   // not exercising the columnar path at all.
   EXPECT_NE(ex->physical.find("ColumnarScan"), std::string::npos)
       << ex->physical;
+}
+
+// A virtual extent stores no tuples, and its scan yields exactly the XAM
+// semantics of its definition, tuple for tuple.
+TEST(ColumnarStore, VirtualExtentsMatchXamSemantics) {
+  Engine::Options opts;
+  opts.backend = Engine::Options::Backend::kColumnar;
+  Engine engine(GenerateXMark(XMarkScale(0.02)), opts);
+  int virtualized = 0;
+  for (auto model : {TagPartitionedModel, PathPartitionedModel}) {
+    ASSERT_TRUE(engine.InstallModel(model(engine.summary())).ok());
+    const EvalContext ctx = engine.catalog().MakeEvalContext(&engine.store());
+    for (const auto& view : engine.catalog().views()) {
+      if (view->virtual_store() == nullptr) continue;
+      ++virtualized;
+      auto expected = EvaluateXam(view->definition(), engine.store());
+      ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+      auto scanned = ExecutePhysicalPlan(LogicalPlan::Scan(view->name()), ctx);
+      ASSERT_TRUE(scanned.ok()) << scanned.status().ToString();
+      EXPECT_TRUE(scanned->Equals(*expected)) << view->name();
+      EXPECT_EQ(view->row_count(), expected->size()) << view->name();
+      EXPECT_TRUE(view->data().empty()) << view->name();
+    }
+  }
+  EXPECT_GT(virtualized, 0);
 }
 
 TEST(ColumnarStore, DeltaVarintRoundTrip) {

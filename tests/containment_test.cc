@@ -294,7 +294,11 @@ TEST_F(ContainTest, DisjunctCapIsCounted) {
   auto r = IsContainedInUnion(p, union_of, summary_, {}, &st);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_FALSE(*r);
-  EXPECT_GE(st.disjunct_cap_hits, 1u);
+  // One tree; it collects the first 64 disjuncts, counted once each, and
+  // hits the cap once. The last six containers add nothing.
+  EXPECT_EQ(st.canonical_model_size, 1u);
+  EXPECT_EQ(st.disjunct_cap_hits, 1u);
+  EXPECT_EQ(st.embeddings_checked, 64u);
   EXPECT_EQ(st.implication_budget_exhausted, 0u);
   EXPECT_FALSE(st.truncated);
   // Below the cap nothing is counted.

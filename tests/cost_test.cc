@@ -122,23 +122,5 @@ TEST(ChooseWorkerCountTest, RespectsBudgetRowsAndCap) {
   EXPECT_EQ(ChooseWorkerCount(1'000'000, 1000), 64u);
 }
 
-TEST_F(CostTest, ParallelJoinCostReflectsStartup) {
-  // With a generous thread budget a big structural join estimates cheaper
-  // than serial (the join work divides across workers), while a tiny join
-  // stays serial-priced (ChooseWorkerCount refuses to split it).
-  PlanPtr join = LogicalPlan::StructuralJoin(
-      LogicalPlan::Scan("v"), LogicalPlan::Scan("w"), "a", Axis::kDescendant,
-      "b", JoinVariant::kInner);
-  auto big = [](const std::string&) { return 100000.0; };
-  auto tiny = [](const std::string&) { return 1.0; };
-  CostModel serial;
-  CostModel parallel;
-  parallel.thread_budget = 8;
-  EXPECT_LT(EstimatePlanCost(*join, summary_, big, parallel),
-            EstimatePlanCost(*join, summary_, big, serial));
-  EXPECT_EQ(EstimatePlanCost(*join, summary_, tiny, parallel),
-            EstimatePlanCost(*join, summary_, tiny, serial));
-}
-
 }  // namespace
 }  // namespace uload

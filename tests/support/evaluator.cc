@@ -4,6 +4,7 @@
 #include <map>
 #include <numeric>
 
+#include "eval/xam_eval.h"
 #include "exec/order_descriptor.h"
 #include "exec/plan_schemas.h"
 #include "exec/structural_join.h"
@@ -56,10 +57,13 @@ class Impl {
   Result<NestedRelation> EvalScan(const LogicalPlan& plan) {
     auto it = ctx_.relations.find(plan.relation());
     if (it != ctx_.relations.end()) return *it->second;
-    // Virtual column-backed extents are not pre-materialized; the oracle
-    // path materializes them on first use (MaterializedView::data()).
+    // Virtual column-backed extents store no tuples: the oracle evaluates
+    // the view's definition, so virtual scans are checked against the XAM
+    // semantics.
     auto vit = ctx_.views.find(plan.relation());
-    if (vit != ctx_.views.end()) return vit->second->data();
+    if (vit != ctx_.views.end() && ctx_.document != nullptr) {
+      return EvaluateXam(vit->second->definition(), *ctx_.document);
+    }
     return Status::NotFound("relation '" + plan.relation() +
                             "' not bound in evaluation context");
   }

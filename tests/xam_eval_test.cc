@@ -2,7 +2,10 @@
 // examples of Figures 2.5, 2.8, 2.9.
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "eval/xam_eval.h"
+#include "storage/storage_models.h"
+#include "workload/xmark.h"
 #include "xam/xam_parser.h"
 #include "xml/document.h"
 
@@ -338,6 +341,49 @@ TEST_F(XamEvalTest, ViewSchemaShape) {
   EXPECT_EQ(s->ToString(), "e1_ID, e1_Tag, e2(e2_Val)");
   NestedRelation r = Eval(x);
   EXPECT_TRUE(r.schema().Equals(*s));
+}
+
+// One schema per view: ViewSchema() is the schema of the extent. A
+// semijoined subtree stores nothing, and every catalog view of every
+// storage model reports the schema its data has, over both backends.
+TEST_F(XamEvalTest, ViewSchemaIsTheExtentSchema) {
+  Xam semi = MustParse(
+      "xam\n"
+      "node e1 label=book id=s cont\n"
+      "node e2 label=author val\n"
+      "edge top // j e1\n"
+      "edge e1 / s e2\n");
+  EXPECT_EQ(semi.ViewSchema()->ToString(), "e1_ID, e1_Cont");
+  EXPECT_EQ(Eval(semi).schema().ToString(), "e1_ID, e1_Cont");
+
+  const Document xmark = GenerateXMark(XMarkScale(0.02));
+  for (auto backend : {Engine::Options::Backend::kPointer,
+                       Engine::Options::Backend::kColumnar}) {
+    Engine::Options opts;
+    opts.backend = backend;
+    Engine engine{Document(xmark), opts};
+    const PathSummary& s = engine.summary();
+    const std::pair<const char*, std::vector<NamedXam>> models[] = {
+        {"edge", EdgeModel()},
+        {"universal", UniversalModel(s)},
+        {"node_table", NodeTableModel()},
+        {"structural_id", StructuralIdModel()},
+        {"tag-partitioned", TagPartitionedModel(s)},
+        {"path-partitioned", PathPartitionedModel(s)},
+        {"inlined", InlinedShreddingModel(s)},
+    };
+    for (const auto& [model, views] : models) {
+      ASSERT_TRUE(engine.InstallModel(views).ok()) << model;
+      for (const auto& view : engine.catalog().views()) {
+        auto extent = EvaluateXam(view->definition(), engine.store());
+        ASSERT_TRUE(extent.ok()) << extent.status().ToString();
+        EXPECT_TRUE(view->schema()->Equals(extent->schema()))
+            << model << "/" << view->name() << ": "
+            << view->schema()->ToString() << " vs "
+            << extent->schema().ToString();
+      }
+    }
+  }
 }
 
 }  // namespace

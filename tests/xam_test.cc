@@ -92,6 +92,38 @@ TEST(Xam, ViewSchemaOrderAndNesting) {
             "e1_ID, e1_Tag, e2_Val, e3(e3_Cont, e4(e4_Val))");
 }
 
+TEST(Xam, StoredAttrsAndAttrPath) {
+  // j, nj, no and s edges: nested collections prefix the paths of the
+  // attributes inside them, and the semijoined subtree stores nothing.
+  auto x = ParseXam(
+      "xam\n"
+      "node e1 label=a id=s tag\n"
+      "node e2 label=b val\n"
+      "node e3 label=c id=s cont\n"
+      "node e4 label=d val\n"
+      "node e5 label=f id=s val\n"
+      "node e6 label=g val\n"
+      "edge top // j e1\n"
+      "edge e1 / j e2\n"
+      "edge e1 / nj e3\n"
+      "edge e3 / no e4\n"
+      "edge e1 / s e5\n"
+      "edge e5 / j e6\n");
+  ASSERT_TRUE(x.ok());
+  std::string paths;
+  for (const Xam::StoredAttr& a : x->StoredAttrs()) {
+    paths += x->AttrPath(a.node, a.suffix) + " ";
+  }
+  EXPECT_EQ(paths,
+            "e1_ID e1_Tag e2_Val e3.e3_ID e3.e3_Cont e3.e4.e4_Val ");
+  EXPECT_EQ(x->NestedPrefix(x->NodeByName("e2")), "");
+  EXPECT_EQ(x->NestedPrefix(x->NodeByName("e3")), "e3.");
+  EXPECT_EQ(x->NestedPrefix(x->NodeByName("e4")), "e3.e4.");
+  EXPECT_EQ(x->NestedPrefix(x->NodeByName("e6")), "");
+  EXPECT_EQ(x->ViewSchema()->ToString(),
+            "e1_ID, e1_Tag, e2_Val, e3(e3_ID, e3_Cont, e4(e4_Val))");
+}
+
 TEST(Xam, ReturnNodesAndNestingDepth) {
   auto x = ParseXam(
       "xam\n"
