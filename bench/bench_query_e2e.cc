@@ -239,8 +239,8 @@ int Run(double scale, int reps) {
 
   // Backend comparison (E12): the same queries, the same storage model, the
   // same executor — only Options::backend differs. Over the columnar store
-  // the simple tag collections run as virtual extents (ColumnarScan_φ /
-  // ColumnarParallelScan_φ streaming rows off the column arrays); over the
+  // the simple tag collections run as virtual extents (ColumnarScan_φ
+  // sources streaming rows off the column arrays); over the
   // pointer backend they are materialized relations. Results are checked
   // byte-identical before any timing is reported.
   bench::Header("backend comparison: pointer tree vs columnar store");
@@ -290,11 +290,11 @@ int Run(double scale, int reps) {
 
   // Raw scan throughput (E12): a bare Scan over large tag views, compiled
   // through the physical executor for both backends. The pointer backend
-  // streams copies out of the materialized NestedRelation (Scan_phi /
-  // ParallelScan_phi); the columnar backend builds the same tuples on the
-  // fly from the column arrays (ColumnarScan_phi / ColumnarParallelScan_phi
-  // over the virtual extent) — at thread budget 4 the compiler fans both
-  // out over an Exchange. tag_name/tag_location are leaf-tag views (values
+  // streams copies out of the materialized NestedRelation (Scan_phi); the
+  // columnar backend builds the same tuples on the fly from the column
+  // arrays (ColumnarScan_phi over the virtual extent). A bare scan places
+  // no exchange, so the t=4 rows run serially too. tag_name/tag_location
+  // are leaf-tag views (values
   // dictionary-backed → stays virtual); tag_item has element children, so
   // on the columnar backend it falls back to one-time materialization and
   // the two legs converge.

@@ -34,7 +34,10 @@
 # single-threaded and covered by the other configs.
 # The fault-injection leg (DESIGN.md §8) sweeps injected operator failures,
 # cancellations, timeouts, and budget exhaustion across the engine corpus:
-# ASAN proves no aborted query leaks, TSAN proves the poison/drain/join
+# ASAN proves no aborted query leaks. No Engine query places an exchange, so
+# ExecFaultSweep.ExchangeCollectorFaults faults a directly compiled
+# structural join that fans out (it asserts ExchangeMerge_phi and the sliced
+# source in the plan); under TSAN that sweep proves the poison/drain/join
 # teardown of the exchange pool is race-free.
 # The server-sweep leg (DESIGN.md §10) covers the query service: the full
 # server suite (sessions, admission, drain, malformed frames, wire-vs-

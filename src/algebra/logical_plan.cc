@@ -162,20 +162,6 @@ int LogicalPlan::OperatorCount() const {
   return n;
 }
 
-std::vector<std::string> LogicalPlan::ScannedRelations() const {
-  std::vector<std::string> out;
-  if (op_ == PlanOp::kScan || op_ == PlanOp::kIndexScan) {
-    out.push_back(relation_);
-  }
-  for (const PlanPtr& child : {left_, right_}) {
-    if (!child) continue;
-    for (std::string& r : child->ScannedRelations()) {
-      out.push_back(std::move(r));
-    }
-  }
-  return out;
-}
-
 void LogicalPlan::Render(int indent, std::string* out) const {
   out->append(indent * 2, ' ');
   switch (op_) {

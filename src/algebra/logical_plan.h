@@ -141,9 +141,6 @@ class LogicalPlan {
   // Number of operators in the plan (rewriting prefers minimal plans, §5.3).
   int OperatorCount() const;
 
-  // Names of base relations scanned anywhere in the plan.
-  std::vector<std::string> ScannedRelations() const;
-
   // Multi-line indented rendering.
   std::string ToString() const;
 

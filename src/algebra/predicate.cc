@@ -28,21 +28,6 @@ const char* ComparatorName(Comparator cmp) {
   return "?";
 }
 
-Comparator FlipComparator(Comparator cmp) {
-  switch (cmp) {
-    case Comparator::kLt:
-      return Comparator::kGt;
-    case Comparator::kLe:
-      return Comparator::kGe;
-    case Comparator::kGt:
-      return Comparator::kLt;
-    case Comparator::kGe:
-      return Comparator::kLe;
-    default:
-      return cmp;  // =, != are symmetric; structural must not be flipped
-  }
-}
-
 bool CompareAtoms(const AtomicValue& a, Comparator cmp, const AtomicValue& b) {
   if (a.is_null() || b.is_null()) return false;
   switch (cmp) {

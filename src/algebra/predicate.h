@@ -27,10 +27,6 @@ enum class Comparator : uint8_t {
 };
 
 const char* ComparatorName(Comparator cmp);
-// Comparator for the arguments swapped (e.g. kLt -> kGt, kParent has no
-// swap inside this enum so callers must not swap structural comparators).
-Comparator FlipComparator(Comparator cmp);
-
 // Applies `cmp` to two atoms. Comparisons involving null are false.
 bool CompareAtoms(const AtomicValue& a, Comparator cmp, const AtomicValue& b);
 

@@ -73,17 +73,6 @@ Result<AttrPath> ResolveAttrPath(const Schema& schema,
   return path;
 }
 
-std::string AttrPathName(const Schema& schema, const AttrPath& path) {
-  const Schema* cur = &schema;
-  std::string name;
-  for (size_t i = 0; i < path.size(); ++i) {
-    const Attribute& attr = cur->attr(path[i]);
-    name = attr.name;
-    if (i + 1 < path.size()) cur = attr.nested.get();
-  }
-  return name;
-}
-
 const Attribute& AttrAt(const Schema& schema, const AttrPath& path) {
   const Schema* cur = &schema;
   for (size_t i = 0;; ++i) {

@@ -72,9 +72,6 @@ using AttrPath = std::vector<int>;
 Result<AttrPath> ResolveAttrPath(const Schema& schema,
                                  const std::string& dotted);
 
-// Name at the end of an AttrPath.
-std::string AttrPathName(const Schema& schema, const AttrPath& path);
-
 // Schema navigation: attribute reached by `path`.
 const Attribute& AttrAt(const Schema& schema, const AttrPath& path);
 

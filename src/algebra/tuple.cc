@@ -58,17 +58,6 @@ Tuple NullTuple(const Schema& schema) {
   return t;
 }
 
-const AtomicValue& AtomAt(const Tuple& t, const AttrPath& path) {
-  const Tuple* cur = &t;
-  for (size_t i = 0;; ++i) {
-    const Field& f = cur->fields[path[i]];
-    if (i + 1 == path.size()) return f.atom();
-    // Paths used with AtomAt never cross collections; a singleton collection
-    // would be a logic error upstream.
-    cur = &f.collection().front();
-  }
-}
-
 void CollectAtomsAt(const Tuple& t, const Schema& schema, const AttrPath& path,
                     size_t depth, std::vector<AtomicValue>* out) {
   const Field& f = t.fields[path[depth]];

@@ -50,9 +50,6 @@ Tuple ConcatTuples(const Tuple& a, const Tuple& b);
 // atomic fields are null, collection fields are empty.
 Tuple NullTuple(const Schema& schema);
 
-// Value at an AttrPath when the path crosses no collection boundary.
-const AtomicValue& AtomAt(const Tuple& t, const AttrPath& path);
-
 // Existential retrieval: collects every atomic value reachable along `path`,
 // descending into collections (the map-extension semantics of σ).
 void CollectAtomsAt(const Tuple& t, const Schema& schema, const AttrPath& path,

@@ -101,10 +101,6 @@ class [[nodiscard]] Result {
     return std::move(*value_);
   }
 
-  T ValueOr(T fallback) const {
-    return ok() ? *value_ : std::move(fallback);
-  }
-
   T& operator*() & { return value(); }
   const T& operator*() const& { return value(); }
   T* operator->() { return &value(); }

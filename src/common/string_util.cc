@@ -88,10 +88,4 @@ bool ContainsWord(std::string_view hay, std::string_view needle) {
   return false;
 }
 
-std::string AsciiLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
 }  // namespace uload

@@ -29,9 +29,6 @@ std::string XmlEscape(std::string_view s);
 // (case-sensitive). Used by the full-text `contains` operator.
 bool ContainsWord(std::string_view hay, std::string_view needle);
 
-// Lower-cases ASCII letters.
-std::string AsciiLower(std::string_view s);
-
 }  // namespace uload
 
 #endif  // ULOAD_COMMON_STRING_UTIL_H_

@@ -92,16 +92,6 @@ bool ForEachEmbedding(
   return walk.Recurse(1);
 }
 
-std::vector<SummaryEmbedding> EmbedIntoSummary(const Xam& p,
-                                               const PathSummary& summary) {
-  std::vector<SummaryEmbedding> out;
-  ForEachEmbedding(p, summary, [&](const SummaryEmbedding& e) {
-    out.push_back(e);
-    return true;
-  });
-  return out;
-}
-
 AnnotationSets PathAnnotations(const Xam& p, const PathSummary& summary) {
   // Candidate sets live in one pool: node id's set is pool[first[id],
   // last[id]), and filtering compacts it in place.

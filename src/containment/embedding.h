@@ -35,15 +35,11 @@ std::vector<SummaryNodeId> SummaryCandidates(const Xam& p, XamNodeId node,
 // false to stop. Nested edges count as plain structural edges; a subtree
 // below an optional edge that has no placement maps to ⊥
 // (kNoSummaryNode). This is the only enumeration of embeddings: canonical
-// models, EmbedIntoSummary and IsSatisfiable all walk it. Returns false iff
-// `fn` stopped the walk.
+// models and IsSatisfiable both walk it. Returns false iff `fn` stopped the
+// walk.
 bool ForEachEmbedding(
     const Xam& p, const PathSummary& summary,
     const std::function<bool(const SummaryEmbedding&)>& fn);
-
-// All embeddings, in ForEachEmbedding's order.
-std::vector<SummaryEmbedding> EmbedIntoSummary(const Xam& p,
-                                               const PathSummary& summary);
 
 // Path annotations of a pattern: one summary-node set per XAM node id,
 // stored flat (two allocations whatever the pattern's size), since the

@@ -58,47 +58,6 @@ void BoundedBatchQueue::Shutdown() {
   can_pop_.NotifyAll();
 }
 
-// --- ParallelScanPhys --------------------------------------------------------
-
-ParallelScanPhys::ParallelScanPhys(const NestedRelation* rel, std::string name,
-                                   size_t part, size_t nparts,
-                                   OrderDescriptor order)
-    : rel_(rel),
-      name_(std::move(name)),
-      part_(part),
-      nparts_(nparts == 0 ? 1 : nparts),
-      schema_(rel->schema_ptr()),
-      order_(std::move(order)) {
-  size_t n = static_cast<size_t>(rel_->size());
-  begin_ = static_cast<int64_t>(part_ * n / nparts_);
-  end_ = static_cast<int64_t>((part_ + 1) * n / nparts_);
-}
-
-std::string ParallelScanPhys::label() const {
-  return "ParallelScan_phi(" + name_ + " " + std::to_string(part_ + 1) + "/" +
-         std::to_string(nparts_) + ")";
-}
-
-bool ParallelScanPhys::TryAdoptOrder(const OrderDescriptor& order) {
-  // The whole relation being sorted implies every contiguous slice is.
-  Result<bool> sorted = IsSortedBy(order, *rel_);
-  if (!sorted.ok() || !*sorted) return false;
-  order_ = order;
-  return true;
-}
-
-Status ParallelScanPhys::OpenImpl() {
-  pos_ = begin_;
-  return Status::Ok();
-}
-
-Result<std::optional<TupleBatch>> ParallelScanPhys::NextBatchImpl() {
-  if (pos_ >= end_) return std::optional<TupleBatch>();
-  TupleBatch out = NewBatch();
-  while (pos_ < end_ && !out.full()) out.Add(rel_->tuple(pos_++));
-  return std::optional<TupleBatch>(std::move(out));
-}
-
 // --- ExchangeMergePhys -------------------------------------------------------
 
 ExchangeMergePhys::ExchangeMergePhys(std::vector<PhysicalPtr> workers)

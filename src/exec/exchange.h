@@ -7,11 +7,13 @@
 // pulling batches from its private operator tree and pushing them into a
 // bounded SPSC queue of its own. One collector, ExchangeMerge, drains the
 // workers with a k-way merge on the queue heads, keyed by the workers'
-// common OrderDescriptor with the worker index as the tie-break. Because
-// ParallelScan partitions its relation into contiguous pre-order ranges,
-// each worker's stream is locally sorted and the merge re-establishes
-// exactly the serial engine's tuple sequence — parallel execution is
-// deterministic and byte-identical to thread_budget=1.
+// common OrderDescriptor with the worker index as the tie-break. Workers
+// run the serial engine's operators: the partitioned leaf is a
+// FusedPipeline_φ source reading one contiguous pre-order slice of its rows
+// (exec/fusion.h), materialized or columnar alike, so each worker's stream
+// is locally sorted and the merge re-establishes exactly the serial
+// engine's tuple sequence — parallel execution is deterministic and
+// byte-identical to thread_budget=1.
 //
 // Runtime counters: each worker pipeline owns a private counter set (worker
 // 0 registers with the plan's ExecContext, workers 1..N-1 with per-worker
@@ -62,41 +64,6 @@ class BoundedBatchQueue {
   const size_t capacity_;
   int producers_left_ GUARDED_BY(mu_);
   bool shutdown_ GUARDED_BY(mu_) = false;
-};
-
-// Scan_φ over the `part`-th of `nparts` contiguous row ranges of a
-// materialized relation. For relations in document order a contiguous row
-// range is a pre-order ID range, so slices of structural-join inputs stay
-// locally sorted; the compiler passes the proven order descriptor in.
-class ParallelScanPhys : public PhysicalOperator {
- public:
-  ParallelScanPhys(const NestedRelation* rel, std::string name, size_t part,
-                   size_t nparts, OrderDescriptor order = OrderDescriptor());
-
-  const SchemaPtr& schema() const override { return schema_; }
-  const OrderDescriptor& order() const override { return order_; }
-  std::string label() const override;
-  PhysOpKind kind() const override { return PhysOpKind::kParallelScan; }
-  bool TryAdoptOrder(const OrderDescriptor& order) override;
-
-  size_t part() const { return part_; }
-  size_t nparts() const { return nparts_; }
-
- protected:
-  Status OpenImpl() override;
-  Result<std::optional<TupleBatch>> NextBatchImpl() override;
-  void CloseImpl() override {}
-
- private:
-  const NestedRelation* rel_;
-  std::string name_;
-  size_t part_;
-  size_t nparts_;
-  int64_t begin_ = 0;
-  int64_t end_ = 0;
-  int64_t pos_ = 0;
-  SchemaPtr schema_;
-  OrderDescriptor order_;
 };
 
 // The collector: one SPSC queue per worker plus a k-way merge on the batch

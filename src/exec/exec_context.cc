@@ -52,11 +52,6 @@ OperatorMetrics* ExecContext::Register(std::string label, int* ordinal) {
   return &metrics_.back();
 }
 
-void ExecContext::ResetMetrics() {
-  MutexLock lock(&metrics_mu_);
-  for (OperatorMetrics& m : metrics_) m.Reset();
-}
-
 std::deque<OperatorMetrics> ExecContext::MetricsSnapshot() const {
   MutexLock lock(&metrics_mu_);
   return metrics_;

@@ -192,9 +192,6 @@ class ExecContext {
   OperatorMetrics* Register(std::string label, int* ordinal = nullptr)
       EXCLUDES(metrics_mu_);
 
-  // Zeroes all registered counters (e.g. between benchmark iterations).
-  void ResetMetrics() EXCLUDES(metrics_mu_);
-
   // Drops every registered counter slot. Slots hand out stable pointers, so
   // this is only legal when no operator tree is still bound to the context;
   // a long-lived engine calls it before each fresh compile to keep the slot

@@ -295,6 +295,8 @@ bool FusedPipelinePhys::TryAdoptOrder(const OrderDescriptor& order) {
   }
   switch (src_kind_) {
     case SourceKind::kRelation: {
+      // A sorted relation sorts every contiguous slice of it, and every
+      // worker's slice proves the same order.
       Result<bool> sorted = IsSortedBy(want[0], *src_rel_);
       if (!sorted.ok() || !*sorted) return false;
       src_order_ = want[0];
@@ -429,7 +431,7 @@ Status FusedPipelinePhys::OpenImpl() {
   pending_.clear();
   ticks_ = 0;
   uncharged_bytes_ = 0;
-  spos_ = 0;
+  spos_ = src_begin_;
   cpos_ = 0;
   src_batch_.reset();
   src_batch_pos_ = 0;
@@ -457,7 +459,7 @@ Status FusedPipelinePhys::OpenImpl() {
   }
   switch (src_kind_) {
     case SourceKind::kColumnar:
-      src_reader_->DecodeSlice(0, 1, &crows_);
+      src_reader_->DecodeSlice(src_part_, src_nparts_, &crows_);
       return ChargeMemory(
           static_cast<int64_t>(crows_.size() * sizeof(NodeIndex)));
     case SourceKind::kOperator:
@@ -468,16 +470,9 @@ Status FusedPipelinePhys::OpenImpl() {
 }
 
 const Tuple* FusedPipelinePhys::PeekSourceTuple() const {
-  switch (src_kind_) {
-    case SourceKind::kRelation:
-      return spos_ < src_rel_->size() ? &src_rel_->tuple(spos_) : nullptr;
-    case SourceKind::kRows:
-      return spos_ < static_cast<int64_t>(src_rows_.size())
-                 ? &src_rel_->tuple(src_rows_[spos_])
-                 : nullptr;
-    default:
-      return nullptr;
-  }
+  if (spos_ >= src_end_) return nullptr;
+  return &src_rel_->tuple(src_kind_ == SourceKind::kRows ? src_rows_[spos_]
+                                                         : spos_);
 }
 
 void FusedPipelinePhys::Emit(Tuple&& t, TupleBatch* out) {
@@ -663,9 +658,15 @@ FusedPipelineBuilder::FusedPipelineBuilder()
 FusedPipelineBuilder::~FusedPipelineBuilder() = default;
 
 void FusedPipelineBuilder::SourceRelation(const NestedRelation* rel,
-                                          std::string label) {
+                                          std::string label, size_t part,
+                                          size_t nparts) {
   op_->src_kind_ = FusedPipelinePhys::SourceKind::kRelation;
   op_->src_rel_ = rel;
+  op_->src_part_ = part;
+  op_->src_nparts_ = nparts;
+  const size_t n = static_cast<size_t>(rel->size());
+  op_->src_begin_ = static_cast<int64_t>(part * n / nparts);
+  op_->src_end_ = static_cast<int64_t>((part + 1) * n / nparts);
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;
   op_->src_schema_ = rel->schema_ptr();
@@ -678,6 +679,7 @@ void FusedPipelineBuilder::SourceRows(const NestedRelation* data,
   op_->src_kind_ = FusedPipelinePhys::SourceKind::kRows;
   op_->src_rel_ = data;
   op_->src_rows_ = std::move(rows);
+  op_->src_end_ = static_cast<int64_t>(op_->src_rows_.size());
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;
   op_->src_schema_ = data->schema_ptr();
@@ -685,8 +687,11 @@ void FusedPipelineBuilder::SourceRows(const NestedRelation* data,
 }
 
 void FusedPipelineBuilder::SourceColumnar(const MaterializedView* view,
-                                          std::string label) {
+                                          std::string label, size_t part,
+                                          size_t nparts) {
   op_->src_kind_ = FusedPipelinePhys::SourceKind::kColumnar;
+  op_->src_part_ = part;
+  op_->src_nparts_ = nparts;
   op_->src_reader_ = std::make_unique<ColumnarRowReader>(view);
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;

@@ -15,6 +15,14 @@
 // boundary is crossed, and the governor's cancel/deadline/memory checks run
 // once per pipeline iteration instead of once per chain member.
 //
+// Exchange worker pipelines (exec/exchange.h) are the same fused loop: a
+// relation or columnar source takes the worker's (part, nparts) slice, the
+// contiguous row range [part*n/nparts, (part+1)*n/nparts) of its n rows.
+// Rows are stored in document order, so each slice is a pre-order range and
+// keeps every order the whole source proves. A sliced source is legal only
+// inside an exchange, which merges the slices back (the verifier's
+// placement rule).
+//
 // Contract with the rest of the engine:
 //  - Schemas/orders: the fused operator advertises the chain's *composed*
 //    output schema and order descriptor, and records every member boundary
@@ -124,6 +132,8 @@ class FusedPipelinePhys final : public PhysicalOperator {
   StepView step(size_t i) const;
   const SchemaPtr& source_schema() const { return src_schema_; }
   const OrderDescriptor& source_order() const;
+  // True when the source reads one of several slices of its rows.
+  bool sliced() const { return src_nparts_ > 1; }
 
   // Order propagation across one fused step (forward direction). Shared by
   // the fused operator and the plan verifier.
@@ -214,6 +224,10 @@ class FusedPipelinePhys final : public PhysicalOperator {
   std::vector<int64_t> src_rows_;              // kRows
   std::unique_ptr<ColumnarRowReader> src_reader_;  // kColumnar
   PhysicalPtr src_op_;                         // kOperator
+  size_t src_part_ = 0;    // kRelation / kColumnar slice
+  size_t src_nparts_ = 1;
+  int64_t src_begin_ = 0;  // kRelation / kRows cursor range
+  int64_t src_end_ = 0;
 
   // Cursors / runtime state.
   int64_t spos_ = 0;                  // kRelation/kRows cursor
@@ -241,11 +255,15 @@ class FusedPipelineBuilder {
   FusedPipelineBuilder();
   ~FusedPipelineBuilder();
 
-  // Exactly one source, set before any step.
-  void SourceRelation(const NestedRelation* rel, std::string label);
+  // Exactly one source, set before any step. A relation or columnar source
+  // reads slice `part` of `nparts` (see the file comment); the defaults read
+  // every row.
+  void SourceRelation(const NestedRelation* rel, std::string label,
+                      size_t part = 0, size_t nparts = 1);
   void SourceRows(const NestedRelation* data, std::vector<int64_t> rows,
                   std::string label);
-  void SourceColumnar(const MaterializedView* view, std::string label);
+  void SourceColumnar(const MaterializedView* view, std::string label,
+                      size_t part = 0, size_t nparts = 1);
   void SourceOperator(PhysicalPtr op);
 
   Status AddSelect(PredicatePtr pred);

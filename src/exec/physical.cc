@@ -8,7 +8,7 @@
 #include "exec/fusion.h"
 #include "exec/plan_schemas.h"
 #include "opt/cost.h"
-#include "storage/virtual_scan.h"
+#include "storage/store.h"
 #include "verify/batch_validator.h"
 #include "verify/plan_verifier.h"
 
@@ -993,13 +993,11 @@ class Compiler {
   }
 
   void EnterPartition(const LogicalPlan* leaf, size_t nparts) {
-    in_worker_ = true;
     part_leaf_ = leaf;
     nparts_ = nparts;
   }
 
   void LeavePartition() {
-    in_worker_ = false;
     part_leaf_ = nullptr;
     nparts_ = 1;
     part_ = 0;
@@ -1030,15 +1028,15 @@ class Compiler {
   }
 
   // Fans an eligible inner structural join out: the descendant side is a
-  // Select*/Scan chain whose scan partitions into contiguous pre-order
-  // ranges, the ancestor chain is replicated per worker (the join pulls
-  // ancestors lazily, so each worker reads only the prefix its slice
+  // Select*/Scan chain whose scan each worker reads as one contiguous
+  // pre-order slice, the ancestor chain is replicated per worker (the join
+  // pulls ancestors lazily, so each worker reads only the prefix its slice
   // needs). Worker streams are disjoint and locally ordered on the
   // descendant attribute, so ExchangeMerge reproduces the serial engine's
   // output exactly. Returns nullptr when the shape, the sizes or the join
   // attributes are not eligible.
   Result<PhysicalPtr> TryParallelStructuralJoin(const LogicalPlan& p) {
-    if (in_worker_ || thread_budget_ < 2) return PhysicalPtr();
+    if (part_leaf_ != nullptr || thread_budget_ < 2) return PhysicalPtr();
     const LogicalPlan* anc_leaf = SelectChainLeaf(*p.left());
     const LogicalPlan* desc_leaf = SelectChainLeaf(*p.right());
     // Distinct leaves required: partitioning is keyed by plan node, and a
@@ -1102,10 +1100,9 @@ class Compiler {
   // Compilation entry at a pipeline boundary: the maximal (possibly empty)
   // chain of unary operators rooted at `p` becomes one FusedPipeline_φ
   // running a single tuple loop (exec/fusion.h) over the source below the
-  // chain. That source is inline when it is a non-partitioned scan, an
-  // index binding or Unit; otherwise it is the
-  // compiled breaker (or partitioned scan), which a chain-less pipeline
-  // returns as is.
+  // chain. That source is inline when it is a scan (sliced in an exchange
+  // worker), an index binding or Unit; otherwise it is the compiled
+  // breaker, which a chain-less pipeline returns as is.
   Result<PhysicalPtr> Rec(const LogicalPlan& p) {
     std::vector<const LogicalPlan*> chain;  // top -> bottom
     const LogicalPlan* cur = &p;
@@ -1162,19 +1159,20 @@ class Compiler {
         if (!columnar && it == ctx_.relations.end()) {
           return Status::NotFound("relation '" + p.relation() + "' unbound");
         }
-        if (in_worker_ && part_leaf_ == &p) {
-          if (columnar) {
-            return PhysicalPtr(std::make_unique<ColumnarParallelScanPhys>(
-                vit->second, p.relation(), part_, nparts_));
-          }
-          return PhysicalPtr(std::make_unique<ParallelScanPhys>(
-              it->second, p.relation(), part_, nparts_));
+        // An exchange worker reads its slice of the partitioned leaf.
+        size_t part = 0;
+        size_t nparts = 1;
+        std::string arg = p.relation();
+        if (part_leaf_ == &p) {
+          part = part_;
+          nparts = nparts_;
+          arg += " " + std::to_string(part + 1) + "/" + std::to_string(nparts);
         }
         if (columnar) {
-          b->SourceColumnar(vit->second,
-                            "ColumnarScan_phi(" + p.relation() + ")");
+          b->SourceColumnar(vit->second, "ColumnarScan_phi(" + arg + ")", part,
+                            nparts);
         } else {
-          b->SourceRelation(it->second, "Scan_phi(" + p.relation() + ")");
+          b->SourceRelation(it->second, "Scan_phi(" + arg + ")", part, nparts);
         }
         return PhysicalPtr();
       }
@@ -1283,7 +1281,6 @@ class Compiler {
   // Worker-pipeline compilation state: while set, the scan at `part_leaf_`
   // compiles into slice `part_` of `nparts_`, and no nested exchange is
   // placed.
-  bool in_worker_ = false;
   const LogicalPlan* part_leaf_ = nullptr;
   size_t part_ = 0;
   size_t nparts_ = 1;

@@ -1,11 +1,12 @@
 // Physical operators (thesis §1.2.3): the batch-at-a-time execution engine.
 //
 // All physical operators consume and produce streams of (possibly nested)
-// tuples through an Open/NextBatch/Close interface. Serial sources and the
-// unary operators (Select, Project, Project0, Navigate, Rename, Retype) run
-// inside FusedPipeline_φ (exec/fusion.h); the operators defined here are
-// the pipeline breakers — Sort_φ, the StackTree structural joins, the value
-// joins, Product and Union — plus the exchange operators of
+// tuples through an Open/NextBatch/Close interface. Every source (a whole
+// scan, or one exchange worker's slice of it) and the unary operators
+// (Select, Project, Project0, Navigate, Rename, Retype) run inside
+// FusedPipeline_φ (exec/fusion.h); the operators defined here are the
+// pipeline breakers — Sort_φ, the StackTree structural joins, the value
+// joins, Product and Union — plus the ExchangeMerge_φ collector of
 // exec/exchange.h.
 //
 // A NextBatch() call returns up to one TupleBatch (default 1024 tuples), so
@@ -47,14 +48,13 @@ namespace uload {
 // it. Operators that no rule cares about report kOther.
 enum class PhysOpKind : uint8_t {
   kOther = 0,
-  kParallelScan,
   kSort,
   kStructuralJoin,  // StackTreeDesc and the StackTreeAnc variants
   kValueJoin,
   kProduct,
   kUnion,
   kExchangeMerge,
-  kFusedPipeline,  // every serial source and unary operator
+  kFusedPipeline,  // every source and unary operator
 };
 
 // Pull-based batch-at-a-time physical operator.

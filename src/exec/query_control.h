@@ -61,7 +61,7 @@ class QueryControl {
 
   // The cooperative check. Returns kCancelled once cancelled,
   // kDeadlineExceeded once `now_ns` passes the deadline, Ok otherwise.
-  // Callers that already read the clock pass it in; CheckNow() reads it.
+  // Callers pass the clock reading they already hold.
   Status Check(int64_t now_ns) {
     int64_t n = checks_.fetch_add(1, std::memory_order_relaxed) + 1;
     int64_t trip = cancel_after_checks_.load(std::memory_order_relaxed);
@@ -77,7 +77,6 @@ class QueryControl {
     }
     return Status::Ok();
   }
-  Status CheckNow() { return Check(NowNs()); }
 
   // Clears all state (a pooled control reused across queries).
   void Reset() {

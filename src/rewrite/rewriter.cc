@@ -572,8 +572,7 @@ class Search {
     }
 
     // 2. Trim to the query's attributes.
-    std::vector<std::pair<std::string, std::string>> attr_map;
-    if (!Trim(assign, &c, &attr_map)) return Status::Ok();
+    if (!Trim(assign, &c)) return Status::Ok();
 
     // 3. Verify S-equivalence with the query pattern.
     ULOAD_ASSIGN_OR_RETURN(bool equiv, IsEquivalentToQuery(c));
@@ -584,7 +583,6 @@ class Search {
     Rewriting r;
     r.plan = c.plan;
     r.pattern = c.pattern;
-    r.attr_map = std::move(attr_map);
     r.views_used = c.views;
     r.operator_count = c.plan->OperatorCount();
     results->push_back(std::move(r));
@@ -595,11 +593,9 @@ class Search {
   // Trims `c` to the query's needs: `assign[i]` stores exactly what
   // query_returns_[i] stores and every other node stores nothing. The plan
   // is projected onto the trimmed pattern's columns, eliminating duplicates
-  // (pattern semantics are sets of return tuples, the Π of Def. 2.2.3), and
-  // `attr_map` pairs the query's attributes with those columns. False when
-  // the two schemas do not line up.
-  bool Trim(const std::vector<XamNodeId>& assign, Candidate* c,
-            std::vector<std::pair<std::string, std::string>>* attr_map) const {
+  // (pattern semantics are sets of return tuples, the Π of Def. 2.2.3).
+  // False when the two schemas do not line up.
+  bool Trim(const std::vector<XamNodeId>& assign, Candidate* c) const {
     std::vector<const XamNode*> role(c->pattern.size(), nullptr);
     for (size_t i = 0; i < assign.size(); ++i) {
       role[assign[i]] = &query_->node(query_returns_[i]);
@@ -612,15 +608,10 @@ class Search {
       node.stores_cont = role[id] != nullptr && role[id]->stores_cont;
     }
     const std::vector<Xam::StoredAttr> stored = c->pattern.StoredAttrs();
-    const std::vector<Xam::StoredAttr> qstored = query_->StoredAttrs();
-    if (qstored.size() != stored.size()) return false;
+    if (query_->StoredAttrs().size() != stored.size()) return false;
     std::vector<std::string> proj_cols;
-    for (size_t i = 0; i < stored.size(); ++i) {
-      proj_cols.push_back(c->PlanColumn(
-          c->pattern.AttrPath(stored[i].node, stored[i].suffix)));
-      attr_map->emplace_back(
-          query_->AttrPath(qstored[i].node, qstored[i].suffix),
-          proj_cols.back());
+    for (const Xam::StoredAttr& a : stored) {
+      proj_cols.push_back(c->PlanColumn(c->pattern.AttrPath(a.node, a.suffix)));
     }
     if (!proj_cols.empty()) {
       c->plan = LogicalPlan::Project(c->plan, proj_cols, /*dedup=*/true);
@@ -772,11 +763,7 @@ class Search {
                    std::set<std::string>* seen_plans) {
     // Collect candidates strictly contained in the query whose trimmed
     // schemas line up with the query's needs (single-assignment trim).
-    struct Piece {
-      Candidate cand;  // trimmed
-      std::vector<std::pair<std::string, std::string>> attr_map;
-    };
-    std::vector<Piece> pieces;
+    std::vector<Candidate> pieces;
     for (const Candidate& base : all) {
       std::vector<XamNodeId> cand_returns = base.pattern.ReturnNodes();
       if (cand_returns.size() != query_returns_.size()) continue;
@@ -786,11 +773,11 @@ class Search {
                        query_->node(query_returns_[i]));
       }
       if (!ok) continue;
-      Piece piece{base, {}};
-      if (!Trim(cand_returns, &piece.cand, &piece.attr_map)) continue;
+      Candidate piece = base;
+      if (!Trim(cand_returns, &piece)) continue;
       ContainmentStats st;
       ULOAD_ASSIGN_OR_RETURN(bool contained,
-                             IsContained(piece.cand.pattern, *query_, summary_,
+                             IsContained(piece.pattern, *query_, summary_,
                                          {}, &st));
       NoteTruncation(st);
       if (!contained) continue;
@@ -804,21 +791,19 @@ class Search {
         ULOAD_ASSIGN_OR_RETURN(
             bool covered,
             IsContainedInUnion(*query_,
-                               {&pieces[i].cand.pattern, &pieces[j].cand.pattern},
+                               {&pieces[i].pattern, &pieces[j].pattern},
                                summary_, {}, &st));
         NoteTruncation(st);
         if (!covered) continue;
-        PlanPtr plan =
-            LogicalPlan::Union(pieces[i].cand.plan, pieces[j].cand.plan);
+        PlanPtr plan = LogicalPlan::Union(pieces[i].plan, pieces[j].plan);
         std::string key = plan->ToString();
         if (!seen_plans->insert(key).second) continue;
         Rewriting r;
         r.plan = plan;
         r.pattern = *query_;  // the union is equivalent to the query pattern
-        r.attr_map = pieces[i].attr_map;
-        r.views_used = pieces[i].cand.views;
-        r.views_used.insert(r.views_used.end(), pieces[j].cand.views.begin(),
-                            pieces[j].cand.views.end());
+        r.views_used = pieces[i].views;
+        r.views_used.insert(r.views_used.end(), pieces[j].views.begin(),
+                            pieces[j].views.end());
         r.operator_count = plan->OperatorCount();
         results->push_back(std::move(r));
         if (results->size() >= opts_.max_results) return Status::Ok();

@@ -64,9 +64,6 @@ struct RewriteStats {
 struct Rewriting {
   PlanPtr plan;  // over view names; columns projected to the query's needs
   Xam pattern;   // S-equivalent to the plan AND to the query pattern
-  // Query attribute (dotted path in the query pattern's view schema) ->
-  // column (dotted path) in the plan's output.
-  std::vector<std::pair<std::string, std::string>> attr_map;
   std::vector<std::string> views_used;
   int operator_count = 0;
   // Summary-derived cost estimate (opt/cost.h); the primary ranking key.

@@ -1,21 +1,33 @@
 #include "storage/store.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <utility>
 
+#include "common/string_util.h"
 #include "eval/tag_collections.h"
 #include "storage/columnar/varint.h"
 
 namespace uload {
 namespace {
 
-std::string KeyOf(const Tuple& t, const std::vector<int>& attrs) {
-  std::string key;
-  for (int a : attrs) {
-    key += t.fields[a].atom().ToString();
-    key += '\x1f';
+// The hash-index key of one value. The index only narrows a lookup and
+// operator== decides it, so values that operator== equates must share a
+// key: a string that reads as a number is keyed by that number, as the
+// number itself is.
+void AppendKey(const AtomicValue& v, std::string* key) {
+  double x = 0;
+  if (v.is_number()) {
+    x = v.as_number();
+  } else if (!v.is_string() || !ParseNumber(v.as_string(), &x)) {
+    *key += v.ToString();
+    *key += '\x1f';
+    return;
   }
-  return key;
+  if (x == 0) x = 0;  // -0 == 0
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "#%.17g\x1f", x);
+  *key += buf;
 }
 
 int64_t TupleBytes(const Tuple& t) {
@@ -105,7 +117,11 @@ Result<MaterializedView> MaterializedView::Materialize(
   }
   if (!v.index_attrs_.empty()) {
     for (int64_t i = 0; i < v.data_.size(); ++i) {
-      v.index_[KeyOf(v.data_.tuple(i), v.index_attrs_)].push_back(i);
+      std::string key;
+      for (int a : v.index_attrs_) {
+        AppendKey(v.data_.tuple(i).fields[a].atom(), &key);
+      }
+      v.index_[key].push_back(i);
     }
   }
   return v;
@@ -114,58 +130,46 @@ Result<MaterializedView> MaterializedView::Materialize(
 Result<std::vector<int64_t>> MaterializedView::LookupRows(
     const std::vector<std::pair<std::string, AtomicValue>>& bindings) const {
   const NestedRelation& d = data_;
-  // Fast path: bindings cover exactly the indexed attributes.
+  std::vector<AttrPath> paths;
+  for (const auto& [attr, val] : bindings) {
+    ULOAD_ASSIGN_OR_RETURN(AttrPath p, ResolveAttrPath(d.schema(), attr));
+    paths.push_back(std::move(p));
+  }
+  // The hash index narrows the candidates when the bindings cover exactly
+  // the indexed top-level attributes; otherwise every row is a candidate.
+  const std::vector<int64_t>* bucket = nullptr;
   if (!index_attrs_.empty() && bindings.size() == index_attrs_.size()) {
-    std::vector<AtomicValue> key_vals(index_attrs_.size());
-    bool exact = true;
-    for (const auto& [attr, val] : bindings) {
-      int idx = d.schema().IndexOf(attr);
-      bool placed = false;
+    std::vector<const AtomicValue*> key_vals(index_attrs_.size(), nullptr);
+    for (size_t b = 0; b < bindings.size(); ++b) {
       for (size_t k = 0; k < index_attrs_.size(); ++k) {
-        if (index_attrs_[k] == idx) {
-          key_vals[k] = val;
-          placed = true;
-          break;
+        if (paths[b].size() == 1 && paths[b][0] == index_attrs_[k]) {
+          key_vals[k] = &bindings[b].second;
         }
       }
-      if (!placed) {
-        exact = false;
-        break;
-      }
     }
-    if (exact) {
+    if (std::find(key_vals.begin(), key_vals.end(), nullptr) ==
+        key_vals.end()) {
       std::string key;
-      for (const AtomicValue& v : key_vals) {
-        key += v.ToString();
-        key += '\x1f';
-      }
+      for (const AtomicValue* v : key_vals) AppendKey(*v, &key);
       auto it = index_.find(key);
       if (it == index_.end()) return std::vector<int64_t>{};
-      return it->second;  // built by an ascending scan: storage order
+      bucket = &it->second;  // built by an ascending scan: storage order
     }
   }
-  // Generic path: scan with equality filtering (nested attributes use
-  // existential matching).
+  // operator== decides each candidate (nested attributes match
+  // existentially).
   std::vector<int64_t> rows;
-  for (int64_t i = 0; i < d.size(); ++i) {
+  const int64_t n = bucket != nullptr ? static_cast<int64_t>(bucket->size())
+                                      : d.size();
+  for (int64_t c = 0; c < n; ++c) {
+    const int64_t i = bucket != nullptr ? (*bucket)[c] : c;
     const Tuple& t = d.tuple(i);
     bool keep = true;
-    for (const auto& [attr, val] : bindings) {
-      auto path = ResolveAttrPath(d.schema(), attr);
-      if (!path.ok()) return path.status();
+    for (size_t b = 0; b < bindings.size() && keep; ++b) {
       std::vector<AtomicValue> atoms;
-      CollectAtomsAt(t, d.schema(), *path, 0, &atoms);
-      bool any = false;
-      for (const AtomicValue& a : atoms) {
-        if (a == val) {
-          any = true;
-          break;
-        }
-      }
-      if (!any) {
-        keep = false;
-        break;
-      }
+      CollectAtomsAt(t, d.schema(), paths[b], 0, &atoms);
+      keep = std::find(atoms.begin(), atoms.end(), bindings[b].second) !=
+             atoms.end();
     }
     if (keep) rows.push_back(i);
   }

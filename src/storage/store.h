@@ -66,9 +66,10 @@ class MaterializedView {
 
   // Access path for R-marked views: the row indices of data() matching the
   // equality `bindings` (attr name -> constant), in storage (document)
-  // order. Uses the hash index when the bindings cover exactly the indexed
-  // top-level attributes; the physical engine streams the rows without
-  // materializing.
+  // order. A row matches when operator== holds, so a numeric constant
+  // matches the stored string that reads as it. The hash index narrows the
+  // candidates when the bindings cover exactly the indexed top-level
+  // attributes; the physical engine streams the rows without materializing.
   Result<std::vector<int64_t>> LookupRows(
       const std::vector<std::pair<std::string, AtomicValue>>& bindings) const;
 

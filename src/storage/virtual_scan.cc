@@ -85,40 +85,4 @@ Tuple ColumnarRowReader::MakeRow(NodeIndex row) const {
   return t;
 }
 
-ColumnarParallelScanPhys::ColumnarParallelScanPhys(
-    const MaterializedView* view, std::string name, size_t part,
-    size_t nparts)
-    : reader_(view), name_(std::move(name)), part_(part), nparts_(nparts) {}
-
-std::string ColumnarParallelScanPhys::label() const {
-  return "ColumnarParallelScan_phi(" + name_ + " " +
-         std::to_string(part_ + 1) + "/" + std::to_string(nparts_) + ")";
-}
-
-bool ColumnarParallelScanPhys::TryAdoptOrder(const OrderDescriptor& order) {
-  if (!reader_.Satisfies(order)) return false;
-  order_ = order;
-  return true;
-}
-
-Status ColumnarParallelScanPhys::OpenImpl() {
-  reader_.DecodeSlice(part_, nparts_, &rows_);
-  pos_ = 0;
-  return ChargeMemory(static_cast<int64_t>(rows_.size() * sizeof(NodeIndex)));
-}
-
-Result<std::optional<TupleBatch>> ColumnarParallelScanPhys::NextBatchImpl() {
-  if (pos_ >= rows_.size()) return std::optional<TupleBatch>();
-  TupleBatch out = NewBatch();
-  while (pos_ < rows_.size() && !out.full()) {
-    out.Add(reader_.MakeRow(rows_[pos_++]));
-  }
-  return std::optional<TupleBatch>(std::move(out));
-}
-
-void ColumnarParallelScanPhys::CloseImpl() {
-  rows_.clear();
-  rows_.shrink_to_fit();
-}
-
 }  // namespace uload

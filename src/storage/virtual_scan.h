@@ -1,26 +1,18 @@
-// Physical scans over virtual column-backed extents (storage/store.h).
+// Row access for virtual column-backed extents (storage/store.h).
 //
 // A virtualized view has no materialized relation: its tuples are assembled
 // on the fly from the ColumnarDocument's columns, guided by the view's
-// compressed row-id set. Serial scans run as the columnar source of a
-// FusedPipeline_φ (exec/fusion.h), which loops over the decoded rows
-// directly. ColumnarParallelScanPhys slices the row set into contiguous
-// ranges exactly like ParallelScan_φ (part*n/nparts), so worker streams stay
-// disjoint and locally ordered in document order and ExchangeMerge
-// reproduces the serial tuple sequence. It reports the generic ParallelScan
-// operator kind — the plan verifier's placement and order rules apply
-// unchanged, which is the point: physically different access paths, same
-// logical contract.
-//
-// ColumnarRowReader is the operator-independent core — row-set decoding,
-// tuple assembly, order adoption — shared by both.
+// compressed row-id set. ColumnarRowReader decodes that row set, assembles
+// tuples and proves orders; FusedPipeline_φ's columnar source
+// (exec/fusion.h) loops over the decoded rows, serially and as one slice per
+// exchange worker. Scan, slice and order contract are those of a
+// materialized extent: physically different access paths, one logical leaf.
 #ifndef ULOAD_STORAGE_VIRTUAL_SCAN_H_
 #define ULOAD_STORAGE_VIRTUAL_SCAN_H_
 
-#include <string>
 #include <vector>
 
-#include "exec/physical.h"
+#include "exec/order_descriptor.h"
 #include "storage/store.h"
 
 namespace uload {
@@ -64,35 +56,6 @@ class ColumnarRowReader {
   Tuple proto_;
   int val_slot_ = -1;
   int tag_slot_ = -1;
-};
-
-// ParallelScan_φ over the `part`-th of `nparts` contiguous slices of a
-// virtual extent's row set.
-class ColumnarParallelScanPhys final : public PhysicalOperator {
- public:
-  ColumnarParallelScanPhys(const MaterializedView* view, std::string name,
-                           size_t part, size_t nparts);
-
-  const SchemaPtr& schema() const override { return reader_.schema(); }
-  const OrderDescriptor& order() const override { return order_; }
-  std::string label() const override;
-  PhysOpKind kind() const override { return PhysOpKind::kParallelScan; }
-  bool TryAdoptOrder(const OrderDescriptor& order) override;
-
- protected:
-  Status OpenImpl() override;
-  Result<std::optional<TupleBatch>> NextBatchImpl() override;
-  void CloseImpl() override;
-
- private:
-  ColumnarRowReader reader_;
-  std::string name_;
-  size_t part_;
-  size_t nparts_;
-  OrderDescriptor order_;
-
-  std::vector<NodeIndex> rows_;
-  size_t pos_ = 0;
 };
 
 }  // namespace uload

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "exec/exchange.h"
 #include "exec/fusion.h"
 #include "exec/order_descriptor.h"
 #include "exec/plan_schemas.h"
@@ -409,10 +408,11 @@ Status WalkPhysical(const PhysicalOperator& op, const std::string& parent,
   bool is_exchange = kind == PhysOpKind::kExchangeMerge;
 
   // (3) Structural / parallel placement rules.
-  if (kind == PhysOpKind::kParallelScan && !under_exchange) {
+  if (kind == PhysOpKind::kFusedPipeline && !under_exchange &&
+      static_cast<const FusedPipelinePhys&>(op).sliced()) {
     return PhysError(path,
-                     "ParallelScan_phi outside an exchange worker pipeline "
-                     "would silently drop every other partition");
+                     "sliced source outside an exchange worker pipeline "
+                     "would silently drop every other slice");
   }
   if (is_exchange && under_exchange) {
     return PhysError(path, "exchange nested inside another exchange's "

@@ -25,10 +25,11 @@
 //        explicit obligation (PhysicalVerifyOptions::order_obligations).
 //
 //  (3) Structural/parallel placement rules (VerifyPhysicalPlan):
-//      ExchangeMerge_φ only above order-producing worker pipelines,
-//      ParallelScan_φ only inside an exchange's worker pipelines (a
-//      partitioned scan anywhere else silently drops rows), and no exchange
-//      nested inside another exchange's worker pipeline.
+//      ExchangeMerge_φ only above order-producing worker pipelines, a
+//      FusedPipeline_φ whose source reads one slice of its rows only inside
+//      an exchange's worker pipelines (a sliced source anywhere else
+//      silently drops rows), and no exchange nested inside another
+//      exchange's worker pipeline.
 //
 // The dynamic leg of the verifier — per-batch schema validation — lives in
 // verify/batch_validator.h.

@@ -178,9 +178,6 @@ class Xam {
   // Structural equality of the two XAM trees (names ignored).
   bool StructurallyEquals(const Xam& other) const;
 
-  // Deep copy with fresh storage (Xam is copyable; this is for clarity).
-  Xam Clone() const { return *this; }
-
   std::string ToString() const;
 
  private:

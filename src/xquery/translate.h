@@ -38,8 +38,9 @@ struct Translation {
   std::vector<PredicatePtr> cross_predicates;
   // Compensating selections (§3.3.3): conditions the patterns alone cannot
   // express. They characterize the difference between the patterns' data
-  // and the query's needs and are consumed by view-based reasoning; direct
-  // evaluation does not apply them (the template already respects nesting).
+  // and the query's needs. Only ToString() and the tests read them: neither
+  // the rewriter nor any evaluator applies them (the template already
+  // respects nesting).
   std::vector<PredicatePtr> compensations;
   // Construction template over the product of the patterns' view schemas.
   XmlTemplate templ;

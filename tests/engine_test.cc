@@ -235,6 +235,31 @@ TEST(EngineDeweyViewTest, DeweyAncestorViewAnswersLikeTheInterpreter) {
   }
 }
 
+// A value index answers a numeric literal as the interpreter does: stored
+// values are strings, and "2003" equals 2003 under the engine's coercing
+// equality. The index probe only narrows the rows; equality decides.
+TEST(EngineIndexTest, NumericLiteralProbesAValueIndex) {
+  DblpOptions d;
+  d.records = 200;
+  Engine engine(GenerateDblp(d));
+  std::vector<NamedXam> model = TagPartitionedModel(engine.summary());
+  model.push_back(ValueIndex("article", {"year"}));
+  ASSERT_TRUE(engine.InstallModel(std::move(model)).ok());
+  for (const char* literal : {"2003", "\"2003\""}) {
+    const std::string q = std::string("for $x in //article[year = ") +
+                          literal + "] return <t>{$x/title/text()}</t>";
+    auto plan = engine.Explain(q);
+    ASSERT_TRUE(plan.ok()) << q << ": " << plan.status().ToString();
+    EXPECT_NE(plan->physical.find("IndexScan_phi"), std::string::npos)
+        << q << "\n" << plan->physical;
+    auto run = engine.Run(q);
+    ASSERT_TRUE(run.ok()) << q << ": " << run.status().ToString();
+    const std::string direct = DirectResult(q, engine.document());
+    EXPECT_FALSE(direct.empty()) << q;
+    EXPECT_EQ(*run, direct) << q;
+  }
+}
+
 // The engine builds its rewriter once per catalog, so every InstallModel
 // must rebuild it: a query only the old model answers stops rewriting, and
 // the new model's queries match the interpreter.

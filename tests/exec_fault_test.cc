@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "eval/tag_collections.h"
+#include "exec/physical.h"
 #include "workload/dblp.h"
 
 namespace uload {
@@ -189,24 +191,73 @@ TEST(ExecFaultSweep, SeededRandomInjection) {
   }
 }
 
-// Faults restricted to the exchange collectors: the worker-pool teardown
-// path (poisoned queues, joined threads, drained budget charges) is the
-// deadlock-prone one, so it gets its own targeted sweep.
+// Faults restricted to the exchange: the worker-pool teardown path
+// (poisoned queues, joined threads, drained budget charges) is the
+// deadlock-prone one, so it gets its own targeted sweep. No Engine query
+// places an exchange yet, so the sweep compiles a structural join that fans
+// out directly, and asserts that it does.
 TEST(ExecFaultSweep, ExchangeCollectorFaults) {
   Watchdog watchdog(240);
-  Config c{1024, 4};
-  std::unique_ptr<Engine> engine = MakeEngine(c);
-  Result<std::string> baseline = engine->Run(kQuery);
+  Document doc = MakeDoc();
+  NestedRelation articles =
+      TagCollection(doc, "article", {"a", true, true, false});
+  NestedRelation titles =
+      TagCollection(doc, "title", {"t", true, true, false});
+  EvalContext ctx;
+  ctx.relations = {{"articles", &articles}, {"titles", &titles}};
+  ctx.document = &doc;
+  PlanPtr plan = LogicalPlan::StructuralJoin(
+      LogicalPlan::Scan("articles"),
+      LogicalPlan::Select(LogicalPlan::Scan("titles"),
+                          Predicate::NotNull("t_Val")),
+      "a_ID", Axis::kDescendant, "t_ID", JoinVariant::kInner);
+  MemoryTracker tracker("query", int64_t{1} << 30);
+  // One compiled run at thread budget 4 under `fault`.
+  auto run = [&](size_t batch, const FaultSpec& fault) {
+    ExecContext exec(batch);
+    exec.set_thread_budget(4);
+    exec.set_memory_tracker(&tracker);
+    exec.set_fault(fault);
+    auto phys = CompilePhysicalPlan(plan, ctx, &exec);
+    if (!phys.ok()) return Result<NestedRelation>(phys.status());
+    std::string desc = (*phys)->Describe();
+    EXPECT_NE(desc.find("ExchangeMerge_phi"), std::string::npos) << desc;
+    EXPECT_NE(desc.find("Scan_phi(titles 1/4)"), std::string::npos) << desc;
+    return ExecutePhysical(phys->get());
+  };
+  Result<NestedRelation> baseline = run(1024, FaultSpec());
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  for (const char* target : {"Exchange", "ParallelScan", "Sort_phi"}) {
-    for (int64_t call : {int64_t{0}, int64_t{1}, int64_t{3}}) {
-      FaultSpec f;
-      f.op_substring = target;
-      f.call_index = call;
-      RunFaultedThenRecover(
-          engine.get(), f, *baseline,
-          std::string("target=") + target + " call=" + std::to_string(call));
+  ASSERT_GT(baseline->size(), 0);
+  for (const char* target :
+       {"ExchangeMerge_phi", "Scan_phi(titles ", "StackTreeDesc_phi"}) {
+    int injected = 0;
+    for (size_t batch : {size_t{1}, size_t{1024}}) {
+      for (int64_t call : {int64_t{0}, int64_t{1}, int64_t{3}}) {
+        std::string where = std::string("target=") + target +
+                            " batch=" + std::to_string(batch) +
+                            " call=" + std::to_string(call);
+        FaultSpec f;
+        f.op_substring = target;
+        f.call_index = call;
+        Result<NestedRelation> faulted = run(batch, f);
+        if (faulted.ok()) {
+          EXPECT_TRUE(faulted->Equals(*baseline)) << where;
+        } else {
+          ++injected;
+          EXPECT_EQ(faulted.status().code(), StatusCode::kInternal) << where;
+          EXPECT_NE(faulted.status().message().find("injected fault"),
+                    std::string::npos)
+              << where << ": " << faulted.status().ToString();
+        }
+        // Aborted or not, every budget charge must have been returned.
+        EXPECT_EQ(tracker.used(), 0) << where;
+        Result<NestedRelation> clean = run(batch, FaultSpec());
+        ASSERT_TRUE(clean.ok()) << where << ": " << clean.status().ToString();
+        EXPECT_TRUE(clean->Equals(*baseline)) << where;
+        EXPECT_EQ(tracker.used(), 0) << where;
+      }
     }
+    EXPECT_GT(injected, 0) << target << " was never reached";
   }
 }
 

@@ -14,11 +14,15 @@
 
 #include "eval/tag_collections.h"
 #include "exec/exchange.h"
+#include "exec/fusion.h"
 #include "exec/physical.h"
+#include "storage/columnar/columnar_document.h"
+#include "storage/store.h"
 #include "support/evaluator.h"
 #include "verify/plan_verifier.h"
 #include "workload/pattern_gen.h"
 #include "workload/xmark.h"
+#include "xam/xam_parser.h"
 
 namespace uload {
 namespace {
@@ -81,6 +85,28 @@ class ExecParallelTest : public ::testing::Test {
     names_ = TagCollection(doc_, "name", {"n", true, true, false});
     ctx_.relations = {{"people", &people_}, {"names", &names_}};
     ctx_.document = &doc_;
+    // The same `name` collection as a virtual extent over the columnar
+    // store: its rows stream off the columns, and its schema is names_'s.
+    col_ = ColumnarDocument::FromDocument(doc_);
+    auto xam =
+        ParseXam("xam\nnode n label=name id=s tag val\nedge top // j n\n");
+    ASSERT_TRUE(xam.ok()) << xam.status().ToString();
+    auto view = MaterializedView::Materialize("cnames", std::move(*xam), col_);
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    cnames_ = std::make_unique<MaterializedView>(std::move(*view));
+    ASSERT_NE(cnames_->virtual_store(), nullptr);
+  }
+
+  // Slice `part` of `nparts` of the names collection, materialized or
+  // columnar, as the bare fused source an exchange worker runs.
+  PhysicalPtr SlicedNames(bool columnar, size_t part, size_t nparts) {
+    FusedPipelineBuilder b;
+    if (columnar) {
+      b.SourceColumnar(cnames_.get(), "ColumnarScan_phi(cnames)", part, nparts);
+    } else {
+      b.SourceRelation(&names_, "Scan_phi(names)", part, nparts);
+    }
+    return std::move(b.Build()).value();
   }
 
   PlanPtr PeopleNamesJoin() {
@@ -183,39 +209,48 @@ class ExecParallelTest : public ::testing::Test {
   NestedRelation people_;
   NestedRelation names_;
   EvalContext ctx_;
+  ColumnarDocument col_;
+  std::unique_ptr<MaterializedView> cnames_;
   std::vector<std::unique_ptr<NestedRelation>> base_rels_;
 };
 
-// --- ParallelScan ------------------------------------------------------------
+// --- Sliced sources ---------------------------------------------------------
 
-TEST_F(ExecParallelTest, ParallelScanPartitionsCoverRelation) {
-  for (size_t nparts : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
-                        size_t{1000000}}) {
-    NestedRelation all(names_.schema_ptr());
-    for (size_t part = 0; part < nparts; ++part) {
-      ParallelScanPhys scan(&names_, "names", part, nparts);
-      auto rel = ExecutePhysical(&scan);
-      ASSERT_TRUE(rel.ok());
-      for (const Tuple& t : rel->tuples()) all.Add(t);
-      if (nparts > static_cast<size_t>(names_.size()) &&
-          part > static_cast<size_t>(names_.size())) {
-        break;  // remaining slices are empty by construction; sample a few
+TEST_F(ExecParallelTest, SlicedSourcesPartitionCoverRelation) {
+  for (bool columnar : {false, true}) {
+    for (size_t nparts : {size_t{1}, size_t{2}, size_t{3}, size_t{7},
+                          size_t{1000000}}) {
+      NestedRelation all(names_.schema_ptr());
+      for (size_t part = 0; part < nparts; ++part) {
+        PhysicalPtr scan = SlicedNames(columnar, part, nparts);
+        EXPECT_EQ(VerifyPhysicalPlan(*scan).ok(), nparts == 1);
+        auto rel = ExecutePhysical(scan.get());
+        ASSERT_TRUE(rel.ok()) << rel.status().ToString();
+        for (const Tuple& t : rel->tuples()) all.Add(t);
+        if (nparts > static_cast<size_t>(names_.size()) &&
+            part > static_cast<size_t>(names_.size())) {
+          break;  // remaining slices are empty by construction; sample a few
+        }
       }
-    }
-    if (nparts <= static_cast<size_t>(names_.size())) {
-      EXPECT_TRUE(all.Equals(names_)) << "nparts=" << nparts;
+      if (nparts <= static_cast<size_t>(names_.size())) {
+        EXPECT_TRUE(all.Equals(names_))
+            << "columnar=" << columnar << " nparts=" << nparts;
+      }
     }
   }
 }
 
-TEST_F(ExecParallelTest, ParallelScanAdoptsProvenOrder) {
-  ParallelScanPhys scan(&names_, "names", 0, 2);
-  EXPECT_TRUE(scan.order().empty());
-  EXPECT_TRUE(scan.TryAdoptOrder(OrderDescriptor::On("n_ID")));
-  EXPECT_EQ(scan.order().keys()[0].attr, "n_ID");
-  // An order the relation does not satisfy is not adopted.
-  ParallelScanPhys scan2(&names_, "names", 0, 2);
-  EXPECT_FALSE(scan2.TryAdoptOrder(OrderDescriptor::On("n_Val")));
+TEST_F(ExecParallelTest, SlicedSourcesAdoptProvenOrder) {
+  for (bool columnar : {false, true}) {
+    PhysicalPtr scan = SlicedNames(columnar, 0, 2);
+    EXPECT_TRUE(scan->order().empty());
+    EXPECT_TRUE(scan->TryAdoptOrder(OrderDescriptor::On("n_ID")));
+    EXPECT_EQ(scan->order().keys()[0].attr, "n_ID");
+    // An order the source cannot prove is not adopted.
+    PhysicalPtr scan2 = SlicedNames(columnar, 0, 2);
+    EXPECT_FALSE(scan2->TryAdoptOrder(OrderDescriptor::On("n_Val")))
+        << "columnar=" << columnar;
+  }
 }
 
 // --- Exchange placement and determinism --------------------------------------
@@ -236,7 +271,7 @@ TEST_F(ExecParallelTest, StructuralJoinParallelPlacement) {
   ASSERT_TRUE(phys.ok());
   std::string desc = (*phys)->Describe();
   EXPECT_NE(desc.find("ExchangeMerge_phi"), std::string::npos) << desc;
-  EXPECT_NE(desc.find("ParallelScan_phi"), std::string::npos) << desc;
+  EXPECT_NE(desc.find("Scan_phi(names 1/4)"), std::string::npos) << desc;
   EXPECT_NE(desc.find("StackTreeDesc_phi"), std::string::npos) << desc;
   // Document-ordered scans prove their order; no replicated Sort_phi.
   EXPECT_EQ(desc.find("Sort_phi"), std::string::npos) << desc;
@@ -258,6 +293,44 @@ TEST_F(ExecParallelTest, ParallelJoinBitIdenticalToSerial) {
   }
 }
 
+TEST_F(ExecParallelTest, ColumnarDescendantSideFansOut) {
+  // The descendant side is a virtual columnar extent: each worker decodes
+  // one slice of its row set, and the merged answer is the serial one.
+  EvalContext ctx;
+  ctx.relations = {{"people", &people_}};
+  ctx.views = {{"cnames", cnames_.get()}};
+  ctx.document = &col_;
+  PlanPtr join = LogicalPlan::StructuralJoin(
+      LogicalPlan::Scan("people"), LogicalPlan::Scan("cnames"), "p_ID",
+      Axis::kDescendant, "n_ID", JoinVariant::kInner);
+  ExecContext serial_exec;
+  serial_exec.set_thread_budget(1);
+  auto serial = ExecutePhysicalPlan(join, ctx, &serial_exec);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ASSERT_GT(serial->size(), 0);
+  // Physical data independence: the same join over the materialized
+  // collection gives the same tuples.
+  auto materialized =
+      ExecutePhysicalPlan(PeopleNamesJoin(), ctx_, &serial_exec);
+  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  EXPECT_TRUE(serial->Equals(*materialized));
+  for (size_t budget : {size_t{2}, size_t{4}}) {
+    ExecContext exec;
+    exec.set_thread_budget(budget);
+    auto phys = CompilePhysicalPlan(join, ctx, &exec);
+    ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+    std::string desc = (*phys)->Describe();
+    EXPECT_NE(desc.find("ExchangeMerge_phi"), std::string::npos) << desc;
+    EXPECT_NE(desc.find("ColumnarScan_phi(cnames 1/" + std::to_string(budget) +
+                        ")"),
+              std::string::npos)
+        << desc;
+    auto parallel = ExecutePhysical(phys->get());
+    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+    EXPECT_TRUE(serial->Equals(*parallel)) << "budget=" << budget;
+  }
+}
+
 TEST_F(ExecParallelTest, ParallelJoinReopenIsRepeatable) {
   ExecContext exec;
   exec.set_thread_budget(4);
@@ -275,11 +348,11 @@ TEST_F(ExecParallelTest, AnalyzeRollsUpWorkerCounters) {
   auto rel = ExecutePhysicalPlan(PeopleNamesJoin(), ctx_, &exec);
   ASSERT_TRUE(rel.ok());
   // After Close, workers 1..N-1 are folded into the template pipeline's
-  // slots, so the partitioned scan's counter shows the whole relation.
+  // slots, so the sliced source's counter shows the whole relation.
   int64_t scan_tuples = 0;
   int64_t join_tuples = 0;
   for (const OperatorMetrics& m : exec.MetricsSnapshot()) {
-    if (m.label.find("ParallelScan_phi") != std::string::npos) {
+    if (m.label.rfind("Scan_phi(names ", 0) == 0) {
       scan_tuples += m.tuples_produced;
     }
     if (m.label.find("StackTreeDesc_phi") != std::string::npos) {

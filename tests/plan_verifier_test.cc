@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "eval/tag_collections.h"
 #include "exec/exchange.h"
+#include "exec/fusion.h"
 #include "exec/physical.h"
 #include "verify/batch_validator.h"
 #include "verify/plan_verifier.h"
@@ -36,6 +37,13 @@ class PlanVerifierTest : public ::testing::Test {
     return LogicalPlan::StructuralJoin(
         LogicalPlan::Scan("people"), LogicalPlan::Scan("names"), "p_ID",
         Axis::kDescendant, "n_ID", JoinVariant::kInner);
+  }
+
+  // Slice `part` of 2 of the names relation, as an exchange worker reads it.
+  PhysicalPtr NamesSlice(size_t part) {
+    FusedPipelineBuilder b;
+    b.SourceRelation(&names_, "Scan_phi(names)", part, /*nparts=*/2);
+    return std::move(b.Build()).value();
   }
 
   Document doc_;
@@ -157,22 +165,28 @@ TEST_F(PlanVerifierTest, TemplateIterationRequiresCollection) {
 
 // --- Physical placement and order soundness ----------------------------------
 
-TEST_F(PlanVerifierTest, BareParallelScanIsRejected) {
-  // A partitioned scan outside an exchange silently drops every other
-  // partition's rows.
-  ParallelScanPhys scan(&names_, "names", /*part=*/0, /*nparts=*/2);
-  Status st = VerifyPhysicalPlan(scan);
+TEST_F(PlanVerifierTest, BareSlicedSourceIsRejected) {
+  // A sliced source outside an exchange silently drops every other slice's
+  // rows.
+  PhysicalPtr scan = NamesSlice(0);
+  Status st = VerifyPhysicalPlan(*scan);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("outside an exchange"), std::string::npos)
       << st.ToString();
+  // Inside an exchange the same slices are legal.
+  std::vector<PhysicalPtr> workers;
+  for (size_t part : {size_t{0}, size_t{1}}) {
+    workers.push_back(NamesSlice(part));
+    ASSERT_TRUE(workers.back()->TryAdoptOrder(OrderDescriptor::On("n_ID")));
+  }
+  ExchangeMergePhys merge(std::move(workers));
+  EXPECT_TRUE(VerifyPhysicalPlan(merge).ok());
 }
 
 TEST_F(PlanVerifierTest, MergeAboveUnorderedWorkersIsRejected) {
   std::vector<PhysicalPtr> workers;
-  workers.push_back(
-      std::make_unique<ParallelScanPhys>(&names_, "names", 0, 2));
-  workers.push_back(
-      std::make_unique<ParallelScanPhys>(&names_, "names", 1, 2));
+  workers.push_back(NamesSlice(0));
+  workers.push_back(NamesSlice(1));
   ExchangeMergePhys merge(std::move(workers));
   Status st = VerifyPhysicalPlan(merge);
   ASSERT_FALSE(st.ok());
@@ -183,10 +197,10 @@ TEST_F(PlanVerifierTest, MergeAboveUnorderedWorkersIsRejected) {
 TEST_F(PlanVerifierTest, BogusSortElisionObligationIsCaught) {
   auto make_merge = [&] {
     std::vector<PhysicalPtr> workers;
-    workers.push_back(std::make_unique<ParallelScanPhys>(
-        &names_, "names", 0, 2, OrderDescriptor::On("n_ID")));
-    workers.push_back(std::make_unique<ParallelScanPhys>(
-        &names_, "names", 1, 2, OrderDescriptor::On("n_ID")));
+    for (size_t part : {size_t{0}, size_t{1}}) {
+      workers.push_back(NamesSlice(part));
+      EXPECT_TRUE(workers.back()->TryAdoptOrder(OrderDescriptor::On("n_ID")));
+    }
     return std::make_unique<ExchangeMergePhys>(std::move(workers));
   };
   // Ordered workers make the merge legal on its own.
