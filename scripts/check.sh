@@ -25,6 +25,10 @@
 #                                       # the negative-compile harness) +
 #                                       # clang-tidy; skipped with a notice
 #                                       # when clang is not installed
+# The full ctest runs (normal and ASAN/UBSAN) include
+# perfbench_smoke_{adhoc,repeat_large,server_open}: the benchmark harness's
+# sources built against this tree's library (top-level CMakeLists.txt), each
+# workload run briefly with --smoke.
 # The lint leg runs clang-tidy (config in .clang-tidy) over src/ against the
 # normal build's compile_commands.json; it is skipped with a notice when
 # clang-tidy is not installed (CI installs it; see .github/workflows/ci.yml).
@@ -60,8 +64,8 @@ run_config() {
   local dir="$1"
   shift
   cmake -B "$dir" -S . "$@"
-  cmake --build "$dir" -j
-  (cd "$dir" && ctest --output-on-failure -j)
+  cmake --build "$dir" -j "$(nproc)"
+  (cd "$dir" && ctest --output-on-failure -j "$(nproc)")
 }
 
 FAULT_FILTER='ExecFaultSweep.*:EngineGovernorTest.*:XmlParserRobustness.*'
@@ -80,8 +84,8 @@ if [[ "${1:-}" == "--static-analysis" ]]; then
   if command -v clang++ >/dev/null 2>&1; then
     echo "== clang build (-Wthread-safety as errors) + full suite =="
     cmake -B build-clang -S . -DCMAKE_CXX_COMPILER=clang++
-    cmake --build build-clang -j
-    (cd build-clang && ctest --output-on-failure -j)
+    cmake --build build-clang -j "$(nproc)"
+    (cd build-clang && ctest --output-on-failure -j "$(nproc)")
   else
     echo "clang++ not installed; skipping thread-safety analysis leg" \
          "(the CI clang job enforces it)"
@@ -119,24 +123,24 @@ fi
 if [[ "${1:-}" == "--server-sweep" ]]; then
   echo "== server suite (normal configuration) =="
   cmake -B build -S .
-  cmake --build build -j
+  cmake --build build -j "$(nproc)"
   ./build/tests/uload_tests \
     --gtest_filter="$SERVER_FILTER:*EngineConcurrencyTest*"
 
   echo "== frame robustness + server suite under ASAN/UBSAN =="
   cmake -B build-asan -S . -DASAN=ON
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   ./build-asan/tests/uload_tests --gtest_filter="$SERVER_FILTER"
 
   echo "== concurrency torture under TSAN =="
   cmake -B build-tsan -S . -DTSAN=ON
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$(nproc)"
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/uload_tests \
     --gtest_filter="$TORTURE_FILTER"
 
   echo "== throughput bench smoke (Release) =="
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-release -j --target bench_server_throughput
+  cmake --build build-release -j "$(nproc)" --target bench_server_throughput
   ./build-release/bench/bench_server_throughput --smoke
 
   echo "Server-sweep checks passed."
@@ -146,24 +150,24 @@ fi
 if [[ "${1:-}" == "--chaos-sweep" ]]; then
   echo "== chaos/resilience suite (normal configuration) =="
   cmake -B build -S .
-  cmake --build build -j
+  cmake --build build -j "$(nproc)"
   ./build/tests/uload_tests --gtest_filter="$CHAOS_FILTER"
 
   echo "== chaos/resilience suite under ASAN/UBSAN =="
   cmake -B build-asan -S . -DASAN=ON
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   ./build-asan/tests/uload_tests --gtest_filter="$CHAOS_FILTER"
 
   echo "== chaos/resilience suite under TSAN =="
   # The fork-based KillRestart test self-skips under TSAN.
   cmake -B build-tsan -S . -DTSAN=ON
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$(nproc)"
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/uload_tests \
     --gtest_filter="$CHAOS_FILTER"
 
   echo "== overload bench row (Release): ladder on vs off =="
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-release -j --target bench_server_throughput
+  cmake --build build-release -j "$(nproc)" --target bench_server_throughput
   ./build-release/bench/bench_server_throughput --overload
 
   echo "Chaos-sweep checks passed."
@@ -173,7 +177,7 @@ fi
 if [[ "${1:-}" == "--backend-sweep" ]]; then
   echo "== backend sweep under ASAN/UBSAN =="
   cmake -B build-asan -S . -DASAN=ON
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   ./build-asan/tests/uload_tests --gtest_filter="$BACKEND_FILTER"
 
   echo "Backend-sweep checks passed."
@@ -183,12 +187,12 @@ fi
 if [[ "${1:-}" == "--fault-injection" ]]; then
   echo "== fault injection under ASAN/UBSAN =="
   cmake -B build-asan -S . -DASAN=ON
-  cmake --build build-asan -j
+  cmake --build build-asan -j "$(nproc)"
   ./build-asan/tests/uload_tests --gtest_filter="$FAULT_FILTER"
 
   echo "== fault injection under TSAN =="
   cmake -B build-tsan -S . -DTSAN=ON
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$(nproc)"
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/uload_tests \
     --gtest_filter="$FAULT_FILTER"
 
@@ -221,7 +225,7 @@ if [[ "${1:-}" != "fast" ]]; then
   # direct XQuery interpreter) — and print the storage-model plan and
   # footprint tables (E7, E12) without running the timed benchmarks.
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-release -j --target benches
+  cmake --build build-release -j "$(nproc)" --target benches
   ./build-release/bench/bench_query_e2e --smoke
   ./build-release/bench/bench_storage_models --benchmark_filter='^$'
 
@@ -230,7 +234,7 @@ if [[ "${1:-}" != "fast" ]]; then
 
   echo "== TSAN configuration (executor tests) =="
   cmake -B build-tsan -S . -DTSAN=ON
-  cmake --build build-tsan -j
+  cmake --build build-tsan -j "$(nproc)"
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/uload_tests \
     --gtest_filter='*Parallel*:*BoundedBatchQueue*:*Physical*:*Exec*:*Engine*:*IndexScan*:*Server*:*Fusion*:*Mutex*:*Chaos*:*Retry*:*RewriterReuse*'
 fi

@@ -42,9 +42,6 @@ class TupleBatch {
   const TupleList& tuples() const { return tuples_; }
   TupleList& tuples() { return tuples_; }
 
-  // Drops all tuples, keeping schema and capacity.
-  void Clear() { tuples_.clear(); }
-
   // Rough heap footprint (see ApproxTupleBytes) for memory accounting.
   int64_t ApproxBytes() const { return ApproxTupleListBytes(tuples_); }
 

@@ -1,5 +1,7 @@
 #include "algebra/value.h"
 
+#include <cstdio>
+
 #include "common/string_util.h"
 
 namespace uload {
@@ -118,6 +120,21 @@ std::string AtomicValue::ToDisplay() const {
   if (is_string()) return as_string();
   if (is_null()) return "";
   return ToString();
+}
+
+void AppendEqualityKey(const AtomicValue& v, std::string* key) {
+  double x = 0;
+  if (v.is_number()) {
+    x = v.as_number();
+  } else if (!v.is_string() || !ParseNumber(v.as_string(), &x)) {
+    *key += v.ToString();
+    *key += '\x1f';
+    return;
+  }
+  if (x == 0) x = 0;  // -0 == 0
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "#%.17g\x1f", x);
+  *key += buf;
 }
 
 }  // namespace uload

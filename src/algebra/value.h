@@ -71,6 +71,13 @@ class AtomicValue {
   std::variant<NullTag, std::string, double, StructuralId, DeweyId> v_;
 };
 
+// Appends `v`'s hash key and a separator to `*key`. Values that operator==
+// equates share a key (a string that reads as a number is keyed by that
+// number, as the number itself is), so a hash table on these keys only
+// narrows an equality lookup and operator== decides it: a materialized
+// view's value index and HashJoin_φ's build side both key this way.
+void AppendEqualityKey(const AtomicValue& v, std::string* key);
+
 }  // namespace uload
 
 #endif  // ULOAD_ALGEBRA_VALUE_H_

@@ -30,7 +30,7 @@ Status NavigationCore::BindInput(const Schema& input) {
   return Status::Ok();
 }
 
-Status NavigationCore::Expand(const Tuple& t, std::deque<Tuple>* out) const {
+Status NavigationCore::Expand(Tuple t, std::deque<Tuple>* out) const {
   const AtomicValue& id = t.fields[lidx_].atom();
   std::vector<NodeIndex> frontier;
   if (id.kind() == AtomicValue::Kind::kSid) {
@@ -74,30 +74,8 @@ Status NavigationCore::Expand(const Tuple& t, std::deque<Tuple>* out) const {
     }
     results.push_back(std::move(e));
   }
-  switch (plan_->variant()) {
-    case JoinVariant::kInner:
-      for (Tuple& e : results) out->push_back(ConcatTuples(t, e));
-      break;
-    case JoinVariant::kSemi:
-      if (!results.empty()) out->push_back(t);
-      break;
-    case JoinVariant::kLeftOuter:
-      if (results.empty()) {
-        out->push_back(ConcatTuples(t, NullTuple(*emit_schema_)));
-      } else {
-        for (Tuple& e : results) out->push_back(ConcatTuples(t, e));
-      }
-      break;
-    case JoinVariant::kNestJoin:
-      if (results.empty()) break;
-      [[fallthrough]];
-    case JoinVariant::kNestOuter: {
-      Tuple o = t;
-      o.fields.emplace_back(std::move(results));
-      out->push_back(std::move(o));
-      break;
-    }
-  }
+  EmitJoinVariant(plan_->variant(), std::move(t), &results, nullptr,
+                  *emit_schema_, out);
   return Status::Ok();
 }
 
@@ -515,7 +493,7 @@ Status FusedPipelinePhys::Apply(size_t i, Tuple&& t, TupleBatch* out) {
     }
     case StepKind::kNavigate: {
       s.buf.clear();
-      ULOAD_RETURN_NOT_OK(s.nav->Expand(t, &s.buf));
+      ULOAD_RETURN_NOT_OK(s.nav->Expand(std::move(t), &s.buf));
       s.member.slot().tuples_produced += static_cast<int64_t>(s.buf.size());
       while (!s.buf.empty()) {
         Tuple o = std::move(s.buf.front());

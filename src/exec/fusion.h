@@ -59,8 +59,9 @@ class ColumnarRowReader;  // storage/virtual_scan.h
 
 // The document-navigation kernel of the fused Navigate step: resolves the
 // source identifier to a store node, walks the navigation steps
-// (child/descendant axes), and applies the join variant
-// (inner/semi/outer/nest) to produce output tuples.
+// (child/descendant axes), and emits the input tuple with the nodes it
+// reached under the step's join variant through EmitJoinVariant
+// (exec/plan_schemas.h), the rule every executor join shares.
 class NavigationCore {
  public:
   NavigationCore(const LogicalPlan* plan, const DocumentStore* doc);
@@ -75,7 +76,7 @@ class NavigationCore {
 
   // Expands one input tuple into zero or more output tuples, appended to
   // `*out` in deterministic document order.
-  Status Expand(const Tuple& t, std::deque<Tuple>* out) const;
+  Status Expand(Tuple t, std::deque<Tuple>* out) const;
 
  private:
   void Collect(NodeIndex from, const NavStep& step,

@@ -210,8 +210,38 @@ class PhysBase : public PhysicalOperator {
  protected:
   void CloseImpl() override {}
 
+  // The build side of Sort_φ, the value joins and Product_φ: opens `input`
+  // and moves its whole stream into `*out` (replacing what an earlier Open
+  // left), checking the governor and charging the buffered bytes once per
+  // batch, then closes it. An aborted drain (cancel, budget, injected fault)
+  // leaves the input open; CloseBuild then closes it, which is what drains
+  // and joins any exchange below.
+  Status DrainBuild(PhysicalOperator* input, TupleList* out) {
+    out->clear();
+    ReleaseMemory(held_bytes());
+    ULOAD_RETURN_NOT_OK(input->Open());
+    build_open_ = true;
+    for (;;) {
+      ULOAD_RETURN_NOT_OK(CheckControl());
+      ULOAD_ASSIGN_OR_RETURN(std::optional<TupleBatch> b, input->NextBatch());
+      if (!b.has_value()) break;
+      ULOAD_RETURN_NOT_OK(ChargeMemory(b->ApproxBytes()));
+      for (Tuple& t : b->tuples()) out->push_back(std::move(t));
+    }
+    input->Close();
+    build_open_ = false;
+    return Status::Ok();
+  }
+  void CloseBuild(PhysicalOperator* input) {
+    if (build_open_) input->Close();
+    build_open_ = false;
+  }
+
   SchemaPtr schema_ = Schema::Make({});
   OrderDescriptor order_;
+
+ private:
+  bool build_open_ = false;
 };
 
 // --- Sort_φ ------------------------------------------------------------------
@@ -219,7 +249,7 @@ class PhysBase : public PhysicalOperator {
 class SortPhys : public PhysBase {
  public:
   SortPhys(PhysicalPtr input, OrderDescriptor order)
-      : input_(std::move(input)) {
+      : input_(std::move(input)), buffer_(input_->schema()) {
     schema_ = input_->schema();
     order_ = std::move(order);
   }
@@ -236,22 +266,7 @@ class SortPhys : public PhysBase {
 
  protected:
   Status OpenImpl() override {
-    buffer_ = NestedRelation(schema_);
-    ReleaseMemory(held_bytes());
-    ULOAD_RETURN_NOT_OK(input_->Open());
-    input_open_ = true;
-    for (;;) {
-      // Materialization loop: check cancellation and charge the buffered
-      // bytes once per consumed batch.
-      ULOAD_RETURN_NOT_OK(CheckControl());
-      ULOAD_ASSIGN_OR_RETURN(std::optional<TupleBatch> b,
-                             input_->NextBatch());
-      if (!b.has_value()) break;
-      ULOAD_RETURN_NOT_OK(ChargeMemory(b->ApproxBytes()));
-      for (Tuple& t : b->tuples()) buffer_.Add(std::move(t));
-    }
-    input_->Close();
-    input_open_ = false;
+    ULOAD_RETURN_NOT_OK(DrainBuild(input_.get(), &buffer_.mutable_tuples()));
     ULOAD_RETURN_NOT_OK(SortBy(order_, &buffer_));
     pos_ = 0;
     return Status::Ok();
@@ -263,13 +278,7 @@ class SortPhys : public PhysBase {
     return std::optional<TupleBatch>(std::move(out));
   }
   void CloseImpl() override {
-    // Normally the input is already closed at the end of materialization;
-    // an aborted Open() (cancel, budget, injected fault) leaves it open and
-    // this close is what drains/joins any exchange below.
-    if (input_open_) {
-      input_->Close();
-      input_open_ = false;
-    }
+    CloseBuild(input_.get());
     buffer_ = NestedRelation(schema_);
   }
 
@@ -277,7 +286,6 @@ class SortPhys : public PhysBase {
   PhysicalPtr input_;
   NestedRelation buffer_;
   int64_t pos_ = 0;
-  bool input_open_ = false;
 };
 
 // --- Node-id order and containment ------------------------------------------
@@ -323,144 +331,21 @@ bool StructurallyRelated(Axis axis, const AtomicValue& a,
                               : AtomicValue::IsAncestorOf(a, d);
 }
 
-// --- Streaming StackTreeDesc_φ (inner structural joins) ----------------------
+// --- The StackTree structural joins ------------------------------------------
 
-// Requires both inputs in document order on the join attributes (the
-// compiler guarantees it). Produces pairs ordered by the descendant side.
-// Consumption is inherently cursor-style (merge of two ordered streams), so
-// both inputs are read through the NextTuple() adapter; production fills a
-// whole output batch per call.
-class StackTreeDescPhys : public PhysBase {
+// The cursor StackTreeDesc_φ and StackTreeAnc_φ share. Both inputs must be
+// in document order on the join attributes (the compiler guarantees it).
+// Consumption is cursor-style, a merge of two ordered streams, so both
+// inputs are read through the NextTuple() adapter; production fills a whole
+// output batch per call. Each descendant first pulls onto the stack every
+// ancestor that starts before it, ending the ancestors whose subtree closed
+// before it, and then matches every stack entry it lies under. Tuples with
+// a null join id match nothing. The subclasses hold only the output rule,
+// through the hooks below.
+class StackTreePhys : public PhysBase {
  public:
-  StackTreeDescPhys(PhysicalPtr anc, PhysicalPtr desc, int anc_idx,
-                    int desc_idx, Axis axis)
-      : anc_(std::move(anc)),
-        desc_(std::move(desc)),
-        anc_idx_(anc_idx),
-        desc_idx_(desc_idx),
-        axis_(axis) {
-    schema_ = Schema::Concat(*anc_->schema(), *desc_->schema());
-    order_ = OrderDescriptor::On(desc_->schema()->attr(desc_idx).name);
-  }
   std::string label() const override {
-    return "StackTreeDesc_phi[" + anc_->schema()->attr(anc_idx_).name + " " +
-           (axis_ == Axis::kChild ? "parent-of" : "ancestor-of") + " " +
-           desc_->schema()->attr(desc_idx_).name + "]";
-  }
-  std::vector<PhysicalOperator*> children() const override {
-    return {anc_.get(), desc_.get()};
-  }
-  PhysOpKind kind() const override { return PhysOpKind::kStructuralJoin; }
-  // The stack merge is only correct over document-ordered inputs.
-  OrderDescriptor RequiredChildOrder(size_t child) const override {
-    return child == 0
-               ? OrderDescriptor::On(anc_->schema()->attr(anc_idx_).name)
-               : OrderDescriptor::On(desc_->schema()->attr(desc_idx_).name);
-  }
-  // Output follows the descendant cursor: ordered on the descendant
-  // attribute exactly when the descendant input is.
-  OrderDescriptor ProvableOrder() const override {
-    OrderDescriptor req =
-        OrderDescriptor::On(desc_->schema()->attr(desc_idx_).name);
-    return OrderCovers(desc_->order(), req) ? order_ : OrderDescriptor();
-  }
-
- protected:
-  Status OpenImpl() override {
-    ULOAD_RETURN_NOT_OK(anc_->Open());
-    ULOAD_RETURN_NOT_OK(desc_->Open());
-    stack_.clear();
-    pending_.clear();
-    ULOAD_ASSIGN_OR_RETURN(next_anc_, anc_->NextTuple());
-    return Status::Ok();
-  }
-  Result<std::optional<TupleBatch>> NextBatchImpl() override {
-    TupleBatch out = NewBatch();
-    while (!out.full()) {
-      if (!pending_.empty()) {
-        out.Add(std::move(pending_.front()));
-        pending_.pop_front();
-        continue;
-      }
-      // A selective join can consume many descendants before producing a
-      // tuple; tick the cancellation check so latency stays bounded even
-      // when the children hand over large prefetched batches.
-      if ((++ticks_ & 1023) == 0) ULOAD_RETURN_NOT_OK(CheckControl());
-      ULOAD_ASSIGN_OR_RETURN(std::optional<Tuple> d, desc_->NextTuple());
-      if (!d.has_value()) break;
-      const AtomicValue& did = d->fields[desc_idx_].atom();
-      ULOAD_RETURN_NOT_OK(CheckNodeId(did));
-      // Pull ancestors that start before this descendant.
-      while (next_anc_.has_value()) {
-        const AtomicValue& aid = next_anc_->fields[anc_idx_].atom();
-        ULOAD_RETURN_NOT_OK(CheckNodeId(aid));
-        if (!StartsBefore(aid, did)) break;
-        while (!stack_.empty() &&
-               EndsBefore(stack_.back().fields[anc_idx_].atom(), aid)) {
-          stack_.pop_back();
-        }
-        stack_.push_back(std::move(*next_anc_));
-        ULOAD_ASSIGN_OR_RETURN(next_anc_, anc_->NextTuple());
-      }
-      // Pop finished ancestors.
-      while (!stack_.empty() &&
-             EndsBefore(stack_.back().fields[anc_idx_].atom(), did)) {
-        stack_.pop_back();
-      }
-      for (const Tuple& a : stack_) {
-        if (StructurallyRelated(axis_, a.fields[anc_idx_].atom(), did)) {
-          pending_.push_back(ConcatTuples(a, *d));
-        }
-      }
-    }
-    if (out.empty()) return std::optional<TupleBatch>();
-    return std::optional<TupleBatch>(std::move(out));
-  }
-  void CloseImpl() override {
-    anc_->Close();
-    desc_->Close();
-  }
-
- private:
-  PhysicalPtr anc_;
-  PhysicalPtr desc_;
-  int anc_idx_;
-  int desc_idx_;
-  Axis axis_;
-  std::vector<Tuple> stack_;
-  std::deque<Tuple> pending_;
-  std::optional<Tuple> next_anc_;
-  uint64_t ticks_ = 0;
-};
-
-// --- Streaming StackTreeAnc_φ (semi / outer / nest structural joins) ---------
-
-// The ancestor-grouped counterpart of StackTreeDescPhys: both inputs in
-// document order on the join attributes, output follows the *ancestor* side.
-// Each in-flight ancestor accumulates its matching descendants; it is
-// complete once the descendant cursor has passed its subtree. Ancestors
-// nest, so an inner one completes before the outer one it lives in — the
-// in-flight queue releases completed entries strictly front-first to keep
-// the output in ancestor document order. Tuples with a null join id match
-// nothing (outer/nest variants still emit them, padded/empty).
-class StackTreeVariantPhys : public PhysBase {
- public:
-  StackTreeVariantPhys(PhysicalPtr anc, PhysicalPtr desc, int anc_idx,
-                       int desc_idx, Axis axis, JoinVariant variant,
-                       const std::string& nest_as)
-      : anc_(std::move(anc)),
-        desc_(std::move(desc)),
-        anc_idx_(anc_idx),
-        desc_idx_(desc_idx),
-        axis_(axis),
-        variant_(variant) {
-    schema_ = JoinOutputSchema(*anc_->schema(), *desc_->schema(), variant,
-                               nest_as);
-    order_ = OrderDescriptor::On(anc_->schema()->attr(anc_idx).name);
-  }
-  std::string label() const override {
-    return std::string("StackTreeAnc_phi:") + JoinVariantName(variant_) +
-           "[" + anc_->schema()->attr(anc_idx_).name + " " +
+    return name_ + "[" + anc_->schema()->attr(anc_idx_).name + " " +
            (axis_ == Axis::kChild ? "parent-of" : "ancestor-of") + " " +
            desc_->schema()->attr(desc_idx_).name + "]";
   }
@@ -471,26 +356,42 @@ class StackTreeVariantPhys : public PhysBase {
   // Both cursors must advance in document order for the stack discipline to
   // see every (ancestor, descendant) containment.
   OrderDescriptor RequiredChildOrder(size_t child) const override {
-    return child == 0
-               ? OrderDescriptor::On(anc_->schema()->attr(anc_idx_).name)
-               : OrderDescriptor::On(desc_->schema()->attr(desc_idx_).name);
+    return JoinAttrOrder(child);
   }
-  // Output follows the ancestor queue: ordered on the ancestor attribute
-  // exactly when the ancestor input is.
+  // Output follows the lead cursor: ordered on the lead side's join
+  // attribute exactly when the lead input is.
   OrderDescriptor ProvableOrder() const override {
-    OrderDescriptor req =
-        OrderDescriptor::On(anc_->schema()->attr(anc_idx_).name);
-    return OrderCovers(anc_->order(), req) ? order_ : OrderDescriptor();
+    const PhysicalOperator& lead = lead_ == 0 ? *anc_ : *desc_;
+    return OrderCovers(lead.order(), JoinAttrOrder(lead_)) ? order_
+                                                           : OrderDescriptor();
   }
 
  protected:
+  // An ancestor whose subtree may still hold a future descendant; `seq`
+  // numbers the ancestors in arrival (document) order from 0.
+  struct OpenAncestor {
+    Tuple t;
+    int64_t seq;
+  };
+
+  // `name` prefixes the label; the output follows the ancestor cursor when
+  // `follows_anc`, else the descendant cursor.
+  StackTreePhys(std::string name, PhysicalPtr anc, PhysicalPtr desc,
+                int anc_idx, int desc_idx, Axis axis, bool follows_anc)
+      : name_(std::move(name)),
+        anc_(std::move(anc)),
+        desc_(std::move(desc)),
+        anc_idx_(anc_idx),
+        desc_idx_(desc_idx),
+        axis_(axis),
+        lead_(follows_anc ? 0 : 1) {
+    order_ = JoinAttrOrder(lead_);
+  }
+
   Status OpenImpl() override {
     ULOAD_RETURN_NOT_OK(anc_->Open());
     ULOAD_RETURN_NOT_OK(desc_->Open());
-    inflight_.clear();
-    stack_.clear();
-    pending_.clear();
-    desc_done_ = false;
+    Reset();
     ULOAD_ASSIGN_OR_RETURN(next_anc_, anc_->NextTuple());
     return Status::Ok();
   }
@@ -502,10 +403,12 @@ class StackTreeVariantPhys : public PhysBase {
         pending_.pop_front();
         continue;
       }
-      if (desc_done_ && inflight_.empty() && !next_anc_.has_value()) break;
-      // Same bounded-latency cancellation tick as StackTreeDesc_φ.
+      if (desc_done_) break;
+      // A selective join can consume many descendants before producing a
+      // tuple; tick the cancellation check so latency stays bounded even
+      // when the children hand over large prefetched batches.
       if ((++ticks_ & 1023) == 0) ULOAD_RETURN_NOT_OK(CheckControl());
-      ULOAD_RETURN_NOT_OK(Advance());
+      ULOAD_RETURN_NOT_OK(Step());
     }
     if (out.empty()) return std::optional<TupleBatch>();
     return std::optional<TupleBatch>(std::move(out));
@@ -513,141 +416,211 @@ class StackTreeVariantPhys : public PhysBase {
   void CloseImpl() override {
     anc_->Close();
     desc_->Close();
-    inflight_.clear();
-    stack_.clear();
-    pending_.clear();
+    Reset();
   }
 
- private:
-  struct AncState {
-    Tuple t;
-    TupleList matches;
-    bool done = false;
-  };
+  // The output rule. Entered: an ancestor arrived. Matched: descendant `d`
+  // lies under the open ancestor `a`. Ended: ancestor `a` is complete (no
+  // current or future descendant lies under it); the rule may take its
+  // tuple. Stepped: after each descendant, and once at the end of the
+  // descendant stream (desc_done()). ResetOutput: clears the rule's state.
+  virtual Status Entered(const Tuple& a) {
+    (void)a;
+    return Status::Ok();
+  }
+  virtual Status Matched(const OpenAncestor& a, const Tuple& d) = 0;
+  virtual void Ended(OpenAncestor& a) { (void)a; }
+  virtual Status Stepped() { return Status::Ok(); }
+  virtual void ResetOutput() {}
 
-  // Consumes one descendant (or the end of the descendant stream), then
-  // releases every completed front-of-queue ancestor into pending_.
-  Status Advance() {
+  bool desc_done() const { return desc_done_; }
+  const Schema& anc_schema() const { return *anc_->schema(); }
+  const Schema& desc_schema() const { return *desc_->schema(); }
+
+  // Pulls every remaining ancestor and ends every open one: once no
+  // descendant is left, every ancestor is complete.
+  Status EndAllAncestors() {
+    while (next_anc_.has_value()) ULOAD_RETURN_NOT_OK(PullAncestor());
+    while (!stack_.empty()) PopAncestor();
+    return Status::Ok();
+  }
+
+  std::deque<Tuple> pending_;  // produced, not yet handed out
+
+ private:
+  // Document order on the join attribute of input `child` (0: ancestor).
+  OrderDescriptor JoinAttrOrder(size_t child) const {
+    return child == 0
+               ? OrderDescriptor::On(anc_->schema()->attr(anc_idx_).name)
+               : OrderDescriptor::On(desc_->schema()->attr(desc_idx_).name);
+  }
+
+  // Consumes one descendant, or the end of the descendant stream.
+  Status Step() {
     ULOAD_ASSIGN_OR_RETURN(std::optional<Tuple> d, desc_->NextTuple());
     if (!d.has_value()) {
       desc_done_ = true;
-      // No future descendant exists: every ancestor still pending is done.
-      while (next_anc_.has_value()) {
-        ULOAD_RETURN_NOT_OK(PushAncestor(std::move(*next_anc_)));
-        ULOAD_ASSIGN_OR_RETURN(next_anc_, anc_->NextTuple());
-      }
-      for (AncState& a : inflight_) a.done = true;
-      stack_.clear();
-      Release();
-      return Status::Ok();
+      return Stepped();
     }
     const AtomicValue& did = d->fields[desc_idx_].atom();
-    if (did.is_null()) return Status::Ok();  // null ids match nothing
+    if (did.is_null()) return Status::Ok();
     ULOAD_RETURN_NOT_OK(CheckNodeId(did));
-    // Pull ancestors that start before this descendant.
     while (next_anc_.has_value()) {
       const AtomicValue& aid = next_anc_->fields[anc_idx_].atom();
       if (!aid.is_null()) {
         ULOAD_RETURN_NOT_OK(CheckNodeId(aid));
         if (!StartsBefore(aid, did)) break;
       }
-      ULOAD_RETURN_NOT_OK(PushAncestor(std::move(*next_anc_)));
-      ULOAD_ASSIGN_OR_RETURN(next_anc_, anc_->NextTuple());
+      ULOAD_RETURN_NOT_OK(PullAncestor());
     }
-    // Ancestors whose subtree ended before this descendant are complete —
-    // no current or future descendant (document-ordered) can fall inside
-    // them.
-    while (!stack_.empty() &&
-           EndsBefore(stack_.back()->t.fields[anc_idx_].atom(), did)) {
-      stack_.back()->done = true;
-      stack_.pop_back();
-    }
-    int64_t d_bytes = -1;
-    for (AncState* a : stack_) {
-      if (StructurallyRelated(axis_, a->t.fields[anc_idx_].atom(), did)) {
-        if (d_bytes < 0) d_bytes = ApproxTupleBytes(*d);
-        ULOAD_RETURN_NOT_OK(TrackGrow(d_bytes));
-        a->matches.push_back(*d);
+    // No current or future (document-ordered) descendant can fall inside an
+    // ancestor whose subtree ended before this one.
+    EndBefore(did);
+    for (const OpenAncestor& a : stack_) {
+      if (StructurallyRelated(axis_, a.t.fields[anc_idx_].atom(), did)) {
+        ULOAD_RETURN_NOT_OK(Matched(a, *d));
       }
     }
-    Release();
-    return Status::Ok();
+    return Stepped();
   }
 
-  Status PushAncestor(Tuple t) {
-    ULOAD_RETURN_NOT_OK(TrackGrow(ApproxTupleBytes(t)));
-    const AtomicValue& aid = t.fields[anc_idx_].atom();
+  // Moves the read-ahead ancestor, if any, onto the stack (or ends it at
+  // once) and reads the next one.
+  Status PullAncestor() {
+    if (!next_anc_.has_value()) return Status::Ok();
+    OpenAncestor a{std::move(*next_anc_), arrivals_++};
+    ULOAD_RETURN_NOT_OK(Entered(a.t));
+    const AtomicValue& aid = a.t.fields[anc_idx_].atom();
     if (aid.is_null()) {
-      // Null ids match nothing and need no stack entry; completed at once.
-      inflight_.push_back(AncState{std::move(t), {}, true});
-      return Status::Ok();
+      Ended(a);  // matches nothing: complete at once
+    } else {
+      ULOAD_RETURN_NOT_OK(CheckNodeId(aid));
+      // Entries the new ancestor is disjoint from are complete: their whole
+      // subtree precedes it, hence precedes every future descendant too.
+      EndBefore(aid);
+      stack_.push_back(std::move(a));
     }
-    ULOAD_RETURN_NOT_OK(CheckNodeId(aid));
-    // Entries the new ancestor is disjoint from are complete: their whole
-    // subtree precedes it, hence precedes every future descendant too.
-    while (!stack_.empty() &&
-           EndsBefore(stack_.back()->t.fields[anc_idx_].atom(), aid)) {
-      stack_.back()->done = true;
-      stack_.pop_back();
-    }
-    inflight_.push_back(AncState{std::move(t), {}, false});
-    stack_.push_back(&inflight_.back());
+    ULOAD_ASSIGN_OR_RETURN(next_anc_, anc_->NextTuple());
     return Status::Ok();
   }
 
-  void Release() {
-    while (!inflight_.empty() && inflight_.front().done) {
-      AncState& a = inflight_.front();
-      // The nest accumulator hands its contents to the consumer here; its
-      // bytes leave this operator's account.
-      TrackShrink(ApproxTupleBytes(a.t) + ApproxTupleListBytes(a.matches));
-      switch (variant_) {
-        case JoinVariant::kInner:
-          for (Tuple& m : a.matches) {
-            pending_.push_back(ConcatTuples(a.t, m));
-          }
-          break;
-        case JoinVariant::kSemi:
-          if (!a.matches.empty()) pending_.push_back(std::move(a.t));
-          break;
-        case JoinVariant::kLeftOuter:
-          if (a.matches.empty()) {
-            pending_.push_back(
-                ConcatTuples(a.t, NullTuple(*desc_->schema())));
-          } else {
-            for (Tuple& m : a.matches) {
-              pending_.push_back(ConcatTuples(a.t, m));
-            }
-          }
-          break;
-        case JoinVariant::kNestJoin:
-          if (a.matches.empty()) break;
-          [[fallthrough]];
-        case JoinVariant::kNestOuter: {
-          Tuple t = std::move(a.t);
-          t.fields.emplace_back(std::move(a.matches));
-          pending_.push_back(std::move(t));
-          break;
-        }
-      }
-      inflight_.pop_front();
+  void EndBefore(const AtomicValue& id) {
+    while (!stack_.empty() &&
+           EndsBefore(stack_.back().t.fields[anc_idx_].atom(), id)) {
+      PopAncestor();
     }
   }
+  void PopAncestor() {
+    Ended(stack_.back());
+    stack_.pop_back();
+  }
 
+  void Reset() {
+    stack_.clear();
+    pending_.clear();
+    desc_done_ = false;
+    arrivals_ = 0;
+    ResetOutput();
+  }
+
+  std::string name_;
   PhysicalPtr anc_;
   PhysicalPtr desc_;
   int anc_idx_;
   int desc_idx_;
   Axis axis_;
-  JoinVariant variant_;
-  // In-flight ancestors in arrival (document) order; a deque keeps the
-  // stack_ pointers stable across push_back/pop_front.
-  std::deque<AncState> inflight_;
-  std::vector<AncState*> stack_;
-  std::deque<Tuple> pending_;
+  size_t lead_;  // children() index of the input the output follows
+  std::vector<OpenAncestor> stack_;  // outermost first
   std::optional<Tuple> next_anc_;
   bool desc_done_ = false;
+  int64_t arrivals_ = 0;
   uint64_t ticks_ = 0;
+};
+
+// StackTreeDesc_φ (inner structural joins): each match is emitted at once
+// as an (ancestor, descendant) pair, so the output follows the descendant
+// cursor and an ended ancestor is simply dropped.
+class StackTreeDescPhys : public StackTreePhys {
+ public:
+  StackTreeDescPhys(PhysicalPtr anc, PhysicalPtr desc, int anc_idx,
+                    int desc_idx, Axis axis)
+      : StackTreePhys("StackTreeDesc_phi", std::move(anc), std::move(desc),
+                      anc_idx, desc_idx, axis, /*follows_anc=*/false) {
+    schema_ = Schema::Concat(anc_schema(), desc_schema());
+  }
+
+ protected:
+  Status Matched(const OpenAncestor& a, const Tuple& d) override {
+    pending_.push_back(ConcatTuples(a.t, d));
+    return Status::Ok();
+  }
+};
+
+// StackTreeAnc_φ (semi / outer / nest structural joins): the output follows
+// the ancestor cursor. Each ancestor accumulates its matching descendants
+// and is emitted through EmitJoinVariant once complete. Ancestors nest, so
+// an inner one completes before the outer one it lives in; the in-flight
+// queue releases completed entries strictly front-first to keep the output
+// in ancestor document order.
+class StackTreeAncPhys : public StackTreePhys {
+ public:
+  StackTreeAncPhys(PhysicalPtr anc, PhysicalPtr desc, int anc_idx,
+                   int desc_idx, Axis axis, JoinVariant variant,
+                   const std::string& nest_as)
+      : StackTreePhys(
+            std::string("StackTreeAnc_phi:") + JoinVariantName(variant),
+            std::move(anc), std::move(desc), anc_idx, desc_idx, axis,
+            /*follows_anc=*/true),
+        variant_(variant) {
+    schema_ =
+        JoinOutputSchema(anc_schema(), desc_schema(), variant, nest_as);
+  }
+
+ protected:
+  Status Entered(const Tuple& a) override {
+    inflight_.emplace_back();
+    return TrackGrow(ApproxTupleBytes(a));
+  }
+  Status Matched(const OpenAncestor& a, const Tuple& d) override {
+    ULOAD_RETURN_NOT_OK(TrackGrow(ApproxTupleBytes(d)));
+    inflight_[a.seq - released_].matches.push_back(d);
+    return Status::Ok();
+  }
+  void Ended(OpenAncestor& a) override {
+    InFlight& f = inflight_[a.seq - released_];
+    f.t = std::move(a.t);
+    f.done = true;
+  }
+  Status Stepped() override {
+    if (desc_done()) ULOAD_RETURN_NOT_OK(EndAllAncestors());
+    while (!inflight_.empty() && inflight_.front().done) {
+      InFlight& f = inflight_.front();
+      // The nest accumulator hands its contents to the consumer here; its
+      // bytes leave this operator's account.
+      TrackShrink(ApproxTupleBytes(f.t) + ApproxTupleListBytes(f.matches));
+      EmitJoinVariant(variant_, std::move(f.t), &f.matches, nullptr,
+                      desc_schema(), &pending_);
+      inflight_.pop_front();
+      ++released_;
+    }
+    return Status::Ok();
+  }
+  void ResetOutput() override {
+    inflight_.clear();
+    released_ = 0;
+  }
+
+ private:
+  // One arrived ancestor; `t` is filled in when it ends.
+  struct InFlight {
+    Tuple t;
+    TupleList matches;
+    bool done = false;
+  };
+
+  JoinVariant variant_;
+  std::deque<InFlight> inflight_;  // arrival order, from ancestor `released_`
+  int64_t released_ = 0;
 };
 
 // --- Hash join / generic value join -----------------------------------------
@@ -701,13 +674,8 @@ class ValueJoinPhys : public PhysBase {
 
  protected:
   Status OpenImpl() override {
-    ULOAD_RETURN_NOT_OK(left_->Open());
-    ULOAD_RETURN_NOT_OK(right_->Open());
-    // Build side: materialize right; hash it for equality joins.
-    build_.clear();
     hash_.clear();
     pending_.clear();
-    ReleaseMemory(held_bytes());
     ULOAD_ASSIGN_OR_RETURN(AttrPath rp,
                            ResolveAttrPath(*right_->schema(), right_attr_));
     if (rp.size() != 1) {
@@ -720,24 +688,18 @@ class ValueJoinPhys : public PhysBase {
       return Status::NotImplemented("physical join on nested left attr");
     }
     lidx_ = lp[0];
-    right_open_ = true;
-    for (;;) {
-      // Hash-build loop: cancellation check + budget charge per batch.
-      ULOAD_RETURN_NOT_OK(CheckControl());
-      ULOAD_ASSIGN_OR_RETURN(std::optional<TupleBatch> b,
-                             right_->NextBatch());
-      if (!b.has_value()) break;
-      ULOAD_RETURN_NOT_OK(ChargeMemory(b->ApproxBytes()));
-      for (Tuple& t : b->tuples()) {
-        if (cmp_ == Comparator::kEq) {
-          const AtomicValue& v = t.fields[ridx_].atom();
-          if (!v.is_null()) hash_[v.ToString()].push_back(build_.size());
-        }
-        build_.push_back(std::move(t));
+    ULOAD_RETURN_NOT_OK(left_->Open());
+    // Build side: materialize right; hash it for equality joins.
+    ULOAD_RETURN_NOT_OK(DrainBuild(right_.get(), &build_));
+    if (cmp_ == Comparator::kEq) {
+      for (size_t j = 0; j < build_.size(); ++j) {
+        const AtomicValue& v = build_[j].fields[ridx_].atom();
+        if (v.is_null()) continue;
+        key_.clear();
+        AppendEqualityKey(v, &key_);
+        hash_[key_].push_back(j);
       }
     }
-    right_->Close();
-    right_open_ = false;
     return Status::Ok();
   }
   Result<std::optional<TupleBatch>> NextBatchImpl() override {
@@ -750,68 +712,42 @@ class ValueJoinPhys : public PhysBase {
       }
       ULOAD_ASSIGN_OR_RETURN(std::optional<Tuple> l, left_->NextTuple());
       if (!l.has_value()) break;
-      std::vector<size_t> matches;
+      matches_.clear();
       const AtomicValue& lv = l->fields[lidx_].atom();
       if (cmp_ == Comparator::kEq) {
+        // The key only narrows the candidates; operator== decides each.
         if (!lv.is_null()) {
-          auto it = hash_.find(lv.ToString());
-          if (it != hash_.end()) matches = it->second;
+          key_.clear();
+          AppendEqualityKey(lv, &key_);
+          auto it = hash_.find(key_);
+          if (it != hash_.end()) {
+            for (size_t j : it->second) {
+              if (lv == build_[j].fields[ridx_].atom()) matches_.push_back(j);
+            }
+          }
         }
       } else {
         for (size_t j = 0; j < build_.size(); ++j) {
           if (CompareAtoms(lv, cmp_, build_[j].fields[ridx_].atom())) {
-            matches.push_back(j);
+            matches_.push_back(j);
           }
         }
       }
-      Emit(*l, matches);
+      EmitJoinVariant(variant_, std::move(*l), &build_, &matches_,
+                      *right_->schema(), &pending_);
     }
     if (out.empty()) return std::optional<TupleBatch>();
     return std::optional<TupleBatch>(std::move(out));
   }
   void CloseImpl() override {
     left_->Close();
-    // Open only when an aborted build left it open (see Sort_φ's CloseImpl).
-    if (right_open_) {
-      right_->Close();
-      right_open_ = false;
-    }
+    CloseBuild(right_.get());
     build_.clear();
     hash_.clear();
     pending_.clear();
   }
 
  private:
-  void Emit(const Tuple& l, const std::vector<size_t>& matches) {
-    switch (variant_) {
-      case JoinVariant::kInner:
-        for (size_t j : matches) pending_.push_back(ConcatTuples(l, build_[j]));
-        break;
-      case JoinVariant::kSemi:
-        if (!matches.empty()) pending_.push_back(l);
-        break;
-      case JoinVariant::kLeftOuter:
-        if (matches.empty()) {
-          pending_.push_back(ConcatTuples(l, NullTuple(*right_->schema())));
-        } else {
-          for (size_t j : matches) {
-            pending_.push_back(ConcatTuples(l, build_[j]));
-          }
-        }
-        break;
-      case JoinVariant::kNestJoin:
-      case JoinVariant::kNestOuter: {
-        if (matches.empty() && variant_ == JoinVariant::kNestJoin) break;
-        TupleList nested;
-        for (size_t j : matches) nested.push_back(build_[j]);
-        Tuple t = l;
-        t.fields.emplace_back(std::move(nested));
-        pending_.push_back(std::move(t));
-        break;
-      }
-    }
-  }
-
   PhysicalPtr left_;
   PhysicalPtr right_;
   std::string left_attr_;
@@ -820,10 +756,11 @@ class ValueJoinPhys : public PhysBase {
   JoinVariant variant_;
   int lidx_ = 0;
   int ridx_ = 0;
-  std::vector<Tuple> build_;
+  TupleList build_;
   std::unordered_map<std::string, std::vector<size_t>> hash_;
+  std::string key_;               // probe-key scratch
+  std::vector<size_t> matches_;   // build_ rows matching the current probe
   std::deque<Tuple> pending_;
-  bool right_open_ = false;
 };
 
 // --- Product -----------------------------------------------------------------
@@ -847,21 +784,7 @@ class ProductPhys : public PhysBase {
  protected:
   Status OpenImpl() override {
     ULOAD_RETURN_NOT_OK(left_->Open());
-    ULOAD_RETURN_NOT_OK(right_->Open());
-    build_.clear();
-    ReleaseMemory(held_bytes());
-    right_open_ = true;
-    for (;;) {
-      // Build loop: cancellation check + budget charge per batch.
-      ULOAD_RETURN_NOT_OK(CheckControl());
-      ULOAD_ASSIGN_OR_RETURN(std::optional<TupleBatch> b,
-                             right_->NextBatch());
-      if (!b.has_value()) break;
-      ULOAD_RETURN_NOT_OK(ChargeMemory(b->ApproxBytes()));
-      for (Tuple& t : b->tuples()) build_.push_back(std::move(t));
-    }
-    right_->Close();
-    right_open_ = false;
+    ULOAD_RETURN_NOT_OK(DrainBuild(right_.get(), &build_));
     cur_.reset();
     rpos_ = build_.size();
     return Status::Ok();
@@ -882,20 +805,16 @@ class ProductPhys : public PhysBase {
   }
   void CloseImpl() override {
     left_->Close();
-    if (right_open_) {
-      right_->Close();
-      right_open_ = false;
-    }
+    CloseBuild(right_.get());
     build_.clear();
   }
 
  private:
   PhysicalPtr left_;
   PhysicalPtr right_;
-  std::vector<Tuple> build_;
+  TupleList build_;
   std::optional<Tuple> cur_;
   size_t rpos_ = 0;
-  bool right_open_ = false;
 };
 
 // --- Union -------------------------------------------------------------------
@@ -1237,7 +1156,7 @@ class Compiler {
           return PhysicalPtr(std::make_unique<StackTreeDescPhys>(
               std::move(anc), std::move(desc), anc_idx, desc_idx, p.axis()));
         }
-        return PhysicalPtr(std::make_unique<StackTreeVariantPhys>(
+        return PhysicalPtr(std::make_unique<StackTreeAncPhys>(
             std::move(anc), std::move(desc), anc_idx, desc_idx, p.axis(),
             p.variant(), p.nest_as()));
       }

@@ -16,11 +16,22 @@
 // tuple-wise consumption (the StackTree joins walk both inputs
 // cursor-style; the value joins and Product pull their probe side).
 //
-// Structural joins are implemented by the streaming StackTreeAnc algorithm,
-// which requires both inputs in document order — the compiler tracks order
+// Structural joins are implemented by the streaming StackTree algorithms,
+// which require both inputs in document order — the compiler tracks order
 // descriptors and inserts Sort_φ enforcers exactly where the requirement is
 // not already met, the way the thesis's optimizer pipes structural joins
-// into each other.
+// into each other. StackTreeDesc_φ (inner joins) and StackTreeAnc_φ (the
+// other variants) share one ancestor cursor and differ only in their output
+// rule.
+//
+// Each rule is written once. Every join variant (inner, semi, outer,
+// nest-join, nest-outer) is emitted by EmitJoinVariant (exec/plan_schemas.h)
+// — from StackTreeAnc_φ, HashJoin_φ/NestedLoopJoin_φ and the fused
+// Navigate_φ — beside JoinOutputSchema, which gives its schema. Sort_φ, the
+// value joins and Product_φ materialize their build side through one drain
+// that checks the governor and charges memory per batch. HashJoin_φ keys
+// its build side like a value index (AppendEqualityKey, algebra/value.h):
+// the key only narrows the candidates and operator== decides each.
 //
 // Runtime observability: binding the compiled tree to an ExecContext gives
 // every operator a counter slot (batches/tuples produced, Open/NextBatch

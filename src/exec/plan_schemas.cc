@@ -56,6 +56,43 @@ SchemaPtr JoinOutputSchema(const Schema& left, const Schema& right,
   return Schema::Make({});
 }
 
+void EmitJoinVariant(JoinVariant variant, Tuple left, TupleList* pool,
+                     const std::vector<size_t>* rows, const Schema& right,
+                     std::deque<Tuple>* out) {
+  const size_t n = rows != nullptr ? rows->size() : pool->size();
+  auto match = [&](size_t i) -> const Tuple& {
+    return (*pool)[rows != nullptr ? (*rows)[i] : i];
+  };
+  switch (variant) {
+    case JoinVariant::kInner:
+    case JoinVariant::kLeftOuter:
+      if (n == 0 && variant == JoinVariant::kLeftOuter) {
+        out->push_back(ConcatTuples(left, NullTuple(right)));
+      }
+      for (size_t i = 0; i < n; ++i) {
+        out->push_back(ConcatTuples(left, match(i)));
+      }
+      break;
+    case JoinVariant::kSemi:
+      if (n > 0) out->push_back(std::move(left));
+      break;
+    case JoinVariant::kNestJoin:
+    case JoinVariant::kNestOuter: {
+      if (n == 0 && variant == JoinVariant::kNestJoin) break;
+      TupleList nested;
+      if (rows == nullptr) {
+        nested = std::move(*pool);
+      } else {
+        nested.reserve(n);
+        for (size_t i = 0; i < n; ++i) nested.push_back(match(i));
+      }
+      left.fields.emplace_back(std::move(nested));
+      out->push_back(std::move(left));
+      break;
+    }
+  }
+}
+
 SchemaPtr DeriveParentSchema(const Schema& input,
                              const std::string& out_attr) {
   std::vector<Attribute> attrs = input.attrs();

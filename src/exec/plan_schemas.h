@@ -1,7 +1,11 @@
 // Output-schema derivation shared by the physical (iterator) engine, the plan
-// verifier and the test oracle.
+// verifier and the test oracle, and the executor's one rule for what a join
+// variant emits.
 #ifndef ULOAD_EXEC_PLAN_SCHEMAS_H_
 #define ULOAD_EXEC_PLAN_SCHEMAS_H_
+
+#include <deque>
+#include <vector>
 
 #include "algebra/logical_plan.h"
 #include "algebra/relation.h"
@@ -13,6 +17,22 @@ namespace uload {
 // (semi), left + one collection named `nest_as` (nest variants).
 SchemaPtr JoinOutputSchema(const Schema& left, const Schema& right,
                            JoinVariant variant, const std::string& nest_as);
+
+// What one left tuple and its matches produce under `variant` (the XAM edge
+// variants j, s, o, nj and no), appended to `out` in JoinOutputSchema's
+// layout. StackTreeAnc_φ, HashJoin_φ, NestedLoopJoin_φ and Navigate_φ emit
+// through it; StackTreeDesc_φ, inner only, emits each pair as it finds it.
+//  - inner: left ++ m for each match;
+//  - semi: left, if anything matched;
+//  - outer: as inner, or left ++ NullTuple(right) when nothing matched;
+//  - nest-join, nest-outer: left plus the collection of its matches;
+//    nest-join drops a left tuple with no match.
+// The matches are `pool[rows[i]]`, or all of `*pool` when `rows` is null. A
+// whole pool is the caller's to give away (the nest variants move it into
+// the collection); picked rows are only read, and copied into the output.
+void EmitJoinVariant(JoinVariant variant, Tuple left, TupleList* pool,
+                     const std::vector<size_t>* rows, const Schema& right,
+                     std::deque<Tuple>* out);
 
 // Schema of a DeriveParent: the input plus one atomic column `out_attr`.
 SchemaPtr DeriveParentSchema(const Schema& input, const std::string& out_attr);

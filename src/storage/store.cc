@@ -1,34 +1,13 @@
 #include "storage/store.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
-#include "common/string_util.h"
 #include "eval/tag_collections.h"
 #include "storage/columnar/varint.h"
 
 namespace uload {
 namespace {
-
-// The hash-index key of one value. The index only narrows a lookup and
-// operator== decides it, so values that operator== equates must share a
-// key: a string that reads as a number is keyed by that number, as the
-// number itself is.
-void AppendKey(const AtomicValue& v, std::string* key) {
-  double x = 0;
-  if (v.is_number()) {
-    x = v.as_number();
-  } else if (!v.is_string() || !ParseNumber(v.as_string(), &x)) {
-    *key += v.ToString();
-    *key += '\x1f';
-    return;
-  }
-  if (x == 0) x = 0;  // -0 == 0
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "#%.17g\x1f", x);
-  *key += buf;
-}
 
 int64_t TupleBytes(const Tuple& t) {
   int64_t bytes = 0;
@@ -119,7 +98,7 @@ Result<MaterializedView> MaterializedView::Materialize(
     for (int64_t i = 0; i < v.data_.size(); ++i) {
       std::string key;
       for (int a : v.index_attrs_) {
-        AppendKey(v.data_.tuple(i).fields[a].atom(), &key);
+        AppendEqualityKey(v.data_.tuple(i).fields[a].atom(), &key);
       }
       v.index_[key].push_back(i);
     }
@@ -150,7 +129,7 @@ Result<std::vector<int64_t>> MaterializedView::LookupRows(
     if (std::find(key_vals.begin(), key_vals.end(), nullptr) ==
         key_vals.end()) {
       std::string key;
-      for (const AtomicValue* v : key_vals) AppendKey(*v, &key);
+      for (const AtomicValue* v : key_vals) AppendEqualityKey(*v, &key);
       auto it = index_.find(key);
       if (it == index_.end()) return std::vector<int64_t>{};
       bucket = &it->second;  // built by an ascending scan: storage order

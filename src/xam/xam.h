@@ -133,9 +133,6 @@ class Xam {
   XamNodeId NodeByName(const std::string& name) const;
   // The edge from node(id).parent to id. Precondition: id != root.
   const XamEdge& IncomingEdge(XamNodeId id) const;
-  JoinVariant IncomingVariant(XamNodeId id) const {
-    return IncomingEdge(id).variant;
-  }
 
   // Depth of nesting: number of nested (nj/no) edges strictly above `id`
   // (|ns(n)| of §4.4.5).

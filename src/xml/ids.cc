@@ -53,10 +53,6 @@ bool Precedes(const StructuralId& m, const StructuralId& n) {
   return m.pre < n.pre && m.post < n.post;
 }
 
-bool DocOrderLess(const StructuralId& m, const StructuralId& n) {
-  return m.pre < n.pre;
-}
-
 std::string ToString(const StructuralId& id) {
   return "(" + std::to_string(id.pre) + "," + std::to_string(id.post) + "," +
          std::to_string(id.depth) + ")";

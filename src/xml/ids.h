@@ -48,8 +48,6 @@ bool IsAncestor(const StructuralId& m, const StructuralId& n);
 bool IsParent(const StructuralId& m, const StructuralId& n);
 // m precedes n in document order, subtrees disjoint: pre_m < pre_n ∧ post_m < post_n.
 bool Precedes(const StructuralId& m, const StructuralId& n);
-// Document order: by pre label.
-bool DocOrderLess(const StructuralId& m, const StructuralId& n);
 
 std::string ToString(const StructuralId& id);
 

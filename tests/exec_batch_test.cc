@@ -84,19 +84,48 @@ TEST_F(ExecBatchTest, ScanSelectProjectSort) {
                         ctx_);
 }
 
+// Every join that emits through the shared variant rule (StackTree joins,
+// HashJoin_φ, NestedLoopJoin_φ, Navigate_φ) under all five variants. Each
+// input leads with two all-null rows: a null join id matches nothing, so
+// outer and nest variants keep those rows and inner and semi variants drop
+// them. Nulls sort first, so the inputs stay in document order.
 TEST_F(ExecBatchTest, JoinsAcrossVariants) {
+  auto with_nulls = [](const NestedRelation& rel) {
+    NestedRelation out(rel.schema_ptr());
+    for (int i = 0; i < 2; ++i) out.Add(NullTuple(rel.schema()));
+    for (const Tuple& t : rel.tuples()) out.Add(t);
+    return out;
+  };
+  NestedRelation people = with_nulls(people_);
+  NestedRelation names = with_nulls(names_);
+  ctx_.relations = {{"people", &people}, {"names", &names}};
+  NavEmit emit;
+  emit.id = true;
+  emit.val = true;
+  emit.prefix = "em";
   for (JoinVariant v : {JoinVariant::kInner, JoinVariant::kSemi,
                         JoinVariant::kLeftOuter, JoinVariant::kNestJoin,
                         JoinVariant::kNestOuter}) {
+    SCOPED_TRACE(JoinVariantName(v));
     CheckPlanDifferential(
         LogicalPlan::ValueJoin(LogicalPlan::Scan("people"),
                                LogicalPlan::Scan("names"), "p_Val",
                                Comparator::kEq, "n_Val", v, "grp"),
         ctx_);
     CheckPlanDifferential(
+        LogicalPlan::ValueJoin(LogicalPlan::Scan("people"),
+                               LogicalPlan::Scan("names"), "p_Val",
+                               Comparator::kLt, "n_Val", v, "grp"),
+        ctx_);
+    CheckPlanDifferential(
         LogicalPlan::StructuralJoin(LogicalPlan::Scan("people"),
                                     LogicalPlan::Scan("names"), "p_ID",
                                     Axis::kDescendant, "n_ID", v, "grp"),
+        ctx_);
+    CheckPlanDifferential(
+        LogicalPlan::Navigate(LogicalPlan::Scan("people"), "p_ID",
+                              {NavStep{Axis::kChild, "emailaddress"}}, emit,
+                              v),
         ctx_);
   }
 }

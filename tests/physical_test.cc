@@ -113,6 +113,45 @@ TEST_F(PhysicalTest, JoinVariantsAgree) {
   }
 }
 
+// HashJoin_φ must decide equality exactly as Select[l = r] over Product_φ
+// does, with operator==: numbers that print alike are still different, and
+// a string that reads as a number equals that number. Keying the build side
+// on ToString() got both wrong (0.1234561 and 0.1234562 both print as
+// 0.123456; "12" prints quoted). The test oracle must agree too.
+TEST_F(PhysicalTest, HashJoinDecidesEqualityLikeSelect) {
+  NestedRelation l(Schema::Make({Attribute::Atomic("l_Val")}));
+  for (const AtomicValue& v :
+       {AtomicValue::Number(0.1234561), AtomicValue::String("12"),
+        AtomicValue::Null(), AtomicValue::String("x")}) {
+    l.Add(Tuple{{Field(v)}});
+  }
+  NestedRelation r(Schema::Make({Attribute::Atomic("r_Val")}));
+  for (const AtomicValue& v :
+       {AtomicValue::Number(0.1234562), AtomicValue::Number(12),
+        AtomicValue::Null(), AtomicValue::String("x")}) {
+    r.Add(Tuple{{Field(v)}});
+  }
+  EvalContext ctx;
+  ctx.relations = {{"l", &l}, {"r", &r}};
+  PlanPtr join = LogicalPlan::ValueJoin(LogicalPlan::Scan("l"),
+                                        LogicalPlan::Scan("r"), "l_Val",
+                                        Comparator::kEq, "r_Val",
+                                        JoinVariant::kInner);
+  PlanPtr select = LogicalPlan::Select(
+      LogicalPlan::Product(LogicalPlan::Scan("l"), LogicalPlan::Scan("r")),
+      Predicate::CompareAttrs("l_Val", Comparator::kEq, "r_Val"));
+  auto phys = CompilePhysicalPlan(join, ctx);
+  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
+  ASSERT_NE((*phys)->label().find("HashJoin_phi"), std::string::npos);
+  auto joined = ExecutePhysical(phys->get());
+  auto selected = ExecutePhysicalPlan(select, ctx);
+  auto oracle = Evaluate(*join, ctx);
+  ASSERT_TRUE(joined.ok() && selected.ok() && oracle.ok());
+  ASSERT_EQ(selected->size(), 2);  // ("12", 12) and ("x", "x")
+  EXPECT_EQ(joined->ToString(), selected->ToString());
+  EXPECT_EQ(oracle->ToString(), selected->ToString());
+}
+
 // The StackTree joins accept Dewey ids: document order is Dewey order and
 // containment is the prefix test. Ids of different kinds never join.
 TEST_F(PhysicalTest, DeweyStructuralJoinsAgree) {

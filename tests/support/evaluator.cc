@@ -237,40 +237,28 @@ class Impl {
     ULOAD_ASSIGN_OR_RETURN(AttrPath rp,
                            ResolveAttrPath(r.schema(), plan.right_attr()));
 
+    // Every pair is decided by CompareAtoms over the atoms each side holds
+    // at its (possibly nested) attribute.
+    std::vector<std::vector<AtomicValue>> rvs(r.tuples().size());
+    for (size_t j = 0; j < r.tuples().size(); ++j) {
+      CollectAtomsAt(r.tuples()[j], r.schema(), rp, 0, &rvs[j]);
+    }
     std::vector<std::vector<size_t>> matches(l.tuples().size());
-    // Hash fast path for top-level equality.
-    if (plan.comparator() == Comparator::kEq && lp.size() == 1 &&
-        rp.size() == 1) {
-      std::multimap<std::string, size_t> index;
+    for (size_t i = 0; i < l.tuples().size(); ++i) {
+      std::vector<AtomicValue> lv;
+      CollectAtomsAt(l.tuples()[i], l.schema(), lp, 0, &lv);
       for (size_t j = 0; j < r.tuples().size(); ++j) {
-        const AtomicValue& v = r.tuples()[j].fields[rp[0]].atom();
-        if (!v.is_null()) index.emplace(v.ToString(), j);
-      }
-      for (size_t i = 0; i < l.tuples().size(); ++i) {
-        const AtomicValue& v = l.tuples()[i].fields[lp[0]].atom();
-        if (v.is_null()) continue;
-        auto [b, e] = index.equal_range(v.ToString());
-        for (auto it = b; it != e; ++it) matches[i].push_back(it->second);
-      }
-    } else {
-      for (size_t i = 0; i < l.tuples().size(); ++i) {
-        std::vector<AtomicValue> lv;
-        CollectAtomsAt(l.tuples()[i], l.schema(), lp, 0, &lv);
-        for (size_t j = 0; j < r.tuples().size(); ++j) {
-          std::vector<AtomicValue> rv;
-          CollectAtomsAt(r.tuples()[j], r.schema(), rp, 0, &rv);
-          bool hit = false;
-          for (const AtomicValue& a : lv) {
-            for (const AtomicValue& b : rv) {
-              if (CompareAtoms(a, plan.comparator(), b)) {
-                hit = true;
-                break;
-              }
+        bool hit = false;
+        for (const AtomicValue& a : lv) {
+          for (const AtomicValue& b : rvs[j]) {
+            if (CompareAtoms(a, plan.comparator(), b)) {
+              hit = true;
+              break;
             }
-            if (hit) break;
           }
-          if (hit) matches[i].push_back(j);
+          if (hit) break;
         }
+        if (hit) matches[i].push_back(j);
       }
     }
     NestedRelation out(
