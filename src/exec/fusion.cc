@@ -1,6 +1,5 @@
 #include "exec/fusion.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "algebra/predicate.h"
@@ -30,33 +29,36 @@ Status NavigationCore::BindInput(const Schema& input) {
   return Status::Ok();
 }
 
-Status NavigationCore::Expand(Tuple t, std::deque<Tuple>* out) const {
+Status NavigationCore::Expand(Tuple t, std::deque<Tuple>* out) {
   const AtomicValue& id = t.fields[lidx_].atom();
-  std::vector<NodeIndex> frontier;
+  frontier_.clear();
   if (id.kind() == AtomicValue::Kind::kSid) {
     NodeIndex n = doc_->NodeByPre(id.sid().pre);
-    if (n != kNoNode) frontier.push_back(n);
+    if (n != kNoNode) frontier_.push_back(n);
   } else if (id.kind() == AtomicValue::Kind::kDewey) {
+    // Arc k is the k-th child: hop k - 1 sibling subtrees.
     NodeIndex cur = doc_->document_node();
-    bool ok = true;
     for (uint32_t arc : id.dewey()) {
-      std::vector<NodeIndex> kids = doc_->Children(cur);
-      if (arc == 0 || arc > kids.size()) {
-        ok = false;
+      const NodeIndex end = doc_->SubtreeEnd(cur);
+      NodeIndex c = cur + 1;
+      for (uint32_t k = 1; k < arc && c < end; ++k) c = doc_->SubtreeEnd(c);
+      if (arc == 0 || c >= end) {
+        cur = kNoNode;
         break;
       }
-      cur = kids[arc - 1];
+      cur = c;
     }
-    if (ok) frontier.push_back(cur);
+    if (cur != kNoNode) frontier_.push_back(cur);
   }
   for (const NavStep& step : plan_->nav_steps()) {
-    std::vector<NodeIndex> next;
-    for (NodeIndex n : frontier) Collect(n, step, &next);
-    frontier = std::move(next);
+    next_.clear();
+    for (NodeIndex n : frontier_) Collect(n, step, &next_);
+    frontier_.swap(next_);
   }
   const NavEmit& emit = plan_->nav_emit();
   TupleList results;
-  for (NodeIndex n : frontier) {
+  results.reserve(frontier_.size());
+  for (NodeIndex n : frontier_) {
     Tuple e;
     if (emit.id) {
       if (emit.id_kind == IdKind::kParental) {
@@ -90,22 +92,18 @@ void NavigationCore::Collect(NodeIndex from, const NavStep& step,
     }
     return doc_->is_element(n) && doc_->label(n) == step.label;
   };
+  // The subtree of `from` is the row interval (from, end): its descendants
+  // are every row in it, in document order, and its children are found by
+  // hopping from one child's subtree end to the next child.
+  const NodeIndex end = doc_->SubtreeEnd(from);
   if (step.axis == Axis::kChild) {
-    for (NodeIndex c : doc_->Children(from)) {
+    for (NodeIndex c = from + 1; c < end; c = doc_->SubtreeEnd(c)) {
       if (matches(c)) out->push_back(c);
     }
     return;
   }
-  std::vector<NodeIndex> work = doc_->Children(from);
-  std::reverse(work.begin(), work.end());
-  while (!work.empty()) {
-    NodeIndex c = work.back();
-    work.pop_back();
+  for (NodeIndex c = from + 1; c < end; ++c) {
     if (matches(c)) out->push_back(c);
-    std::vector<NodeIndex> kids = doc_->Children(c);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      work.push_back(*it);
-    }
   }
 }
 
@@ -422,19 +420,6 @@ Status FusedPipelinePhys::OpenImpl() {
       ULOAD_RETURN_NOT_OK(s.nav->BindInput(*s.in_schema));
     }
   }
-  prefilter_step_ = -1;
-  if (src_kind_ == SourceKind::kRelation || src_kind_ == SourceKind::kRows) {
-    for (size_t i = 0; i < steps_.size(); ++i) {
-      if (steps_[i].kind == StepKind::kSelect) {
-        prefilter_step_ = static_cast<int>(i);
-        break;
-      }
-      if (steps_[i].kind != StepKind::kRename &&
-          steps_[i].kind != StepKind::kRetype) {
-        break;
-      }
-    }
-  }
   switch (src_kind_) {
     case SourceKind::kColumnar:
       src_reader_->DecodeSlice(src_part_, src_nparts_, &crows_);
@@ -451,6 +436,43 @@ const Tuple* FusedPipelinePhys::PeekSourceTuple() const {
   if (spos_ >= src_end_) return nullptr;
   return &src_rel_->tuple(src_kind_ == SourceKind::kRows ? src_rows_[spos_]
                                                          : spos_);
+}
+
+Tuple FusedPipelinePhys::CopySourceRow(const Tuple& stored) const {
+  if (!src_keep_.has_value()) return stored;
+  Tuple t;
+  t.fields.reserve(src_keep_->size());
+  for (int i : *src_keep_) t.fields.push_back(stored.fields[i]);
+  return t;
+}
+
+void FusedPipelinePhys::PlanPrefilter() {
+  prefilter_step_ = -1;
+  if (src_kind_ != SourceKind::kRelation && src_kind_ != SourceKind::kRows) {
+    return;
+  }
+  // The stored row's schema, as the leading steps rename it.
+  SchemaPtr stored = src_rel_->schema_ptr();
+  for (size_t i = 0; i < steps_.size(); ++i) {
+    const Step& s = steps_[i];
+    switch (s.kind) {
+      case StepKind::kSelect:
+        prefilter_step_ = static_cast<int>(i);
+        prefilter_schema_ = std::move(stored);
+        return;
+      case StepKind::kRename:
+        stored = PrefixedSchema(*stored, s.prefix);
+        break;
+      case StepKind::kRetype:
+        // A retype is positional: it lines up with the stored row only
+        // when the source keeps every column.
+        if (src_keep_.has_value()) return;
+        stored = s.out_schema;
+        break;
+      default:
+        return;
+    }
+  }
 }
 
 void FusedPipelinePhys::Emit(Tuple&& t, TupleBatch* out) {
@@ -542,7 +564,7 @@ Result<std::optional<TupleBatch>> FusedPipelinePhys::NextBatchImpl() {
     } else {
       for (const Tuple* ref = PeekSourceTuple(); ref != nullptr && !out.full();
            ref = PeekSourceTuple()) {
-        out.Add(*ref);
+        out.Add(CopySourceRow(*ref));
         spos_ += 1;
       }
     }
@@ -585,11 +607,13 @@ Result<std::optional<TupleBatch>> FusedPipelinePhys::NextBatchImpl() {
     size_t first = 0;
     if (prefilter_step_ >= 0) {
       // Selection pushdown into the source read: the leading steps are
-      // metadata-only, so the Select's predicate resolves the same
-      // positional fields on the relation-resident tuple. Reject without
-      // ever copying; survivors continue past the already-evaluated Select.
+      // metadata-only, so the Select's predicate resolves against the
+      // relation-resident tuple under the stored schema, renamed. Reject
+      // without ever copying; survivors continue past the already-evaluated
+      // Select.
       Step& sel = steps_[static_cast<size_t>(prefilter_step_)];
-      ULOAD_ASSIGN_OR_RETURN(bool keep, sel.pred->Eval(*sel.in_schema, *ref));
+      ULOAD_ASSIGN_OR_RETURN(bool keep,
+                             sel.pred->Eval(*prefilter_schema_, *ref));
       for (int i = 0; i < prefilter_step_; ++i) {
         steps_[static_cast<size_t>(i)].member.slot().tuples_produced += 1;
       }
@@ -599,10 +623,10 @@ Result<std::optional<TupleBatch>> FusedPipelinePhys::NextBatchImpl() {
     }
     if (first == steps_.size()) {
       // Nothing left to apply; the batch has room (checked above).
-      out.Add(ref != nullptr ? *ref : std::move(t));
+      out.Add(ref != nullptr ? CopySourceRow(*ref) : std::move(t));
       continue;
     }
-    if (ref != nullptr) t = *ref;
+    if (ref != nullptr) t = CopySourceRow(*ref);
     ULOAD_RETURN_NOT_OK(Apply(first, std::move(t), &out));
   }
   // Dedup seen-sets grow monotonically; their growth is charged once per
@@ -635,11 +659,22 @@ FusedPipelineBuilder::FusedPipelineBuilder()
 
 FusedPipelineBuilder::~FusedPipelineBuilder() = default;
 
+void FusedPipelineBuilder::KeepRelationColumns(const NestedRelation* rel,
+                                               KeptColumns keep) {
+  op_->src_rel_ = rel;
+  op_->src_schema_ = rel->schema_ptr();
+  op_->src_keep_ = std::move(keep);
+  if (!op_->src_keep_.has_value()) return;
+  std::vector<Attribute> attrs;
+  for (int i : *op_->src_keep_) attrs.push_back(rel->schema().attr(i));
+  op_->src_schema_ = Schema::Make(std::move(attrs));
+}
+
 void FusedPipelineBuilder::SourceRelation(const NestedRelation* rel,
                                           std::string label, size_t part,
-                                          size_t nparts) {
+                                          size_t nparts, KeptColumns keep) {
   op_->src_kind_ = FusedPipelinePhys::SourceKind::kRelation;
-  op_->src_rel_ = rel;
+  KeepRelationColumns(rel, std::move(keep));
   op_->src_part_ = part;
   op_->src_nparts_ = nparts;
   const size_t n = static_cast<size_t>(rel->size());
@@ -647,30 +682,28 @@ void FusedPipelineBuilder::SourceRelation(const NestedRelation* rel,
   op_->src_end_ = static_cast<int64_t>((part + 1) * n / nparts);
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;
-  op_->src_schema_ = rel->schema_ptr();
   has_source_ = true;
 }
 
 void FusedPipelineBuilder::SourceRows(const NestedRelation* data,
                                       std::vector<int64_t> rows,
-                                      std::string label) {
+                                      std::string label, KeptColumns keep) {
   op_->src_kind_ = FusedPipelinePhys::SourceKind::kRows;
-  op_->src_rel_ = data;
+  KeepRelationColumns(data, std::move(keep));
   op_->src_rows_ = std::move(rows);
   op_->src_end_ = static_cast<int64_t>(op_->src_rows_.size());
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;
-  op_->src_schema_ = data->schema_ptr();
   has_source_ = true;
 }
 
 void FusedPipelineBuilder::SourceColumnar(const MaterializedView* view,
                                           std::string label, size_t part,
-                                          size_t nparts) {
+                                          size_t nparts, KeptColumns keep) {
   op_->src_kind_ = FusedPipelinePhys::SourceKind::kColumnar;
   op_->src_part_ = part;
   op_->src_nparts_ = nparts;
-  op_->src_reader_ = std::make_unique<ColumnarRowReader>(view);
+  op_->src_reader_ = std::make_unique<ColumnarRowReader>(view, keep);
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;
   op_->src_schema_ = op_->src_reader_->schema();
@@ -781,6 +814,7 @@ Result<PhysicalPtr> FusedPipelineBuilder::Build() {
   }
   op_->schema_ = current_schema();
   op_->RecomputeOrders();
+  op_->PlanPrefilter();
   return PhysicalPtr(std::move(op_));
 }
 

@@ -15,6 +15,12 @@
 // boundary is crossed, and the governor's cancel/deadline/memory checks run
 // once per pipeline iteration instead of once per chain member.
 //
+// A source copies only the columns its pipeline's consumers read: the
+// compiler passes each inline source its kept columns (positions in the
+// stored schema, ascending; the liveness rules of DESIGN §11), and the
+// source's schema is the stored schema restricted to them. A dead column —
+// a whole subtree's Val or Cont, say — is never copied or decoded.
+//
 // Exchange worker pipelines (exec/exchange.h) are the same fused loop: a
 // relation or columnar source takes the worker's (part, nparts) slice, the
 // contiguous row range [part*n/nparts, (part+1)*n/nparts) of its n rows.
@@ -57,6 +63,10 @@ namespace uload {
 class MaterializedView;   // storage/store.h
 class ColumnarRowReader;  // storage/virtual_scan.h
 
+// The stored columns an inline source copies into its pipeline, by position
+// in the stored schema, ascending; nullopt keeps every column.
+using KeptColumns = std::optional<std::vector<int>>;
+
 // The document-navigation kernel of the fused Navigate step: resolves the
 // source identifier to a store node, walks the navigation steps
 // (child/descendant axes), and emits the input tuple with the nodes it
@@ -75,8 +85,9 @@ class NavigationCore {
   Status BindInput(const Schema& input);
 
   // Expands one input tuple into zero or more output tuples, appended to
-  // `*out` in deterministic document order.
-  Status Expand(Tuple t, std::deque<Tuple>* out) const;
+  // `*out` in deterministic document order. Walks the document without
+  // allocating: subtrees are row intervals (DocumentStore::SubtreeEnd).
+  Status Expand(Tuple t, std::deque<Tuple>* out);
 
  private:
   void Collect(NodeIndex from, const NavStep& step,
@@ -86,6 +97,9 @@ class NavigationCore {
   const DocumentStore* doc_;
   SchemaPtr emit_schema_;
   int lidx_ = 0;
+  // Node scratch of Expand, reused across tuples.
+  std::vector<NodeIndex> frontier_;
+  std::vector<NodeIndex> next_;
 };
 
 class FusedPipelineBuilder;
@@ -204,12 +218,16 @@ class FusedPipelinePhys final : public PhysicalOperator {
   // Relation-resident tuple at the current cursor without copying it, or
   // nullptr at end of stream (relation-backed sources only).
   const Tuple* PeekSourceTuple() const;
+  // The kept columns of a relation-resident tuple, as the pipeline sees it.
+  Tuple CopySourceRow(const Tuple& stored) const;
   // Backward order translation across step `s` (the adoption direction).
   static bool TranslateOrderBack(const Step& s, const OrderDescriptor& out,
                                  OrderDescriptor* in);
   // Re-derives every boundary order (and the advertised order) forward from
   // the source order.
   void RecomputeOrders();
+  // Sets prefilter_step_ and prefilter_schema_ for the finished chain.
+  void PlanPrefilter();
 
   SchemaPtr schema_;
   OrderDescriptor order_;
@@ -229,6 +247,9 @@ class FusedPipelinePhys final : public PhysicalOperator {
   size_t src_nparts_ = 1;
   int64_t src_begin_ = 0;  // kRelation / kRows cursor range
   int64_t src_end_ = 0;
+  // kRelation / kRows: the stored positions of src_schema_'s columns;
+  // nullopt when the source keeps every stored column.
+  KeptColumns src_keep_;
 
   // Cursors / runtime state.
   int64_t spos_ = 0;                  // kRelation/kRows cursor
@@ -241,11 +262,16 @@ class FusedPipelinePhys final : public PhysicalOperator {
   uint64_t ticks_ = 0;         // interior cancellation-check pacing
   int64_t uncharged_bytes_ = 0;  // dedup growth not yet charged
   // Index of the first kSelect step when every earlier step is
-  // metadata-only (kRename/kRetype — positional fields untouched) and the
-  // source is relation-backed; -1 otherwise. The hot loop then evaluates
+  // metadata-only (kRename/kRetype — positional fields untouched; kRetype
+  // only when the source keeps every column) and the source is
+  // relation-backed; -1 otherwise. The hot loop then evaluates
   // the predicate against the relation-resident tuple and copies only
   // survivors. Member counters are bumped as if every tuple were copied.
   int prefilter_step_ = -1;
+  // The schema the prefilter resolves its predicate against: the stored
+  // schema renamed by the leading steps, so positions are the stored row's
+  // even when the source keeps fewer columns.
+  SchemaPtr prefilter_schema_;
 };
 
 // Assembles a FusedPipelinePhys bottom-up: one source, then zero or more
@@ -258,13 +284,15 @@ class FusedPipelineBuilder {
 
   // Exactly one source, set before any step. A relation or columnar source
   // reads slice `part` of `nparts` (see the file comment); the defaults read
-  // every row.
+  // every row. An inline source copies only the `keep` columns.
   void SourceRelation(const NestedRelation* rel, std::string label,
-                      size_t part = 0, size_t nparts = 1);
+                      size_t part = 0, size_t nparts = 1,
+                      KeptColumns keep = std::nullopt);
   void SourceRows(const NestedRelation* data, std::vector<int64_t> rows,
-                  std::string label);
+                  std::string label, KeptColumns keep = std::nullopt);
   void SourceColumnar(const MaterializedView* view, std::string label,
-                      size_t part = 0, size_t nparts = 1);
+                      size_t part = 0, size_t nparts = 1,
+                      KeptColumns keep = std::nullopt);
   void SourceOperator(PhysicalPtr op);
 
   Status AddSelect(PredicatePtr pred);
@@ -283,6 +311,8 @@ class FusedPipelineBuilder {
  private:
   // Output schema of the pipeline built so far.
   const SchemaPtr& current_schema() const;
+  // Installs a relation-backed source's schema and kept columns.
+  void KeepRelationColumns(const NestedRelation* rel, KeptColumns keep);
 
   std::unique_ptr<FusedPipelinePhys> op_;
   bool has_source_ = false;

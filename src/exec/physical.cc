@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <deque>
+#include <set>
 #include <unordered_map>
 
 #include "exec/exchange.h"
@@ -273,8 +274,13 @@ class SortPhys : public PhysBase {
   }
   Result<std::optional<TupleBatch>> NextBatchImpl() override {
     if (pos_ >= buffer_.size()) return std::optional<TupleBatch>();
+    // Each buffered tuple is handed out once, and the next Open refills the
+    // buffer, so tuples move out.
     TupleBatch out = NewBatch();
-    while (pos_ < buffer_.size() && !out.full()) out.Add(buffer_.tuple(pos_++));
+    TupleList& tuples = buffer_.mutable_tuples();
+    while (pos_ < buffer_.size() && !out.full()) {
+      out.Add(std::move(tuples[pos_++]));
+    }
     return std::optional<TupleBatch>(std::move(out));
   }
   void CloseImpl() override {
@@ -699,6 +705,15 @@ class ValueJoinPhys : public PhysBase {
         AppendEqualityKey(v, &key_);
         hash_[key_].push_back(j);
       }
+      // The table is held until Close, beside the build tuples DrainBuild
+      // charged: one key string and one row-index list per distinct value.
+      int64_t bytes = static_cast<int64_t>(hash_.bucket_count() *
+                                           sizeof(void*));
+      for (const auto& [key, rows] : hash_) {
+        bytes += static_cast<int64_t>(kHashEntryBytes + key.capacity() +
+                                      rows.capacity() * sizeof(size_t));
+      }
+      ULOAD_RETURN_NOT_OK(ChargeMemory(bytes));
     }
     return Status::Ok();
   }
@@ -754,6 +769,10 @@ class ValueJoinPhys : public PhysBase {
   Comparator cmp_;
   std::string right_attr_;
   JoinVariant variant_;
+  // A hash entry's fixed cost: its node, key string and row-index vector.
+  static constexpr size_t kHashEntryBytes =
+      2 * sizeof(void*) + sizeof(std::string) + sizeof(std::vector<size_t>);
+
   int lidx_ = 0;
   int ridx_ = 0;
   TupleList build_;
@@ -864,6 +883,115 @@ class UnionPhys : public PhysBase {
   bool on_right_ = false;
 };
 
+// --- Live-column analysis ----------------------------------------------------
+
+// The attributes of an operator's output that its consumers read: all of
+// them, or the named top-level ones. A dotted path makes its top-level
+// collection live: pruning never reaches inside a collection.
+class LiveSet {
+ public:
+  static LiveSet All() { return LiveSet(); }
+  static LiveSet None() {
+    LiveSet s;
+    s.all_ = false;
+    return s;
+  }
+
+  bool Has(const std::string& name) const {
+    return all_ || names_.count(name) > 0;
+  }
+  void Add(const std::string& attr) {
+    if (!all_) names_.insert(attr.substr(0, attr.find('.')));
+  }
+  void Remove(const std::string& name) { names_.erase(name); }
+  void AddPredicate(const Predicate& pred) {
+    if (!pred.lhs().empty()) Add(pred.lhs());
+    if (!pred.rhs_attr().empty()) Add(pred.rhs_attr());
+    if (pred.left() != nullptr) AddPredicate(*pred.left());
+    if (pred.right() != nullptr) AddPredicate(*pred.right());
+  }
+
+  // What a fused chain member `n` reads of its input when its consumers
+  // read `*this` of its output (DESIGN §11).
+  LiveSet Below(const LogicalPlan& n) const {
+    LiveSet in = *this;
+    switch (n.op()) {
+      case PlanOp::kSelect:
+        in.AddPredicate(*n.predicate());
+        break;
+      case PlanOp::kProject:
+        in = None();
+        for (const std::string& a : n.attrs()) in.Add(a);
+        break;
+      case PlanOp::kNavigate: {
+        SchemaPtr emitted = JoinOutputSchema(
+            *Schema::Make({}), *NavigateEmitSchema(n.nav_emit()), n.variant(),
+            n.nest_as().empty() ? n.nav_emit().prefix : n.nest_as());
+        for (const Attribute& a : emitted->attrs()) in.Remove(a.name);
+        in.Add(n.left_attr());
+        break;
+      }
+      case PlanOp::kDeriveParent:
+        in.Remove(n.nest_as());
+        in.Add(n.left_attr());
+        break;
+      case PlanOp::kPrefixNames:
+        if (all_) return All();
+        in = None();
+        for (const std::string& name : names_) {
+          if (name.compare(0, n.nest_as().size(), n.nest_as()) == 0) {
+            in.names_.insert(name.substr(n.nest_as().size()));
+          }
+        }
+        break;
+      default:  // kRetype works by position
+        return All();
+    }
+    return in;
+  }
+
+  // The stored columns of `stored` a source keeps: nullopt when every one
+  // is live.
+  KeptColumns Keep(const Schema& stored) const {
+    if (all_) return std::nullopt;
+    std::vector<int> keep;
+    for (int i = 0; i < stored.size(); ++i) {
+      if (Has(stored.attr(i).name)) keep.push_back(i);
+    }
+    if (static_cast<int>(keep.size()) == stored.size()) return std::nullopt;
+    return keep;
+  }
+
+ private:
+  bool all_ = true;
+  std::set<std::string> names_;
+};
+
+// What each input of the binary operator `p` must produce when its
+// consumers read `live` of its output. Names are not split by side: each
+// side's sources keep only the live names they store. A semijoin reads only
+// the right side's join attribute; a nest variant keeps its right side
+// whole, because the nested collection is never pruned.
+std::pair<LiveSet, LiveSet> JoinInputsLive(const LogicalPlan& p,
+                                           const LiveSet& live) {
+  LiveSet left = live;
+  left.Add(p.left_attr());
+  LiveSet right = live;
+  switch (p.variant()) {
+    case JoinVariant::kSemi:
+      right = LiveSet::None();
+      break;
+    case JoinVariant::kNestJoin:
+    case JoinVariant::kNestOuter:
+      right = LiveSet::All();
+      break;
+    default:
+      break;
+  }
+  right.Add(p.right_attr());
+  return {std::move(left), std::move(right)};
+}
+
 // --- Compiler ----------------------------------------------------------------
 
 class Compiler {
@@ -874,7 +1002,8 @@ class Compiler {
   Result<PhysicalPtr> Compile(const PlanPtr& plan) {
     // Keep the logical plan alive for operators that reference it.
     roots_.push_back(plan);
-    return Rec(*plan);
+    // Every attribute of the plan's output is live.
+    return Rec(*plan, LiveSet::All());
   }
 
   // Sort_φ elision sites of the last Compile(): each operator must keep
@@ -954,7 +1083,8 @@ class Compiler {
   // descendant attribute, so ExchangeMerge reproduces the serial engine's
   // output exactly. Returns nullptr when the shape, the sizes or the join
   // attributes are not eligible.
-  Result<PhysicalPtr> TryParallelStructuralJoin(const LogicalPlan& p) {
+  Result<PhysicalPtr> TryParallelStructuralJoin(const LogicalPlan& p,
+                                                const LiveSet& live) {
     if (part_leaf_ != nullptr || thread_budget_ < 2) return PhysicalPtr();
     const LogicalPlan* anc_leaf = SelectChainLeaf(*p.left());
     const LogicalPlan* desc_leaf = SelectChainLeaf(*p.right());
@@ -969,11 +1099,12 @@ class Compiler {
     if (n < 2) return PhysicalPtr();
     size_t mark = obligations_.size();
     std::vector<PhysicalPtr> workers;
+    auto [left_live, right_live] = JoinInputsLive(p, live);
     EnterPartition(desc_leaf, n);
     for (size_t w = 0; w < n; ++w) {
       part_ = w;
-      Result<PhysicalPtr> l = Rec(*p.left());
-      Result<PhysicalPtr> r = Rec(*p.right());
+      Result<PhysicalPtr> l = Rec(*p.left(), left_live);
+      Result<PhysicalPtr> r = Rec(*p.right(), right_live);
       if (!l.ok() || !r.ok()) {
         LeavePartition();
         return !l.ok() ? l.status() : r.status();
@@ -1021,16 +1152,19 @@ class Compiler {
   // running a single tuple loop (exec/fusion.h) over the source below the
   // chain. That source is inline when it is a scan (sliced in an exchange
   // worker), an index binding or Unit; otherwise it is the compiled
-  // breaker, which a chain-less pipeline returns as is.
-  Result<PhysicalPtr> Rec(const LogicalPlan& p) {
+  // breaker, which a chain-less pipeline returns as is. The compiled
+  // operator outputs at least the `live` attributes of `p`'s output; an
+  // inline source copies only what the chain above it reads.
+  Result<PhysicalPtr> Rec(const LogicalPlan& p, LiveSet live) {
     std::vector<const LogicalPlan*> chain;  // top -> bottom
     const LogicalPlan* cur = &p;
     while (Fusable(*cur)) {
       chain.push_back(cur);
+      live = live.Below(*cur);
       cur = cur->left().get();
     }
     FusedPipelineBuilder b;
-    ULOAD_ASSIGN_OR_RETURN(PhysicalPtr src, Source(*cur, &b));
+    ULOAD_ASSIGN_OR_RETURN(PhysicalPtr src, Source(*cur, live, &b));
     if (src != nullptr) {
       if (chain.empty()) return src;
       b.SourceOperator(std::move(src));
@@ -1063,9 +1197,11 @@ class Compiler {
     return b.Build();
   }
 
-  // The source of the pipeline whose chain ends above `p`: either installed
-  // into `b` as an inline source (returns null), or compiled as an operator.
-  Result<PhysicalPtr> Source(const LogicalPlan& p, FusedPipelineBuilder* b) {
+  // The source of the pipeline whose chain ends above `p`, which reads
+  // `live` of it: either installed into `b` as an inline source (returns
+  // null), or compiled as an operator.
+  Result<PhysicalPtr> Source(const LogicalPlan& p, const LiveSet& live,
+                             FusedPipelineBuilder* b) {
     switch (p.op()) {
       case PlanOp::kScan: {
         // Virtual column-backed extents (storage/store.h) have no
@@ -1089,9 +1225,10 @@ class Compiler {
         }
         if (columnar) {
           b->SourceColumnar(vit->second, "ColumnarScan_phi(" + arg + ")", part,
-                            nparts);
+                            nparts, live.Keep(*vit->second->schema()));
         } else {
-          b->SourceRelation(it->second, "Scan_phi(" + arg + ")", part, nparts);
+          b->SourceRelation(it->second, "Scan_phi(" + arg + ")", part, nparts,
+                            live.Keep(it->second->schema()));
         }
         return PhysicalPtr();
       }
@@ -1104,7 +1241,8 @@ class Compiler {
         ULOAD_ASSIGN_OR_RETURN(IndexBinding bind,
                                ctx_.index_bind(p.relation(), p.bindings()));
         b->SourceRows(bind.data, std::move(bind.rows),
-                      "IndexScan_phi(" + p.relation() + ")");
+                      "IndexScan_phi(" + p.relation() + ")",
+                      live.Keep(bind.data->schema()));
         return PhysicalPtr();
       }
       case PlanOp::kUnit: {
@@ -1118,14 +1256,15 @@ class Compiler {
         return PhysicalPtr();
       }
       case PlanOp::kProduct: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left()));
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right()));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left(), live));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right(), live));
         return PhysicalPtr(
             std::make_unique<ProductPhys>(std::move(l), std::move(r)));
       }
       case PlanOp::kValueJoin: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left()));
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right()));
+        auto [left_live, right_live] = JoinInputsLive(p, live);
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left(), left_live));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right(), right_live));
         return PhysicalPtr(std::make_unique<ValueJoinPhys>(
             std::move(l), std::move(r), p.left_attr(), p.comparator(),
             p.right_attr(), p.variant(), p.nest_as()));
@@ -1138,11 +1277,13 @@ class Compiler {
         // attributes are resolved on what was compiled; a join on a nested
         // attribute has no streaming implementation.
         if (p.variant() == JoinVariant::kInner) {
-          ULOAD_ASSIGN_OR_RETURN(PhysicalPtr par, TryParallelStructuralJoin(p));
+          ULOAD_ASSIGN_OR_RETURN(PhysicalPtr par,
+                                 TryParallelStructuralJoin(p, live));
           if (par) return par;
         }
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left()));
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right()));
+        auto [left_live, right_live] = JoinInputsLive(p, live);
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left(), left_live));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right(), right_live));
         int anc_idx = 0;
         int desc_idx = 0;
         if (!JoinPositions(p, *l, *r, &anc_idx, &desc_idx)) {
@@ -1161,8 +1302,9 @@ class Compiler {
             p.variant(), p.nest_as()));
       }
       case PlanOp::kUnion: {
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left()));
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right()));
+        // Union works by position: both inputs keep every attribute.
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left(), LiveSet::All()));
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right(), LiveSet::All()));
         return PhysicalPtr(
             std::make_unique<UnionPhys>(std::move(l), std::move(r)));
       }
@@ -1170,11 +1312,13 @@ class Compiler {
         // Sort_φ enforcer with elision: skipped when the input's advertised
         // order already covers the requested keys, or when the input can
         // prove (TryAdoptOrder) that its data satisfies them.
-        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, Rec(*p.left()));
+        LiveSet in_live = live;
         std::vector<OrderKey> keys;
         for (const std::string& a : p.attrs()) {
           keys.push_back(OrderKey{a, true});
+          in_live.Add(a);
         }
+        ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, Rec(*p.left(), in_live));
         OrderDescriptor required(std::move(keys));
         if (OrderCovers(in->order(), required) ||
             in->TryAdoptOrder(required)) {

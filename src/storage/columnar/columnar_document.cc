@@ -40,8 +40,8 @@ ColumnarDocument ColumnarDocument::FromDocument(const Document& doc) {
   for (NodeIndex i = 0; i < n; ++i) {
     if (kind[i] != static_cast<uint8_t>(NodeKind::kElement)) continue;
     bool leaf = true;
-    for (NodeIndex child = doc.node(i).first_child; child != kNoNode;
-         child = doc.node(child).next_sibling) {
+    const NodeIndex end = doc.SubtreeEnd(i);
+    for (NodeIndex child = i + 1; child < end; child = doc.SubtreeEnd(child)) {
       if (doc.node(child).is_element()) {
         leaf = false;
         break;
@@ -96,7 +96,7 @@ Status ColumnarDocument::BuildStructure() {
     subtree_end_[stack.back()] = static_cast<NodeIndex>(n_);
     stack.pop_back();
   }
-  for (NodeIndex c : Children(0)) {
+  for (NodeIndex c = 1; c < n_; c = subtree_end_[c]) {
     if (kind(c) == NodeKind::kElement) {
       root_ = c;
       break;
@@ -129,13 +129,6 @@ void ColumnarDocument::BuildChunkIndexFromPaths() {
   for (NodeIndex i = 0; i < n_; ++i) {
     if (path_[i] >= 0) chunk_rows_[cursor[path_[i]]++] = i;
   }
-}
-
-std::vector<NodeIndex> ColumnarDocument::Children(NodeIndex i) const {
-  std::vector<NodeIndex> out;
-  NodeIndex end = subtree_end_[i];
-  for (NodeIndex j = i + 1; j < end; j = subtree_end_[j]) out.push_back(j);
-  return out;
 }
 
 std::string ColumnarDocument::Value(NodeIndex i) const {

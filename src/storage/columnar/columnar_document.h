@@ -71,7 +71,7 @@ class ColumnarDocument final : public DocumentStore {
   uint32_t ordinal(NodeIndex i) const override { return ordinal_[i]; }
   int32_t path_id(NodeIndex i) const override { return path_[i]; }
 
-  std::vector<NodeIndex> Children(NodeIndex i) const override;
+  NodeIndex SubtreeEnd(NodeIndex i) const override { return subtree_end_[i]; }
   NodeIndex NodeByPre(uint32_t pre) const override {
     if (pre == 0 || static_cast<int64_t>(pre) >= n_) return kNoNode;
     return static_cast<NodeIndex>(pre);
@@ -89,8 +89,6 @@ class ColumnarDocument final : public DocumentStore {
 
   // --- Columnar extras (concrete consumers: scans, benches, persistence) ---
 
-  // Exclusive end of i's subtree: descendants are rows (i, subtree_end(i)).
-  NodeIndex subtree_end(NodeIndex i) const { return subtree_end_[i]; }
   // Raw stored value of a text/attribute row ("" for elements), served
   // straight out of the value dictionary without copying.
   std::string_view raw_value(NodeIndex i) const {

@@ -10,6 +10,7 @@
 #ifndef ULOAD_STORAGE_VIRTUAL_SCAN_H_
 #define ULOAD_STORAGE_VIRTUAL_SCAN_H_
 
+#include <optional>
 #include <vector>
 
 #include "exec/order_descriptor.h"
@@ -23,17 +24,25 @@ namespace uload {
 // backing columns.
 class ColumnarRowReader {
  public:
-  explicit ColumnarRowReader(const MaterializedView* view);
+  // Assembles the `keep` columns of the view's schema (positions,
+  // ascending), or every column when `keep` is nullopt. A dropped column is
+  // never decoded.
+  explicit ColumnarRowReader(
+      const MaterializedView* view,
+      const std::optional<std::vector<int>>& keep = std::nullopt);
 
   const MaterializedView* view() const { return view_; }
+  // The assembled tuples' schema: the view's, restricted to the kept
+  // columns.
   const SchemaPtr& schema() const { return schema_; }
 
-  // Whether the extent can prove `order` from its physical layout: the ID
-  // column streams in strictly ascending document (pre) order; a
-  // constant-tag view satisfies any order on its Tag column trivially. Val
-  // keys are never provable — callers fall back to a Sort_φ enforcer, which
-  // is a no-op rewrite when the data happens to be sorted already, so
-  // results stay identical to the materialized backend either way.
+  // Whether the extent can prove `order` (over kept columns) from its
+  // physical layout: the ID column streams in strictly ascending document
+  // (pre) order; a constant-tag view satisfies any order on its Tag column
+  // trivially. Val keys are never provable — callers fall back to a Sort_φ
+  // enforcer, which is a no-op rewrite when the data happens to be sorted
+  // already, so results stay identical to the materialized backend either
+  // way.
   bool Satisfies(const OrderDescriptor& order) const;
 
   // Decodes the [part*n/nparts, (part+1)*n/nparts) slice of the compressed
@@ -52,10 +61,12 @@ class ColumnarRowReader {
   bool tag_constant_ = false;
   // Row assembly template: the constant Tag is pre-filled once; MakeRow
   // copies the prototype and overwrites only the per-row fields, which is
-  // measurably cheaper than building each variant chain from scratch.
+  // measurably cheaper than building each variant chain from scratch. A
+  // slot is the column's position in the assembled tuple, -1 when dropped.
   Tuple proto_;
-  int val_slot_ = -1;
+  int id_slot_ = -1;
   int tag_slot_ = -1;
+  int val_slot_ = -1;
 };
 
 }  // namespace uload

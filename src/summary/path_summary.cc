@@ -65,7 +65,8 @@ PathSummary PathSummary::Build(Document* doc) {
     std::map<SummaryNodeId, int64_t> local;
     for (NodeIndex i = 0; i < doc->size(); ++i) {
       local.clear();
-      for (NodeIndex c : doc->Children(i)) {
+      const NodeIndex end = doc->SubtreeEnd(i);
+      for (NodeIndex c = i + 1; c < end; c = doc->SubtreeEnd(c)) {
         local[doc->node(c).path_id]++;
       }
       for (auto& [cid, cnt] : local) {

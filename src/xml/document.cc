@@ -14,6 +14,7 @@ Document::Document() {
   doc.kind = NodeKind::kDocument;
   doc.label = "#document";
   nodes_.push_back(std::move(doc));
+  child_count_.push_back(0);
 }
 
 Result<Document> Document::Parse(std::string_view xml) {
@@ -30,64 +31,49 @@ NodeIndex Document::AddNode(NodeKind kind, std::string label,
   n.label = std::move(label);
   n.value = std::move(value);
   n.parent = parent;
+  // Nodes arrive in document order, so the new node is its parent's last
+  // child so far.
+  n.ordinal = child_count_[parent]++;
   nodes_.push_back(std::move(n));
-
-  // Link as the last child of `parent`. Nodes arrive in document order, so
-  // appending keeps sibling lists sorted.
-  Node& p = nodes_[parent];
-  if (p.first_child == kNoNode) {
-    p.first_child = idx;
-    nodes_[idx].ordinal = 0;
-  } else {
-    NodeIndex c = p.first_child;
-    while (nodes_[c].next_sibling != kNoNode) c = nodes_[c].next_sibling;
-    nodes_[c].next_sibling = idx;
-    nodes_[idx].ordinal = nodes_[c].ordinal + 1;
-  }
+  child_count_.push_back(0);
   return idx;
 }
 
 void Document::Finalize() {
   assert(!finalized_);
-  // Nodes were appended in document order, so index order IS pre-order.
-  // pre labels are 1-based over non-document nodes; post labels are computed
-  // by a single reverse pass: a node's post label must exceed those of all
-  // its descendants, and descendants are exactly the index interval
-  // (i, subtree_end(i)). We compute post via an explicit DFS instead.
-  uint32_t pre = 0;
+  child_count_.clear();
+  child_count_.shrink_to_fit();
+  // Nodes were appended in document order, so index order IS pre-order: pre
+  // labels are 1-based over non-document nodes, and a node's descendants
+  // are the index interval (i, end(i)). One reverse pass computes every
+  // end (a node's end is its last descendant's end, and descendants come
+  // later in the arena), held in the post field until the node is reached;
+  // then post = end - depth, because exactly `depth` of the nodes before
+  // end(i) (the node's proper ancestors, the document node excluded, and
+  // the node itself) have not ended by then.
   for (size_t i = 1; i < nodes_.size(); ++i) {
-    nodes_[i].sid.pre = ++pre;
+    nodes_[i].sid.pre = static_cast<uint32_t>(i);
     nodes_[i].sid.depth = nodes_[nodes_[i].parent].sid.depth + 1;
+    nodes_[i].sid.post = static_cast<uint32_t>(i + 1);
   }
-  // Post-order numbering: children before parents. Since children have
-  // larger indices than parents, iterating indices backwards and assigning
-  // decreasing numbers gives *reverse* post-order for siblings; instead we
-  // do an iterative DFS.
-  uint32_t post = 0;
-  std::vector<std::pair<NodeIndex, bool>> stack;  // (node, expanded)
-  stack.emplace_back(0, false);
-  while (!stack.empty()) {
-    auto [idx, expanded] = stack.back();
-    stack.pop_back();
-    if (expanded) {
-      if (idx != 0) nodes_[idx].sid.post = ++post;
-      continue;
+  for (size_t i = nodes_.size(); i-- > 1;) {
+    Node& n = nodes_[i];
+    const uint32_t end = n.sid.post;
+    if (n.parent != 0) {
+      uint32_t& parent_end = nodes_[n.parent].sid.post;
+      parent_end = std::max(parent_end, end);
     }
-    stack.emplace_back(idx, true);
-    // Push children in reverse so the leftmost is processed first.
-    std::vector<NodeIndex> kids = Children(idx);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      stack.emplace_back(*it, false);
-    }
+    n.sid.post = end - n.sid.depth;
   }
   // The document node gets labels spanning everything.
-  nodes_[0].sid = StructuralId{0, post + 1, 0};
+  const uint32_t count = static_cast<uint32_t>(nodes_.size() - 1);
+  nodes_[0].sid = StructuralId{0, count + 1, 0};
   finalized_ = true;
 }
 
 NodeIndex Document::root() const {
-  for (NodeIndex c = nodes_[0].first_child; c != kNoNode;
-       c = nodes_[c].next_sibling) {
+  const NodeIndex end = SubtreeEnd(0);
+  for (NodeIndex c = 1; c < end; c = SubtreeEnd(c)) {
     if (nodes_[c].is_element()) return c;
   }
   return kNoNode;
@@ -101,15 +87,6 @@ int64_t Document::element_count() const {
   return n;
 }
 
-std::vector<NodeIndex> Document::Children(NodeIndex i) const {
-  std::vector<NodeIndex> out;
-  for (NodeIndex c = nodes_[i].first_child; c != kNoNode;
-       c = nodes_[c].next_sibling) {
-    out.push_back(c);
-  }
-  return out;
-}
-
 NodeIndex Document::NodeByPre(uint32_t pre) const {
   // pre labels are assigned densely in index order: node i has pre == i.
   if (pre == 0 || pre >= nodes_.size()) return kNoNode;
@@ -119,19 +96,12 @@ NodeIndex Document::NodeByPre(uint32_t pre) const {
 std::string Document::Value(NodeIndex i) const {
   const Node& n = nodes_[i];
   if (n.is_text() || n.is_attribute()) return n.value;
+  // The #text descendants in document order: the subtree's row interval.
+  // Attribute values are not in text().
   std::string out;
-  // Descendants of i are exactly the contiguous index range of its subtree;
-  // walk it via DFS to respect document order (index order already does).
-  std::vector<NodeIndex> stack = Children(i);
-  // Children() returns doc order; we need a proper DFS queue.
-  std::vector<NodeIndex> work(stack.rbegin(), stack.rend());
-  while (!work.empty()) {
-    NodeIndex c = work.back();
-    work.pop_back();
+  const NodeIndex end = SubtreeEnd(i);
+  for (NodeIndex c = i + 1; c < end; ++c) {
     if (nodes_[c].is_text()) out += nodes_[c].value;
-    if (nodes_[c].is_attribute()) continue;  // attribute values not in text()
-    std::vector<NodeIndex> kids = Children(c);
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) work.push_back(*it);
   }
   return out;
 }

@@ -15,7 +15,7 @@
 namespace uload {
 
 // The pointer-tree backend of the DocumentStore interface: nodes in a flat
-// arena linked by parent/first_child/next_sibling indices.
+// arena in document order, each linked to its parent.
 class Document : public DocumentStore {
  public:
   Document();
@@ -29,11 +29,11 @@ class Document : public DocumentStore {
 
   // Builder interface: nodes must be added in document order (parent before
   // children, siblings left to right; attributes before element children).
-  // Returns the new node's index.
+  // Returns the new node's index. Constant time.
   NodeIndex AddNode(NodeKind kind, std::string label, std::string value,
                     NodeIndex parent);
-  // Assigns (pre, post, depth) and child ordinals. Must be called once after
-  // the last AddNode and before any query.
+  // Assigns (pre, post, depth) and frees AddNode's child counts. Must be
+  // called once after the last AddNode and before any query.
   void Finalize();
 
   // --- Access (DocumentStore implementation) -------------------------------
@@ -59,8 +59,13 @@ class Document : public DocumentStore {
   // Number of element nodes (the N statistic of Fig. 4.13).
   int64_t element_count() const override;
 
-  // Children of `i` in document order.
-  std::vector<NodeIndex> Children(NodeIndex i) const override;
+  // Derived from the labels: a node's post label counts the nodes that end
+  // before it, so post + depth is one past its last descendant.
+  NodeIndex SubtreeEnd(NodeIndex i) const override {
+    return i == 0 ? static_cast<NodeIndex>(nodes_.size())
+                  : static_cast<NodeIndex>(nodes_[i].sid.post +
+                                           nodes_[i].sid.depth);
+  }
 
   // Node index with the given pre label (pre labels are dense, 1-based over
   // non-document nodes), or kNoNode.
@@ -93,6 +98,9 @@ class Document : public DocumentStore {
 
  private:
   std::vector<Node> nodes_;
+  // Construction state, freed by Finalize: the child count of every node,
+  // so AddNode assigns ordinals without walking sibling lists.
+  std::vector<uint32_t> child_count_;
   bool finalized_ = false;
 };
 

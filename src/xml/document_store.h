@@ -15,8 +15,10 @@
 //    the row index (pre labels are dense and 1-based over non-document
 //    nodes). A NodeIndex is therefore both a row number and a pre label.
 //  * A node's descendants occupy the contiguous row interval
-//    (i, i + descendant_count], which is what makes flat column storage a
-//    faithful representation of the tree.
+//    (i, SubtreeEnd(i)), which is what makes flat column storage a
+//    faithful representation of the tree. Its children are the rows
+//    i + 1, SubtreeEnd(i + 1), ... below SubtreeEnd(i): every subtree walk
+//    hops along that chain and allocates nothing.
 #ifndef ULOAD_XML_DOCUMENT_STORE_H_
 #define ULOAD_XML_DOCUMENT_STORE_H_
 
@@ -65,8 +67,16 @@ class DocumentStore {
 
   // --- Derived access ------------------------------------------------------
 
+  // Exclusive end of i's subtree: its descendants are the rows
+  // (i, SubtreeEnd(i)); size() for the document node.
+  virtual NodeIndex SubtreeEnd(NodeIndex i) const = 0;
   // Children of `i` in document order.
-  virtual std::vector<NodeIndex> Children(NodeIndex i) const = 0;
+  std::vector<NodeIndex> Children(NodeIndex i) const {
+    std::vector<NodeIndex> out;
+    const NodeIndex end = SubtreeEnd(i);
+    for (NodeIndex c = i + 1; c < end; c = SubtreeEnd(c)) out.push_back(c);
+    return out;
+  }
   // Row with the given pre label, or kNoNode (pre 0 — the document node —
   // deliberately resolves to kNoNode, matching the pointer backend).
   virtual NodeIndex NodeByPre(uint32_t pre) const = 0;

@@ -32,8 +32,6 @@ struct Node {
   std::string value;
 
   NodeIndex parent = kNoNode;
-  NodeIndex first_child = kNoNode;
-  NodeIndex next_sibling = kNoNode;
   // 0-based position among the parent's children (all kinds).
   uint32_t ordinal = 0;
 

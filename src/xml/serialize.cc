@@ -1,12 +1,12 @@
 #include "xml/serialize.h"
 
-#include <vector>
-
 #include "common/string_util.h"
 
 namespace uload {
 namespace {
 
+// Children are walked by hopping subtree ends (DocumentStore::SubtreeEnd);
+// attributes come first among an element's children.
 void SerializeRec(const DocumentStore& doc, NodeIndex i, std::string* out) {
   switch (doc.kind(i)) {
     case NodeKind::kText:
@@ -18,31 +18,28 @@ void SerializeRec(const DocumentStore& doc, NodeIndex i, std::string* out) {
       *out += XmlEscape(doc.Value(i));
       *out += '"';
       return;
-    case NodeKind::kDocument: {
-      for (NodeIndex c : doc.Children(i)) SerializeRec(doc, c, out);
-      return;
-    }
+    case NodeKind::kDocument:
     case NodeKind::kElement:
       break;
   }
+  const NodeIndex end = doc.SubtreeEnd(i);
+  NodeIndex c = i + 1;
+  if (doc.kind(i) == NodeKind::kDocument) {
+    for (; c < end; c = doc.SubtreeEnd(c)) SerializeRec(doc, c, out);
+    return;
+  }
   *out += '<';
   *out += doc.label(i);
-  std::vector<NodeIndex> kids = doc.Children(i);
-  size_t first_non_attr = 0;
-  for (NodeIndex c : kids) {
-    if (!doc.is_attribute(c)) break;
+  for (; c < end && doc.is_attribute(c); c = doc.SubtreeEnd(c)) {
     *out += ' ';
     SerializeRec(doc, c, out);
-    ++first_non_attr;
   }
-  if (first_non_attr == kids.size()) {
+  if (c == end) {
     *out += "/>";
     return;
   }
   *out += '>';
-  for (size_t k = first_non_attr; k < kids.size(); ++k) {
-    SerializeRec(doc, kids[k], out);
-  }
+  for (; c < end; c = doc.SubtreeEnd(c)) SerializeRec(doc, c, out);
   *out += "</";
   *out += doc.label(i);
   *out += '>';

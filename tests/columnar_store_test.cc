@@ -54,10 +54,11 @@ void ExpectStoresEqual(const DocumentStore& a, const DocumentStore& b) {
     EXPECT_EQ(a.parent(i), b.parent(i)) << "row " << i;
     EXPECT_EQ(a.ordinal(i), b.ordinal(i)) << "row " << i;
     EXPECT_EQ(a.path_id(i), b.path_id(i)) << "row " << i;
+    EXPECT_EQ(a.SubtreeEnd(i), b.SubtreeEnd(i)) << "row " << i;
     EXPECT_EQ(a.Children(i), b.Children(i)) << "row " << i;
     EXPECT_EQ(a.Value(i), b.Value(i)) << "row " << i;
     EXPECT_EQ(a.Dewey(i), b.Dewey(i)) << "row " << i;
-    if (a.kind(i) == NodeKind::kElement) {
+    if (i > 0) {
       EXPECT_EQ(a.Content(i), b.Content(i)) << "row " << i;
       EXPECT_EQ(SerializeSubtree(a, i), SerializeSubtree(b, i)) << "row " << i;
     }
@@ -82,6 +83,43 @@ TEST(ColumnarStore, AccessorParityOnBib) {
   ExpectStoresEqual(doc, col);
 }
 
+// Shapes the generated corpora rarely hold: attributes on every level,
+// empty elements (with and without attributes), mixed text around elements,
+// and a document whose root has text before and after nested elements.
+TEST(ColumnarStore, AccessorParityOnCornerCases) {
+  for (const char* xml : {
+           "<r/>",
+           "<r a=\"1\" b=\"\"/>",
+           "<r><e/><e x=\"y\"/><e></e></r>",
+           "<r>head<b>bold<i>it</i>tail</b>mid<e/>end</r>",
+           "<r k=\"v\"><p id=\"1\">t<q z=\"2\">u<w/></q>v</p><p/>"
+           "<p id=\"3\"><q><q><q>deep</q></q></q></p></r>",
+           "<r>&lt;&amp;&gt;<s a=\"&quot;\">x</s></r>",
+       }) {
+    SCOPED_TRACE(xml);
+    Document doc = MustParse(xml);
+    PathSummary summary = PathSummary::Build(&doc);
+    ColumnarDocument col = ColumnarDocument::FromDocument(doc);
+    ExpectStoresEqual(doc, col);
+    // The children SubtreeEnd hops to are the rows whose parent link names
+    // the node, and a child's ordinal is its position among them.
+    for (const DocumentStore* store :
+         {static_cast<const DocumentStore*>(&doc),
+          static_cast<const DocumentStore*>(&col)}) {
+      std::vector<std::vector<NodeIndex>> kids(store->size());
+      for (NodeIndex i = 1; i < store->size(); ++i) {
+        EXPECT_EQ(store->ordinal(i), kids[store->parent(i)].size())
+            << store->backend_name() << " row " << i;
+        kids[store->parent(i)].push_back(i);
+      }
+      for (NodeIndex i = 0; i < store->size(); ++i) {
+        EXPECT_EQ(store->Children(i), kids[i])
+            << store->backend_name() << " row " << i;
+      }
+    }
+  }
+}
+
 TEST(ColumnarStore, AccessorParityOnGeneratedCorpora) {
   {
     Document doc = GenerateDblp({200, 7});
@@ -100,8 +138,8 @@ TEST(ColumnarStore, SubtreeEndMatchesSidContainment) {
   PathSummary summary = PathSummary::Build(&doc);
   ColumnarDocument col = ColumnarDocument::FromDocument(doc);
   for (NodeIndex i = 1; i < col.size(); ++i) {
-    // Descendants of i are exactly the contiguous rows (i, subtree_end(i)).
-    NodeIndex end = col.subtree_end(i);
+    // Descendants of i are exactly the contiguous rows (i, SubtreeEnd(i)).
+    NodeIndex end = col.SubtreeEnd(i);
     ASSERT_GT(end, i);
     for (NodeIndex j = i + 1; j < col.size() && j < end + 5; ++j) {
       // Pre-order contiguity vs. sid containment (pre < pre', post' < post):

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "xml/document.h"
 #include "xml/ids.h"
 #include "xml/parser.h"
@@ -166,6 +169,55 @@ TEST(Document, PostOrderIsConsistent) {
     EXPECT_LT(doc->node(p).sid.pre, doc->node(i).sid.pre);
     EXPECT_LT(doc->node(i).sid.post, doc->node(p).sid.post);
   }
+}
+
+// Finalize's labels against a post-order DFS over the parent links, and
+// SubtreeEnd against the last descendant, on a builder-made document with
+// a wide fan-out (AddNode appends children without walking siblings).
+TEST(Document, FinalizeLabelsMatchATreeWalk) {
+  Document doc;
+  NodeIndex root = doc.AddNode(NodeKind::kElement, "r", "", 0);
+  for (int i = 0; i < 300; ++i) {
+    NodeIndex e = doc.AddNode(NodeKind::kElement, "e", "", root);
+    if (i % 3 == 0) doc.AddNode(NodeKind::kAttribute, "a", "v", e);
+    if (i % 5 == 0) {
+      NodeIndex f = doc.AddNode(NodeKind::kElement, "f", "", e);
+      doc.AddNode(NodeKind::kText, "#text", "t", f);
+    }
+  }
+  doc.AddNode(NodeKind::kText, "#text", "tail", root);
+  doc.Finalize();
+  std::vector<std::vector<NodeIndex>> kids(doc.size());
+  for (NodeIndex i = 1; i < doc.size(); ++i) {
+    EXPECT_EQ(doc.ordinal(i), kids[doc.parent(i)].size()) << "row " << i;
+    kids[doc.parent(i)].push_back(i);
+  }
+  uint32_t post = 0;
+  std::vector<uint32_t> want_post(doc.size(), 0);
+  std::vector<NodeIndex> last(doc.size(), 0);
+  std::vector<std::pair<NodeIndex, bool>> stack = {{0, false}};
+  while (!stack.empty()) {
+    auto [n, expanded] = stack.back();
+    stack.pop_back();
+    if (expanded) {
+      want_post[n] = ++post;
+      last[n] = kids[n].empty() ? n : last[kids[n].back()];
+      continue;
+    }
+    stack.emplace_back(n, true);
+    for (auto it = kids[n].rbegin(); it != kids[n].rend(); ++it) {
+      stack.emplace_back(*it, false);
+    }
+  }
+  EXPECT_EQ(doc.sid(0).post, static_cast<uint32_t>(doc.size()));
+  EXPECT_EQ(doc.SubtreeEnd(0), doc.size());
+  for (NodeIndex i = 1; i < doc.size(); ++i) {
+    EXPECT_EQ(doc.sid(i).pre, static_cast<uint32_t>(i));
+    // The DFS numbered the document node too; it finishes last.
+    EXPECT_EQ(doc.sid(i).post, want_post[i]) << "row " << i;
+    EXPECT_EQ(doc.SubtreeEnd(i), last[i] + 1) << "row " << i;
+  }
+  EXPECT_EQ(doc.Children(root).size(), 301u);
 }
 
 }  // namespace
