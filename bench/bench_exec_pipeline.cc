@@ -6,7 +6,6 @@
 // rendering of the executed pipeline.
 #include <cstdio>
 #include <memory>
-#include <thread>
 
 #include "bench_util.h"
 #include "eval/tag_collections.h"
@@ -94,43 +93,6 @@ void Run(double scale, int reps) {
                                     : 0.0);
 }
 
-// Parallel variant: one structural join (person ancestor-of name) compiled
-// with increasing thread budgets. At budget >= 2 the compiler partitions the
-// descendant scan across workers and re-merges under an ExchangeMerge_φ, so
-// output stays byte-identical to the serial plan while the join itself runs
-// on all workers.
-void RunParallel(double scale, int reps) {
-  Pipeline p(scale);
-  PlanPtr join = LogicalPlan::StructuralJoin(
-      LogicalPlan::Scan("people"), LogicalPlan::Scan("names"), "p_ID",
-      Axis::kDescendant, "n_ID", JoinVariant::kInner);
-  std::printf("\nparallel exchange sweep (scale=%.2f, hardware threads=%u)\n",
-              scale, std::thread::hardware_concurrency());
-  std::printf("%-14s %12s %12s %16s %10s\n", "thread_budget", "micros/run",
-              "out_tuples", "tuples/sec", "speedup");
-  double base_us = 0;
-  for (size_t budget : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    ExecContext exec;
-    exec.set_thread_budget(budget);
-    auto root = CompilePhysicalPlan(join, p.ctx, &exec);
-    if (!root.ok()) {
-      std::fprintf(stderr, "compile failed: %s\n",
-                   root.status().ToString().c_str());
-      return;
-    }
-    int64_t out = 0;
-    double us = bench::AvgMicros(reps, [&] {
-      auto rel = ExecutePhysical(root->get());
-      out = rel.ok() ? (*rel).size() : -1;
-    });
-    if (budget == 1) base_us = us;
-    std::printf("%-14zu %12.1f %12lld %16.0f %9.2fx\n", budget, us,
-                static_cast<long long>(out),
-                us > 0 ? static_cast<double>(out) / (us / 1e6) : 0.0,
-                base_us > 0 && us > 0 ? base_us / us : 0.0);
-  }
-}
-
 // Governed fused chain: a selection/projection chain over the name
 // collection, compiled into one FusedPipeline_φ tuple loop, with the
 // resource governor fully armed — active deadline plus memory accounting.
@@ -196,7 +158,6 @@ int main() {
   uload::bench::Header("E-exec: batch-at-a-time structural-join pipeline");
   uload::Run(/*scale=*/0.5, /*reps=*/5);
   uload::Run(/*scale=*/2.0, /*reps=*/3);
-  uload::RunParallel(/*scale=*/50.0, /*reps=*/3);
   uload::RunFused(/*scale=*/20.0, /*reps=*/5);
   uload::ShowAnalyze(/*scale=*/0.5);
   return 0;

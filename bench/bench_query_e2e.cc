@@ -1,6 +1,6 @@
 // End-to-end serving-path benchmark: rewritten XMark queries executed
 // through the streaming engine (one combined plan through the batched
-// physical executor), swept over batch sizes and thread budgets. Every
+// physical executor), swept over batch sizes. Every
 // answer is checked byte for byte against the direct XQuery interpreter
 // (EvaluateQueryDirect) before it is timed; a mismatch exits 1. Prints
 // per-query timings relative to the default configuration and the
@@ -74,10 +74,9 @@ std::unique_ptr<Engine> MakeEngine(const Document& doc,
 // Engine::Execute with a fresh per-call configuration.
 Result<std::string> ExecuteWith(Engine* engine,
                                 const Engine::PreparedQuery& prepared,
-                                size_t batch, size_t threads) {
+                                size_t batch) {
   Engine::QueryOptions q;
   q.batch_size = batch;
-  q.thread_budget = threads;
   return engine->Execute(prepared, q);
 }
 
@@ -101,7 +100,6 @@ int Run(double scale, int reps) {
               "vs *");
 
   const size_t kBatchSizes[] = {1, 64, 1024};
-  const size_t kThreadBudgets[] = {1, 4};
   // batch=1 is the deliberate anti-pattern config: every per-batch fixed
   // cost (virtual dispatch, accounting, batch allocation) is paid per tuple.
   // The engine's operating point is the default batch capacity.
@@ -139,32 +137,25 @@ int Run(double scale, int reps) {
       return true;
     };
 
-    double sweep[2][3];
-    for (size_t ti = 0; ti < 2; ++ti) {
-      for (size_t bi = 0; bi < 3; ++bi) {
-        if (!timed("streaming", &sweep[ti][bi], [&] {
-              return ExecuteWith(engine.get(), *r, kBatchSizes[bi],
-                                 kThreadBudgets[ti]);
-            })) {
-          return 1;
-        }
+    double sweep[3];
+    for (size_t bi = 0; bi < 3; ++bi) {
+      if (!timed("streaming", &sweep[bi], [&] {
+            return ExecuteWith(engine.get(), *r, kBatchSizes[bi]);
+          })) {
+        return 1;
       }
     }
-    const double default_micros = sweep[0][2];
+    const double default_micros = sweep[2];
     auto vs_default = [&](double micros) {
       return micros > 0 ? default_micros / micros : 0.0;
     };
-    for (size_t ti = 0; ti < 2; ++ti) {
-      for (size_t bi = 0; bi < 3; ++bi) {
-        const size_t batch = kBatchSizes[bi];
-        const size_t threads = kThreadBudgets[ti];
-        char config[64];
-        std::snprintf(config, sizeof(config), "stream b=%zu t=%zu%s", batch,
-                      threads,
-                      batch == kDefaultBatch && threads == 1 ? " *" : "");
-        std::printf("%-16s %-22s %12.1f %9.2fx\n", q.name, config,
-                    sweep[ti][bi], vs_default(sweep[ti][bi]));
-      }
+    for (size_t bi = 0; bi < 3; ++bi) {
+      const size_t batch = kBatchSizes[bi];
+      char config[64];
+      std::snprintf(config, sizeof(config), "stream b=%zu%s", batch,
+                    batch == kDefaultBatch ? " *" : "");
+      std::printf("%-16s %-22s %12.1f %9.2fx\n", q.name, config, sweep[bi],
+                  vs_default(sweep[bi]));
     }
 
     // Governor overhead: the starred configuration with the resource
@@ -176,7 +167,6 @@ int Run(double scale, int reps) {
     {
       Engine::QueryOptions governed;
       governed.batch_size = kDefaultBatch;
-      governed.thread_budget = 1;
       // Active-but-distant deadline: the comparison is never cheaper than
       // what a real governed query pays.
       governed.timeout_ms = int64_t{3600} * 1000;
@@ -209,7 +199,7 @@ int Run(double scale, int reps) {
       engine->SetOptions(o);
       double micros = 0;
       bool same = timed("unverified", &micros, [&] {
-        return ExecuteWith(engine.get(), *r, kDefaultBatch, 1);
+        return ExecuteWith(engine.get(), *r, kDefaultBatch);
       });
       o.verify = true;
       engine->SetOptions(o);
@@ -258,44 +248,37 @@ int Run(double scale, int reps) {
       std::fprintf(stderr, "%s: prepare failed\n", q.name);
       return 1;
     }
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      std::string pointer_out;
-      std::string columnar_out;
-      double pointer_us = bench::AvgMicros(reps, [&] {
-        auto out = ExecuteWith(engine.get(), *r_ptr, kDefaultBatch, threads);
-        if (out.ok()) pointer_out = std::move(*out);
-      });
-      double columnar_us = bench::AvgMicros(reps, [&] {
-        auto out =
-            ExecuteWith(col_engine.get(), *r_col, kDefaultBatch, threads);
-        if (out.ok()) columnar_out = std::move(*out);
-      });
-      // Byte-equality only: a query may legitimately match nothing at smoke
-      // scale (the highly selective smith_people), so emptiness is not an
-      // error — the tier-1 differential tests enforce non-trivial results.
-      if (pointer_out != columnar_out) {
-        std::fprintf(stderr, "%s: columnar result diverges from pointer\n",
-                     q.name);
-        return 1;
-      }
-      char config[64];
-      std::snprintf(config, sizeof(config), "pointer  t=%zu", threads);
-      std::printf("%-16s %-22s %12.1f %12s\n", q.name, config, pointer_us,
-                  "1.00x");
-      std::snprintf(config, sizeof(config), "columnar t=%zu", threads);
-      std::printf("%-16s %-22s %12.1f %11.2fx\n", q.name, config, columnar_us,
-                  columnar_us > 0 ? pointer_us / columnar_us : 0.0);
+    std::string pointer_out;
+    std::string columnar_out;
+    double pointer_us = bench::AvgMicros(reps, [&] {
+      auto out = ExecuteWith(engine.get(), *r_ptr, kDefaultBatch);
+      if (out.ok()) pointer_out = std::move(*out);
+    });
+    double columnar_us = bench::AvgMicros(reps, [&] {
+      auto out = ExecuteWith(col_engine.get(), *r_col, kDefaultBatch);
+      if (out.ok()) columnar_out = std::move(*out);
+    });
+    // Byte-equality only: a query may legitimately match nothing at smoke
+    // scale (the highly selective smith_people), so emptiness is not an
+    // error — the tier-1 differential tests enforce non-trivial results.
+    if (pointer_out != columnar_out) {
+      std::fprintf(stderr, "%s: columnar result diverges from pointer\n",
+                   q.name);
+      return 1;
     }
+    std::printf("%-16s %-22s %12.1f %12s\n", q.name, "pointer", pointer_us,
+                "1.00x");
+    std::printf("%-16s %-22s %12.1f %11.2fx\n", q.name, "columnar",
+                columnar_us, columnar_us > 0 ? pointer_us / columnar_us : 0.0);
   }
 
   // Raw scan throughput (E12): a bare Scan over large tag views, compiled
   // through the physical executor for both backends. The pointer backend
   // streams copies out of the materialized NestedRelation (Scan_phi); the
   // columnar backend builds the same tuples on the fly from the column
-  // arrays (ColumnarScan_phi over the virtual extent). A bare scan places
-  // no exchange, so the t=4 rows run serially too. tag_name/tag_location
-  // are leaf-tag views (values
-  // dictionary-backed → stays virtual); tag_item has element children, so
+  // arrays (ColumnarScan_phi over the virtual extent). tag_name and
+  // tag_location are leaf-tag views (values dictionary-backed → stays
+  // virtual); tag_item has element children, so
   // on the columnar backend it falls back to one-time materialization and
   // the two legs converge.
   bench::Header("scan throughput: materialized view vs virtual extent");
@@ -303,44 +286,38 @@ int Run(double scale, int reps) {
               "vs pointer", "tuples/ms");
   for (const char* view_name : {"tag_name", "tag_location", "tag_item"}) {
     double pointer_base = 0;
-    for (size_t threads : {size_t{1}, size_t{4}}) {
-      struct Leg {
-        const char* label;
-        const Engine* engine;
-      } legs[] = {{"pointer", engine.get()}, {"columnar", col_engine.get()}};
-      for (const Leg& leg : legs) {
-        EvalContext ctx = leg.engine->catalog().MakeEvalContext(
-            &leg.engine->store());
-        ExecContext exec(kDefaultBatch);
-        exec.set_thread_budget(threads);
-        PlanPtr plan = LogicalPlan::Scan(view_name);
-        int64_t tuples = 0;
-        bool failed = false;
-        double micros = bench::AvgMicros(reps, [&] {
-          exec.ClearMetrics();
-          tuples = 0;
-          auto root = CompilePhysicalPlan(plan, ctx, &exec);
-          Status st = root.status();
-          if (root.ok()) {
-            st = DrainPhysical(root->get(), [&tuples](TupleBatch& b) {
-              tuples += static_cast<int64_t>(b.size());
-              return Status::Ok();
-            });
-          }
-          if (!st.ok()) failed = true;
-        });
-        if (failed || tuples == 0) {
-          std::fprintf(stderr, "%s: scan failed\n", view_name);
-          return 1;
+    struct Leg {
+      const char* label;
+      const Engine* engine;
+    } legs[] = {{"pointer", engine.get()}, {"columnar", col_engine.get()}};
+    for (const Leg& leg : legs) {
+      EvalContext ctx =
+          leg.engine->catalog().MakeEvalContext(&leg.engine->store());
+      ExecContext exec(kDefaultBatch);
+      PlanPtr plan = LogicalPlan::Scan(view_name);
+      int64_t tuples = 0;
+      bool failed = false;
+      double micros = bench::AvgMicros(reps, [&] {
+        exec.ClearMetrics();
+        tuples = 0;
+        auto root = CompilePhysicalPlan(plan, ctx, &exec);
+        Status st = root.status();
+        if (root.ok()) {
+          st = DrainPhysical(root->get(), [&tuples](TupleBatch& b) {
+            tuples += static_cast<int64_t>(b.size());
+            return Status::Ok();
+          });
         }
-        if (threads == 1 && leg.engine == engine.get()) pointer_base = micros;
-        char config[64];
-        std::snprintf(config, sizeof(config), "%-8s t=%zu", leg.label,
-                      threads);
-        std::printf("%-16s %-22s %12.1f %11.2fx %14.0f\n", view_name, config,
-                    micros, micros > 0 ? pointer_base / micros : 0.0,
-                    micros > 0 ? tuples / (micros / 1000.0) : 0.0);
+        if (!st.ok()) failed = true;
+      });
+      if (failed || tuples == 0) {
+        std::fprintf(stderr, "%s: scan failed\n", view_name);
+        return 1;
       }
+      if (leg.engine == engine.get()) pointer_base = micros;
+      std::printf("%-16s %-22s %12.1f %11.2fx %14.0f\n", view_name, leg.label,
+                  micros, micros > 0 ? pointer_base / micros : 0.0,
+                  micros > 0 ? tuples / (micros / 1000.0) : 0.0);
     }
   }
 

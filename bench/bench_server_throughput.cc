@@ -1,8 +1,8 @@
 // Closed-loop multi-client throughput bench for the query service
 // (src/server/): N client threads, each with its own connection/session,
 // issue queries back to back against one loopback QueryServer and record
-// per-request wall-clock latency. Sweeps {clients} x {thread_budget} and
-// prints QPS / p50 / p99 per cell. Every wire answer is verified
+// per-request wall-clock latency. Sweeps {clients} and prints QPS / p50 /
+// p99 per cell. Every wire answer is verified
 // byte-identical to the in-process Engine::Run answer — a mismatch fails
 // the bench (exit 1), which is the acceptance bar for the serving path.
 //
@@ -96,77 +96,68 @@ int RunBench(double scale, int iters) {
   bench::Header("query service: closed-loop client sweep");
   std::printf("xmark scale %.2f, %d iters/client, %zu queries round-robin\n",
               scale, iters, std::size(kQueries));
-  std::printf("%8s %14s %10s %12s %10s %10s\n", "clients", "thread_budget",
-              "requests", "qps", "p50_ms", "p99_ms");
+  std::printf("%8s %10s %12s %10s %10s\n", "clients", "requests", "qps",
+              "p50_ms", "p99_ms");
 
   const int kClients[] = {1, 4, 16};
-  const int64_t kThreadBudgets[] = {1, 4};
   std::atomic<int64_t> mismatches{0};
 
   for (int clients : kClients) {
-    for (int64_t budget : kThreadBudgets) {
-      std::vector<std::vector<int64_t>> latencies(
-          static_cast<size_t>(clients));
-      std::vector<std::thread> threads;
-      std::atomic<int> errors{0};
-      auto wall_start = Clock::now();
-      for (int c = 0; c < clients; ++c) {
-        threads.emplace_back([&, c] {
-          auto client = QueryClient::Connect("127.0.0.1", server.port());
-          if (!client.ok()) {
+    std::vector<std::vector<int64_t>> latencies(static_cast<size_t>(clients));
+    std::vector<std::thread> threads;
+    std::atomic<int> errors{0};
+    auto wall_start = Clock::now();
+    for (int c = 0; c < clients; ++c) {
+      threads.emplace_back([&, c] {
+        auto client = QueryClient::Connect("127.0.0.1", server.port());
+        if (!client.ok()) {
+          errors.fetch_add(1);
+          return;
+        }
+        auto& lats = latencies[static_cast<size_t>(c)];
+        lats.reserve(static_cast<size_t>(iters));
+        for (int i = 0; i < iters; ++i) {
+          size_t qi = static_cast<size_t>(c + i) % std::size(kQueries);
+          auto t0 = Clock::now();
+          auto r = client->Run(kQueries[qi]);
+          auto t1 = Clock::now();
+          if (!r.ok()) {
             errors.fetch_add(1);
             return;
           }
-          if (!client->Set("thread_budget", budget).ok()) {
-            errors.fetch_add(1);
-            return;
-          }
-          auto& lats = latencies[static_cast<size_t>(c)];
-          lats.reserve(static_cast<size_t>(iters));
-          for (int i = 0; i < iters; ++i) {
-            size_t qi = static_cast<size_t>(c + i) % std::size(kQueries);
-            auto t0 = Clock::now();
-            auto r = client->Run(kQueries[qi]);
-            auto t1 = Clock::now();
-            if (!r.ok()) {
-              errors.fetch_add(1);
-              return;
-            }
-            if (*r != expected[qi]) mismatches.fetch_add(1);
-            lats.push_back(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-                    .count());
-          }
-          if (!client->Goodbye().ok()) {
-            // All answers already verified; a failed goodbye still counts
-            // as a client error so the cell reports it.
-            errors.fetch_add(1);
-          }
-        });
-      }
-      for (auto& th : threads) th.join();
-      double wall_s = std::chrono::duration<double>(Clock::now() - wall_start)
-                          .count();
-      if (errors.load() > 0) {
-        std::fprintf(stderr, "cell clients=%d budget=%lld: %d client errors\n",
-                     clients, static_cast<long long>(budget), errors.load());
-        return 1;
-      }
-      std::vector<int64_t> all;
-      for (auto& lats : latencies) {
-        all.insert(all.end(), lats.begin(), lats.end());
-      }
-      CellResult cell;
-      cell.requests = static_cast<int64_t>(all.size());
-      cell.wall_s = wall_s;
-      cell.p50_ms = PercentileMs(all, 0.50);
-      cell.p99_ms = PercentileMs(all, 0.99);
-      std::printf("%8d %14lld %10lld %12.1f %10.3f %10.3f\n", clients,
-                  static_cast<long long>(budget),
-                  static_cast<long long>(cell.requests), cell.qps(),
-                  cell.p50_ms, cell.p99_ms);
-      std::fflush(stdout);
+          if (*r != expected[qi]) mismatches.fetch_add(1);
+          lats.push_back(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
+                  .count());
+        }
+        if (!client->Goodbye().ok()) {
+          // All answers already verified; a failed goodbye still counts
+          // as a client error so the cell reports it.
+          errors.fetch_add(1);
+        }
+      });
     }
+    for (auto& th : threads) th.join();
+    double wall_s = std::chrono::duration<double>(Clock::now() - wall_start)
+                        .count();
+    if (errors.load() > 0) {
+      std::fprintf(stderr, "cell clients=%d: %d client errors\n", clients,
+                   errors.load());
+      return 1;
+    }
+    std::vector<int64_t> all;
+    for (auto& lats : latencies) {
+      all.insert(all.end(), lats.begin(), lats.end());
+    }
+    CellResult cell;
+    cell.requests = static_cast<int64_t>(all.size());
+    cell.wall_s = wall_s;
+    cell.p50_ms = PercentileMs(all, 0.50);
+    cell.p99_ms = PercentileMs(all, 0.99);
+    std::printf("%8d %10lld %12.1f %10.3f %10.3f\n", clients,
+                static_cast<long long>(cell.requests), cell.qps(),
+                cell.p50_ms, cell.p99_ms);
+    std::fflush(stdout);
   }
   server.Stop();
 

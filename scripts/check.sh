@@ -32,17 +32,16 @@
 # The lint leg runs clang-tidy (config in .clang-tidy) over src/ against the
 # normal build's compile_commands.json; it is skipped with a notice when
 # clang-tidy is not installed (CI installs it; see .github/workflows/ci.yml).
-# The TSAN configuration runs only the threaded/executor tests (the Exchange
-# worker pool, the physical engine, the parallel differential harness and the
-# engine facade's batch/thread sweep); the rest of the suite is
-# single-threaded and covered by the other configs.
+# The TSAN configuration runs only the tests that share state across
+# threads or drive the executor: concurrent Runs on one engine, the server's
+# session threads, the chaos and retry suites, the rewriter reused across
+# queries, and the physical-engine tests around them. A plan runs on the
+# thread that drains it; the rest of the suite is single-threaded and
+# covered by the other configs.
 # The fault-injection leg (DESIGN.md §8) sweeps injected operator failures,
 # cancellations, timeouts, and budget exhaustion across the engine corpus:
-# ASAN proves no aborted query leaks. No Engine query places an exchange, so
-# ExecFaultSweep.ExchangeCollectorFaults faults a directly compiled
-# structural join that fans out (it asserts ExchangeMerge_phi and the sliced
-# source in the plan); under TSAN that sweep proves the poison/drain/join
-# teardown of the exchange pool is race-free.
+# ASAN proves no aborted query leaks, and TSAN covers the cross-thread
+# cancellation of EngineGovernorTest.
 # The server-sweep leg (DESIGN.md §10) covers the query service: the full
 # server suite (sessions, admission, drain, malformed frames, wire-vs-
 # in-process differential) in the normal build, the frame-parser robustness
@@ -52,11 +51,10 @@
 # the in-process run.
 # The backend-sweep leg (DESIGN.md §9) runs the storage-invariance bar under
 # ASAN/UBSAN: the pointer-vs-columnar differential grid (byte-identical
-# results across backends × batch sizes × thread budgets), the DocumentStore
-# accessor parity + save/load round-trip suite, and the loader robustness
-# corpus (truncations, bit flips, header lies on persisted images). It is
-# single-threaded apart from the grid's thread sweep, which the ASAN build
-# already exercises; no TSAN leg is needed beyond the main matrix.
+# results across backends × batch sizes), the DocumentStore accessor parity
+# + save/load round-trip suite, and the loader robustness corpus
+# (truncations, bit flips, header lies on persisted images). It is
+# single-threaded; no TSAN leg is needed beyond the main matrix.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -236,7 +234,7 @@ if [[ "${1:-}" != "fast" ]]; then
   cmake -B build-tsan -S . -DTSAN=ON
   cmake --build build-tsan -j "$(nproc)"
   TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/uload_tests \
-    --gtest_filter='*Parallel*:*BoundedBatchQueue*:*Physical*:*Exec*:*Engine*:*IndexScan*:*Server*:*Fusion*:*Mutex*:*Chaos*:*Retry*:*RewriterReuse*'
+    --gtest_filter='*Physical*:*Exec*:*Engine*:*IndexScan*:*Server*:*Fusion*:*Mutex*:*Chaos*:*Retry*:*RewriterReuse*'
 fi
 
 echo "All checks passed."

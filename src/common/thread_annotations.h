@@ -75,7 +75,7 @@
 #define RETURN_CAPABILITY(x) ULOAD_THREAD_ANNOTATION_(lock_returned(x))
 
 // Escape hatch for code the analysis cannot model. Deliberately unused in
-// the annotated layers (engine, server, exec/exchange, storage) — the
+// the annotated layers (engine, server, executor) — the
 // static-analysis acceptance bar is zero inline suppressions there; it
 // exists for the Mutex wrapper internals only.
 #define NO_THREAD_SAFETY_ANALYSIS \

@@ -87,7 +87,6 @@ Engine::QueryOptions Engine::EffectiveQueryOptions() const {
   QueryOptions q;
   q.timeout_ms = options_.timeout_ms;
   q.memory_limit_bytes = options_.memory_limit_bytes;
-  q.thread_budget = options_.thread_budget;
   q.batch_size = options_.batch_size;
   q.control = options_.control;
   return q;
@@ -96,8 +95,6 @@ Engine::QueryOptions Engine::EffectiveQueryOptions() const {
 std::shared_ptr<QueryControl> Engine::BeginQuery(ExecContext* exec,
                                                  MemoryTracker* query_mem,
                                                  const QueryOptions& q) {
-  exec->set_thread_budget(q.thread_budget != 0 ? q.thread_budget
-                                               : options_.thread_budget);
   exec->set_verify_plans(options_.verify);
   exec->set_memory_tracker(query_mem);
   exec->set_fault(options_.fault);
@@ -106,7 +103,7 @@ std::shared_ptr<QueryControl> Engine::BeginQuery(ExecContext* exec,
   if (q.timeout_ms > 0) {
     // Earliest deadline wins: an admission ticket may already carry the
     // admit-time budget on its control.
-    int64_t candidate = QueryControl::NowNs() + q.timeout_ms * 1'000'000;
+    int64_t candidate = QueryControl::DeadlineAfterMs(q.timeout_ms);
     int64_t existing = control->deadline_ns();
     if (existing == 0 || candidate < existing) {
       control->set_deadline_ns(candidate);

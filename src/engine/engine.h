@@ -16,7 +16,7 @@
 // and a per-query MemoryTracker parented to the engine-wide tracker, so
 // queries can run concurrently on one engine, each governed independently.
 // Cancel() trips every in-flight query; each aborts at its next batch
-// boundary with kCancelled, workers joined and queues drained.
+// boundary with kCancelled and returns its memory charges.
 #ifndef ULOAD_ENGINE_ENGINE_H_
 #define ULOAD_ENGINE_ENGINE_H_
 
@@ -46,8 +46,9 @@ class Engine {
     Backend backend = Backend::kPointer;
     // Fill target of every TupleBatch on the serving path.
     size_t batch_size = TupleBatch::kDefaultCapacity;
-    // Worker threads the physical compiler may spend on Exchange operators;
-    // 1 keeps execution strictly serial (and bit-deterministic).
+    // Inert: every plan runs serially on the calling thread. Kept only
+    // because the benchmark's replay of Engine::Run (perfbench/trace.cc)
+    // still reads it.
     size_t thread_budget = 1;
     // Statically verify every plan before execution (verify/plan_verifier.h):
     // logical schema/type checking, template binding checks, and physical
@@ -60,7 +61,7 @@ class Engine {
     // the very first check trips, deterministically).
     int64_t timeout_ms = 0;
     // Per-query memory budget in bytes (0 = unlimited): the bytes held by
-    // one query's materializing operators and in-flight exchange slots. An
+    // one query's materializing operators and streamed batches. An
     // exceeded budget aborts that query with kResourceExhausted; concurrent
     // queries under their own budgets are unaffected.
     int64_t memory_limit_bytes = 0;
@@ -93,8 +94,6 @@ class Engine {
     int64_t timeout_ms = 0;
     // Per-query memory budget in bytes; 0 = unlimited.
     int64_t memory_limit_bytes = 0;
-    // Worker threads for this query; 0 = the engine option's budget.
-    size_t thread_budget = 0;
     // Batch fill target for this query; 0 = the engine option's size.
     size_t batch_size = 0;
     // Externally owned cancellation handle (e.g. an admission ticket's).
@@ -159,9 +158,8 @@ class Engine {
                                             const QueryOptions& q);
 
   // Cancels every in-flight Run/ExplainAnalyze: each aborts at its next
-  // batch boundary with kCancelled (clean Status, workers joined, queues
-  // drained, budget trackers back to zero). Queries started after this call
-  // are unaffected. Thread-safe.
+  // batch boundary with kCancelled (clean Status, budget trackers back to
+  // zero). Queries started after this call are unaffected. Thread-safe.
   void Cancel() EXCLUDES(mu_);
 
   struct Explanation {
@@ -171,8 +169,8 @@ class Engine {
     std::string result;    // serialized XML (ExplainAnalyze only)
   };
   // Compiles without executing. The QueryOptions overload compiles under
-  // the same per-call thread budget and batch size Run would use, so it
-  // shows the plan that Run(query, q) executes.
+  // the same per-call batch size Run would use, so it shows the plan that
+  // Run(query, q) executes.
   Result<Explanation> Explain(const std::string& query);
   Result<Explanation> Explain(const std::string& query, const QueryOptions& q);
   // Executes, then renders the physical tree with per-operator counters.
@@ -216,8 +214,8 @@ class Engine {
   // applied.
   QueryOptions EffectiveQueryOptions() const;
   // Installs the per-query governor state on `exec` (control with deadline,
-  // tracker, fault spec, thread budget) and registers the control as
-  // in-flight. Returns the control for EndQuery.
+  // tracker, fault spec) and registers the control as in-flight. Returns the
+  // control for EndQuery.
   std::shared_ptr<QueryControl> BeginQuery(ExecContext* exec,
                                            MemoryTracker* query_mem,
                                            const QueryOptions& q)

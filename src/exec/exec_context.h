@@ -1,23 +1,21 @@
 // ExecContext: shared runtime state of one physical-plan execution.
 //
 // The context owns (a) the batch-size configuration every operator picks up
-// when the compiled tree is bound to it, (b) the thread budget the compiler
-// may spend on Exchange operators (exec/exchange.h), and (c) the
-// per-operator runtime counters (batches/tuples produced, wall-clock spent
-// in Open and NextBatch) that back the EXPLAIN-ANALYZE rendering
-// (DescribeAnalyze). Counters live in a deque so registration never
-// invalidates previously handed-out pointers; the context must outlive the
-// operator tree bound to it.
+// when the compiled tree is bound to it, (b) the per-query governor (control
+// handle, memory tracker, fault spec), and (c) the per-operator runtime
+// counters (batches/tuples produced, wall-clock spent in Open and
+// NextBatch) that back the EXPLAIN-ANALYZE rendering (DescribeAnalyze).
+// Counters live in a deque so registration never invalidates previously
+// handed-out pointers; the context must outlive the operator tree bound to
+// it.
 //
-// Threading contract: the slot *table* (registration, snapshot, clear) is
-// guarded by a Mutex with Clang Thread Safety annotations (DESIGN.md §12) —
-// those paths run at compile/publish time, never per batch. The slot
-// *contents* are deliberately outside the capability: each operator —
-// including every operator inside an Exchange worker pipeline — owns a
-// distinct counter slot handed out as a stable pointer, so workers never
-// write a slot another thread writes; Exchange aggregates its workers'
-// slots after the worker threads are joined (see exec/exchange.h). No
-// atomics or locks are needed on the hot path.
+// Threading contract: a plan executes on the one thread that drains it.
+// The slot *table* (registration, snapshot, clear) is guarded by a Mutex
+// with Clang Thread Safety annotations (DESIGN.md §12) — those paths run at
+// compile/publish time, never per batch. The slot *contents* are outside
+// the capability: each operator owns a distinct counter slot handed out as
+// a stable pointer and written only by the executing thread, so no atomics
+// or locks are needed on the hot path.
 #ifndef ULOAD_EXEC_EXEC_CONTEXT_H_
 #define ULOAD_EXEC_EXEC_CONTEXT_H_
 
@@ -51,25 +49,6 @@ struct OperatorMetrics {
   int64_t next_ns = 0;          // wall-clock inside NextBatch(), inclusive
   int64_t peak_bytes = 0;       // peak bytes held by this operator
 
-  void Reset() {
-    batches_produced = 0;
-    tuples_produced = 0;
-    open_ns = 0;
-    next_ns = 0;
-    peak_bytes = 0;
-  }
-
-  // Adds `other`'s counters to this slot (label unchanged). Used to roll
-  // per-worker Exchange counters up into the template pipeline's slots.
-  void MergeFrom(const OperatorMetrics& other) {
-    batches_produced += other.batches_produced;
-    tuples_produced += other.tuples_produced;
-    open_ns += other.open_ns;
-    next_ns += other.next_ns;
-    // Workers hold their buffers concurrently: their peaks add up.
-    peak_bytes += other.peak_bytes;
-  }
-
   // "batches=3 tuples=2310 open=0.12ms next=4.56ms" (+ " mem=<n>B" when the
   // operator held memory).
   std::string ToString() const;
@@ -81,9 +60,9 @@ struct OperatorMetrics {
 // substring, the call site, and the per-operator call number — returns an
 // injected kInternal error from the Open()/NextBatch() template method
 // instead of running the operator implementation. The error must propagate
-// out of Engine::Run as a clean Status with every worker joined, every
-// queue drained and no state left behind; that contract is what the fault
-// sweep enforces.
+// out of Engine::Run as a clean Status with every memory charge returned
+// and no state left behind; that contract is what the fault sweep
+// enforces.
 struct FaultSpec {
   enum class Site : uint8_t { kAny = 0, kOpen, kNextBatch };
 
@@ -96,8 +75,7 @@ struct FaultSpec {
   int64_t call_index = -1;
   // Seeded random mode: every matching call fails independently with
   // probability random_prob, decided by a deterministic hash of
-  // (seed, operator ordinal, site, call number) — reproducible across runs
-  // and thread schedules.
+  // (seed, operator ordinal, site, call number) — reproducible across runs.
   uint64_t random_seed = 0;
   double random_prob = 0.0;
 
@@ -118,18 +96,14 @@ class ExecContext {
   size_t batch_size() const { return batch_size_; }
   void set_batch_size(size_t n) { batch_size_ = n; }
 
-  // Maximum number of worker threads the compiler may spend on Exchange
-  // operators. The default 1 (as in Engine::Options) disables intra-query
-  // parallelism entirely, so the host's core count never changes a plan;
-  // callers that want parallelism ask for it. Budgets > 1 stay
-  // deterministic: ExchangeMerge collects the workers in the serial order
-  // (see exec/exchange.h).
-  size_t thread_budget() const { return thread_budget_; }
-  void set_thread_budget(size_t n) { thread_budget_ = n == 0 ? 1 : n; }
+  // Inert: every plan runs serially on the draining thread. Kept only
+  // because the benchmark's replay of Engine::Run (perfbench/trace.cc)
+  // still calls it.
+  void set_thread_budget(size_t) {}
 
   // When set (the default), CompilePhysicalPlan statically verifies every
   // compiled tree — order-descriptor soundness, Sort_φ elision obligations,
-  // exchange placement (verify/plan_verifier.h) — and fails compilation with
+  // operator placement (verify/plan_verifier.h) — and fails compilation with
   // a diagnostic Status instead of handing an inconsistent plan to the
   // executor.
   bool verify_plans() const { return verify_plans_; }
@@ -173,19 +147,6 @@ class ExecContext {
   const FaultSpec& fault() const { return fault_; }
   void set_fault(FaultSpec f) { fault_ = std::move(f); }
 
-  // Copies the per-query runtime configuration — batch size, batch
-  // validation, control handle, memory tracker, fault spec — onto a worker
-  // context (exchange worker pipelines bind to private contexts so their
-  // counter slots stay thread-local; see exec/exchange.h). Cancellation,
-  // budgets and injected faults must reach inside workers, so those travel.
-  void ConfigureWorker(ExecContext* worker) const {
-    worker->set_batch_size(batch_size_);
-    worker->set_validate_batches(validate_batches_);
-    worker->set_control(control_);
-    worker->set_memory_tracker(memory_tracker_);
-    worker->set_fault(fault_);
-  }
-
   // Registers one operator and returns its stable counter slot. When
   // `ordinal` is non-null it receives the slot's registration ordinal (the
   // fault-point address; stable across runs of the same plan).
@@ -217,15 +178,14 @@ class ExecContext {
 
  private:
   size_t batch_size_;
-  size_t thread_budget_ = 1;
   bool verify_plans_ = true;
   bool validate_batches_ = kValidateBatchesDefault;
   std::shared_ptr<QueryControl> control_ = std::make_shared<QueryControl>();
   MemoryTracker* memory_tracker_ = nullptr;
   FaultSpec fault_;
   // Guards the table structure (registration / snapshot / clear). Slot
-  // contents are single-writer by the per-operator ownership contract above
-  // and are written through the stable pointers, outside this capability.
+  // contents are written through the stable pointers by the executing
+  // thread, outside this capability.
   mutable Mutex metrics_mu_;
   std::deque<OperatorMetrics> metrics_ GUARDED_BY(metrics_mu_);
 };

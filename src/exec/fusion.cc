@@ -271,8 +271,6 @@ bool FusedPipelinePhys::TryAdoptOrder(const OrderDescriptor& order) {
   }
   switch (src_kind_) {
     case SourceKind::kRelation: {
-      // A sorted relation sorts every contiguous slice of it, and every
-      // worker's slice proves the same order.
       Result<bool> sorted = IsSortedBy(want[0], *src_rel_);
       if (!sorted.ok() || !*sorted) return false;
       src_order_ = want[0];
@@ -365,22 +363,6 @@ void FusedPipelinePhys::BindChildren(ExecContext* ctx) {
   PhysicalOperator::BindChildren(ctx);
 }
 
-void FusedPipelinePhys::MergeMetricsFrom(PhysicalOperator& other) {
-  PhysicalOperator::MergeMetricsFrom(other);
-  auto& o = static_cast<FusedPipelinePhys&>(other);
-  auto roll = [](Member& mine, Member& theirs) {
-    mine.slot().MergeFrom(theirs.slot());
-    theirs.slot().Reset();
-  };
-  if (src_kind_ != SourceKind::kOperator &&
-      o.src_kind_ != SourceKind::kOperator) {
-    roll(src_member_, o.src_member_);
-  }
-  for (size_t i = 0; i < steps_.size() && i < o.steps_.size(); ++i) {
-    roll(steps_[i].member, o.steps_[i].member);
-  }
-}
-
 Status FusedPipelinePhys::CheckMemberFaults(FaultSpec::Site site) {
   const FaultSpec* f = fault_spec();
   auto probe = [&](Member& m) -> Status {
@@ -407,7 +389,7 @@ Status FusedPipelinePhys::OpenImpl() {
   pending_.clear();
   ticks_ = 0;
   uncharged_bytes_ = 0;
-  spos_ = src_begin_;
+  spos_ = 0;
   cpos_ = 0;
   src_batch_.reset();
   src_batch_pos_ = 0;
@@ -422,7 +404,7 @@ Status FusedPipelinePhys::OpenImpl() {
   }
   switch (src_kind_) {
     case SourceKind::kColumnar:
-      src_reader_->DecodeSlice(src_part_, src_nparts_, &crows_);
+      src_reader_->Decode(&crows_);
       return ChargeMemory(
           static_cast<int64_t>(crows_.size() * sizeof(NodeIndex)));
     case SourceKind::kOperator:
@@ -671,15 +653,10 @@ void FusedPipelineBuilder::KeepRelationColumns(const NestedRelation* rel,
 }
 
 void FusedPipelineBuilder::SourceRelation(const NestedRelation* rel,
-                                          std::string label, size_t part,
-                                          size_t nparts, KeptColumns keep) {
+                                          std::string label, KeptColumns keep) {
   op_->src_kind_ = FusedPipelinePhys::SourceKind::kRelation;
   KeepRelationColumns(rel, std::move(keep));
-  op_->src_part_ = part;
-  op_->src_nparts_ = nparts;
-  const size_t n = static_cast<size_t>(rel->size());
-  op_->src_begin_ = static_cast<int64_t>(part * n / nparts);
-  op_->src_end_ = static_cast<int64_t>((part + 1) * n / nparts);
+  op_->src_end_ = rel->size();
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;
   has_source_ = true;
@@ -698,11 +675,8 @@ void FusedPipelineBuilder::SourceRows(const NestedRelation* data,
 }
 
 void FusedPipelineBuilder::SourceColumnar(const MaterializedView* view,
-                                          std::string label, size_t part,
-                                          size_t nparts, KeptColumns keep) {
+                                          std::string label, KeptColumns keep) {
   op_->src_kind_ = FusedPipelinePhys::SourceKind::kColumnar;
-  op_->src_part_ = part;
-  op_->src_nparts_ = nparts;
   op_->src_reader_ = std::make_unique<ColumnarRowReader>(view, keep);
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;

@@ -3,31 +3,23 @@
 // realized as template composition instead of source emission).
 //
 // The compiler (exec/physical.cc) splits a plan at pipeline *breakers* —
-// Sort_φ, StackTree buffering, hash-join builds, Product/Union fan-in and
-// exchange boundaries — and compiles each maximal chain of unary operators
-// (Select, Project and first-wins dedup Project0, Navigate, DeriveParent,
-// Rename, Retype) into a single FusedPipeline_φ. The chain may be empty: a
-// bare source is a zero-step pipeline. The fused operator pulls source
-// tuples from an inline cursor (materialized rows, index row-id lists,
-// columnar row sets, the unit relation) or from a breaker below it, and
-// pushes each tuple through the chain's steps in one
-// loop: no intermediate TupleBatch is materialized, no virtual NextBatch()
-// boundary is crossed, and the governor's cancel/deadline/memory checks run
-// once per pipeline iteration instead of once per chain member.
+// Sort_φ, StackTree buffering, hash-join builds and Product/Union fan-in —
+// and compiles each maximal chain of unary operators (Select, Project and
+// first-wins dedup Project0, Navigate, DeriveParent, Rename, Retype) into a
+// single FusedPipeline_φ. The chain may be empty: a bare source is a
+// zero-step pipeline. The fused operator pulls source tuples from an inline
+// cursor (materialized rows, index row-id lists, columnar row sets, the
+// unit relation) or from a breaker below it, and pushes each tuple through
+// the chain's steps in one loop: no intermediate TupleBatch is
+// materialized, no virtual NextBatch() boundary is crossed, and the
+// governor's cancel/deadline/memory checks run once per pipeline iteration
+// instead of once per chain member.
 //
 // A source copies only the columns its pipeline's consumers read: the
 // compiler passes each inline source its kept columns (positions in the
 // stored schema, ascending; the liveness rules of DESIGN §11), and the
 // source's schema is the stored schema restricted to them. A dead column —
 // a whole subtree's Val or Cont, say — is never copied or decoded.
-//
-// Exchange worker pipelines (exec/exchange.h) are the same fused loop: a
-// relation or columnar source takes the worker's (part, nparts) slice, the
-// contiguous row range [part*n/nparts, (part+1)*n/nparts) of its n rows.
-// Rows are stored in document order, so each slice is a pre-order range and
-// keeps every order the whole source proves. A sliced source is legal only
-// inside an exchange, which merges the slices back (the verifier's
-// placement rule).
 //
 // Contract with the rest of the engine:
 //  - Schemas/orders: the fused operator advertises the chain's *composed*
@@ -140,15 +132,12 @@ class FusedPipelinePhys final : public PhysicalOperator {
   OrderDescriptor ProvableOrder() const override;
   std::string Describe(int indent = 0) const override;
   std::string DescribeAnalyze(int indent = 0) const override;
-  void MergeMetricsFrom(PhysicalOperator& other) override;
 
   // --- Verification / introspection surface --------------------------------
   size_t step_count() const { return steps_.size(); }
   StepView step(size_t i) const;
   const SchemaPtr& source_schema() const { return src_schema_; }
   const OrderDescriptor& source_order() const;
-  // True when the source reads one of several slices of its rows.
-  bool sliced() const { return src_nparts_ > 1; }
 
   // Order propagation across one fused step (forward direction). Shared by
   // the fused operator and the plan verifier.
@@ -243,17 +232,14 @@ class FusedPipelinePhys final : public PhysicalOperator {
   std::vector<int64_t> src_rows_;              // kRows
   std::unique_ptr<ColumnarRowReader> src_reader_;  // kColumnar
   PhysicalPtr src_op_;                         // kOperator
-  size_t src_part_ = 0;    // kRelation / kColumnar slice
-  size_t src_nparts_ = 1;
-  int64_t src_begin_ = 0;  // kRelation / kRows cursor range
-  int64_t src_end_ = 0;
+  int64_t src_end_ = 0;  // kRelation / kRows row count
   // kRelation / kRows: the stored positions of src_schema_'s columns;
   // nullopt when the source keeps every stored column.
   KeptColumns src_keep_;
 
   // Cursors / runtime state.
   int64_t spos_ = 0;                  // kRelation/kRows cursor
-  std::vector<NodeIndex> crows_;      // kColumnar decoded slice
+  std::vector<NodeIndex> crows_;      // kColumnar decoded rows
   size_t cpos_ = 0;
   std::optional<TupleBatch> src_batch_;  // kOperator buffered batch
   size_t src_batch_pos_ = 0;
@@ -282,16 +268,13 @@ class FusedPipelineBuilder {
   FusedPipelineBuilder();
   ~FusedPipelineBuilder();
 
-  // Exactly one source, set before any step. A relation or columnar source
-  // reads slice `part` of `nparts` (see the file comment); the defaults read
-  // every row. An inline source copies only the `keep` columns.
+  // Exactly one source, set before any step. An inline source copies only
+  // the `keep` columns.
   void SourceRelation(const NestedRelation* rel, std::string label,
-                      size_t part = 0, size_t nparts = 1,
                       KeptColumns keep = std::nullopt);
   void SourceRows(const NestedRelation* data, std::vector<int64_t> rows,
                   std::string label, KeptColumns keep = std::nullopt);
   void SourceColumnar(const MaterializedView* view, std::string label,
-                      size_t part = 0, size_t nparts = 1,
                       KeptColumns keep = std::nullopt);
   void SourceOperator(PhysicalPtr op);
 

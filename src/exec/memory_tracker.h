@@ -12,13 +12,12 @@
 // Charging rules (see DESIGN.md §8): streamed batches are charged
 // transiently per NextBatch() (peak detection at batch granularity);
 // materializing operators (Sort_φ buffers, hash/product builds, the
-// StackTree in-flight deques, dedup sets, exchange queue slots) charge what
-// they hold and release it at Close(), so an aborted query always returns
-// to zero.
+// StackTree in-flight deques, dedup sets) charge what they hold and release
+// it at Close(), so an aborted query always returns to zero.
 //
 // Thread safety: Charge/Release/used/peak are lock-free and callable from
-// any thread (exchange workers charge concurrently). set_limit/Reset are
-// configuration-time only.
+// any thread (concurrent queries charge the shared engine tracker).
+// set_limit/Reset are configuration-time only.
 #ifndef ULOAD_EXEC_MEMORY_TRACKER_H_
 #define ULOAD_EXEC_MEMORY_TRACKER_H_
 

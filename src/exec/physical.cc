@@ -5,10 +5,8 @@
 #include <set>
 #include <unordered_map>
 
-#include "exec/exchange.h"
 #include "exec/fusion.h"
 #include "exec/plan_schemas.h"
-#include "opt/cost.h"
 #include "storage/store.h"
 #include "verify/batch_validator.h"
 #include "verify/plan_verifier.h"
@@ -190,16 +188,6 @@ void PhysicalOperator::BindChildren(ExecContext* ctx) {
   for (PhysicalOperator* c : children()) c->Bind(ctx);
 }
 
-void PhysicalOperator::MergeMetricsFrom(PhysicalOperator& other) {
-  metrics_->MergeFrom(*other.metrics_);
-  other.metrics_->Reset();
-  std::vector<PhysicalOperator*> mine = children();
-  std::vector<PhysicalOperator*> theirs = other.children();
-  for (size_t i = 0; i < mine.size() && i < theirs.size(); ++i) {
-    mine[i]->MergeMetricsFrom(*theirs[i]);
-  }
-}
-
 namespace {
 
 // Base with common bookkeeping.
@@ -215,8 +203,8 @@ class PhysBase : public PhysicalOperator {
   // and moves its whole stream into `*out` (replacing what an earlier Open
   // left), checking the governor and charging the buffered bytes once per
   // batch, then closes it. An aborted drain (cancel, budget, injected fault)
-  // leaves the input open; CloseBuild then closes it, which is what drains
-  // and joins any exchange below.
+  // leaves the input open; CloseBuild then closes it, which returns every
+  // memory charge held below.
   Status DrainBuild(PhysicalOperator* input, TupleList* out) {
     out->clear();
     ReleaseMemory(held_bytes());
@@ -996,8 +984,7 @@ std::pair<LiveSet, LiveSet> JoinInputsLive(const LogicalPlan& p,
 
 class Compiler {
  public:
-  Compiler(const EvalContext& ctx, size_t thread_budget)
-      : ctx_(ctx), thread_budget_(thread_budget == 0 ? 1 : thread_budget) {}
+  explicit Compiler(const EvalContext& ctx) : ctx_(ctx) {}
 
   Result<PhysicalPtr> Compile(const PlanPtr& plan) {
     // Keep the logical plan alive for operators that reference it.
@@ -1018,9 +1005,8 @@ class Compiler {
   // Wraps `input` in Sort_φ unless the stream is already ordered on `attr`
   // or the operator can prove (TryAdoptOrder) that it is — scans over
   // document-ordered relations satisfy structural-join requirements without
-  // an enforcer, serially and inside Exchange worker pipelines where a
-  // replicated sort would be paid once per worker. Every elision is recorded
-  // as an obligation the plan verifier re-checks against the finished tree.
+  // an enforcer. Every elision is recorded as an obligation the plan
+  // verifier re-checks against the finished tree.
   PhysicalPtr EnsureOrder(PhysicalPtr input, const std::string& attr) {
     OrderDescriptor required = OrderDescriptor::On(attr);
     if ((!input->order().empty() && input->order().keys()[0].attr == attr) ||
@@ -1030,36 +1016,6 @@ class Compiler {
     }
     return std::make_unique<SortPhys>(std::move(input),
                                       OrderDescriptor::On(attr));
-  }
-
-  // The Scan at the bottom of a Select* chain, or nullptr for any other
-  // shape. Chains are the fragments cheap enough to replicate per worker.
-  static const LogicalPlan* SelectChainLeaf(const LogicalPlan& p) {
-    const LogicalPlan* cur = &p;
-    while (cur->op() == PlanOp::kSelect) cur = cur->left().get();
-    return cur->op() == PlanOp::kScan ? cur : nullptr;
-  }
-
-  void EnterPartition(const LogicalPlan* leaf, size_t nparts) {
-    part_leaf_ = leaf;
-    nparts_ = nparts;
-  }
-
-  void LeavePartition() {
-    part_leaf_ = nullptr;
-    nparts_ = 1;
-    part_ = 0;
-  }
-
-  // Tuple count of a scannable leaf: a bound relation or a catalog view
-  // (virtual extents report their row-set size without materializing);
-  // -1 when the name resolves to neither.
-  int64_t LeafSize(const std::string& name) const {
-    auto it = ctx_.relations.find(name);
-    if (it != ctx_.relations.end()) return it->second->size();
-    auto vit = ctx_.views.find(name);
-    if (vit != ctx_.views.end()) return vit->second->row_count();
-    return -1;
   }
 
   // Positions of a structural join's attributes in its compiled inputs;
@@ -1075,64 +1031,11 @@ class Compiler {
     return true;
   }
 
-  // Fans an eligible inner structural join out: the descendant side is a
-  // Select*/Scan chain whose scan each worker reads as one contiguous
-  // pre-order slice, the ancestor chain is replicated per worker (the join
-  // pulls ancestors lazily, so each worker reads only the prefix its slice
-  // needs). Worker streams are disjoint and locally ordered on the
-  // descendant attribute, so ExchangeMerge reproduces the serial engine's
-  // output exactly. Returns nullptr when the shape, the sizes or the join
-  // attributes are not eligible.
-  Result<PhysicalPtr> TryParallelStructuralJoin(const LogicalPlan& p,
-                                                const LiveSet& live) {
-    if (part_leaf_ != nullptr || thread_budget_ < 2) return PhysicalPtr();
-    const LogicalPlan* anc_leaf = SelectChainLeaf(*p.left());
-    const LogicalPlan* desc_leaf = SelectChainLeaf(*p.right());
-    // Distinct leaves required: partitioning is keyed by plan node, and a
-    // shared node would slice the ancestor side too.
-    if (anc_leaf == nullptr || desc_leaf == nullptr || anc_leaf == desc_leaf) {
-      return PhysicalPtr();
-    }
-    int64_t dsize = LeafSize(desc_leaf->relation());
-    if (dsize < 0) return PhysicalPtr();
-    size_t n = ChooseWorkerCount(dsize, thread_budget_);
-    if (n < 2) return PhysicalPtr();
-    size_t mark = obligations_.size();
-    std::vector<PhysicalPtr> workers;
-    auto [left_live, right_live] = JoinInputsLive(p, live);
-    EnterPartition(desc_leaf, n);
-    for (size_t w = 0; w < n; ++w) {
-      part_ = w;
-      Result<PhysicalPtr> l = Rec(*p.left(), left_live);
-      Result<PhysicalPtr> r = Rec(*p.right(), right_live);
-      if (!l.ok() || !r.ok()) {
-        LeavePartition();
-        return !l.ok() ? l.status() : r.status();
-      }
-      int anc_idx = 0;
-      int desc_idx = 0;
-      if (!JoinPositions(p, **l, **r, &anc_idx, &desc_idx)) {
-        // Nested join attributes: the serial path reports them; the
-        // discarded worker trees take their obligations with them.
-        LeavePartition();
-        obligations_.resize(mark);
-        return PhysicalPtr();
-      }
-      PhysicalPtr anc = EnsureOrder(std::move(*l), p.left_attr());
-      PhysicalPtr desc = EnsureOrder(std::move(*r), p.right_attr());
-      workers.push_back(std::make_unique<StackTreeDescPhys>(
-          std::move(anc), std::move(desc), anc_idx, desc_idx, p.axis()));
-    }
-    LeavePartition();
-    return PhysicalPtr(
-        std::make_unique<ExchangeMergePhys>(std::move(workers)));
-  }
-
   // True when the logical operator is a unary chain member the fused
   // pipeline runs inline: Select, Project (first-wins dedup included),
   // Navigate, DeriveParent, Rename, Retype. Everything else — sorts, joins
-  // (build side or StackTree buffering), Product/Union fan-in, exchanges —
-  // breaks the pipeline.
+  // (build side or StackTree buffering), Product/Union fan-in — breaks the
+  // pipeline.
   static bool Fusable(const LogicalPlan& p) {
     switch (p.op()) {
       case PlanOp::kSelect:
@@ -1150,11 +1053,11 @@ class Compiler {
   // Compilation entry at a pipeline boundary: the maximal (possibly empty)
   // chain of unary operators rooted at `p` becomes one FusedPipeline_φ
   // running a single tuple loop (exec/fusion.h) over the source below the
-  // chain. That source is inline when it is a scan (sliced in an exchange
-  // worker), an index binding or Unit; otherwise it is the compiled
-  // breaker, which a chain-less pipeline returns as is. The compiled
-  // operator outputs at least the `live` attributes of `p`'s output; an
-  // inline source copies only what the chain above it reads.
+  // chain. That source is inline when it is a scan, an index binding or
+  // Unit; otherwise it is the compiled breaker, which a chain-less pipeline
+  // returns as is. The compiled operator outputs at least the `live`
+  // attributes of `p`'s output; an inline source copies only what the chain
+  // above it reads.
   Result<PhysicalPtr> Rec(const LogicalPlan& p, LiveSet live) {
     std::vector<const LogicalPlan*> chain;  // top -> bottom
     const LogicalPlan* cur = &p;
@@ -1214,20 +1117,12 @@ class Compiler {
         if (!columnar && it == ctx_.relations.end()) {
           return Status::NotFound("relation '" + p.relation() + "' unbound");
         }
-        // An exchange worker reads its slice of the partitioned leaf.
-        size_t part = 0;
-        size_t nparts = 1;
-        std::string arg = p.relation();
-        if (part_leaf_ == &p) {
-          part = part_;
-          nparts = nparts_;
-          arg += " " + std::to_string(part + 1) + "/" + std::to_string(nparts);
-        }
         if (columnar) {
-          b->SourceColumnar(vit->second, "ColumnarScan_phi(" + arg + ")", part,
-                            nparts, live.Keep(*vit->second->schema()));
+          b->SourceColumnar(vit->second,
+                            "ColumnarScan_phi(" + p.relation() + ")",
+                            live.Keep(*vit->second->schema()));
         } else {
-          b->SourceRelation(it->second, "Scan_phi(" + arg + ")", part, nparts,
+          b->SourceRelation(it->second, "Scan_phi(" + p.relation() + ")",
                             live.Keep(it->second->schema()));
         }
         return PhysicalPtr();
@@ -1271,16 +1166,11 @@ class Compiler {
       }
       case PlanOp::kStructuralJoin: {
         // Streaming StackTree for structural joins on top-level attrs:
-        // StackTreeDesc (descendant-ordered output, Exchange-parallelizable)
-        // for inner joins, the ancestor-grouped StackTreeAnc for the
-        // semi/outer/nest variants. Each child is compiled once and the join
-        // attributes are resolved on what was compiled; a join on a nested
-        // attribute has no streaming implementation.
-        if (p.variant() == JoinVariant::kInner) {
-          ULOAD_ASSIGN_OR_RETURN(PhysicalPtr par,
-                                 TryParallelStructuralJoin(p, live));
-          if (par) return par;
-        }
+        // StackTreeDesc (descendant-ordered output) for inner joins, the
+        // ancestor-grouped StackTreeAnc for the semi/outer/nest variants.
+        // Each child is compiled once and the join attributes are resolved
+        // on what was compiled; a join on a nested attribute has no
+        // streaming implementation.
         auto [left_live, right_live] = JoinInputsLive(p, live);
         ULOAD_ASSIGN_OR_RETURN(PhysicalPtr l, Rec(*p.left(), left_live));
         ULOAD_ASSIGN_OR_RETURN(PhysicalPtr r, Rec(*p.right(), right_live));
@@ -1340,13 +1230,6 @@ class Compiler {
   }
 
   const EvalContext& ctx_;
-  size_t thread_budget_;
-  // Worker-pipeline compilation state: while set, the scan at `part_leaf_`
-  // compiles into slice `part_` of `nparts_`, and no nested exchange is
-  // placed.
-  const LogicalPlan* part_leaf_ = nullptr;
-  size_t part_ = 0;
-  size_t nparts_ = 1;
   std::vector<PlanPtr> roots_;
   std::vector<std::pair<const PhysicalOperator*, OrderDescriptor>>
       obligations_;
@@ -1357,7 +1240,7 @@ class Compiler {
 Result<PhysicalPtr> CompilePhysicalPlan(const PlanPtr& plan,
                                         const EvalContext& ctx,
                                         ExecContext* exec) {
-  Compiler compiler(ctx, exec == nullptr ? 1 : exec->thread_budget());
+  Compiler compiler(ctx);
   ULOAD_ASSIGN_OR_RETURN(PhysicalPtr root, compiler.Compile(plan));
   if (exec != nullptr && exec->verify_plans()) {
     PhysicalVerifyOptions opts;

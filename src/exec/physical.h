@@ -1,13 +1,11 @@
 // Physical operators (thesis §1.2.3): the batch-at-a-time execution engine.
 //
 // All physical operators consume and produce streams of (possibly nested)
-// tuples through an Open/NextBatch/Close interface. Every source (a whole
-// scan, or one exchange worker's slice of it) and the unary operators
-// (Select, Project, Project0, Navigate, Rename, Retype) run inside
-// FusedPipeline_φ (exec/fusion.h); the operators defined here are the
-// pipeline breakers — Sort_φ, the StackTree structural joins, the value
-// joins, Product and Union — plus the ExchangeMerge_φ collector of
-// exec/exchange.h.
+// tuples through an Open/NextBatch/Close interface. Every source and the
+// unary operators (Select, Project, Project0, Navigate, Rename, Retype) run
+// inside FusedPipeline_φ (exec/fusion.h); the operators defined here are
+// the pipeline breakers — Sort_φ, the StackTree structural joins, the value
+// joins, Product and Union. A query runs on the thread that drains it.
 //
 // A NextBatch() call returns up to one TupleBatch (default 1024 tuples), so
 // per-call costs — virtual dispatch, runtime accounting, clock reads —
@@ -64,7 +62,6 @@ enum class PhysOpKind : uint8_t {
   kValueJoin,
   kProduct,
   kUnion,
-  kExchangeMerge,
   kFusedPipeline,  // every source and unary operator
 };
 
@@ -109,27 +106,18 @@ class PhysicalOperator {
   // Binds this subtree to `ctx`: operators adopt the configured batch size
   // and register their runtime counters with the context. `ctx` must
   // outlive the operator tree. Without a bind, operators run with the
-  // default batch size and keep counters in a private slot. Must be called
-  // from the compiling thread only (see ExecContext threading contract).
+  // default batch size and keep counters in a private slot.
   void Bind(ExecContext* ctx);
 
   // If this operator can prove its output already satisfies `order` (e.g. a
   // scan over a relation that is physically sorted on the order's key), it
   // adopts the descriptor as its advertised order and returns true. The
   // compiler uses this to elide Sort_φ enforcers above document-ordered
-  // scans — serially and inside Exchange worker pipelines, where a
-  // replicated sort would be paid once per worker.
+  // scans.
   virtual bool TryAdoptOrder(const OrderDescriptor& order) {
     (void)order;
     return false;
   }
-
-  // Adds `other`'s runtime counters (recursively, zipping children) into
-  // this subtree's counters and resets `other`'s. Both trees must have the
-  // same shape; Exchange uses this to roll per-worker pipelines up into the
-  // template pipeline after the worker threads are joined. Virtual so
-  // FusedPipeline_φ also rolls up its per-member attribution slots.
-  virtual void MergeMetricsFrom(PhysicalOperator& other);
 
   const OperatorMetrics& metrics() const { return *metrics_; }
 
@@ -140,8 +128,7 @@ class PhysicalOperator {
 
   // Order the `child`-th input stream (in children() order) must satisfy for
   // this operator's algorithm to be correct; empty = no requirement. The
-  // StackTree joins require document order on their join attributes, the
-  // ExchangeMerge collector requires every worker ordered on its merge keys.
+  // StackTree joins require document order on their join attributes.
   virtual OrderDescriptor RequiredChildOrder(size_t child) const {
     (void)child;
     return OrderDescriptor();
@@ -156,13 +143,6 @@ class PhysicalOperator {
   // returns order() unchanged.
   virtual OrderDescriptor ProvableOrder() const { return order(); }
 
-  // Input subtrees the verifier must walk. Defaults to children(); the
-  // exchange overrides it to expose *all* worker pipelines, not just the
-  // template pipeline that children() renders.
-  virtual std::vector<PhysicalOperator*> VerifyChildren() const {
-    return children();
-  }
-
  protected:
   virtual Status OpenImpl() = 0;
   virtual Result<std::optional<TupleBatch>> NextBatchImpl() = 0;
@@ -171,8 +151,8 @@ class PhysicalOperator {
   // --- Resource governor hooks (exec/query_control.h, memory_tracker.h) ---
   // Open()/NextBatch() check cancellation/deadline at every call; an
   // operator whose *implementation* loops long without returning (Sort_φ
-  // materialization, hash/product builds, the StackTree deques, the k-way
-  // exchange merge) additionally calls CheckControl() per consumed batch.
+  // materialization, hash/product builds, the StackTree deques) additionally
+  // calls CheckControl() per consumed batch.
   Status CheckControl();
 
   // Budgeted accounting of operator-held memory (sort buffers, hash tables,
@@ -193,8 +173,8 @@ class PhysicalOperator {
   void TrackShrink(int64_t bytes);
 
   // Bind() hook for the subtree below this operator; the default binds
-  // children() to the same context. Exchange overrides it to bind each
-  // worker pipeline to a private per-worker counter set.
+  // children() to the same context. FusedPipeline_φ overrides it to also
+  // register its chain members.
   virtual void BindChildren(ExecContext* ctx);
 
   // Configured fill target for produced batches.
@@ -252,9 +232,8 @@ Result<PhysicalPtr> CompilePhysicalPlan(const PlanPtr& plan,
 // The drain loop every caller shares: opens `root`, hands each produced
 // batch to `sink` until the stream ends or the tree or the sink fails, and
 // then closes the tree unconditionally. Closing on the error path is what
-// joins exchange workers, drains their queues and returns every budget
-// charge before an aborted query (cancel, deadline, budget, injected fault)
-// surfaces its Status.
+// returns every budget charge before an aborted query (cancel, deadline,
+// budget, injected fault) surfaces its Status.
 Status DrainPhysical(PhysicalOperator* root,
                      const std::function<Status(TupleBatch&)>& sink);
 

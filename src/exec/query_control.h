@@ -1,13 +1,12 @@
 // QueryControl: the cooperative cancellation + deadline handle of one query.
 //
 // One QueryControl is shared (via ExecContext) by every operator of a
-// compiled plan, including the operator pipelines inside Exchange workers.
-// Cancellation is cooperative: Cancel() and deadline expiry only flip state
-// here; the operators observe it at batch boundaries — the template methods
-// PhysicalOperator::Open()/NextBatch() call Check() before running the
-// operator implementation, and long-running materialization loops (Sort_φ
-// buffering, hash builds, the StackTree deques, the exchange k-way merge)
-// call CheckControl() per consumed batch. A positive Check() result
+// compiled plan. Cancellation is cooperative: Cancel() and deadline expiry
+// only flip state here; the operators observe it at batch boundaries — the
+// template methods PhysicalOperator::Open()/NextBatch() call Check() before
+// running the operator implementation, and long-running materialization
+// loops (Sort_φ buffering, hash builds, the StackTree deques) call
+// CheckControl() per consumed batch. A positive Check() result
 // propagates out of Engine::Run as kCancelled / kDeadlineExceeded.
 //
 // Thread safety: every member is lock-free and safe to call from any thread
@@ -19,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 
 #include "common/status.h"
 
@@ -31,6 +31,16 @@ class QueryControl {
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
+  }
+
+  // The absolute deadline `ms` (> 0) milliseconds from now on the NowNs()
+  // clock. Saturates at INT64_MAX, a deadline that never trips, so a huge
+  // client-supplied budget cannot overflow into the past or to "none".
+  static int64_t DeadlineAfterMs(int64_t ms) {
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    const int64_t now = NowNs();
+    if (ms > (kMax - now) / 1'000'000) return kMax;
+    return now + ms * 1'000'000;
   }
 
   // Requests cooperative cancellation. Safe from any thread; idempotent.
@@ -48,9 +58,8 @@ class QueryControl {
   }
 
   // Testing hook: behave as if Cancel() had been called once `n` further
-  // Check() calls have happened (n >= 1). Deterministic for serial plans;
-  // for parallel plans it trips mid-query on whichever thread reaches the
-  // count. 0 disables.
+  // Check() calls have happened (n >= 1). Deterministic, since a plan runs
+  // on one thread. 0 disables.
   void CancelAfterChecks(int64_t n) {
     cancel_after_checks_.store(n, std::memory_order_relaxed);
   }

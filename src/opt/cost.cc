@@ -97,27 +97,6 @@ double EstimateCardinality(const Xam& pattern, const PathSummary& summary) {
   return total;
 }
 
-size_t ChooseWorkerCount(int64_t rows, size_t budget) {
-  if (budget < 2 || rows < 2) return 1;
-  size_t workers = std::min(budget, static_cast<size_t>(64));
-  return std::min(workers, static_cast<size_t>(rows));
-}
-
-size_t ExchangeQueueCapacity(size_t workers, int64_t budget_bytes,
-                             int64_t batch_bytes) {
-  if (workers == 0) workers = 1;
-  // Ungoverned default: 4 in-flight batches per worker queue (the merge
-  // consumes unevenly, so each worker gets some slack).
-  const size_t cap = 4;
-  if (budget_bytes <= 0) return cap;
-  if (batch_bytes <= 0) batch_bytes = 1;
-  // Let at most ~half the budget sit in queue slots across all workers.
-  int64_t total_slots = (budget_bytes / 2) / batch_bytes;
-  int64_t share = total_slots / static_cast<int64_t>(workers);
-  if (share < 1) share = 1;
-  return std::min(cap, static_cast<size_t>(share));
-}
-
 double EstimatePlanCost(
     const LogicalPlan& plan, const PathSummary& summary,
     const std::function<double(const std::string&)>& view_card) {

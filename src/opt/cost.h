@@ -25,22 +25,6 @@ namespace uload {
 // Value predicates apply a default selectivity of 0.1.
 double EstimateCardinality(const Xam& pattern, const PathSummary& summary);
 
-// Number of Exchange workers worth spawning to partition an input of `rows`
-// tuples under `budget` threads: min(budget, rows), capped at 64 so a huge
-// budget cannot degenerate into thousands of near-empty partitions. Returns
-// 1 (serial) when the budget or the input cannot sustain two workers. The
-// physical compiler's fan-out policy for structural joins.
-size_t ChooseWorkerCount(int64_t rows, size_t budget);
-
-// Capacity (in batches) of each of the per-worker SPSC queues between
-// `workers` exchange producers and the k-way merge collector. A per-query
-// memory budget (`budget_bytes` > 0) shrinks the queues so governed queries
-// buffer less in flight: roughly half the budget is allowed to sit in queue
-// slots across all workers, assuming `batch_bytes` per slot, clamped to
-// [1, ungoverned capacity].
-size_t ExchangeQueueCapacity(size_t workers, int64_t budget_bytes,
-                             int64_t batch_bytes);
-
 // Estimated cost of a plan whose leaf scans are the named patterns, priced
 // for serial batch-at-a-time execution. `view_card` supplies per-relation
 // base cardinalities (e.g. from the catalog).

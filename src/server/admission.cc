@@ -99,8 +99,7 @@ AdmissionController::Ticket AdmissionController::GrantLocked(
                               : req.client_budget_ms;
   }
   if (budget_ms > 0) {
-    t.control_->set_deadline_ns(QueryControl::NowNs() +
-                                budget_ms * 1'000'000);
+    t.control_->set_deadline_ns(QueryControl::DeadlineAfterMs(budget_ms));
   }
   t.memory_limit_bytes_ = config_.query_memory_limit_bytes;
 
@@ -115,7 +114,6 @@ AdmissionController::Ticket AdmissionController::GrantLocked(
                     MemoryDegradePressureLocked();
     if (pressure) {
       t.degraded_ = true;
-      t.thread_budget_clamp_ = config_.degraded_thread_budget;
       t.batch_size_clamp_ = config_.degraded_batch_size;
       ++stats_.degraded;
     }

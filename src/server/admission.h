@@ -9,10 +9,8 @@
 //   1. clamp   — when the system is saturated (the request had to queue,
 //                the last executing slot is being taken, or engine memory
 //                is above `degrade_headroom` of its cap), the granted
-//                ticket is DEGRADED: its thread_budget/batch_size clamps
-//                (`degraded_thread_budget`/`degraded_batch_size`) cap the
-//                query's parallelism and batch fill. Counted in
-//                Stats::degraded.
+//                ticket is DEGRADED: its `degraded_batch_size` clamp
+//                caps the query's batch fill. Counted in Stats::degraded.
 //   2. queue   — at most `max_concurrent` queries execute at once; up to
 //                `max_queued` more wait (FIFO by wakeup) for
 //                `queue_timeout_ms`. With the ladder armed
@@ -81,8 +79,7 @@ struct AdmissionConfig {
   bool degradation = true;
   // Engine-memory fraction above which every granted ticket degrades.
   double degrade_headroom = 0.7;
-  // Clamps carried by a degraded ticket (0 = no clamp on that knob).
-  size_t degraded_thread_budget = 1;
+  // Batch-size clamp carried by a degraded ticket (0 = no clamp).
   size_t degraded_batch_size = 256;
   // Rung 2: extra queue positions usable only with the shortened deadline,
   // and permission to wait out a memory high water instead of shedding on
@@ -104,7 +101,6 @@ class AdmissionController {
       control_ = std::move(other.control_);
       memory_limit_bytes_ = other.memory_limit_bytes_;
       degraded_ = other.degraded_;
-      thread_budget_clamp_ = other.thread_budget_clamp_;
       batch_size_clamp_ = other.batch_size_clamp_;
       other.controller_ = nullptr;
       return *this;
@@ -119,10 +115,9 @@ class AdmissionController {
     const std::shared_ptr<QueryControl>& control() const { return control_; }
     int64_t memory_limit_bytes() const { return memory_limit_bytes_; }
 
-    // Degraded tickets carry resource clamps the server applies on top of
-    // the session's own options (0 = no clamp).
+    // Degraded tickets carry a batch-size clamp the server applies on top
+    // of the session's own option (0 = no clamp).
     bool degraded() const { return degraded_; }
-    size_t thread_budget_clamp() const { return thread_budget_clamp_; }
     size_t batch_size_clamp() const { return batch_size_clamp_; }
 
     void Release();
@@ -133,7 +128,6 @@ class AdmissionController {
     std::shared_ptr<QueryControl> control_;
     int64_t memory_limit_bytes_ = 0;
     bool degraded_ = false;
-    size_t thread_budget_clamp_ = 0;
     size_t batch_size_clamp_ = 0;
   };
 

@@ -82,9 +82,8 @@ class QueryClient {
   [[nodiscard]] Result<std::string> Explain(const std::string& query,
                                             int64_t budget_ms = 0);
 
-  // Sets a session option ("thread_budget", "timeout_ms",
-  // "memory_limit_bytes", "batch_size"). Recorded and re-applied on every
-  // reconnect.
+  // Sets a session option ("timeout_ms", "memory_limit_bytes",
+  // "batch_size"). Recorded and re-applied on every reconnect.
   [[nodiscard]] Status Set(const std::string& key, int64_t value);
 
   // Server counters: "key=value\n" lines (append-only; ignore unknown keys).

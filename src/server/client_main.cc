@@ -1,15 +1,14 @@
 // uload_client: one-shot command-line client for the query service.
 //
-//   uload_client [--host H] [--port N] [--explain] [--threads N]
+//   uload_client [--host H] [--port N] [--explain]
 //                [--retries N] [--backoff-ms N] [--budget-ms N]
 //                ("QUERY" | --stats)
 //
-// Connects, optionally sets the session thread budget, sends the query (or
-// the kStats request with --stats), prints the answer and exits. With
-// --retries > 1 the client drives connect and the request through bounded
-// retry with exponential backoff, reconnecting and replaying on transport
-// faults; --budget-ms propagates the remaining wall-clock budget to the
-// server (deadline propagation, DESIGN.md §13).
+// Connects, sends the query (or the kStats request with --stats), prints
+// the answer and exits. With --retries > 1 the client drives connect and
+// the request through bounded retry with exponential backoff, reconnecting
+// and replaying on transport faults; --budget-ms propagates the remaining
+// wall-clock budget to the server (deadline propagation, DESIGN.md §13).
 //
 // Exit codes:
 //   0  success
@@ -48,7 +47,6 @@ int main(int argc, char** argv) {
   int port = 7877;
   bool explain = false;
   bool stats = false;
-  long threads = 0;
   long retries = 1;
   long backoff_ms = 50;
   long budget_ms = 0;
@@ -71,8 +69,6 @@ int main(int argc, char** argv) {
       explain = true;
     } else if (arg == "--stats") {
       stats = true;
-    } else if (arg == "--threads") {
-      threads = std::atol(next("--threads"));
     } else if (arg == "--retries") {
       retries = std::atol(next("--retries"));
     } else if (arg == "--backoff-ms") {
@@ -85,7 +81,7 @@ int main(int argc, char** argv) {
   }
   if (query.empty() && !stats) {
     std::fprintf(stderr,
-                 "usage: %s [--host H] [--port N] [--explain] [--threads N] "
+                 "usage: %s [--host H] [--port N] [--explain] "
                  "[--retries N] [--backoff-ms N] [--budget-ms N] "
                  "(\"QUERY\" | --stats)\n",
                  argv[0]);
@@ -101,13 +97,6 @@ int main(int argc, char** argv) {
   if (!client.ok()) {
     std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
     return kExitConnect;
-  }
-  if (threads > 0) {
-    auto st = client->Set("thread_budget", threads);
-    if (!st.ok()) {
-      std::fprintf(stderr, "%s\n", st.ToString().c_str());
-      return ClassifyError(st);
-    }
   }
   uload::Result<std::string> answer =
       stats ? client->Stats()

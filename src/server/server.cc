@@ -225,8 +225,8 @@ void QueryServer::RunQuery(Session* session, const std::string& query,
   // Admit-time governor wiring: the ticket's control (deadline already set
   // from the admission config, tightened by the propagated client budget)
   // plus its per-query memory budget, tightened by any session-scoped
-  // overrides; a degraded ticket additionally clamps parallelism and batch
-  // fill (ladder rung 1).
+  // overrides; a degraded ticket additionally clamps the batch fill (ladder
+  // rung 1).
   Engine::QueryOptions q;
   q.control = ticket.control();
   q.timeout_ms = session->timeout_ms;  // BeginQuery keeps the earlier deadline
@@ -237,20 +237,11 @@ void QueryServer::RunQuery(Session* session, const std::string& query,
                             ticket.memory_limit_bytes())
                  : session->memory_limit_bytes)
           : ticket.memory_limit_bytes();
-  q.thread_budget = session->thread_budget;
   q.batch_size = session->batch_size;
-  if (ticket.degraded()) {
-    if (ticket.thread_budget_clamp() > 0) {
-      q.thread_budget = q.thread_budget > 0
-                            ? std::min(q.thread_budget,
-                                       ticket.thread_budget_clamp())
-                            : ticket.thread_budget_clamp();
-    }
-    if (ticket.batch_size_clamp() > 0) {
-      q.batch_size = q.batch_size > 0
-                         ? std::min(q.batch_size, ticket.batch_size_clamp())
-                         : ticket.batch_size_clamp();
-    }
+  if (ticket.degraded() && ticket.batch_size_clamp() > 0) {
+    q.batch_size = q.batch_size > 0
+                       ? std::min(q.batch_size, ticket.batch_size_clamp())
+                       : ticket.batch_size_clamp();
   }
 
   ++session->queries;
@@ -295,10 +286,7 @@ Status QueryServer::HandleSet(Session* session, const std::string& payload) {
   if (ec != std::errc() || ptr != value.data() + value.size()) {
     return Status::InvalidArgument("set " + key + ": not a number: " + value);
   }
-  if (key == "thread_budget") {
-    if (n < 0) return Status::InvalidArgument("thread_budget must be >= 0");
-    session->thread_budget = static_cast<size_t>(n);
-  } else if (key == "timeout_ms") {
+  if (key == "timeout_ms") {
     session->timeout_ms = n;
   } else if (key == "memory_limit_bytes") {
     if (n < 0) {

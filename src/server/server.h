@@ -3,14 +3,14 @@
 // A minimal thread-per-connection server exposing Engine::Run / Explain
 // over the wire protocol in server/wire.h. Every connection is one
 // *session*: a server-assigned id, a small set of session-scoped execution
-// options (thread_budget, timeout_ms, memory_limit_bytes, batch_size — set
-// via kSet frames), and per-session counters. Queries pass through the
+// options (timeout_ms, memory_limit_bytes, batch_size — set via kSet
+// frames), and per-session counters. Queries pass through the
 // AdmissionController before they reach the engine; the granted ticket's
 // QueryControl (deadline assigned at admit, tightened by the client budget
 // a kRunEx frame propagates) and memory budget are installed on the run via
 // Engine::QueryOptions — degraded tickets additionally clamp the session's
-// thread_budget/batch_size — and the ticket is held until the response
-// frame has been written, so drain covers response delivery.
+// batch_size — and the ticket is held until the response frame has been
+// written, so drain covers response delivery.
 //
 // Resilience (DESIGN.md §13): the per-connection read loop runs on poll
 // deadlines instead of a blocking recv. A session that sends nothing for
@@ -120,7 +120,6 @@ class QueryServer {
     // Session-scoped execution options (0 = engine default), set via kSet.
     int64_t timeout_ms = 0;
     int64_t memory_limit_bytes = 0;
-    size_t thread_budget = 0;
     size_t batch_size = 0;
     int64_t queries = 0;
   };

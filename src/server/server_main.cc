@@ -2,7 +2,7 @@
 //
 //   uload_server [--port N] [--xmark SCALE | --dblp RECORDS | --load FILE]
 //                [--backend pointer|columnar] [--model tag|path]
-//                [--threads N] [--max-concurrent N] [--max-queued N]
+//                [--max-concurrent N] [--max-queued N]
 //                [--max-queued-degraded N] [--no-degradation]
 //                [--query-timeout-ms N] [--memory-limit-mb N]
 //                [--idle-timeout-ms N] [--stall-timeout-ms N]
@@ -33,7 +33,7 @@ int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--xmark SCALE | --dblp RECORDS | "
                "--load FILE] [--backend pointer|columnar] [--model tag|path] "
-               "[--threads N] [--max-concurrent N] [--max-queued N] "
+               "[--max-concurrent N] [--max-queued N] "
                "[--max-queued-degraded N] [--no-degradation] "
                "[--query-timeout-ms N] [--memory-limit-mb N] "
                "[--idle-timeout-ms N] [--stall-timeout-ms N] "
@@ -52,7 +52,6 @@ int main(int argc, char** argv) {
   std::string load_path;
   bool columnar = false;
   std::string model = "tag";
-  size_t threads = 1;
   uload::ServerConfig config;
   int64_t memory_limit_mb = 0;
 
@@ -77,8 +76,6 @@ int main(int argc, char** argv) {
       columnar = std::strcmp(next("--backend"), "columnar") == 0;
     } else if (arg == "--model") {
       model = next("--model");
-    } else if (arg == "--threads") {
-      threads = static_cast<size_t>(std::atoi(next("--threads")));
     } else if (arg == "--max-concurrent") {
       config.admission.max_concurrent = std::atoi(next("--max-concurrent"));
     } else if (arg == "--max-queued") {
@@ -107,7 +104,6 @@ int main(int argc, char** argv) {
   Engine::Options options;
   options.backend = columnar ? Engine::Options::Backend::kColumnar
                              : Engine::Options::Backend::kPointer;
-  options.thread_budget = threads;
   options.engine_memory_limit_bytes = memory_limit_mb * 1024 * 1024;
   if (options.engine_memory_limit_bytes > 0) {
     // Per-query budget: an even split with slack, so one query cannot
@@ -156,10 +152,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "serving on %s:%d (%s backend, %s-partitioned model, threads=%zu, "
+      "serving on %s:%d (%s backend, %s-partitioned model, "
       "max_concurrent=%d)\n",
       config.host.c_str(), server.port(), columnar ? "columnar" : "pointer",
-      model.c_str(), threads, config.admission.max_concurrent);
+      model.c_str(), config.admission.max_concurrent);
   std::fflush(stdout);
 
   std::signal(SIGINT, OnSignal);

@@ -70,19 +70,16 @@ bool ColumnarRowReader::Satisfies(const OrderDescriptor& order) const {
   return true;
 }
 
-void ColumnarRowReader::DecodeSlice(size_t part, size_t nparts,
-                                    std::vector<NodeIndex>* rows) const {
-  const size_t n = static_cast<size_t>(view_->row_count());
-  const size_t begin = part * n / nparts;
-  const size_t stop = (part + 1) * n / nparts;
+void ColumnarRowReader::Decode(std::vector<NodeIndex>* rows) const {
   const std::string& rowset = view_->rowset();
   DeltaVarintReader reader(reinterpret_cast<const uint8_t*>(rowset.data()),
                            rowset.size());
+  const size_t n = static_cast<size_t>(view_->row_count());
   rows->clear();
-  rows->reserve(stop - begin);
+  rows->reserve(n);
   uint64_t v = 0;
-  for (size_t i = 0; i < stop && reader.Next(&v); ++i) {
-    if (i >= begin) rows->push_back(static_cast<NodeIndex>(v));
+  for (size_t i = 0; i < n && reader.Next(&v); ++i) {
+    rows->push_back(static_cast<NodeIndex>(v));
   }
 }
 

@@ -4,9 +4,9 @@
 // on the fly from the ColumnarDocument's columns, guided by the view's
 // compressed row-id set. ColumnarRowReader decodes that row set, assembles
 // tuples and proves orders; FusedPipeline_φ's columnar source
-// (exec/fusion.h) loops over the decoded rows, serially and as one slice per
-// exchange worker. Scan, slice and order contract are those of a
-// materialized extent: physically different access paths, one logical leaf.
+// (exec/fusion.h) loops over the decoded rows. Scan and order contract are
+// those of a materialized extent: physically different access paths, one
+// logical leaf.
 #ifndef ULOAD_STORAGE_VIRTUAL_SCAN_H_
 #define ULOAD_STORAGE_VIRTUAL_SCAN_H_
 
@@ -19,9 +19,8 @@
 namespace uload {
 
 // Row-set decoding, tuple assembly and order adoption for one virtual
-// column-backed extent. Stateless across rows: DecodeSlice materializes a
-// contiguous row-id range, MakeRow assembles one output tuple from the
-// backing columns.
+// column-backed extent. Stateless across rows: Decode materializes the
+// row ids, MakeRow assembles one output tuple from the backing columns.
 class ColumnarRowReader {
  public:
   // Assembles the `keep` columns of the view's schema (positions,
@@ -45,12 +44,8 @@ class ColumnarRowReader {
   // way.
   bool Satisfies(const OrderDescriptor& order) const;
 
-  // Decodes the [part*n/nparts, (part+1)*n/nparts) slice of the compressed
-  // rowset into *rows. The prefix is skip-decoded (a varint add per row,
-  // nothing stored) and decoding stops at the slice end, so k parallel
-  // workers hold 1/k of the rows each instead of k full copies.
-  void DecodeSlice(size_t part, size_t nparts,
-                   std::vector<NodeIndex>* rows) const;
+  // Decodes the compressed rowset into *rows, in document order.
+  void Decode(std::vector<NodeIndex>* rows) const;
 
   // Assembles the output tuple for one row id.
   Tuple MakeRow(NodeIndex row) const;

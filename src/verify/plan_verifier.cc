@@ -399,32 +399,12 @@ Status VerifyFusedSteps(const FusedPipelinePhys& f, const std::string& path) {
   return Status::Ok();
 }
 
-// Walks `op` and its verification children. `under_exchange` is true inside
-// a worker pipeline.
-Status WalkPhysical(const PhysicalOperator& op, const std::string& parent,
-                    bool under_exchange) {
+// Walks `op` and its children.
+Status WalkPhysical(const PhysicalOperator& op, const std::string& parent) {
   std::string path = PhysPath(parent, op);
   PhysOpKind kind = op.kind();
-  bool is_exchange = kind == PhysOpKind::kExchangeMerge;
 
-  // (3) Structural / parallel placement rules.
-  if (kind == PhysOpKind::kFusedPipeline && !under_exchange &&
-      static_cast<const FusedPipelinePhys&>(op).sliced()) {
-    return PhysError(path,
-                     "sliced source outside an exchange worker pipeline "
-                     "would silently drop every other slice");
-  }
-  if (is_exchange && under_exchange) {
-    return PhysError(path, "exchange nested inside another exchange's "
-                           "worker pipeline");
-  }
-  if (is_exchange && op.order().empty()) {
-    return PhysError(path,
-                     "ExchangeMerge_phi above unordered worker pipelines "
-                     "has no merge keys; the workers must be ordered");
-  }
-
-  // (4) Fused pipelines: prove fusion was a no-op on schemas and orders by
+  // (3) Fused pipelines: prove fusion was a no-op on schemas and orders by
   // re-deriving every chain member's boundary.
   if (kind == PhysOpKind::kFusedPipeline) {
     ULOAD_RETURN_NOT_OK(
@@ -440,11 +420,10 @@ Status WalkPhysical(const PhysicalOperator& op, const std::string& parent,
                   " from its input's order");
   }
 
-  std::vector<PhysicalOperator*> children = op.VerifyChildren();
-  const SchemaPtr* worker0_schema = nullptr;
+  std::vector<PhysicalOperator*> children = op.children();
   for (size_t i = 0; i < children.size(); ++i) {
     const PhysicalOperator& c = *children[i];
-    ULOAD_RETURN_NOT_OK(WalkPhysical(c, path, under_exchange || is_exchange));
+    ULOAD_RETURN_NOT_OK(WalkPhysical(c, path));
 
     // Order-requirement coverage: the input must prove the order this
     // operator's algorithm assumes.
@@ -455,24 +434,9 @@ Status WalkPhysical(const PhysicalOperator& op, const std::string& parent,
                     ") ordered " + required.ToString() +
                     " but its advertised order is " + c.order().ToString());
     }
-
-    // Exchange workers must agree on one schema; the collector re-tags
-    // nothing.
-    if (is_exchange) {
-      if (worker0_schema == nullptr) {
-        worker0_schema = &c.schema();
-      } else {
-        Status s = CheckSameShape(**worker0_schema, *c.schema());
-        if (!s.ok()) {
-          return PhysError(path, "worker " + std::to_string(i) +
-                                     " schema diverges from worker 0: " +
-                                     s.message());
-        }
-      }
-    }
   }
 
-  // Union re-tags right-side batches with the left schema, which is only
+  // (4) Union re-tags right-side batches with the left schema, which is only
   // sound when the shapes agree.
   if (kind == PhysOpKind::kUnion && children.size() == 2) {
     Status s = CheckSameShape(*children[0]->schema(), *children[1]->schema());
@@ -499,7 +463,7 @@ Status VerifyTemplate(const XmlTemplate& templ, const Schema& root_schema) {
 
 Status VerifyPhysicalPlan(const PhysicalOperator& root,
                           const PhysicalVerifyOptions& opts) {
-  ULOAD_RETURN_NOT_OK(WalkPhysical(root, "", false));
+  ULOAD_RETURN_NOT_OK(WalkPhysical(root, ""));
   // Sort_φ elision obligations: every elided enforcer's order must still be
   // covered by the operator that stood in for it.
   for (const auto& [op, required] : opts.order_obligations) {

@@ -2,8 +2,7 @@
 //
 // The thesis's physical-data-independence claim rests on the compiler always
 // emitting plans whose schemas, order descriptors and structural-join
-// placements are mutually consistent. Until now those invariants were only
-// exercised dynamically, by differential tests; this module proves them
+// placements are mutually consistent. This module proves those invariants
 // statically, with no tuples flowing:
 //
 //  (1) Schema/type checking (VerifyLogicalPlan): the output schema of every
@@ -19,17 +18,16 @@
 //      * every operator's advertised order must be covered by the recomputed
 //        one (an operator may not claim an order it cannot prove), and
 //      * every order *requirement* (PhysicalOperator::RequiredChildOrder —
-//        the StackTree join family, the ExchangeMerge k-way merge) must be
-//        covered by the input's advertised order, and
+//        the StackTree join family) must be covered by the input's
+//        advertised order, and
 //      * every Sort_φ elision the compiler performed is re-checked as an
 //        explicit obligation (PhysicalVerifyOptions::order_obligations).
 //
-//  (3) Structural/parallel placement rules (VerifyPhysicalPlan):
-//      ExchangeMerge_φ only above order-producing worker pipelines, a
-//      FusedPipeline_φ whose source reads one slice of its rows only inside
-//      an exchange's worker pipelines (a sliced source anywhere else
-//      silently drops rows), and no exchange nested inside another
-//      exchange's worker pipeline.
+//  (3) Fused-pipeline soundness (VerifyPhysicalPlan): every chain member's
+//      recorded boundary schema and order are re-derived from the source.
+//
+//  (4) Shape compatibility (VerifyPhysicalPlan): a Union_φ's inputs must
+//      have the same shape, since it re-tags the right side's batches.
 //
 // The dynamic leg of the verifier — per-batch schema validation — lives in
 // verify/batch_validator.h.
@@ -76,10 +74,8 @@ struct PhysicalVerifyOptions {
 };
 
 // Verifies a compiled physical operator tree: order-descriptor soundness,
-// order-requirement coverage, exchange/parallel-scan placement, and
-// per-operator schema consistency (join/merge keys resolve and are atomic,
-// union inputs shape-compatible). Walks *all* exchange worker pipelines, not
-// just the template pipeline.
+// order-requirement coverage, fused-pipeline soundness and union shape
+// compatibility.
 Status VerifyPhysicalPlan(const PhysicalOperator& root,
                           const PhysicalVerifyOptions& opts = {});
 

@@ -2,9 +2,8 @@
 // independence: the same query over the same storage model must produce
 // byte-identical XML whether the document lives in the pointer tree or the
 // columnar store — across the engine corpus (bib / DBLP / XMark), storage
-// models, batch sizes {1, 1024}, and thread budgets {1, 4}. The pointer
-// backend at defaults is the oracle; every other (backend, batch, threads)
-// cell must match it exactly.
+// models and batch sizes {1, 1024}. The pointer backend at defaults is the
+// oracle; every other (backend, batch) cell must match it exactly.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -85,10 +84,9 @@ const ModelSpec kModels[] = {
 
 TEST(BackendDifferential, ByteIdenticalResultsAcrossTheWholeGrid) {
   const size_t kBatches[] = {1, 1024};
-  const size_t kThreads[] = {1, 4};
   for (CorpusDoc& c : MakeCorpus()) {
     for (const ModelSpec& m : kModels) {
-      // Oracle: pointer backend, default batch, one thread. A query a model
+      // Oracle: pointer backend, default batch. A query a model
       // cannot rewrite (e.g. nested paths over path partitioning) is part of
       // the contract too: every cell must fail with the same code.
       std::vector<Result<std::string>> expected;
@@ -103,35 +101,29 @@ TEST(BackendDifferential, ByteIdenticalResultsAcrossTheWholeGrid) {
       for (auto backend : {Engine::Options::Backend::kPointer,
                            Engine::Options::Backend::kColumnar}) {
         for (size_t batch : kBatches) {
-          for (size_t threads : kThreads) {
-            Engine::Options o;
-            o.backend = backend;
-            o.batch_size = batch;
-            o.thread_budget = threads;
-            Engine engine{Document(c.doc), o};
-            auto st = engine.InstallModel(m.make(engine.summary()));
-            ASSERT_TRUE(st.ok()) << st.ToString();
-            const std::vector<std::string> queries = QueriesFor(c.name);
-            for (size_t qi = 0; qi < queries.size(); ++qi) {
-              auto out = engine.Run(queries[qi]);
-              std::string cell =
-                  std::string(c.name) + "/" + m.name +
-                  (backend == Engine::Options::Backend::kColumnar
-                       ? "/columnar"
-                       : "/pointer") +
-                  "/b=" + std::to_string(batch) +
-                  "/t=" + std::to_string(threads) + "/q" + std::to_string(qi);
-              if (expected[qi].ok()) {
-                ASSERT_TRUE(out.ok())
-                    << cell << ": " << out.status().ToString();
-                EXPECT_EQ(*expected[qi], *out) << cell;
-              } else {
-                ASSERT_FALSE(out.ok()) << cell << ": oracle failed ("
-                                       << expected[qi].status().ToString()
-                                       << ") but this cell succeeded";
-                EXPECT_EQ(expected[qi].status().code(), out.status().code())
-                    << cell;
-              }
+          Engine::Options o;
+          o.backend = backend;
+          o.batch_size = batch;
+          Engine engine{Document(c.doc), o};
+          auto st = engine.InstallModel(m.make(engine.summary()));
+          ASSERT_TRUE(st.ok()) << st.ToString();
+          const std::vector<std::string> queries = QueriesFor(c.name);
+          for (size_t qi = 0; qi < queries.size(); ++qi) {
+            auto out = engine.Run(queries[qi]);
+            std::string cell =
+                std::string(c.name) + "/" + m.name +
+                (backend == Engine::Options::Backend::kColumnar ? "/columnar"
+                                                                : "/pointer") +
+                "/b=" + std::to_string(batch) + "/q" + std::to_string(qi);
+            if (expected[qi].ok()) {
+              ASSERT_TRUE(out.ok()) << cell << ": " << out.status().ToString();
+              EXPECT_EQ(*expected[qi], *out) << cell;
+            } else {
+              ASSERT_FALSE(out.ok()) << cell << ": oracle failed ("
+                                     << expected[qi].status().ToString()
+                                     << ") but this cell succeeded";
+              EXPECT_EQ(expected[qi].status().code(), out.status().code())
+                  << cell;
             }
           }
         }

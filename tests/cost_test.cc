@@ -109,18 +109,5 @@ TEST_F(CostTest, RewriterPrefersCheaperAccessPath) {
   }
 }
 
-TEST(ChooseWorkerCountTest, RespectsBudgetRowsAndCap) {
-  // Serial when the budget or the input is too small to split.
-  EXPECT_EQ(ChooseWorkerCount(1000, 0), 1u);
-  EXPECT_EQ(ChooseWorkerCount(1000, 1), 1u);
-  EXPECT_EQ(ChooseWorkerCount(0, 8), 1u);
-  EXPECT_EQ(ChooseWorkerCount(1, 8), 1u);
-  // Otherwise min(budget, rows, 64): never more workers than rows, never
-  // more than the hard cap.
-  EXPECT_EQ(ChooseWorkerCount(1000, 4), 4u);
-  EXPECT_EQ(ChooseWorkerCount(3, 8), 3u);
-  EXPECT_EQ(ChooseWorkerCount(1'000'000, 1000), 64u);
-}
-
 }  // namespace
 }  // namespace uload

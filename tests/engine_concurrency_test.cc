@@ -32,11 +32,9 @@ constexpr const char* kQueries[] = {
     "return <t>{$x/title/text()}</t>",
 };
 
-std::unique_ptr<Engine> MakeEngine(Engine::Options::Backend backend,
-                                   size_t thread_budget = 1) {
+std::unique_ptr<Engine> MakeEngine(Engine::Options::Backend backend) {
   Engine::Options o;
   o.backend = backend;
-  o.thread_budget = thread_budget;
   auto engine =
       std::make_unique<Engine>(GenerateDblp({/*records=*/80, /*seed=*/7}), o);
   auto st = engine->InstallModel(TagPartitionedModel(engine->summary()));
@@ -84,7 +82,7 @@ TEST_P(EngineConcurrencyTest, ConcurrentRunsMatchSerialBaseline) {
 // freshly loaded engines, and metrics/memory pollers — all on one engine.
 TEST_P(EngineConcurrencyTest, RunCancelSaveLoadTorture) {
   const bool columnar = GetParam() == Engine::Options::Backend::kColumnar;
-  auto engine = MakeEngine(GetParam(), /*thread_budget=*/2);
+  auto engine = MakeEngine(GetParam());
   std::string expected = *engine->Run(kQueries[0]);
 
   // A pre-saved image for the Load threads, so loads overlap the torture

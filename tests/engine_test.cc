@@ -1,11 +1,12 @@
 // Engine facade tests: the streaming serving path (Run) must reproduce the
 // direct interpreter byte for byte, for every storage model, across batch
-// sizes and thread budgets; Explain / ExplainAnalyze must expose the
+// sizes; Explain / ExplainAnalyze must expose the
 // compiled plan and its runtime counters.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -75,45 +76,39 @@ bool MustRewrite(const RewriteTable& table, const std::string& model,
   return false;
 }
 
-// Runs every query over every storage model at every (batch size, thread
-// budget) combination. A cell listed in `must_rewrite` must succeed and
+// Runs every query over every storage model at every batch size. A cell listed in `must_rewrite` must succeed and
 // agree byte for byte with the direct interpreter; every other cell must
 // fail with NotFound.
 void CheckDifferential(const std::function<Document()>& make_doc,
                        const std::vector<std::string>& queries,
                        const RewriteTable& must_rewrite) {
   const size_t kBatchSizes[] = {1, 1024};
-  const size_t kThreadBudgets[] = {1, 4};
   for (const ModelSpec& m : AllModels()) {
     for (size_t batch : kBatchSizes) {
-      for (size_t threads : kThreadBudgets) {
-        Engine::Options o;
-        o.batch_size = batch;
-        o.thread_budget = threads;
-        Engine engine(make_doc(), o);
-        auto st = engine.InstallModel(m.build(engine.summary()));
-        EXPECT_TRUE(st.ok()) << m.name << ": " << st.ToString();
-        if (!st.ok()) continue;
-        for (size_t qi = 0; qi < queries.size(); ++qi) {
-          const std::string& q = queries[qi];
-          std::string where = std::string(m.name) + " batch=" +
-                              std::to_string(batch) + " threads=" +
-                              std::to_string(threads) + " query: " + q;
-          auto run = engine.Run(q);
-          if (!MustRewrite(must_rewrite, m.name, qi)) {
-            // The model has no equivalent rewriting for this pattern; that
-            // must surface as NotFound, never as an answer.
-            EXPECT_FALSE(run.ok())
-                << where << ": rewrites now; list it in the table";
-            if (!run.ok()) {
-              EXPECT_EQ(run.status().code(), StatusCode::kNotFound) << where;
-            }
-            continue;
+      Engine::Options o;
+      o.batch_size = batch;
+      Engine engine(make_doc(), o);
+      auto st = engine.InstallModel(m.build(engine.summary()));
+      EXPECT_TRUE(st.ok()) << m.name << ": " << st.ToString();
+      if (!st.ok()) continue;
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        const std::string& q = queries[qi];
+        std::string where = std::string(m.name) + " batch=" +
+                            std::to_string(batch) + " query: " + q;
+        auto run = engine.Run(q);
+        if (!MustRewrite(must_rewrite, m.name, qi)) {
+          // The model has no equivalent rewriting for this pattern; that
+          // must surface as NotFound, never as an answer.
+          EXPECT_FALSE(run.ok())
+              << where << ": rewrites now; list it in the table";
+          if (!run.ok()) {
+            EXPECT_EQ(run.status().code(), StatusCode::kNotFound) << where;
           }
-          ASSERT_TRUE(run.ok()) << where << ": " << run.status().ToString();
-          // End-to-end correctness vs the direct interpreter, in every cell.
-          EXPECT_EQ(*run, DirectResult(q, engine.document())) << where;
+          continue;
         }
+        ASSERT_TRUE(run.ok()) << where << ": " << run.status().ToString();
+        // End-to-end correctness vs the direct interpreter, in every cell.
+        EXPECT_EQ(*run, DirectResult(q, engine.document())) << where;
       }
     }
   }
@@ -411,6 +406,23 @@ TEST_F(EngineGovernorTest, GenerousTimeoutDoesNotFire) {
   auto r = engine_->Run(query_);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(*r, DirectResult(query_, engine_->document()));
+}
+
+TEST_F(EngineGovernorTest, HugeTimeoutSaturatesInsteadOfOverflowing) {
+  // now + timeout_ms * 10^6 overflows int64 for these budgets; the deadline
+  // must saturate to one that never trips, not wrap into the past
+  // (INT64_MAX) or to "no deadline" (10^13).
+  for (int64_t ms : {std::numeric_limits<int64_t>::max(),
+                     int64_t{10'000'000'000'000}}) {
+    Engine::QueryOptions q;
+    q.timeout_ms = ms;
+    q.control = std::make_shared<QueryControl>();
+    auto r = engine_->Run(query_, q);
+    ASSERT_TRUE(r.ok()) << "timeout_ms=" << ms << ": " << r.status().ToString();
+    EXPECT_EQ(*r, DirectResult(query_, engine_->document()));
+    EXPECT_EQ(q.control->deadline_ns(), std::numeric_limits<int64_t>::max())
+        << "timeout_ms=" << ms;
+  }
 }
 
 TEST_F(EngineGovernorTest, CancelFromAnotherThreadReturnsCancelled) {

@@ -2,7 +2,8 @@
 // in the corpus, the batched executor must produce the same relation as the
 // materializing Evaluate(), and its own output must be byte-identical across
 // batch sizes 1, 2, and 1024 — the sizes that exercise batch-boundary edges
-// (every-tuple-a-boundary, odd split, everything-in-one-batch).
+// (every-tuple-a-boundary, odd split, everything-in-one-batch). Randomized
+// XAM patterns run the same check at batch sizes 1, 7 and 1024.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,9 +13,14 @@
 #include "eval/tag_collections.h"
 #include "exec/physical.h"
 #include "rewrite/query_rewriter.h"
+#include "storage/columnar/columnar_document.h"
 #include "storage/storage_models.h"
+#include "storage/store.h"
 #include "support/evaluator.h"
+#include "verify/plan_verifier.h"
+#include "workload/pattern_gen.h"
 #include "workload/xmark.h"
+#include "xam/xam_parser.h"
 #include "xquery/parser.h"
 
 namespace uload {
@@ -278,6 +284,158 @@ TEST_F(ExecBatchTest, NextTupleAdapterMatchesBatches) {
   for (size_t i = 0; i < streamed.size(); ++i) {
     EXPECT_TRUE(TuplesEqual(streamed[i], names_.tuple(i)));
   }
+}
+
+// --- Randomized XAM patterns --------------------------------------------------
+
+// Randomized XAM patterns are compiled into logical plans and executed by
+// the materializing evaluator and by the physical engine at batch sizes 1,
+// 7 and 1024. The evaluator is compared canonically (sorted byte-for-byte);
+// batch sizes 1 and 7 must reproduce the batch-size-1024 output exactly.
+class ExecBatchPatternTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    doc_ = GenerateXMark(XMarkScale(0.02));
+    summary_ = PathSummary::Build(&doc_);
+  }
+
+  // Compiles `plan` into a logical plan over fresh base tag collections,
+  // mirroring the XAM semantics (eval/xam_eval.cc): one collection per
+  // pattern node, σ for the value formula, structural joins folding the
+  // children left-to-right, a product across ⊤'s branches.
+  PlanPtr BuildPlan(const Xam& xam, EvalContext* ctx) {
+    PlanPtr plan;
+    for (const XamEdge& e : xam.node(kXamRoot).edges) {
+      PlanPtr sub = SubtreePlan(xam, e.child, ctx);
+      plan = plan == nullptr
+                 ? std::move(sub)
+                 : LogicalPlan::Product(std::move(plan), std::move(sub));
+    }
+    return plan;
+  }
+
+  PlanPtr SubtreePlan(const Xam& xam, XamNodeId id, EvalContext* ctx) {
+    const XamNode& n = xam.node(id);
+    TagCollectionOptions opts;
+    opts.prefix = n.name;
+    opts.with_tag = n.stores_tag;
+    opts.with_val = n.stores_val || !n.val_formula.IsTrue();
+    opts.with_cont = n.stores_cont;
+    opts.id_kind = n.id_kind;
+    base_rels_.push_back(std::make_unique<NestedRelation>(
+        n.is_attribute
+            ? AttributeCollection(
+                  doc_,
+                  n.tag_value.empty() ? "" : n.tag_value.substr(1), opts)
+            : TagCollection(doc_, n.tag_value, opts)));
+    std::string rname = "base" + std::to_string(base_rels_.size());
+    ctx->relations[rname] = base_rels_.back().get();
+    PlanPtr plan = LogicalPlan::Scan(rname);
+    if (!n.val_formula.IsTrue()) {
+      plan = LogicalPlan::Select(std::move(plan),
+                                 n.val_formula.ToPredicate(n.name + "_Val"));
+    }
+    for (const XamEdge& e : n.edges) {
+      PlanPtr child = SubtreePlan(xam, e.child, ctx);
+      plan = LogicalPlan::StructuralJoin(
+          std::move(plan), std::move(child), n.name + "_ID", e.axis,
+          xam.node(e.child).name + "_ID", e.variant, xam.node(e.child).name);
+    }
+    return plan;
+  }
+
+  // Evaluator vs engine at the default batch size 1024 (canonical order),
+  // then batch sizes 1 and 7 against it (exact order).
+  void CheckDifferential(const PlanPtr& plan, const EvalContext& ctx,
+                         const std::string& what) {
+    // Static analysis leg: every generated plan must pass the logical
+    // verifier before anything executes. (The physical verifier runs inside
+    // every CompilePhysicalPlan below — verify_plans defaults on — so each
+    // compiled tree is order-checked too.)
+    auto verified = VerifyLogicalPlan(*plan, ctx);
+    ASSERT_TRUE(verified.ok()) << what << ": " << verified.status().ToString();
+
+    auto reference = Evaluate(*plan, ctx);
+    ASSERT_TRUE(reference.ok()) << what << ": " << reference.status().ToString();
+
+    ExecContext default_exec;
+    auto engine = ExecutePhysicalPlan(plan, ctx, &default_exec);
+    ASSERT_TRUE(engine.ok()) << what << ": " << engine.status().ToString();
+
+    NestedRelation canonical_ref = *reference;
+    NestedRelation canonical_engine = *engine;
+    canonical_ref.Sort();
+    canonical_engine.Sort();
+    ASSERT_TRUE(canonical_ref.Equals(canonical_engine))
+        << what << ": evaluator rows=" << reference->size()
+        << " physical rows=" << engine->size();
+
+    for (size_t batch : {size_t{1}, size_t{7}}) {
+      ExecContext exec(batch);
+      auto got = ExecutePhysicalPlan(plan, ctx, &exec);
+      ASSERT_TRUE(got.ok()) << what << " batch=" << batch << ": "
+                            << got.status().ToString();
+      ASSERT_TRUE(engine->Equals(*got))
+          << what << " batch=" << batch << ": output diverges (rows "
+          << got->size() << " vs " << engine->size() << ")";
+    }
+  }
+
+  Document doc_;
+  PathSummary summary_;
+  std::vector<std::unique_ptr<NestedRelation>> base_rels_;
+};
+
+TEST_F(ExecBatchPatternTest, RandomizedPatternsDifferential) {
+  constexpr int kPatterns = 200;
+  PatternGenOptions opts;
+  int checked = 0;
+  for (uint32_t seed = 1; seed <= kPatterns; ++seed) {
+    PatternGenerator gen(&summary_, seed);
+    Xam pattern = gen.Generate(opts);
+    EvalContext ctx;
+    ctx.document = &doc_;
+    PlanPtr plan = BuildPlan(pattern, &ctx);
+    ASSERT_NE(plan, nullptr) << "seed=" << seed;
+    CheckDifferential(plan, ctx, "seed=" + std::to_string(seed));
+    ++checked;
+  }
+  EXPECT_EQ(checked, kPatterns);
+}
+
+// Physical data independence at the join: a structural join whose
+// descendant side is a virtual columnar extent returns the same tuples as
+// the same join over the materialized collection.
+TEST_F(ExecBatchPatternTest, ColumnarDescendantSideMatchesMaterialized) {
+  NestedRelation people = TagCollection(doc_, "person", {"p", true, true, false});
+  NestedRelation names = TagCollection(doc_, "name", {"n", true, true, false});
+  ColumnarDocument col = ColumnarDocument::FromDocument(doc_);
+  auto xam = ParseXam("xam\nnode n label=name id=s tag val\nedge top // j n\n");
+  ASSERT_TRUE(xam.ok()) << xam.status().ToString();
+  auto cnames = MaterializedView::Materialize("cnames", std::move(*xam), col);
+  ASSERT_TRUE(cnames.ok()) << cnames.status().ToString();
+  ASSERT_NE(cnames->virtual_store(), nullptr);
+
+  EvalContext materialized_ctx;
+  materialized_ctx.relations = {{"people", &people}, {"names", &names}};
+  materialized_ctx.document = &doc_;
+  EvalContext columnar_ctx;
+  columnar_ctx.relations = {{"people", &people}};
+  columnar_ctx.views = {{"cnames", &*cnames}};
+  columnar_ctx.document = &col;
+  auto join = [](const std::string& desc) {
+    return LogicalPlan::StructuralJoin(
+        LogicalPlan::Scan("people"), LogicalPlan::Scan(desc), "p_ID",
+        Axis::kDescendant, "n_ID", JoinVariant::kInner);
+  };
+  ExecContext exec;
+  auto columnar = ExecutePhysicalPlan(join("cnames"), columnar_ctx, &exec);
+  ASSERT_TRUE(columnar.ok()) << columnar.status().ToString();
+  ASSERT_GT(columnar->size(), 0);
+  auto materialized =
+      ExecutePhysicalPlan(join("names"), materialized_ctx, &exec);
+  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
+  EXPECT_TRUE(columnar->Equals(*materialized));
 }
 
 }  // namespace

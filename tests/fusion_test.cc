@@ -278,29 +278,6 @@ TEST_F(FusionTest, DedupProjectionFuses) {
   EXPECT_NE(member.find("mem="), std::string::npos) << analyzed;
 }
 
-TEST_F(FusionTest, ExchangeBoundaryBreaksTheChain) {
-  // Under a thread budget the structural join fans out; fused chains live
-  // inside the worker pipelines, never across the exchange boundary.
-  PlanPtr plan = LogicalPlan::StructuralJoin(
-      LogicalPlan::Scan("people"),
-      LogicalPlan::Select(LogicalPlan::Scan("names"),
-                          Predicate::NotNull("n_Val")),
-      "p_ID", Axis::kDescendant, "n_ID", JoinVariant::kInner);
-  ExecContext serial_exec;
-  serial_exec.set_thread_budget(1);
-  auto serial = ExecutePhysicalPlan(plan, ctx_, &serial_exec);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  ExecContext exec;
-  exec.set_thread_budget(4);
-  auto phys = CompilePhysicalPlan(plan, ctx_, &exec);
-  ASSERT_TRUE(phys.ok()) << phys.status().ToString();
-  std::string desc = (*phys)->Describe();
-  EXPECT_NE(desc.find("ExchangeMerge_phi"), std::string::npos) << desc;
-  auto parallel = ExecutePhysical(phys->get());
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  EXPECT_TRUE(serial->Equals(*parallel));
-}
-
 // --- Verification ------------------------------------------------------------
 
 TEST_F(FusionTest, FusedPlansPassStaticVerification) {

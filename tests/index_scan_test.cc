@@ -208,7 +208,6 @@ TEST(IndexScanCompileTest, JoinChainBindsEachLeafOnce) {
       leaf("author"), "k_ID", Axis::kChild, "a_ID", JoinVariant::kInner);
 
   ExecContext exec;
-  exec.set_thread_budget(1);
   auto root = CompilePhysicalPlan(plan, ctx, &exec);
   ASSERT_TRUE(root.ok()) << root.status().ToString();
   EXPECT_EQ(calls, (std::map<std::string, int>{

@@ -1,9 +1,9 @@
 // PlanVerifier tests (verify/plan_verifier.h): each class of ill-formed
-// plan — dangling column references, misplaced parallel operators, bogus
-// Sort_φ elisions, malformed templates — must fire a precise diagnostic,
-// and every plan the engine actually compiles must verify clean (the
-// corpus sweep at the bottom; the randomized harness in
-// exec_parallel_test.cc sweeps generated patterns the same way).
+// plan — dangling column references, bogus Sort_φ elisions, malformed
+// templates — must fire a precise diagnostic, and every plan the engine
+// actually compiles must verify clean (the corpus sweep at the bottom; the
+// randomized harness in exec_batch_test.cc sweeps generated patterns the
+// same way).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +13,6 @@
 
 #include "engine/engine.h"
 #include "eval/tag_collections.h"
-#include "exec/exchange.h"
 #include "exec/fusion.h"
 #include "exec/physical.h"
 #include "verify/batch_validator.h"
@@ -39,10 +38,10 @@ class PlanVerifierTest : public ::testing::Test {
         Axis::kDescendant, "n_ID", JoinVariant::kInner);
   }
 
-  // Slice `part` of 2 of the names relation, as an exchange worker reads it.
-  PhysicalPtr NamesSlice(size_t part) {
+  // The names relation as a bare fused source.
+  PhysicalPtr NamesScan() {
     FusedPipelineBuilder b;
-    b.SourceRelation(&names_, "Scan_phi(names)", part, /*nparts=*/2);
+    b.SourceRelation(&names_, "Scan_phi(names)");
     return std::move(b.Build()).value();
   }
 
@@ -163,62 +162,26 @@ TEST_F(PlanVerifierTest, TemplateIterationRequiresCollection) {
       << st.ToString();
 }
 
-// --- Physical placement and order soundness ----------------------------------
-
-TEST_F(PlanVerifierTest, BareSlicedSourceIsRejected) {
-  // A sliced source outside an exchange silently drops every other slice's
-  // rows.
-  PhysicalPtr scan = NamesSlice(0);
-  Status st = VerifyPhysicalPlan(*scan);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("outside an exchange"), std::string::npos)
-      << st.ToString();
-  // Inside an exchange the same slices are legal.
-  std::vector<PhysicalPtr> workers;
-  for (size_t part : {size_t{0}, size_t{1}}) {
-    workers.push_back(NamesSlice(part));
-    ASSERT_TRUE(workers.back()->TryAdoptOrder(OrderDescriptor::On("n_ID")));
-  }
-  ExchangeMergePhys merge(std::move(workers));
-  EXPECT_TRUE(VerifyPhysicalPlan(merge).ok());
-}
-
-TEST_F(PlanVerifierTest, MergeAboveUnorderedWorkersIsRejected) {
-  std::vector<PhysicalPtr> workers;
-  workers.push_back(NamesSlice(0));
-  workers.push_back(NamesSlice(1));
-  ExchangeMergePhys merge(std::move(workers));
-  Status st = VerifyPhysicalPlan(merge);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("no merge keys"), std::string::npos)
-      << st.ToString();
-}
+// --- Physical order soundness ------------------------------------------------
 
 TEST_F(PlanVerifierTest, BogusSortElisionObligationIsCaught) {
-  auto make_merge = [&] {
-    std::vector<PhysicalPtr> workers;
-    for (size_t part : {size_t{0}, size_t{1}}) {
-      workers.push_back(NamesSlice(part));
-      EXPECT_TRUE(workers.back()->TryAdoptOrder(OrderDescriptor::On("n_ID")));
-    }
-    return std::make_unique<ExchangeMergePhys>(std::move(workers));
-  };
-  // Ordered workers make the merge legal on its own.
-  auto merge = make_merge();
-  ASSERT_TRUE(VerifyPhysicalPlan(*merge).ok());
+  // The document-ordered scan proves On(n_ID) and is legal on its own.
+  PhysicalPtr scan = NamesScan();
+  ASSERT_TRUE(scan->TryAdoptOrder(OrderDescriptor::On("n_ID")));
+  ASSERT_TRUE(VerifyPhysicalPlan(*scan).ok());
   // An obligation recorded for an elided Sort_φ(n_Val) is not covered by
-  // the merge's On(n_ID) order — eliding that sort was unsound.
+  // the scan's On(n_ID) order — eliding that sort was unsound.
   PhysicalVerifyOptions opts;
-  opts.order_obligations.emplace_back(merge.get(),
+  opts.order_obligations.emplace_back(scan.get(),
                                       OrderDescriptor::On("n_Val"));
-  Status st = VerifyPhysicalPlan(*merge, opts);
+  Status st = VerifyPhysicalPlan(*scan, opts);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("elided"), std::string::npos) << st.ToString();
   // A covered obligation passes.
   PhysicalVerifyOptions ok_opts;
-  ok_opts.order_obligations.emplace_back(merge.get(),
+  ok_opts.order_obligations.emplace_back(scan.get(),
                                          OrderDescriptor::On("n_ID"));
-  EXPECT_TRUE(VerifyPhysicalPlan(*merge, ok_opts).ok());
+  EXPECT_TRUE(VerifyPhysicalPlan(*scan, ok_opts).ok());
 }
 
 // --- Batch validator (dynamic leg) -------------------------------------------

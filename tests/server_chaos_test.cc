@@ -252,7 +252,6 @@ TEST(DegradationLadder, LastSlotOfMultiSlotServerGrantsDegraded) {
   auto t2 = ac.Admit();  // takes the last slot → clamped
   ASSERT_TRUE(t2.ok());
   EXPECT_TRUE(t2->degraded());
-  EXPECT_EQ(t2->thread_budget_clamp(), cfg.degraded_thread_budget);
   EXPECT_EQ(t2->batch_size_clamp(), cfg.degraded_batch_size);
   EXPECT_EQ(ac.stats().degraded, 1);
 }
@@ -631,7 +630,7 @@ TEST(ChaosProxy, ReconnectAndReplayAfterLinkKilledMidSession) {
   policy.overall_deadline_ms = 10'000;
   auto client = QueryClient::Connect("127.0.0.1", ps.port(), policy);
   ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Set("thread_budget", 2).ok());
+  ASSERT_TRUE(client->Set("batch_size", 64).ok());
   ASSERT_TRUE(client->Run(kQuery).ok());
   uint64_t first_session = client->session_id();
 
@@ -667,7 +666,7 @@ TEST(ChaosProxy, ReconnectAndReplayRoundTripsThroughStableEndpoint) {
   policy.overall_deadline_ms = 10'000;
   auto client = QueryClient::Connect("127.0.0.1", server.port(), policy);
   ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Set("thread_budget", 2).ok());
+  ASSERT_TRUE(client->Set("batch_size", 64).ok());
   ASSERT_TRUE(client->Run(kQuery).ok());
   uint64_t session_before = client->session_id();
 

@@ -4,7 +4,7 @@
 // queries, malformed-frame handling over a real socket, and the
 // differential bar — every corpus query answered over the wire must
 // byte-match the in-process Engine::Run answer (or its error code), across
-// both storage backends and thread budgets {1, 4}.
+// both storage backends.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -16,6 +16,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -29,6 +30,8 @@
 #include "server/wire.h"
 #include "storage/storage_models.h"
 #include "workload/dblp.h"
+#include "xquery/interp.h"
+#include "xquery/parser.h"
 
 namespace uload {
 namespace {
@@ -280,18 +283,16 @@ TEST(ServerTest, ExplainOverTheWire) {
 }
 
 TEST(ServerTest, ExplainUsesTheSessionOptions) {
-  // Explain over the wire compiles under the session's thread budget and
-  // batch size, exactly as a kRun on the same session executes: the text
-  // equals the in-process Explain with the same per-call options.
+  // Explain over the wire compiles under the session's batch size, exactly
+  // as a kRun on the same session executes: the text equals the in-process
+  // Explain with the same per-call options.
   std::unique_ptr<Engine> engine = MakeBibEngine();
   QueryServer server(engine.get(), ServerConfig{});
   ASSERT_TRUE(server.Start().ok());
   auto client = QueryClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
-  ASSERT_TRUE(client->Set("thread_budget", 4).ok());
   ASSERT_TRUE(client->Set("batch_size", 7).ok());
   Engine::QueryOptions q;
-  q.thread_budget = 4;
   q.batch_size = 7;
   for (const char* query : kBibQueries) {
     auto wire = client->Explain(query);
@@ -319,11 +320,15 @@ TEST(ServerTest, ErrorStatusesCrossTheWireIntact) {
   EXPECT_EQ(wire.status().code(), local.status().code());
   EXPECT_EQ(wire.status().message(), local.status().message());
 
-  // Session options validate.
+  // Session options validate. Every query runs serially, so thread_budget
+  // is rejected like any other unknown session option.
   EXPECT_EQ(client->Set("no_such_option", 1).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(client->Set("thread_budget", -2).code(),
-            StatusCode::kInvalidArgument);
+  Status unknown = client->Set("thread_budget", -2);
+  EXPECT_EQ(unknown.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(unknown.message().find("unknown session option"),
+            std::string::npos)
+      << unknown.ToString();
 }
 
 TEST(ServerTest, SessionTimeoutGovernsQueries) {
@@ -344,6 +349,29 @@ TEST(ServerTest, SessionTimeoutGovernsQueries) {
   // Clearing the override restores service.
   ASSERT_TRUE(client->Set("timeout_ms", 0).ok());
   EXPECT_TRUE(client->Run(kBibQueries[0]).ok());
+}
+
+std::string DirectResult(const std::string& query, const Document& doc) {
+  auto ast = ParseQuery(query);
+  EXPECT_TRUE(ast.ok()) << ast.status().ToString();
+  auto direct = EvaluateQueryDirect(**ast, doc);
+  EXPECT_TRUE(direct.ok()) << direct.status().ToString();
+  return direct.ok() ? *direct : std::string();
+}
+
+TEST(ServerTest, SessionTimeoutOfInt64MaxDoesNotOverflow) {
+  // now + timeout_ms * 10^6 overflows int64: the deadline must saturate to
+  // one that never trips instead of wrapping into the past.
+  std::unique_ptr<Engine> engine = MakeBibEngine();
+  QueryServer server(engine.get(), ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  auto client = QueryClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(
+      client->Set("timeout_ms", std::numeric_limits<int64_t>::max()).ok());
+  auto r = client->Run(kBibQueries[0]);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(*r, DirectResult(kBibQueries[0], engine->document()));
 }
 
 TEST(ServerTest, AdmissionRejectionOverTheWire) {
@@ -505,6 +533,26 @@ Frame FirstFrame(const std::string& bytes) {
   return f.has_value() ? *f : none;
 }
 
+TEST(ServerTest, RunExBudgetOfInt64MaxDoesNotOverflow) {
+  // DecodeRunExPayload admits any budget up to INT64_MAX; admission's
+  // now + budget_ms * 10^6 must saturate instead of wrapping into the past.
+  // QueryClient keeps its own deadline arithmetic, so the frame goes raw.
+  std::unique_ptr<Engine> engine = MakeBibEngine();
+  QueryServer server(engine.get(), ServerConfig{});
+  ASSERT_TRUE(server.Start().ok());
+  RawConn conn(server.port());
+  ASSERT_TRUE(conn.connected());
+  conn.Send(EncodeFrame(
+      FrameType::kRunEx,
+      EncodeRunExPayload(std::numeric_limits<int64_t>::max(),
+                         /*explain=*/false, kBibQueries[0])));
+  conn.Send(EncodeFrame(FrameType::kGoodbye, ""));
+  Frame f = FirstFrame(conn.DrainToClose());
+  ASSERT_EQ(f.type, FrameType::kResult)
+      << DecodeErrorPayload(f.payload).ToString();
+  EXPECT_EQ(f.payload, DirectResult(kBibQueries[0], engine->document()));
+}
+
 TEST(ServerTest, MalformedBytesGetAWireErrorAndTeardown) {
   std::unique_ptr<Engine> engine = MakeBibEngine();
   QueryServer server(engine.get(), ServerConfig{});
@@ -554,8 +602,8 @@ TEST(ServerTest, MalformedBytesGetAWireErrorAndTeardown) {
 
 // ---------------------------------------------------------------------------
 // Differential bar: wire answers byte-match in-process answers — both
-// backends, thread budgets {1, 4}, every corpus query, including error
-// codes for queries a model cannot answer.
+// backends, every corpus query, including error codes for queries a model
+// cannot answer.
 
 struct DiffCase {
   const char* name;
@@ -585,7 +633,6 @@ TEST(ServerDifferentialTest, WireAnswersByteMatchInProcessAcrossBackends) {
   const Engine::Options::Backend kBackends[] = {
       Engine::Options::Backend::kPointer,
       Engine::Options::Backend::kColumnar};
-  const size_t kThreadBudgets[] = {1, 4};
   for (const DiffCase& c : DifferentialCorpus()) {
     for (auto backend : kBackends) {
       Engine::Options o;
@@ -595,28 +642,21 @@ TEST(ServerDifferentialTest, WireAnswersByteMatchInProcessAcrossBackends) {
       ASSERT_TRUE(st.ok()) << st.ToString();
       QueryServer server(&engine, ServerConfig{});
       ASSERT_TRUE(server.Start().ok());
-      for (size_t threads : kThreadBudgets) {
-        auto client = QueryClient::Connect("127.0.0.1", server.port());
-        ASSERT_TRUE(client.ok()) << client.status().ToString();
-        ASSERT_TRUE(
-            client->Set("thread_budget", static_cast<int64_t>(threads)).ok());
-        for (const std::string& q : c.queries) {
-          std::string where = std::string(c.name) + " backend=" +
-                              (backend == Engine::Options::Backend::kPointer
-                                   ? "pointer"
-                                   : "columnar") +
-                              " threads=" + std::to_string(threads) +
-                              " query: " + q;
-          Engine::QueryOptions qo;
-          qo.thread_budget = threads;
-          auto local = engine.Run(q, qo);
-          auto wire = client->Run(q);
-          ASSERT_EQ(local.ok(), wire.ok()) << where;
-          if (local.ok()) {
-            EXPECT_EQ(*wire, *local) << where;
-          } else {
-            EXPECT_EQ(wire.status().code(), local.status().code()) << where;
-          }
+      auto client = QueryClient::Connect("127.0.0.1", server.port());
+      ASSERT_TRUE(client.ok()) << client.status().ToString();
+      for (const std::string& q : c.queries) {
+        std::string where = std::string(c.name) + " backend=" +
+                            (backend == Engine::Options::Backend::kPointer
+                                 ? "pointer"
+                                 : "columnar") +
+                            " query: " + q;
+        auto local = engine.Run(q);
+        auto wire = client->Run(q);
+        ASSERT_EQ(local.ok(), wire.ok()) << where;
+        if (local.ok()) {
+          EXPECT_EQ(*wire, *local) << where;
+        } else {
+          EXPECT_EQ(wire.status().code(), local.status().code()) << where;
         }
       }
       server.Stop();
