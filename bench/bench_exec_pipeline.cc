@@ -29,8 +29,10 @@ struct Pipeline {
     people = TagCollection(doc, "person", {"p", false, false, false});
     names = TagCollection(doc, "name", {"n", false, true, false});
     emails = TagCollection(doc, "emailaddress", {"e", false, true, false});
-    ctx.relations = {
-        {"people", &people}, {"names", &names}, {"emails", &emails}};
+    // Tag collections are built in document order; the binder says so.
+    ctx.relations = {{"people", {&people, OrderDescriptor::On("p_ID")}},
+                     {"names", {&names, OrderDescriptor::On("n_ID")}},
+                     {"emails", {&emails, OrderDescriptor::On("e_ID")}}};
     ctx.document = &doc;
     // Two piped structural joins: person parent-of name, then the pairs
     // joined against emailaddress. The outer join's left input arrives

@@ -101,7 +101,9 @@ struct PlanFixture {
   explicit PlanFixture(double scale) : doc(bench::SharedXMark(scale).doc) {
     people = TagCollection(doc, "person", {"p", false, false, false});
     names = TagCollection(doc, "name", {"n", false, true, false});
-    ctx.relations = {{"people", &people}, {"names", &names}};
+    // Tag collections are built in document order; the binder says so.
+    ctx.relations = {{"people", {&people, OrderDescriptor::On("p_ID")}},
+                     {"names", {&names, OrderDescriptor::On("n_ID")}}};
     ctx.document = &doc;
     plan = LogicalPlan::StructuralJoin(LogicalPlan::Scan("people"),
                                        LogicalPlan::Scan("names"), "p_ID",

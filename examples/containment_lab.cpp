@@ -8,6 +8,7 @@
 #include "containment/minimize.h"
 #include "workload/xmark.h"
 #include "xam/xam_parser.h"
+#include "xam/xam_printer.h"
 
 namespace {
 
@@ -85,7 +86,7 @@ int main() {
   if (minima.ok() && !minima->empty()) {
     std::printf("\n%d-node pattern minimizes to %d nodes:\n%s",
                 verbose.size(), (*minima)[0].size(),
-                (*minima)[0].ToString().c_str());
+                PrintXam((*minima)[0]).c_str());
   }
   return ok ? 0 : 1;
 }

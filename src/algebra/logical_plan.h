@@ -110,7 +110,7 @@ class LogicalPlan {
   static PlanPtr Retype(PlanPtr input, SchemaPtr schema);
   // Sort_φ enforcer: orders the stream by the given top-level atomic
   // attributes (ascending, in key order). The physical compiler elides it
-  // when the input stream can prove the order already holds.
+  // when the input stream's order already covers the keys.
   static PlanPtr SortOp(PlanPtr input, std::vector<std::string> keys);
   // The unit relation: no attributes, exactly one (empty) tuple. Constant
   // queries (no data access) run their template over it.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <limits>
 
 namespace uload {
 namespace {
@@ -27,7 +28,12 @@ uint64_t XorShift(uint64_t* s) {
 RetryState::RetryState(const RetryPolicy& policy, uint64_t seed)
     : policy_(policy), rng_(seed) {
   if (policy_.overall_deadline_ms > 0) {
-    deadline_ms_ = NowMs() + policy_.overall_deadline_ms;
+    // Saturates: a budget past the clock's range never expires.
+    constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+    const int64_t now = NowMs();
+    deadline_ms_ = policy_.overall_deadline_ms > kMax - now
+                       ? kMax
+                       : now + policy_.overall_deadline_ms;
   }
 }
 

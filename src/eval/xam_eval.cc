@@ -29,6 +29,17 @@ bool SatisfiesFormula(const ValueFormula& formula, const AtomicValue& v) {
          formula.SatisfiedBy(AtomicValue::Number(d));
 }
 
+// The nodes whose ids make up the top level of the subtree at `id`, in
+// schema order (semijoined and nested subtrees add no top-level rows). The
+// extent is sorted over them lexicographically, so they define both
+// EvaluateXam's sorts and the extent's declared order (ExtentOrder).
+void TopLevelNodes(const Xam& xam, XamNodeId id, std::vector<XamNodeId>* out) {
+  if (id != kXamRoot) out->push_back(id);
+  for (const XamEdge& e : xam.node(id).edges) {
+    if (!e.semi() && !e.nested()) TopLevelNodes(xam, e.child, out);
+  }
+}
+
 // [[χ]]_d as one logical plan run by the streaming engine (Def. 2.2.4): a
 // scan of each node's base collection, one structural join per edge with
 // that edge's variant, a product under ⊤, and the projection Π_χ. Joins
@@ -53,10 +64,13 @@ class XamPlanner {
     return n.name + (StoresDewey(n) ? "_SID" : "_ID");
   }
 
-  // Binds `rel` as the base relation `name` and returns its scan.
-  PlanPtr Bind(const std::string& name, NestedRelation rel) {
+  // Binds `rel`, which is in document order on `order_attr`, as the base
+  // relation `name` and returns its scan.
+  PlanPtr Bind(const std::string& name, NestedRelation rel,
+               const std::string& order_attr) {
     bases_.push_back(std::make_unique<NestedRelation>(std::move(rel)));
-    ctx_.relations[name] = bases_.back().get();
+    ctx_.relations[name] = {bases_.back().get(),
+                            OrderDescriptor::On(order_attr)};
     return LogicalPlan::Scan(name);
   }
 
@@ -74,7 +88,9 @@ class XamPlanner {
                   doc_, n.tag_value.empty() ? "" : n.tag_value.substr(1), opts)
             : TagCollection(doc_, n.tag_value, opts);
     const bool dewey = StoresDewey(n);
-    if (!filter && !root_only && !dewey) return Bind(n.name, std::move(base));
+    if (!filter && !root_only && !dewey) {
+      return Bind(n.name, std::move(base), JoinColumn(id));
+    }
     // A Val fetched only for the formula is not part of the collection.
     const int val = base.schema().IndexOf(n.name + "_Val");
     const int drop = n.stores_val ? -1 : val;
@@ -99,7 +115,7 @@ class XamPlanner {
       }
       out.Add(std::move(t));
     }
-    return Bind(n.name, std::move(out));
+    return Bind(n.name, std::move(out), JoinColumn(id));
   }
 
   // The subtree rooted at `id` (not ⊤): its base joined with each child
@@ -118,22 +134,12 @@ class XamPlanner {
     return cur;
   }
 
-  // The nodes whose ids make up the top level of the subtree at `id`, in
-  // schema order (semijoined and nested subtrees add no
-  // top-level rows).
-  void TopLevelNodes(XamNodeId id, std::vector<XamNodeId>* out) const {
-    if (id != kXamRoot) out->push_back(id);
-    for (const XamEdge& e : xam_.node(id).edges) {
-      if (!e.semi() && !e.nested()) TopLevelNodes(e.child, out);
-    }
-  }
-
   // Document order, lexicographically over the top-level nodes: the order
   // of a nested-loop join tree over document-ordered base collections. The
-  // compiler drops the sort where the stream already proves it.
+  // compiler drops the sort where the stream's order already covers it.
   PlanPtr Ordered(PlanPtr plan, XamNodeId id) const {
     std::vector<XamNodeId> nodes;
-    TopLevelNodes(id, &nodes);
+    TopLevelNodes(xam_, id, &nodes);
     std::vector<std::string> keys;
     for (XamNodeId n : nodes) keys.push_back(JoinColumn(n));
     return LogicalPlan::SortOp(std::move(plan), std::move(keys));
@@ -150,7 +156,7 @@ class XamPlanner {
         AtomicValue::Sid(doc_.sid(doc_.document_node())));
     NestedRelation top_rel(Schema::Make({Attribute::Atomic(top_id)}));
     top_rel.Add(std::move(doc_node));
-    const PlanPtr top_scan = Bind(top.name, std::move(top_rel));
+    const PlanPtr top_scan = Bind(top.name, std::move(top_rel), top_id);
     PlanPtr cur;
     for (const XamEdge& e : top.edges) {
       PlanPtr sub = Subtree(e.child, /*root_only=*/e.axis == Axis::kChild);
@@ -178,7 +184,7 @@ class XamPlanner {
       paths.push_back(xam_.AttrPath(a.node, a.suffix));
     }
     std::vector<XamNodeId> top_level;
-    TopLevelNodes(kXamRoot, &top_level);
+    TopLevelNodes(xam_, kXamRoot, &top_level);
     bool dedup = false;
     for (XamNodeId n : top_level) dedup |= !xam_.node(n).stores_id;
     bool identity = !dedup && schema.size() == static_cast<int>(paths.size());
@@ -227,6 +233,17 @@ Result<NestedRelation> EvaluateXam(const Xam& xam, const DocumentStore& doc) {
   // slack.
   out.mutable_tuples().shrink_to_fit();
   return out;
+}
+
+OrderDescriptor ExtentOrder(const Xam& xam) {
+  std::vector<XamNodeId> nodes;
+  TopLevelNodes(xam, kXamRoot, &nodes);
+  std::vector<OrderKey> keys;
+  for (XamNodeId n : nodes) {
+    if (!xam.node(n).stores_id) break;
+    keys.push_back(OrderKey{xam.AttrPath(n, "_ID"), true});
+  }
+  return OrderDescriptor(std::move(keys));
 }
 
 namespace {

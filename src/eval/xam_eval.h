@@ -14,6 +14,7 @@
 
 #include "algebra/relation.h"
 #include "common/status.h"
+#include "exec/order_descriptor.h"
 #include "xam/xam.h"
 #include "xml/document_store.h"
 
@@ -25,6 +26,14 @@ namespace uload {
 // document order, lexicographically over the nodes that make up the top
 // level, whether or not the XAM is ordered.
 Result<NestedRelation> EvaluateXam(const Xam& xam, const DocumentStore& doc);
+
+// The order EvaluateXam's extent is in, read off the definition alone: the
+// <n>_ID columns of the leading top-level nodes that store an identifier,
+// stopping at the first that stores none. Every identifier kind is
+// materialized in document order (MakeNodeId), and EvaluateXam sorts by the
+// same top-level nodes, so this is the order every view over `xam` declares,
+// stored or virtual (MaterializedView::order()).
+OrderDescriptor ExtentOrder(const Xam& xam);
 
 // Def. 2.2.6: the semantics of an access-restricted XAM given bindings.
 // `bindings`' schema must use the same attribute names as the view schema,

@@ -13,26 +13,41 @@
 
 #include "algebra/relation.h"
 #include "common/status.h"
+#include "exec/order_descriptor.h"
 #include "xml/document_store.h"
 
 namespace uload {
 
 class MaterializedView;  // storage/store.h
 
+// A base relation and the order its binder declares it is stored in (empty
+// = no order). The physical compiler trusts the declaration: it never reads
+// the data to discover an order, and the debug-build batch validator
+// (verify/batch_validator.h) checks the stream against it.
+struct BoundRelation {
+  BoundRelation() = default;
+  BoundRelation(const NestedRelation* d, OrderDescriptor o = {})
+      : data(d), order(std::move(o)) {}
+  const NestedRelation* data = nullptr;
+  OrderDescriptor order;
+};
+
 // Result of a streaming index binding: the view's backing relation plus the
-// row indices matching the bindings, in the relation's storage (document)
-// order. The physical engine streams batches straight out of `data` by row
-// index — no result relation is materialized.
+// row indices matching the bindings, in the relation's storage order, and
+// the view's declared order, which the selected rows inherit. The physical
+// engine streams batches straight out of `data` by row index — no result
+// relation is materialized.
 struct IndexBinding {
   const NestedRelation* data = nullptr;
   std::vector<int64_t> rows;
+  OrderDescriptor order;
 };
 
 struct EvalContext {
-  // Named base relations (materialized views / storage structures). Views
-  // that run as virtual column-backed extents (storage/store.h) are NOT in
-  // this map — resolve through `views` first.
-  std::unordered_map<std::string, const NestedRelation*> relations;
+  // Named base relations (materialized views / storage structures) with
+  // their declared orders. Views that run as virtual column-backed extents
+  // (storage/store.h) are NOT in this map — resolve through `views` first.
+  std::unordered_map<std::string, BoundRelation> relations;
 
   // Every catalog view by name (materialized or virtual). The physical
   // compiler routes qualifying scans straight to the columnar store through

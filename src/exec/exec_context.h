@@ -31,14 +31,14 @@
 
 namespace uload {
 
-// Compile-time default for the debug-mode batch validator
-// (verify/batch_validator.h). The CMake option ULOAD_VALIDATE_BATCHES turns
-// it on for every non-Release build, so all test configurations run with
-// runtime schema cross-checking; Release serving builds leave it off.
+// Whether the debug-mode batch validator (verify/batch_validator.h) is
+// compiled in. The CMake option ULOAD_VALIDATE_BATCHES turns it on for every
+// non-Release build, so all test configurations run with runtime schema and
+// order cross-checking; Release serving builds leave it out.
 #ifdef ULOAD_VALIDATE_BATCHES
-inline constexpr bool kValidateBatchesDefault = true;
+inline constexpr bool kValidateBatches = true;
 #else
-inline constexpr bool kValidateBatchesDefault = false;
+inline constexpr bool kValidateBatches = false;
 #endif
 
 struct OperatorMetrics {
@@ -109,14 +109,6 @@ class ExecContext {
   bool verify_plans() const { return verify_plans_; }
   void set_verify_plans(bool v) { verify_plans_ = v; }
 
-  // Debug-mode batch validation (verify/batch_validator.h): every batch an
-  // operator produces is cross-checked against its statically inferred
-  // schema. Defaults to the build's compile-time default (on in non-Release
-  // builds, see kValidateBatchesDefault); operators adopt the value at
-  // Bind().
-  bool validate_batches() const { return validate_batches_; }
-  void set_validate_batches(bool v) { validate_batches_ = v; }
-
   // Inert: the compiler always fuses (exec/fusion.h is the one
   // implementation of sources and unary operators). Kept only because the
   // benchmark's replay of Engine::Run (perfbench/trace.cc) still calls it.
@@ -179,7 +171,6 @@ class ExecContext {
  private:
   size_t batch_size_;
   bool verify_plans_ = true;
-  bool validate_batches_ = kValidateBatchesDefault;
   std::shared_ptr<QueryControl> control_ = std::make_shared<QueryControl>();
   MemoryTracker* memory_tracker_ = nullptr;
   FaultSpec fault_;

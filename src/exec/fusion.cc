@@ -167,22 +167,10 @@ OrderDescriptor FusedPipelinePhys::PropagateStepOrder(
     case StepKind::kSelect:
     case StepKind::kDeriveParent:
       return in;
-    case StepKind::kProject: {
-      std::vector<OrderKey> kept;
-      for (const OrderKey& k : in.keys()) {
-        if (!ResolveAttrPath(**s.out_schema, k.attr).ok()) break;
-        kept.push_back(k);
-      }
-      return OrderDescriptor(std::move(kept));
-    }
-    case StepKind::kNavigate: {
-      std::vector<OrderKey> kept;
-      for (const OrderKey& k : in.keys()) {
-        if (!ResolveAttrPath(**s.in_schema, k.attr).ok()) break;
-        kept.push_back(k);
-      }
-      return OrderDescriptor(std::move(kept));
-    }
+    case StepKind::kProject:
+      return OrderPrefixOver(in, **s.out_schema);
+    case StepKind::kNavigate:
+      return OrderPrefixOver(in, **s.in_schema);
     case StepKind::kRename: {
       std::vector<OrderKey> kept;
       for (const OrderKey& k : in.keys()) {
@@ -204,53 +192,6 @@ OrderDescriptor FusedPipelinePhys::PropagateStepOrder(
   return OrderDescriptor();
 }
 
-bool FusedPipelinePhys::TranslateOrderBack(const Step& s,
-                                           const OrderDescriptor& out,
-                                           OrderDescriptor* in) {
-  switch (s.kind) {
-    case StepKind::kSelect:
-      *in = out;
-      return true;
-    case StepKind::kProject:
-      for (const OrderKey& k : out.keys()) {
-        if (!ResolveAttrPath(*s.out_schema, k.attr).ok()) return false;
-      }
-      *in = out;
-      return true;
-    case StepKind::kNavigate:
-    case StepKind::kDeriveParent:
-      // Appended columns have no counterpart below the step.
-      for (const OrderKey& k : out.keys()) {
-        if (!ResolveAttrPath(*s.in_schema, k.attr).ok()) return false;
-      }
-      *in = out;
-      return true;
-    case StepKind::kRename: {
-      std::vector<OrderKey> translated;
-      for (const OrderKey& k : out.keys()) {
-        if (k.attr.find('.') != std::string::npos) return false;
-        if (k.attr.compare(0, s.prefix.size(), s.prefix) != 0) return false;
-        translated.push_back(
-            OrderKey{k.attr.substr(s.prefix.size()), k.ascending});
-      }
-      *in = OrderDescriptor(std::move(translated));
-      return true;
-    }
-    case StepKind::kRetype: {
-      std::vector<OrderKey> translated;
-      for (const OrderKey& k : out.keys()) {
-        int idx = s.out_schema->IndexOf(k.attr);
-        if (idx < 0 || s.out_schema->attr(idx).is_collection) return false;
-        translated.push_back(
-            OrderKey{s.in_schema->attr(idx).name, k.ascending});
-      }
-      *in = OrderDescriptor(std::move(translated));
-      return true;
-    }
-  }
-  return false;
-}
-
 void FusedPipelinePhys::RecomputeOrders() {
   OrderDescriptor cur = source_order();
   for (size_t i = 0; i < steps_.size(); ++i) {
@@ -259,57 +200,6 @@ void FusedPipelinePhys::RecomputeOrders() {
     steps_[i].out_order = cur;
   }
   order_ = cur;
-}
-
-bool FusedPipelinePhys::TryAdoptOrder(const OrderDescriptor& order) {
-  // Translate the request backward through the chain, then ask the source
-  // to prove the translated order.
-  std::vector<OrderDescriptor> want(steps_.size() + 1);
-  want[steps_.size()] = order;
-  for (size_t i = steps_.size(); i-- > 0;) {
-    if (!TranslateOrderBack(steps_[i], want[i + 1], &want[i])) return false;
-  }
-  switch (src_kind_) {
-    case SourceKind::kRelation: {
-      Result<bool> sorted = IsSortedBy(want[0], *src_rel_);
-      if (!sorted.ok() || !*sorted) return false;
-      src_order_ = want[0];
-      break;
-    }
-    case SourceKind::kRows: {
-      // The selected rows are a subsequence of the stored relation;
-      // sortedness is checked over exactly those rows (same per-key
-      // contract as IsSortedBy: every key independently non-decreasing).
-      for (const OrderKey& k : want[0].keys()) {
-        int idx = src_rel_->schema().IndexOf(k.attr);
-        if (idx < 0 || src_rel_->schema().attr(idx).is_collection) {
-          return false;
-        }
-        for (size_t i = 1; i < src_rows_.size(); ++i) {
-          const AtomicValue& prev =
-              src_rel_->tuple(src_rows_[i - 1]).fields[idx].atom();
-          const AtomicValue& cur =
-              src_rel_->tuple(src_rows_[i]).fields[idx].atom();
-          int c = AtomicValue::Compare(prev, cur);
-          if (k.ascending ? c > 0 : c < 0) return false;
-        }
-      }
-      src_order_ = want[0];
-      break;
-    }
-    case SourceKind::kColumnar:
-      if (!src_reader_->Satisfies(want[0])) return false;
-      src_order_ = want[0];
-      break;
-    case SourceKind::kOperator:
-      if (!src_op_->TryAdoptOrder(want[0])) return false;
-      break;
-  }
-  // Forward propagation of the adopted source order reproduces the request
-  // exactly (every backward rule is the inverse of the forward rule), so the
-  // advertised order and every recorded boundary stay mutually consistent.
-  RecomputeOrders();
-  return true;
 }
 
 OrderDescriptor FusedPipelinePhys::ProvableOrder() const {
@@ -652,36 +542,41 @@ void FusedPipelineBuilder::KeepRelationColumns(const NestedRelation* rel,
   op_->src_schema_ = Schema::Make(std::move(attrs));
 }
 
-void FusedPipelineBuilder::SourceRelation(const NestedRelation* rel,
-                                          std::string label, KeptColumns keep) {
-  op_->src_kind_ = FusedPipelinePhys::SourceKind::kRelation;
-  KeepRelationColumns(rel, std::move(keep));
-  op_->src_end_ = rel->size();
+void FusedPipelineBuilder::InlineSource(FusedPipelinePhys::SourceKind kind,
+                                        std::string label,
+                                        const OrderDescriptor& order) {
+  op_->src_kind_ = kind;
   op_->src_label_ = std::move(label);
   op_->src_member_.label = op_->src_label_;
+  op_->src_order_ = OrderPrefixOver(order, *op_->src_schema_);
   has_source_ = true;
+}
+
+void FusedPipelineBuilder::SourceRelation(const NestedRelation* rel,
+                                          std::string label, KeptColumns keep,
+                                          const OrderDescriptor& order) {
+  KeepRelationColumns(rel, std::move(keep));
+  op_->src_end_ = rel->size();
+  InlineSource(FusedPipelinePhys::SourceKind::kRelation, std::move(label),
+               order);
 }
 
 void FusedPipelineBuilder::SourceRows(const NestedRelation* data,
                                       std::vector<int64_t> rows,
-                                      std::string label, KeptColumns keep) {
-  op_->src_kind_ = FusedPipelinePhys::SourceKind::kRows;
+                                      std::string label, KeptColumns keep,
+                                      const OrderDescriptor& order) {
   KeepRelationColumns(data, std::move(keep));
   op_->src_rows_ = std::move(rows);
   op_->src_end_ = static_cast<int64_t>(op_->src_rows_.size());
-  op_->src_label_ = std::move(label);
-  op_->src_member_.label = op_->src_label_;
-  has_source_ = true;
+  InlineSource(FusedPipelinePhys::SourceKind::kRows, std::move(label), order);
 }
 
 void FusedPipelineBuilder::SourceColumnar(const MaterializedView* view,
                                           std::string label, KeptColumns keep) {
-  op_->src_kind_ = FusedPipelinePhys::SourceKind::kColumnar;
   op_->src_reader_ = std::make_unique<ColumnarRowReader>(view, keep);
-  op_->src_label_ = std::move(label);
-  op_->src_member_.label = op_->src_label_;
   op_->src_schema_ = op_->src_reader_->schema();
-  has_source_ = true;
+  InlineSource(FusedPipelinePhys::SourceKind::kColumnar, std::move(label),
+               view->order());
 }
 
 void FusedPipelineBuilder::SourceOperator(PhysicalPtr op) {

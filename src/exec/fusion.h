@@ -24,9 +24,12 @@
 // Contract with the rest of the engine:
 //  - Schemas/orders: the fused operator advertises the chain's *composed*
 //    output schema and order descriptor, and records every member boundary
-//    (schema + order at that point) as a checkable obligation. The static
-//    plan verifier (verify/plan_verifier.cc) re-derives each step's output
-//    schema from its input schema and re-propagates the order descriptors.
+//    (schema + order at that point) as a checkable obligation. Orders flow
+//    forward only: an inline source advertises its binder's declared order
+//    (restricted to the kept columns) and each step propagates it. The
+//    static plan verifier (verify/plan_verifier.cc) re-derives each step's
+//    output schema from its input schema and re-propagates the order
+//    descriptors.
 //  - Metrics: each chain member keeps its own counter slot in the
 //    ExecContext (registered at Bind with the member's label), and the fused
 //    loop attributes tuples flowing *out of* each step to that slot —
@@ -128,7 +131,6 @@ class FusedPipelinePhys final : public PhysicalOperator {
   std::string label() const override;
   std::vector<PhysicalOperator*> children() const override;
   PhysOpKind kind() const override { return PhysOpKind::kFusedPipeline; }
-  bool TryAdoptOrder(const OrderDescriptor& order) override;
   OrderDescriptor ProvableOrder() const override;
   std::string Describe(int indent = 0) const override;
   std::string DescribeAnalyze(int indent = 0) const override;
@@ -209,10 +211,7 @@ class FusedPipelinePhys final : public PhysicalOperator {
   const Tuple* PeekSourceTuple() const;
   // The kept columns of a relation-resident tuple, as the pipeline sees it.
   Tuple CopySourceRow(const Tuple& stored) const;
-  // Backward order translation across step `s` (the adoption direction).
-  static bool TranslateOrderBack(const Step& s, const OrderDescriptor& out,
-                                 OrderDescriptor* in);
-  // Re-derives every boundary order (and the advertised order) forward from
+  // Derives every boundary order (and the advertised order) forward from
   // the source order.
   void RecomputeOrders();
   // Sets prefilter_step_ and prefilter_schema_ for the finished chain.
@@ -226,7 +225,7 @@ class FusedPipelinePhys final : public PhysicalOperator {
   SourceKind src_kind_ = SourceKind::kOperator;
   std::string src_label_;
   SchemaPtr src_schema_;
-  OrderDescriptor src_order_;  // inline sources only; kOperator asks the op
+  OrderDescriptor src_order_;  // inline sources: declared; kOperator asks op
   Member src_member_;          // inline sources only
   const NestedRelation* src_rel_ = nullptr;    // kRelation / kRows
   std::vector<int64_t> src_rows_;              // kRows
@@ -269,11 +268,16 @@ class FusedPipelineBuilder {
   ~FusedPipelineBuilder();
 
   // Exactly one source, set before any step. An inline source copies only
-  // the `keep` columns.
+  // the `keep` columns and advertises the longest prefix of its declared
+  // `order` over them: a relation's or row set's order is its binder's
+  // declaration, a columnar view's is MaterializedView::order(). An
+  // operator source advertises its own order().
   void SourceRelation(const NestedRelation* rel, std::string label,
-                      KeptColumns keep = std::nullopt);
+                      KeptColumns keep = std::nullopt,
+                      const OrderDescriptor& order = {});
   void SourceRows(const NestedRelation* data, std::vector<int64_t> rows,
-                  std::string label, KeptColumns keep = std::nullopt);
+                  std::string label, KeptColumns keep = std::nullopt,
+                  const OrderDescriptor& order = {});
   void SourceColumnar(const MaterializedView* view, std::string label,
                       KeptColumns keep = std::nullopt);
   void SourceOperator(PhysicalPtr op);
@@ -296,6 +300,9 @@ class FusedPipelineBuilder {
   const SchemaPtr& current_schema() const;
   // Installs a relation-backed source's schema and kept columns.
   void KeepRelationColumns(const NestedRelation* rel, KeptColumns keep);
+  // Completes an inline source whose schema is installed.
+  void InlineSource(FusedPipelinePhys::SourceKind kind, std::string label,
+                    const OrderDescriptor& order);
 
   std::unique_ptr<FusedPipelinePhys> op_;
   bool has_source_ = false;

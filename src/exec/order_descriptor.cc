@@ -49,33 +49,6 @@ Status SortLevel(const Schema& schema, const AttrPath& path, size_t depth,
   return Status::Ok();
 }
 
-Result<bool> CheckLevel(const Schema& schema, const AttrPath& path,
-                        size_t depth, bool ascending,
-                        const TupleList& tuples) {
-  const Attribute& attr = schema.attr(path[depth]);
-  if (depth + 1 == path.size()) {
-    for (size_t i = 1; i < tuples.size(); ++i) {
-      int c = AtomicValue::Compare(tuples[i - 1].fields[path[depth]].atom(),
-                                   tuples[i].fields[path[depth]].atom());
-      if (ascending ? c > 0 : c < 0) return false;
-    }
-    return true;
-  }
-  if (!attr.is_collection) {
-    return Status::TypeError("order path crosses atomic attribute '" +
-                             attr.name + "'");
-  }
-  for (const Tuple& t : tuples) {
-    const Field& f = t.fields[path[depth]];
-    if (!f.is_collection()) continue;
-    ULOAD_ASSIGN_OR_RETURN(
-        bool ok, CheckLevel(*attr.nested, path, depth + 1, ascending,
-                            f.collection()));
-    if (!ok) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 Status SortBy(const OrderDescriptor& order, NestedRelation* rel) {
@@ -101,17 +74,14 @@ bool OrderCovers(const OrderDescriptor& actual,
   return true;
 }
 
-Result<bool> IsSortedBy(const OrderDescriptor& order,
-                        const NestedRelation& rel) {
-  for (const OrderKey& key : order.keys()) {
-    ULOAD_ASSIGN_OR_RETURN(AttrPath path,
-                           ResolveAttrPath(rel.schema(), key.attr));
-    ULOAD_ASSIGN_OR_RETURN(
-        bool ok,
-        CheckLevel(rel.schema(), path, 0, key.ascending, rel.tuples()));
-    if (!ok) return false;
+OrderDescriptor OrderPrefixOver(const OrderDescriptor& order,
+                                const Schema& schema) {
+  std::vector<OrderKey> kept;
+  for (const OrderKey& k : order.keys()) {
+    if (!ResolveAttrPath(schema, k.attr).ok()) break;
+    kept.push_back(k);
   }
-  return true;
+  return OrderDescriptor(std::move(kept));
 }
 
 }  // namespace uload

@@ -1,8 +1,14 @@
 // Order descriptors (thesis §1.2.3): which attribute(s) an operator's output
 // is sorted on, possibly inside nested collections (e.g. ⇃A2.A21⇂).
-// Structural join operators require document-order inputs; Sort_φ uses
-// SortBy to establish the required order, and scans use IsSortedBy to prove
-// that their stored order already holds.
+//
+// The one order rule: orders flow forward. A leaf advertises the order its
+// binder declares — a catalog view its definition's extent order
+// (MaterializedView::order()), an index scan its view's, a bare relation
+// what EvalContext::relations says — and never reads data to discover one.
+// Each operator derives its output order from its inputs'. Structural joins
+// require document-order inputs; the compiler elides a Sort_φ exactly when
+// OrderCovers(input order, required) holds and otherwise establishes the
+// order with SortBy.
 #ifndef ULOAD_EXEC_ORDER_DESCRIPTOR_H_
 #define ULOAD_EXEC_ORDER_DESCRIPTOR_H_
 
@@ -44,15 +50,15 @@ class OrderDescriptor {
 // Sort_φ enforcers and by the plan verifier to check order soundness.
 bool OrderCovers(const OrderDescriptor& actual, const OrderDescriptor& required);
 
+// The longest prefix of `order` whose keys resolve in `schema`: what of a
+// stream's order survives when only `schema`'s columns are kept.
+OrderDescriptor OrderPrefixOver(const OrderDescriptor& order,
+                                const Schema& schema);
+
 // Stable-sorts `rel`'s top-level tuples by the descriptor's keys. Keys whose
 // path crosses a collection sort the *nested* collections in place (the
 // ⇃A2.A21⇂ form). Null atoms order first.
 Status SortBy(const OrderDescriptor& order, NestedRelation* rel);
-
-// True if `rel` is already sorted per `order` (top-level keys only must be
-// non-nested; nested keys check each nested collection).
-Result<bool> IsSortedBy(const OrderDescriptor& order,
-                        const NestedRelation& rel);
 
 }  // namespace uload
 

@@ -26,6 +26,7 @@ int64_t NowNs() {
 // --- PhysicalOperator template methods --------------------------------------
 
 Status PhysicalOperator::Open() {
+  order_tail_.clear();
   adapter_batch_.reset();
   adapter_pos_ = 0;
   adapter_done_ = false;
@@ -75,8 +76,9 @@ Result<std::optional<TupleBatch>> PhysicalOperator::NextBatch() {
         metrics_->peak_bytes = held_bytes_ + bytes;
       }
     }
-    if (validate_batches_) {
+    if constexpr (kValidateBatches) {
       Status s = ValidateBatch(*schema(), **r);
+      if (s.ok()) s = ValidateBatchOrder(order(), **r, &order_tail_);
       if (!s.ok()) {
         return Status::Internal("batch validation failed in " + label() +
                                 ": " + s.message());
@@ -170,7 +172,6 @@ std::string PhysicalOperator::DescribeAnalyze(int indent) const {
 
 void PhysicalOperator::Bind(ExecContext* ctx) {
   batch_size_ = ctx->batch_size();
-  validate_batches_ = ctx->validate_batches();
   // Registration ordinal doubles as the fault-point address: stable across
   // runs of the same plan, enumerable by sweeping [0, metric_count()).
   metrics_ = ctx->Register(label(), &op_ordinal_);
@@ -647,23 +648,7 @@ class ValueJoinPhys : public PhysBase {
   // The probe side streams in order, so the left input's order survives for
   // the longest key prefix over surviving left attributes.
   OrderDescriptor ProvableOrder() const override {
-    std::vector<OrderKey> kept;
-    for (const OrderKey& k : left_->order().keys()) {
-      if (!ResolveAttrPath(*left_->schema(), k.attr).ok()) break;
-      kept.push_back(k);
-    }
-    return OrderDescriptor(std::move(kept));
-  }
-  // The probe side streams in order and each left tuple's matches are
-  // emitted consecutively, so the left input's order survives for keys over
-  // left attributes.
-  bool TryAdoptOrder(const OrderDescriptor& order) override {
-    for (const OrderKey& k : order.keys()) {
-      if (!ResolveAttrPath(*left_->schema(), k.attr).ok()) return false;
-    }
-    if (!left_->TryAdoptOrder(order)) return false;
-    order_ = order;
-    return true;
+    return OrderPrefixOver(left_->order(), *left_->schema());
   }
 
  protected:
@@ -1002,20 +987,17 @@ class Compiler {
   }
 
  private:
-  // Wraps `input` in Sort_φ unless the stream is already ordered on `attr`
-  // or the operator can prove (TryAdoptOrder) that it is — scans over
-  // document-ordered relations satisfy structural-join requirements without
-  // an enforcer. Every elision is recorded as an obligation the plan
-  // verifier re-checks against the finished tree.
-  PhysicalPtr EnsureOrder(PhysicalPtr input, const std::string& attr) {
-    OrderDescriptor required = OrderDescriptor::On(attr);
-    if ((!input->order().empty() && input->order().keys()[0].attr == attr) ||
-        input->TryAdoptOrder(required)) {
+  // The one Sort_φ elision rule: `input` is returned as is when its
+  // advertised order covers `required` — scans over document-ordered
+  // extents satisfy structural-join requirements without an enforcer — and
+  // is wrapped in Sort_φ otherwise. Every elision is recorded as an
+  // obligation the plan verifier re-checks against the finished tree.
+  PhysicalPtr EnsureOrder(PhysicalPtr input, OrderDescriptor required) {
+    if (OrderCovers(input->order(), required)) {
       obligations_.emplace_back(input.get(), std::move(required));
       return input;
     }
-    return std::make_unique<SortPhys>(std::move(input),
-                                      OrderDescriptor::On(attr));
+    return std::make_unique<SortPhys>(std::move(input), std::move(required));
   }
 
   // Positions of a structural join's attributes in its compiled inputs;
@@ -1122,8 +1104,9 @@ class Compiler {
                             "ColumnarScan_phi(" + p.relation() + ")",
                             live.Keep(*vit->second->schema()));
         } else {
-          b->SourceRelation(it->second, "Scan_phi(" + p.relation() + ")",
-                            live.Keep(it->second->schema()));
+          const BoundRelation& rel = it->second;
+          b->SourceRelation(rel.data, "Scan_phi(" + p.relation() + ")",
+                            live.Keep(rel.data->schema()), rel.order);
         }
         return PhysicalPtr();
       }
@@ -1137,7 +1120,7 @@ class Compiler {
                                ctx_.index_bind(p.relation(), p.bindings()));
         b->SourceRows(bind.data, std::move(bind.rows),
                       "IndexScan_phi(" + p.relation() + ")",
-                      live.Keep(bind.data->schema()));
+                      live.Keep(bind.data->schema()), std::move(bind.order));
         return PhysicalPtr();
       }
       case PlanOp::kUnit: {
@@ -1181,8 +1164,10 @@ class Compiler {
               "structural join on a nested attribute (" + p.left_attr() +
               ", " + p.right_attr() + ")");
         }
-        PhysicalPtr anc = EnsureOrder(std::move(l), p.left_attr());
-        PhysicalPtr desc = EnsureOrder(std::move(r), p.right_attr());
+        PhysicalPtr anc =
+            EnsureOrder(std::move(l), OrderDescriptor::On(p.left_attr()));
+        PhysicalPtr desc =
+            EnsureOrder(std::move(r), OrderDescriptor::On(p.right_attr()));
         if (p.variant() == JoinVariant::kInner) {
           return PhysicalPtr(std::make_unique<StackTreeDescPhys>(
               std::move(anc), std::move(desc), anc_idx, desc_idx, p.axis()));
@@ -1199,9 +1184,7 @@ class Compiler {
             std::make_unique<UnionPhys>(std::move(l), std::move(r)));
       }
       case PlanOp::kSortOp: {
-        // Sort_φ enforcer with elision: skipped when the input's advertised
-        // order already covers the requested keys, or when the input can
-        // prove (TryAdoptOrder) that its data satisfies them.
+        // Sort_φ enforcer, elided when the input's order covers its keys.
         LiveSet in_live = live;
         std::vector<OrderKey> keys;
         for (const std::string& a : p.attrs()) {
@@ -1209,14 +1192,7 @@ class Compiler {
           in_live.Add(a);
         }
         ULOAD_ASSIGN_OR_RETURN(PhysicalPtr in, Rec(*p.left(), in_live));
-        OrderDescriptor required(std::move(keys));
-        if (OrderCovers(in->order(), required) ||
-            in->TryAdoptOrder(required)) {
-          obligations_.emplace_back(in.get(), required);
-          return PhysicalPtr(std::move(in));
-        }
-        return PhysicalPtr(
-            std::make_unique<SortPhys>(std::move(in), std::move(required)));
+        return EnsureOrder(std::move(in), OrderDescriptor(std::move(keys)));
       }
       case PlanOp::kSelect:
       case PlanOp::kProject:

@@ -22,6 +22,12 @@
 // other variants) share one ancestor cursor and differ only in their output
 // rule.
 //
+// Orders flow forward (exec/order_descriptor.h): a leaf advertises the order
+// its binder declares, every other operator derives its order from its
+// inputs', and one rule elides a Sort_φ — OrderCovers(input order,
+// required). No code path reads data to discover an order; in debug builds
+// the batch validator checks each operator's stream against its order().
+//
 // Each rule is written once. Every join variant (inner, semi, outer,
 // nest-join, nest-outer) is emitted by EmitJoinVariant (exec/plan_schemas.h)
 // — from StackTreeAnc_φ, HashJoin_φ/NestedLoopJoin_φ and the fused
@@ -109,16 +115,6 @@ class PhysicalOperator {
   // default batch size and keep counters in a private slot.
   void Bind(ExecContext* ctx);
 
-  // If this operator can prove its output already satisfies `order` (e.g. a
-  // scan over a relation that is physically sorted on the order's key), it
-  // adopts the descriptor as its advertised order and returns true. The
-  // compiler uses this to elide Sort_φ enforcers above document-ordered
-  // scans.
-  virtual bool TryAdoptOrder(const OrderDescriptor& order) {
-    (void)order;
-    return false;
-  }
-
   const OperatorMetrics& metrics() const { return *metrics_; }
 
   // --- Static-verification surface (verify/plan_verifier.h) ---------------
@@ -138,9 +134,8 @@ class PhysicalOperator {
   // children's *current* advertised orders by the operator's own propagation
   // rule. The verifier checks that the advertised order() is covered by this
   // recomputation — an operator may not claim an order it cannot derive.
-  // Leaves (scans over materialized data) prove their order from the data at
-  // adoption time, so their advertised order is its own witness: the default
-  // returns order() unchanged.
+  // A leaf's order is what its binder declares, so the default returns
+  // order() unchanged; the batch validator is its witness.
   virtual OrderDescriptor ProvableOrder() const { return order(); }
 
  protected:
@@ -191,10 +186,10 @@ class PhysicalOperator {
   void ReleaseAllMemory();
 
   size_t batch_size_ = TupleBatch::kDefaultCapacity;
-  // Debug-mode batch validation (verify/batch_validator.h): every produced
-  // batch is cross-checked against schema(). Adopted from the ExecContext at
-  // Bind(); unbound operators use the build's compile-time default.
-  bool validate_batches_ = kValidateBatchesDefault;
+  // Debug-build batch validation (verify/batch_validator.h): the key values
+  // of the last tuple produced since Open(), which the next batch must not
+  // sort before.
+  std::vector<AtomicValue> order_tail_;
   // Governor state adopted at Bind(): the query's cancellation handle, the
   // optional budget tracker, and the fault spec (non-null only when
   // injection is enabled). Unbound operators run ungoverned.

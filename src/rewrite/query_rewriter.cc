@@ -25,8 +25,8 @@ Result<PlanPtr> QueryRewriter::BuildPlan(const QueryRewriteResult& r) {
     // The query's for-loops follow document order; rewritten plans may
     // deliver view order. Sort_φ over every top-level atomic attribute in
     // schema order (leading attribute is the outermost id) restores it —
-    // unless the physical stream can already prove the order, in which case
-    // the compiler drops the enforcer.
+    // unless the physical stream's order already covers those keys, in
+    // which case the compiler drops the enforcer.
     std::vector<std::string> keys;
     for (int a = 0; a < view_schema->size(); ++a) {
       if (!view_schema->attr(a).is_collection) {

@@ -35,7 +35,7 @@ class QueryRewriter {
 
   // Assembles the whole query into ONE logical plan: every pattern's
   // rewritten plan retyped to the pattern's view schema and ordered by a
-  // Sort_φ enforcer (elidable when the stream can prove document order),
+  // Sort_φ enforcer (elided when the stream's order covers its keys),
   // patterns combined by products, cross predicates as selections on top.
   // Constant queries (no patterns) become the unit relation.
   static Result<PlanPtr> BuildPlan(const QueryRewriteResult& r);

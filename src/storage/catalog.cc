@@ -33,7 +33,7 @@ EvalContext Catalog::MakeEvalContext(const DocumentStore* doc) const {
     ctx.views.emplace(v->name(), v.get());
     // Virtual extents store no tuples; scans stream them off the columns.
     if (v->virtual_store() == nullptr) {
-      ctx.relations.emplace(v->name(), &v->data());
+      ctx.relations.emplace(v->name(), BoundRelation(&v->data(), v->order()));
     }
   }
   ctx.document = doc;
@@ -49,7 +49,7 @@ EvalContext Catalog::MakeEvalContext(const DocumentStore* doc) const {
     }
     ULOAD_ASSIGN_OR_RETURN(std::vector<int64_t> rows,
                            v->LookupRows(bindings));
-    return IndexBinding{&v->data(), std::move(rows)};
+    return IndexBinding{&v->data(), std::move(rows), v->order()};
   };
   return ctx;
 }

@@ -1,9 +1,5 @@
 #include "storage/columnar/columnar_document.h"
 
-#include <algorithm>
-
-#include "xml/serialize.h"
-
 namespace uload {
 
 ColumnarDocument ColumnarDocument::FromDocument(const Document& doc) {
@@ -153,21 +149,6 @@ std::string ColumnarDocument::Value(NodeIndex i) const {
     ++j;
   }
   return out;
-}
-
-std::string ColumnarDocument::Content(NodeIndex i) const {
-  return SerializeSubtree(*this, i);
-}
-
-DeweyId ColumnarDocument::Dewey(NodeIndex i) const {
-  DeweyId path;
-  NodeIndex cur = i;
-  while (cur != kNoNode && kind(cur) != NodeKind::kDocument) {
-    path.push_back(ordinal_[cur] + 1);
-    cur = parent_[cur];
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 std::vector<NodeIndex> ColumnarDocument::ChunkRows(int32_t path) const {

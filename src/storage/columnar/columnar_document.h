@@ -77,8 +77,6 @@ class ColumnarDocument final : public DocumentStore {
     return static_cast<NodeIndex>(pre);
   }
   std::string Value(NodeIndex i) const override;
-  std::string Content(NodeIndex i) const override;
-  DeweyId Dewey(NodeIndex i) const override;
 
   int32_t path_id_limit() const override {
     return static_cast<int32_t>(chunk_starts_.size()) - 1;

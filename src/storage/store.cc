@@ -51,6 +51,7 @@ Result<MaterializedView> MaterializedView::Materialize(
   v.name_ = std::move(name);
   v.definition_ = std::move(definition);
   v.schema_ = v.definition_.ViewSchema();
+  v.order_ = ExtentOrder(v.definition_);
 
   const auto* columnar = dynamic_cast<const ColumnarDocument*>(&doc);
   if (columnar != nullptr && QualifiesAsVirtualExtent(v.definition_)) {

@@ -52,6 +52,10 @@ class MaterializedView {
 
   // The view schema: definition().ViewSchema(), the schema of the extent.
   const SchemaPtr& schema() const { return schema_; }
+  // The order the extent is declared in, computed once from the definition
+  // (ExtentOrder, eval/xam_eval.h): the same for a stored and a virtual
+  // extent, and inherited by the rows an index lookup selects.
+  const OrderDescriptor& order() const { return order_; }
   // Tuple count of the extent, stored or virtual.
   int64_t row_count() const {
     return columnar_ != nullptr ? rowset_rows_ : data_.size();
@@ -93,6 +97,7 @@ class MaterializedView {
   std::string name_;
   Xam definition_;
   SchemaPtr schema_;
+  OrderDescriptor order_;
   NestedRelation data_;
   // Index: concatenated key over required top-level attrs -> tuple indices.
   std::vector<int> index_attrs_;

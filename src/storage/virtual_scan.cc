@@ -54,22 +54,6 @@ ColumnarRowReader::ColumnarRowReader(
   }
 }
 
-bool ColumnarRowReader::Satisfies(const OrderDescriptor& order) const {
-  for (const OrderKey& k : order.keys()) {
-    int idx = schema_->IndexOf(k.attr);
-    if (idx < 0) return false;
-    if (idx == id_slot_) {
-      // The ID column: rows stream in ascending pre order.
-      if (!k.ascending) return false;
-    } else if (idx == tag_slot_ && tag_constant_) {
-      // Constant column: trivially sorted in either direction.
-    } else {
-      return false;
-    }
-  }
-  return true;
-}
-
 void ColumnarRowReader::Decode(std::vector<NodeIndex>* rows) const {
   const std::string& rowset = view_->rowset();
   DeltaVarintReader reader(reinterpret_cast<const uint8_t*>(rowset.data()),

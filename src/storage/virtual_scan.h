@@ -2,25 +2,25 @@
 //
 // A virtualized view has no materialized relation: its tuples are assembled
 // on the fly from the ColumnarDocument's columns, guided by the view's
-// compressed row-id set. ColumnarRowReader decodes that row set, assembles
-// tuples and proves orders; FusedPipeline_φ's columnar source
-// (exec/fusion.h) loops over the decoded rows. Scan and order contract are
-// those of a materialized extent: physically different access paths, one
-// logical leaf.
+// compressed row-id set. ColumnarRowReader decodes that row set and
+// assembles tuples; FusedPipeline_φ's columnar source (exec/fusion.h) loops
+// over the decoded rows. Scan and order contract are those of a
+// materialized extent: the source advertises the view's declared order
+// (MaterializedView::order()), the same for a stored and a virtual extent —
+// physically different access paths, one logical leaf.
 #ifndef ULOAD_STORAGE_VIRTUAL_SCAN_H_
 #define ULOAD_STORAGE_VIRTUAL_SCAN_H_
 
 #include <optional>
 #include <vector>
 
-#include "exec/order_descriptor.h"
 #include "storage/store.h"
 
 namespace uload {
 
-// Row-set decoding, tuple assembly and order adoption for one virtual
-// column-backed extent. Stateless across rows: Decode materializes the
-// row ids, MakeRow assembles one output tuple from the backing columns.
+// Row-set decoding and tuple assembly for one virtual column-backed
+// extent. Stateless across rows: Decode materializes the row ids, MakeRow
+// assembles one output tuple from the backing columns.
 class ColumnarRowReader {
  public:
   // Assembles the `keep` columns of the view's schema (positions,
@@ -34,15 +34,6 @@ class ColumnarRowReader {
   // The assembled tuples' schema: the view's, restricted to the kept
   // columns.
   const SchemaPtr& schema() const { return schema_; }
-
-  // Whether the extent can prove `order` (over kept columns) from its
-  // physical layout: the ID column streams in strictly ascending document
-  // (pre) order; a constant-tag view satisfies any order on its Tag column
-  // trivially. Val keys are never provable — callers fall back to a Sort_φ
-  // enforcer, which is a no-op rewrite when the data happens to be sorted
-  // already, so results stay identical to the materialized backend either
-  // way.
-  bool Satisfies(const OrderDescriptor& order) const;
 
   // Decodes the compressed rowset into *rows, in document order.
   void Decode(std::vector<NodeIndex>* rows) const;

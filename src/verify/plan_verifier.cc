@@ -146,7 +146,7 @@ class LogicalVerifier {
     switch (p.op()) {
       case PlanOp::kScan: {
         auto it = ctx_.relations.find(p.relation());
-        if (it != ctx_.relations.end()) return it->second->schema_ptr();
+        if (it != ctx_.relations.end()) return it->second.data->schema_ptr();
         // Virtual column-backed extents have no bound relation; their
         // schema comes from the view definition (storage/store.h).
         auto vit = ctx_.views.find(p.relation());

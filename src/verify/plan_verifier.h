@@ -12,16 +12,20 @@
 //      inferred schema of its input. Diagnostics carry the operator path from
 //      the plan root, the missing column, and the candidate columns.
 //
-//  (2) Order-descriptor soundness (VerifyPhysicalPlan): the order descriptor
-//      is recomputed bottom-up through the compiled tree via each operator's
-//      own propagation rule (PhysicalOperator::ProvableOrder), and
+//  (2) Order-descriptor soundness (VerifyPhysicalPlan): orders flow forward
+//      from the leaves' declared orders (exec/order_descriptor.h). The order
+//      descriptor is recomputed bottom-up through the compiled tree via each
+//      operator's own propagation rule (PhysicalOperator::ProvableOrder),
+//      and
 //      * every operator's advertised order must be covered by the recomputed
-//        one (an operator may not claim an order it cannot prove), and
+//        one (an operator may not claim an order it cannot derive), and
 //      * every order *requirement* (PhysicalOperator::RequiredChildOrder —
 //        the StackTree join family) must be covered by the input's
 //        advertised order, and
 //      * every Sort_φ elision the compiler performed is re-checked as an
 //        explicit obligation (PhysicalVerifyOptions::order_obligations).
+//      A leaf's declaration is taken on trust here; the batch validator
+//      checks it, with every other advertised order, against the stream.
 //
 //  (3) Fused-pipeline soundness (VerifyPhysicalPlan): every chain member's
 //      recorded boundary schema and order are re-derived from the source.
@@ -29,8 +33,8 @@
 //  (4) Shape compatibility (VerifyPhysicalPlan): a Union_φ's inputs must
 //      have the same shape, since it re-tags the right side's batches.
 //
-// The dynamic leg of the verifier — per-batch schema validation — lives in
-// verify/batch_validator.h.
+// The dynamic leg of the verifier — per-batch schema and order validation —
+// lives in verify/batch_validator.h.
 //
 // Wiring: Engine::Run/Explain verify the rewriter's combined plan before
 // compiling it (a malformed plan surfaces as a Status instead of undefined

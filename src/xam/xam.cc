@@ -262,65 +262,4 @@ bool Xam::StructurallyEquals(const Xam& other) const {
   return true;
 }
 
-void Xam::Render(XamNodeId id, int indent, std::string* out) const {
-  const XamNode& n = nodes_[id];
-  out->append(indent * 2, ' ');
-  if (id == kXamRoot) {
-    *out += "⊤";
-  } else {
-    const XamEdge& e = IncomingEdge(id);
-    *out += e.axis == Axis::kChild ? "/" : "//";
-    switch (e.variant) {
-      case JoinVariant::kInner:
-        break;
-      case JoinVariant::kSemi:
-        *out += "s";
-        break;
-      case JoinVariant::kLeftOuter:
-        *out += "o";
-        break;
-      case JoinVariant::kNestJoin:
-        *out += "nj";
-        break;
-      case JoinVariant::kNestOuter:
-        *out += "no";
-        break;
-    }
-    *out += " " + n.name + ":";
-    if (n.is_wildcard()) {
-      *out += n.is_attribute ? "@*" : "*";
-    } else {
-      *out += n.tag_value;
-    }
-    std::string specs;
-    if (n.stores_id) {
-      specs += " id=";
-      specs += IdKindCode(n.id_kind);
-      if (n.id_required) specs += "!";
-    }
-    if (n.stores_tag) {
-      specs += " tag";
-      if (n.tag_required) specs += "!";
-    }
-    if (n.stores_val) {
-      specs += " val";
-      if (n.val_required) specs += "!";
-    }
-    if (!n.val_formula.IsTrue()) {
-      specs += " [" + n.val_formula.ToString() + "]";
-    }
-    if (n.stores_cont) specs += " cont";
-    *out += specs;
-  }
-  *out += "\n";
-  for (const XamEdge& e : n.edges) Render(e.child, indent + 1, out);
-}
-
-std::string Xam::ToString() const {
-  std::string out;
-  if (ordered_) out += "(ordered)\n";
-  Render(kXamRoot, 0, &out);
-  return out;
-}
-
 }  // namespace uload

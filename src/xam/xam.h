@@ -175,11 +175,8 @@ class Xam {
   // Structural equality of the two XAM trees (names ignored).
   bool StructurallyEquals(const Xam& other) const;
 
-  std::string ToString() const;
-
  private:
   void CollectSchema(XamNodeId id, std::vector<Attribute>* attrs) const;
-  void Render(XamNodeId id, int indent, std::string* out) const;
 
   std::vector<XamNode> nodes_;
   bool ordered_ = false;

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "xml/parser.h"
-#include "xml/serialize.h"
 
 namespace uload {
 
@@ -104,21 +103,6 @@ std::string Document::Value(NodeIndex i) const {
     if (nodes_[c].is_text()) out += nodes_[c].value;
   }
   return out;
-}
-
-std::string Document::Content(NodeIndex i) const {
-  return SerializeSubtree(*this, i);
-}
-
-DeweyId Document::Dewey(NodeIndex i) const {
-  DeweyId path;
-  NodeIndex cur = i;
-  while (cur != kNoNode && nodes_[cur].kind != NodeKind::kDocument) {
-    path.push_back(nodes_[cur].ordinal + 1);
-    cur = nodes_[cur].parent;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
 }
 
 int32_t Document::path_id_limit() const {

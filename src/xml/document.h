@@ -75,14 +75,6 @@ class Document : public DocumentStore {
   // document order; for attributes/texts, their own value (§1.1).
   std::string Value(NodeIndex i) const override;
 
-  // Serialized subtree ("content" in §1.1): elements as markup, attributes
-  // as name="value", text as escaped character data.
-  std::string Content(NodeIndex i) const override;
-
-  // Dewey identifier (root element = {1}); attributes and texts take their
-  // ordinal arc like any child.
-  DeweyId Dewey(NodeIndex i) const override;
-
   // Path-partitioned chunk iteration: the pointer tree keeps no chunk index,
   // so these scan the arena (used by equivalence tests, not hot paths).
   int32_t path_id_limit() const override;

@@ -22,6 +22,7 @@
 #ifndef ULOAD_XML_DOCUMENT_STORE_H_
 #define ULOAD_XML_DOCUMENT_STORE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -83,10 +84,20 @@ class DocumentStore {
   // XPath text() semantics: concatenation of all descendant #text values in
   // document order; attributes/texts return their own value (§1.1).
   virtual std::string Value(NodeIndex i) const = 0;
-  // Serialized subtree ("content" in §1.1).
-  virtual std::string Content(NodeIndex i) const = 0;
-  // Dewey identifier (root element = {1}).
-  virtual DeweyId Dewey(NodeIndex i) const = 0;
+  // Serialized subtree ("content" in §1.1): elements as markup, attributes
+  // as name="value", text as escaped character data (xml/serialize.h).
+  std::string Content(NodeIndex i) const;
+  // Dewey identifier (root element = {1}); attributes and texts take their
+  // ordinal arc like any child.
+  DeweyId Dewey(NodeIndex i) const {
+    DeweyId path;
+    for (NodeIndex cur = i; cur != kNoNode && kind(cur) != NodeKind::kDocument;
+         cur = parent(cur)) {
+      path.push_back(ordinal(cur) + 1);
+    }
+    std::reverse(path.begin(), path.end());
+    return path;
+  }
 
   // --- Path-partitioned chunk iteration ------------------------------------
 

@@ -53,4 +53,8 @@ std::string SerializeSubtree(const DocumentStore& doc, NodeIndex i) {
   return out;
 }
 
+std::string DocumentStore::Content(NodeIndex i) const {
+  return SerializeSubtree(*this, i);
+}
+
 }  // namespace uload

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "eval/xam_eval.h"
+#include "xam/xam_printer.h"
 
 namespace uload {
 namespace {
@@ -462,7 +463,7 @@ std::string Translation::ToString() const {
   std::string out;
   for (size_t i = 0; i < patterns.size(); ++i) {
     out += "pattern V" + std::to_string(i + 1) + ":\n";
-    out += patterns[i].ToString();
+    out += PrintXam(patterns[i]);
   }
   for (const PredicatePtr& p : cross_predicates) {
     out += "where: " + p->ToString() + "\n";

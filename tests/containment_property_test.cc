@@ -18,6 +18,7 @@
 #include "workload/pattern_gen.h"
 #include "workload/xmark.h"
 #include "workload/xmark_queries.h"
+#include "xam/xam_printer.h"
 #include "xquery/interp.h"
 #include "xquery/parser.h"
 #include "xquery/translate.h"
@@ -71,8 +72,8 @@ TEST_P(ContainmentSoundness, PositiveContainmentImpliesExtentInclusion) {
       ASSERT_TRUE(qd.ok()) << qd.status().ToString();
       EXPECT_TRUE(SubsetOf(*pd, *qd))
           << "containment claimed but extents disagree\np:\n"
-          << p.ToString() << "q:\n"
-          << q.ToString() << "p(d):\n"
+          << PrintXam(p) << "q:\n"
+          << PrintXam(q) << "p(d):\n"
           << pd->ToString() << "q(d):\n"
           << qd->ToString();
     }
@@ -95,7 +96,7 @@ TEST_P(CanonicalModelProps, TreesMatchAnnotations) {
   Xam p = gen.Generate(opts);
   auto annots = PathAnnotations(p, summary);
   auto model = CanonicalModel(p, summary, 4096);
-  ASSERT_FALSE(model.empty()) << p.ToString();
+  ASSERT_FALSE(model.empty()) << PrintXam(p);
   std::vector<XamNodeId> returns = p.ReturnNodes();
   for (const CanonicalTree& t : model) {
     ASSERT_EQ(t.image.size(), p.size());
@@ -194,9 +195,9 @@ TEST_P(EmbeddingWalk, ImagesAreExactlyTheAnnotations) {
       std::set<SummaryNodeId> annotated(annotations[id].begin(),
                                         annotations[id].end());
       EXPECT_EQ(images[id], annotated) << "node " << id << "\n"
-                                       << p.ToString();
+                                       << PrintXam(p);
     }
-    EXPECT_EQ(IsSatisfiable(p, summary), any) << p.ToString();
+    EXPECT_EQ(IsSatisfiable(p, summary), any) << PrintXam(p);
   }
 }
 

@@ -69,7 +69,8 @@ class ExecBatchTest : public ::testing::Test {
     doc_ = GenerateXMark(XMarkScale(0.05));
     people_ = TagCollection(doc_, "person", {"p", true, true, false});
     names_ = TagCollection(doc_, "name", {"n", true, true, false});
-    ctx_.relations = {{"people", &people_}, {"names", &names_}};
+    ctx_.relations = {{"people", {&people_, OrderDescriptor::On("p_ID")}},
+                      {"names", {&names_, OrderDescriptor::On("n_ID")}}};
     ctx_.document = &doc_;
   }
 
@@ -104,7 +105,9 @@ TEST_F(ExecBatchTest, JoinsAcrossVariants) {
   };
   NestedRelation people = with_nulls(people_);
   NestedRelation names = with_nulls(names_);
-  ctx_.relations = {{"people", &people}, {"names", &names}};
+  // Null atoms order first, so the relations stay in declared order.
+  ctx_.relations = {{"people", {&people, OrderDescriptor::On("p_ID")}},
+                    {"names", {&names, OrderDescriptor::On("n_ID")}}};
   NavEmit emit;
   emit.id = true;
   emit.val = true;
@@ -329,7 +332,8 @@ class ExecBatchPatternTest : public ::testing::Test {
                   n.tag_value.empty() ? "" : n.tag_value.substr(1), opts)
             : TagCollection(doc_, n.tag_value, opts)));
     std::string rname = "base" + std::to_string(base_rels_.size());
-    ctx->relations[rname] = base_rels_.back().get();
+    ctx->relations[rname] = {base_rels_.back().get(),
+                             OrderDescriptor::On(n.name + "_ID")};
     PlanPtr plan = LogicalPlan::Scan(rname);
     if (!n.val_formula.IsTrue()) {
       plan = LogicalPlan::Select(std::move(plan),
@@ -417,10 +421,13 @@ TEST_F(ExecBatchPatternTest, ColumnarDescendantSideMatchesMaterialized) {
   ASSERT_NE(cnames->virtual_store(), nullptr);
 
   EvalContext materialized_ctx;
-  materialized_ctx.relations = {{"people", &people}, {"names", &names}};
+  materialized_ctx.relations = {
+      {"people", {&people, OrderDescriptor::On("p_ID")}},
+      {"names", {&names, OrderDescriptor::On("n_ID")}}};
   materialized_ctx.document = &doc_;
   EvalContext columnar_ctx;
-  columnar_ctx.relations = {{"people", &people}};
+  columnar_ctx.relations = {
+      {"people", {&people, OrderDescriptor::On("p_ID")}}};
   columnar_ctx.views = {{"cnames", &*cnames}};
   columnar_ctx.document = &col;
   auto join = [](const std::string& desc) {

@@ -34,10 +34,11 @@ class FusionTest : public ::testing::Test {
                              {"q", false, false, false, IdKind::kParental});
     dnames_ = TagCollection(doc_, "name",
                             {"d", false, true, false, IdKind::kParental});
-    ctx_.relations = {{"people", &people_},
-                      {"names", &names_},
-                      {"dpeople", &dpeople_},
-                      {"dnames", &dnames_}};
+    // Tag collections are built in document order; the binder says so.
+    ctx_.relations = {{"people", {&people_, OrderDescriptor::On("p_ID")}},
+                      {"names", {&names_, OrderDescriptor::On("n_ID")}},
+                      {"dpeople", {&dpeople_, OrderDescriptor::On("q_ID")}},
+                      {"dnames", {&dnames_, OrderDescriptor::On("d_ID")}}};
     ctx_.document = &doc_;
   }
 

@@ -125,8 +125,8 @@ TEST_F(IndexScanTest, StreamingPathCompilesToIndexScanOperator) {
 }
 
 TEST_F(IndexScanTest, IndexScanAdvertisesStorageOrder) {
-  // The selected rows keep storage (document) order, so the id attribute's
-  // order is adoptable without a Sort_φ enforcer.
+  // The selected rows keep storage (document) order, so the scan inherits
+  // the view's declared order and needs no Sort_φ enforcer on the id.
   const MaterializedView* view = catalog_.Find(name_);
   ASSERT_NE(view, nullptr);
   const std::string key_attr = AttrEndingWith(view->data().schema(), "_Val");
@@ -137,8 +137,8 @@ TEST_F(IndexScanTest, IndexScanAdvertisesStorageOrder) {
       name_, {{key_attr, AtomicValue::String("1999")}});
   auto root = CompilePhysicalPlan(plan, ctx);
   ASSERT_TRUE(root.ok()) << root.status().ToString();
-  EXPECT_TRUE((*root)->TryAdoptOrder(OrderDescriptor::On(id_attr)));
-  EXPECT_FALSE((*root)->order().empty());
+  EXPECT_EQ((*root)->order().ToString(), view->order().ToString());
+  EXPECT_TRUE(OrderCovers((*root)->order(), OrderDescriptor::On(id_attr)));
 }
 
 // The verifier takes an index scan's schema from the catalog's views: it

@@ -49,9 +49,10 @@ class LiveColumnsTest : public ::testing::Test {
     containers_ = TagCollection(doc_, "people", {"c", true, true, true});
     people_ = TagCollection(doc_, "person", {"p", true, true, false});
     names_ = TagCollection(doc_, "name", {"n", true, true, false});
-    ctx_.relations = {{"containers", &containers_},
-                      {"people", &people_},
-                      {"names", &names_}};
+    ctx_.relations = {
+        {"containers", {&containers_, OrderDescriptor::On("c_ID")}},
+        {"people", {&people_, OrderDescriptor::On("p_ID")}},
+        {"names", {&names_, OrderDescriptor::On("n_ID")}}};
     ctx_.document = &doc_;
   }
 
@@ -243,7 +244,8 @@ TEST_F(LiveColumnsTest, PrefilterResolvesAgainstTheStoredRow) {
 
 TEST_F(LiveColumnsTest, ColumnarSourceDecodesOnlyLiveColumns) {
   // A virtual columnar extent assembles only the kept columns, and still
-  // proves document order on its ID for the structural join above it.
+  // advertises its declared document order on its ID for the structural
+  // join above it.
   ColumnarDocument col = ColumnarDocument::FromDocument(doc_);
   auto xam = ParseXam("xam\nnode n label=name id=s tag val\nedge top // j n\n");
   ASSERT_TRUE(xam.ok()) << xam.status().ToString();
@@ -251,7 +253,7 @@ TEST_F(LiveColumnsTest, ColumnarSourceDecodesOnlyLiveColumns) {
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   ASSERT_NE(view->virtual_store(), nullptr);
   EvalContext ctx;
-  ctx.relations = {{"people", &people_}};
+  ctx.relations = {{"people", {&people_, OrderDescriptor::On("p_ID")}}};
   ctx.views = {{"cnames", &*view}};
   ctx.document = &col;
 

@@ -3,6 +3,7 @@
 
 #include "containment/minimize.h"
 #include "xam/xam_parser.h"
+#include "xam/xam_printer.h"
 #include "xml/document.h"
 
 namespace uload {
@@ -101,7 +102,7 @@ TEST_F(MinimizeTest, MinimizationPreservesEquivalence) {
   for (const Xam& m : *minima) {
     auto eq = AreEquivalent(p, m, summary_);
     ASSERT_TRUE(eq.ok());
-    EXPECT_TRUE(*eq) << m.ToString();
+    EXPECT_TRUE(*eq) << PrintXam(m);
     EXPECT_LE(m.size(), p.size());
   }
 }

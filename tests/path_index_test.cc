@@ -15,6 +15,7 @@
 #include "workload/dblp.h"
 #include "workload/pattern_gen.h"
 #include "workload/xmark.h"
+#include "xam/xam_printer.h"
 #include "xml/document.h"
 
 namespace uload {
@@ -220,7 +221,7 @@ TEST(PathIndexTest, PathAnnotationsMatchPairwiseArcConsistency) {
         ASSERT_EQ(std::vector<SummaryNodeId>(got[id].begin(), got[id].end()),
                   want[id])
             << ns.name << " node " << id << "\n"
-            << p.ToString();
+            << PrintXam(p);
       }
       ++patterns;
     }
@@ -256,8 +257,8 @@ TEST(PathIndexTest, PrefilterRejectionImpliesNotContained) {
         auto proof = IsContained(patterns[i], patterns[j], ns.summary, copts);
         ASSERT_TRUE(proof.ok()) << proof.status().ToString();
         EXPECT_FALSE(*proof) << ns.name << " p:\n"
-                             << patterns[i].ToString() << "q:\n"
-                             << patterns[j].ToString();
+                             << PrintXam(patterns[i]) << "q:\n"
+                             << PrintXam(patterns[j]);
       }
     }
   }

@@ -23,7 +23,9 @@ class PhysicalTest : public ::testing::Test {
     summary_ = PathSummary::Build(&doc_);
     people_ = TagCollection(doc_, "person", {"p", true, true, false});
     names_ = TagCollection(doc_, "name", {"n", true, true, false});
-    ctx_.relations = {{"people", &people_}, {"names", &names_}};
+    // Tag collections are built in document order; the binder says so.
+    ctx_.relations = {{"people", {&people_, OrderDescriptor::On("p_ID")}},
+                      {"names", {&names_, OrderDescriptor::On("n_ID")}}};
     ctx_.document = &doc_;
   }
 
@@ -60,8 +62,8 @@ TEST_F(PhysicalTest, StreamingStructuralJoin) {
       Axis::kChild, "n_ID", JoinVariant::kInner);
   CheckAgree(join);
   // The compiled tree uses the streaming StackTreeDesc. The tag collections
-  // are physically in document order, so the scans prove their order
-  // (TryAdoptOrder) and no Sort_phi enforcer is needed.
+  // are bound in their declared document order, so the scans advertise it
+  // and no Sort_phi enforcer is needed.
   auto phys = CompilePhysicalPlan(join, ctx_);
   ASSERT_TRUE(phys.ok());
   std::string desc = (*phys)->Describe();
@@ -159,8 +161,8 @@ TEST_F(PhysicalTest, DeweyStructuralJoinsAgree) {
       doc_, "person", {"p", false, false, false, IdKind::kParental});
   NestedRelation dnames = TagCollection(
       doc_, "name", {"n", false, true, false, IdKind::kParental});
-  ctx_.relations["dpeople"] = &dpeople;
-  ctx_.relations["dnames"] = &dnames;
+  ctx_.relations["dpeople"] = {&dpeople, OrderDescriptor::On("p_ID")};
+  ctx_.relations["dnames"] = {&dnames, OrderDescriptor::On("n_ID")};
   for (Axis axis : {Axis::kChild, Axis::kDescendant}) {
     for (JoinVariant v : {JoinVariant::kInner, JoinVariant::kSemi,
                           JoinVariant::kLeftOuter, JoinVariant::kNestJoin,

@@ -28,7 +28,8 @@ class PlanVerifierTest : public ::testing::Test {
     doc_ = GenerateXMark(XMarkScale(0.02));
     people_ = TagCollection(doc_, "person", {"p", true, true, false});
     names_ = TagCollection(doc_, "name", {"n", true, true, false});
-    ctx_.relations = {{"people", &people_}, {"names", &names_}};
+    ctx_.relations = {{"people", {&people_, OrderDescriptor::On("p_ID")}},
+                      {"names", {&names_, OrderDescriptor::On("n_ID")}}};
     ctx_.document = &doc_;
   }
 
@@ -38,10 +39,11 @@ class PlanVerifierTest : public ::testing::Test {
         Axis::kDescendant, "n_ID", JoinVariant::kInner);
   }
 
-  // The names relation as a bare fused source.
+  // The names relation as a bare fused source, declared in document order.
   PhysicalPtr NamesScan() {
     FusedPipelineBuilder b;
-    b.SourceRelation(&names_, "Scan_phi(names)");
+    b.SourceRelation(&names_, "Scan_phi(names)", std::nullopt,
+                     OrderDescriptor::On("n_ID"));
     return std::move(b.Build()).value();
   }
 
@@ -165,9 +167,9 @@ TEST_F(PlanVerifierTest, TemplateIterationRequiresCollection) {
 // --- Physical order soundness ------------------------------------------------
 
 TEST_F(PlanVerifierTest, BogusSortElisionObligationIsCaught) {
-  // The document-ordered scan proves On(n_ID) and is legal on its own.
+  // The document-ordered scan declares On(n_ID) and is legal on its own.
   PhysicalPtr scan = NamesScan();
-  ASSERT_TRUE(scan->TryAdoptOrder(OrderDescriptor::On("n_ID")));
+  ASSERT_EQ(scan->order().ToString(), OrderDescriptor::On("n_ID").ToString());
   ASSERT_TRUE(VerifyPhysicalPlan(*scan).ok());
   // An obligation recorded for an elided Sort_φ(n_Val) is not covered by
   // the scan's On(n_ID) order — eliding that sort was unsound.
@@ -199,6 +201,58 @@ TEST_F(PlanVerifierTest, BatchValidatorCatchesShapeMismatch) {
   Status st = ValidateBatch(schema, bad);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kTypeError);
+}
+
+TEST_F(PlanVerifierTest, BatchOrderCheckSpansBatchBoundaries) {
+  // Each batch is sorted on n_ID by itself; the second starts before the
+  // first ends, which only the carried tail can see.
+  const OrderDescriptor by_id = OrderDescriptor::On("n_ID");
+  ASSERT_GE(names_.size(), 4);
+  TupleBatch first(names_.schema_ptr(), 4);
+  first.Add(names_.tuple(2));
+  first.Add(names_.tuple(3));
+  TupleBatch second(names_.schema_ptr(), 4);
+  second.Add(names_.tuple(0));
+  second.Add(names_.tuple(1));
+  std::vector<AtomicValue> tail;
+  ASSERT_TRUE(ValidateBatchOrder(by_id, first, &tail).ok());
+  Status st = ValidateBatchOrder(by_id, second, &tail);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(st.message().find("breaks the advertised order ⇃n_ID⇂"),
+            std::string::npos)
+      << st.ToString();
+  // A restarted stream accepts it, and the stream in order passes whole.
+  tail.clear();
+  EXPECT_TRUE(ValidateBatchOrder(by_id, second, &tail).ok());
+  EXPECT_TRUE(ValidateBatchOrder(by_id, first, &tail).ok());
+}
+
+// A relation bound under a false declared order: the compiler trusts the
+// declaration, so the structural join above it gets no Sort_φ, and the batch
+// validator stops execution at the scan that advertises the order. The true
+// declaration runs to the end.
+TEST_F(PlanVerifierTest, FalseDeclaredOrderFailsBatchValidation) {
+  if (!kValidateBatches) GTEST_SKIP() << "batch validation is compiled out";
+  NestedRelation reversed(names_.schema_ptr());
+  for (int64_t i = names_.size(); i-- > 0;) reversed.Add(names_.tuple(i));
+  EvalContext ctx = ctx_;
+  ctx.relations["names"] = {&reversed, OrderDescriptor::On("n_ID")};
+  ExecContext exec;
+  auto bad = ExecutePhysicalPlan(PeopleNamesJoin(), ctx, &exec);
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInternal);
+  EXPECT_NE(bad.status().message().find(
+                "batch validation failed in "
+                "FusedPipeline_phi[Scan_phi(names)]: tuple 1 breaks the "
+                "advertised order ⇃n_ID⇂"),
+            std::string::npos)
+      << bad.status().ToString();
+
+  ctx.relations["names"] = {&names_, OrderDescriptor::On("n_ID")};
+  ExecContext exec_true;
+  auto good = ExecutePhysicalPlan(PeopleNamesJoin(), ctx, &exec_true);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  EXPECT_GT(good->size(), 0);
 }
 
 // --- Corpus sweep ------------------------------------------------------------

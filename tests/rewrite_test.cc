@@ -13,6 +13,7 @@
 #include "workload/xmark.h"
 #include "workload/xmark_queries.h"
 #include "xam/xam_parser.h"
+#include "xam/xam_printer.h"
 #include "xml/document.h"
 
 namespace uload {
@@ -88,7 +89,7 @@ class RewriteTest : public ::testing::Test {
         EXPECT_TRUE(SameData(*direct, **got))
             << engine << " plan:\n"
             << r.plan->ToString() << "pattern:\n"
-            << r.pattern.ToString() << "direct:\n"
+            << PrintXam(r.pattern) << "direct:\n"
             << direct->ToString() << "got:\n"
             << (*got)->ToString();
       }

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -237,6 +238,18 @@ TEST(RetryPolicy, OverallDeadlineStopsRetrying) {
   std::this_thread::sleep_for(std::chrono::milliseconds(80));
   EXPECT_FALSE(s.MayRetry());
   EXPECT_EQ(s.RemainingBudgetMs(), 1);  // floored, never 0 (= unbounded)
+}
+
+TEST(RetryPolicy, BudgetNearInt64MaxSaturates) {
+  RetryPolicy p;
+  p.max_attempts = 2;
+  p.overall_deadline_ms = std::numeric_limits<int64_t>::max();
+  RetryState s(p);
+  EXPECT_TRUE(s.MayRetry());
+  // The deadline saturates instead of wrapping into the past.
+  EXPECT_GT(s.RemainingBudgetMs(), int64_t{1} << 62);
+  EXPECT_EQ(s.NextBackoffMs(), 0);
+  EXPECT_TRUE(s.MayRetry());
 }
 
 // ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ class Impl {
 
   Result<NestedRelation> EvalScan(const LogicalPlan& plan) {
     auto it = ctx_.relations.find(plan.relation());
-    if (it != ctx_.relations.end()) return *it->second;
+    if (it != ctx_.relations.end()) return *it->second.data;
     // Virtual column-backed extents store no tuples: the oracle evaluates
     // the view's definition, so virtual scans are checked against the XAM
     // semantics.
@@ -697,7 +697,7 @@ Result<NestedRelation> Evaluate(
     const std::unordered_map<std::string, const NestedRelation*>& rels,
     const DocumentStore* doc) {
   EvalContext ctx;
-  ctx.relations = rels;
+  for (const auto& [name, rel] : rels) ctx.relations.emplace(name, rel);
   ctx.document = doc;
   return Evaluate(plan, ctx);
 }

@@ -8,6 +8,7 @@
 #include "workload/pattern_gen.h"
 #include "workload/xmark.h"
 #include "workload/xmark_queries.h"
+#include "xam/xam_printer.h"
 
 namespace uload {
 namespace {
@@ -93,7 +94,7 @@ TEST_P(PatternGenTest, GeneratedPatternsAreSatisfiable) {
   opts.return_nodes = 1 + GetParam() % 3;
   Xam p = gen.Generate(opts);
   EXPECT_GE(p.size(), 2);  // at least ⊤ + 1
-  EXPECT_TRUE(IsSatisfiable(p, s)) << p.ToString();
+  EXPECT_TRUE(IsSatisfiable(p, s)) << PrintXam(p);
   EXPECT_EQ(p.ReturnNodes().size(),
             static_cast<size_t>(opts.return_nodes));
 }
@@ -107,7 +108,7 @@ TEST(XMarkQueries, AllTwentyParseAndEmbed) {
   ASSERT_EQ(queries.size(), 20u);
   for (const NamedXam& q : queries) {
     EXPECT_GT(q.xam.size(), 1) << q.name << " failed to parse";
-    EXPECT_TRUE(IsSatisfiable(q.xam, s)) << q.name << "\n" << q.xam.ToString();
+    EXPECT_TRUE(IsSatisfiable(q.xam, s)) << q.name << "\n" << PrintXam(q.xam);
   }
 }
 
