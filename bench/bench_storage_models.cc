@@ -171,16 +171,15 @@ int main(int argc, char** argv) {
   // the pointer tree (every view a materialized NestedRelation) and over
   // the column store (qualifying views virtualized down to a delta+varint
   // row-id list). data/index bytes come from the views themselves; the
-  // columnar document's own columns+dictionaries+chunk index are shared by
+  // columnar document's own columns+dictionaries are shared by
   // all its views and reported once.
   bench::Header("storage footprint: materialized views vs virtual extents");
   ColumnarDocument col = ColumnarDocument::FromDocument(doc);
   auto cb = col.ApproximateBytesBreakdown();
-  std::printf("columnar store: columns=%lld dict=%lld chunk-index=%lld "
+  std::printf("columnar store: columns=%lld dict=%lld "
               "(document %lld bytes as pointer tree)\n",
               static_cast<long long>(cb.column_bytes),
               static_cast<long long>(cb.dict_bytes),
-              static_cast<long long>(cb.chunk_index_bytes),
               static_cast<long long>(doc.ApproximateBytes()));
   std::printf("  %-18s %-9s %10s %10s %10s %12s\n", "model", "backend",
               "data", "index", "rowsets", "virtualized");

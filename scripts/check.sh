@@ -51,9 +51,10 @@
 # the in-process run.
 # The backend-sweep leg (DESIGN.md §9) runs the storage-invariance bar under
 # ASAN/UBSAN: the pointer-vs-columnar differential grid (byte-identical
-# results across backends × batch sizes), the DocumentStore accessor parity
-# + save/load round-trip suite, and the loader robustness corpus
-# (truncations, bit flips, header lies on persisted images). It is
+# results across backends × batch sizes), the plan-identity test (Explain
+# equal across backends), the DocumentStore accessor parity + save/load
+# round-trip suite, and the loader robustness corpus (truncations, bit
+# flips, header lies and malformed trees on persisted images). It is
 # single-threaded; no TSAN leg is needed beyond the main matrix.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -68,6 +69,7 @@ run_config() {
 
 FAULT_FILTER='ExecFaultSweep.*:EngineGovernorTest.*:XmlParserRobustness.*'
 BACKEND_FILTER='BackendDifferential.*:ColumnarStore.*:ColumnarRobustness.*'
+BACKEND_FILTER="$BACKEND_FILTER:EngineBackendPlanTest.*"
 SERVER_FILTER='ServerTest.*:ServerDifferentialTest.*:ServerFrameRobustness.*'
 SERVER_FILTER="$SERVER_FILTER:WireCodes.*:AdmissionControl.*"
 TORTURE_FILTER='*EngineConcurrencyTest*:ServerTest.*:AdmissionControl.*'

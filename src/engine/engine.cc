@@ -12,8 +12,6 @@ Engine::Engine(Document doc) : Engine(std::move(doc), Options()) {}
 
 Engine::Engine(Document doc, Options options)
     : doc_(std::move(doc)), options_(options) {
-  // Summary first: Build annotates every node's path_id, which the columnar
-  // conversion persists into its chunk index.
   summary_ = PathSummary::Build(&doc_);
   if (options_.backend == Options::Backend::kColumnar) {
     columnar_ = ColumnarDocument::FromDocument(doc_);
@@ -42,15 +40,6 @@ Result<std::unique_ptr<Engine>> Engine::Load(const std::string& path,
   ULOAD_ASSIGN_OR_RETURN(LoadedColumnar lc, LoadColumnar(path));
   ULOAD_ASSIGN_OR_RETURN(PathSummary summary,
                          PathSummary::Deserialize(lc.summary_text));
-  // φ must stay within the persisted summary: every chunk's summary node
-  // needs a definition for the storage models built over it.
-  if (lc.document.path_id_limit() > summary.size()) {
-    return Status::ParseError(
-        "columnar image references summary node " +
-        std::to_string(lc.document.path_id_limit() - 1) +
-        " but the persisted summary has only " +
-        std::to_string(summary.size()) + " nodes");
-  }
   return std::unique_ptr<Engine>(
       new Engine(std::move(lc.document), std::move(summary), options));
 }

@@ -106,15 +106,16 @@ class Engine {
   Engine(Document doc, Options options);
 
   // Restores an engine from a file written by Save(): the column store is
-  // mmapped and validated — no XML re-parse, no summary rebuild. The loaded
+  // mmapped and validated, its structural labels derived from the parent
+  // column, and the summary deserialized — no XML re-parse. The loaded
   // engine always runs the columnar backend (`options.backend` is ignored);
   // install a storage model before querying, as with a fresh engine.
   static Result<std::unique_ptr<Engine>> Load(const std::string& path);
   static Result<std::unique_ptr<Engine>> Load(const std::string& path,
                                               Options options);
 
-  // Persists the document as a columnar image (columns + dictionaries +
-  // chunk index + path summary, versioned and checksummed) to `path`. Works
+  // Persists the document as a columnar image (stored columns +
+  // dictionaries + path summary, versioned and checksummed) to `path`. Works
   // from either backend; the pointer backend converts on the fly.
   Status Save(const std::string& path) const;
 

@@ -1,5 +1,6 @@
 #include "eval/xam_eval.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -238,10 +239,31 @@ Result<NestedRelation> EvaluateXam(const Xam& xam, const DocumentStore& doc) {
 OrderDescriptor ExtentOrder(const Xam& xam) {
   std::vector<XamNodeId> nodes;
   TopLevelNodes(xam, kXamRoot, &nodes);
+  // The leading chain: top-level nodes joined by inner `/` edges from ⊤,
+  // each the next one's parent. Chain nodes sit at fixed depths, so each is
+  // a monotone function of the next in document order: the sort over the
+  // chain is the document order of its deepest node that stores an ID, and
+  // the chain nodes that store one are sorted lexicographically with it.
+  size_t chain = 0;
+  for (XamNodeId parent = kXamRoot; chain < nodes.size(); ++chain) {
+    const std::vector<XamEdge>& edges = xam.node(parent).edges;
+    auto edge = std::find_if(edges.begin(), edges.end(), [&](const XamEdge& e) {
+      return e.child == nodes[chain];
+    });
+    if (edge == edges.end() || edge->axis != Axis::kChild ||
+        edge->variant != JoinVariant::kInner) {
+      break;
+    }
+    parent = nodes[chain];
+  }
+  // An ID-less node ends the order, unless a deeper chain node follows it.
   std::vector<OrderKey> keys;
-  for (XamNodeId n : nodes) {
-    if (!xam.node(n).stores_id) break;
-    keys.push_back(OrderKey{xam.AttrPath(n, "_ID"), true});
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    if (xam.node(nodes[i]).stores_id) {
+      keys.push_back(OrderKey{xam.AttrPath(nodes[i], "_ID"), true});
+    } else if (i + 1 >= chain) {
+      break;
+    }
   }
   return OrderDescriptor(std::move(keys));
 }

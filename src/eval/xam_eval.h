@@ -29,10 +29,14 @@ Result<NestedRelation> EvaluateXam(const Xam& xam, const DocumentStore& doc);
 
 // The order EvaluateXam's extent is in, read off the definition alone: the
 // <n>_ID columns of the leading top-level nodes that store an identifier,
-// stopping at the first that stores none. Every identifier kind is
-// materialized in document order (MakeNodeId), and EvaluateXam sorts by the
-// same top-level nodes, so this is the order every view over `xam` declares,
-// stored or virtual (MaterializedView::order()).
+// stopping at the first that stores none. A leading chain of inner `/`
+// edges from ⊤ (a path or inlined view's steps) is in the document order of
+// its deepest node that stores an ID, so every chain node that stores one
+// is declared, in chain order, whether or not the nodes above it do; later
+// top-level nodes follow only when the chain's last node stores an ID.
+// Every identifier kind is materialized in document order (MakeNodeId), and
+// EvaluateXam sorts by the same top-level nodes, so this is the order every
+// view over `xam` declares, stored or virtual (MaterializedView::order()).
 OrderDescriptor ExtentOrder(const Xam& xam);
 
 // Def. 2.2.6: the semantics of an access-restricted XAM given bindings.

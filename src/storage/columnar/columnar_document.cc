@@ -11,17 +11,12 @@ ColumnarDocument ColumnarDocument::FromDocument(const Document& doc) {
   // text walk, which yields "" for an empty leaf anyway).
   c.values_.Intern("");
   std::vector<uint8_t> kind(n);
-  std::vector<uint32_t> post(n), depth(n), ordinal(n), label_id(n),
-      value_id(n);
-  std::vector<int32_t> parent(n), path(n);
+  std::vector<uint32_t> label_id(n), value_id(n);
+  std::vector<int32_t> parent(n);
   for (NodeIndex i = 0; i < n; ++i) {
     const Node& nd = doc.node(i);
     kind[i] = static_cast<uint8_t>(nd.kind);
-    post[i] = nd.sid.post;
-    depth[i] = nd.sid.depth;
     parent[i] = nd.parent;
-    ordinal[i] = nd.ordinal;
-    path[i] = nd.path_id;
     label_id[i] = c.labels_.Intern(nd.label);
     value_id[i] = (nd.is_text() || nd.is_attribute())
                       ? c.values_.Intern(nd.value)
@@ -46,21 +41,21 @@ ColumnarDocument ColumnarDocument::FromDocument(const Document& doc) {
     if (leaf) value_id[i] = c.values_.Intern(doc.Value(i));
   }
   c.kind_.SetOwned(std::move(kind));
-  c.post_.SetOwned(std::move(post));
-  c.depth_.SetOwned(std::move(depth));
   c.parent_.SetOwned(std::move(parent));
-  c.ordinal_.SetOwned(std::move(ordinal));
-  c.path_.SetOwned(std::move(path));
   c.label_id_.SetOwned(std::move(label_id));
   c.value_id_.SetOwned(std::move(value_id));
-  Status derived = c.BuildStructure();
-  (void)derived;  // a finalized Document is structurally consistent
-  c.BuildChunkIndexFromPaths();
+  // A parsed Document is structurally consistent. One assembled through
+  // AddNode may give its document node other children than one element;
+  // it still gets every derived column and the pointer tree's root.
+  (void)c.BuildStructure();
   return c;
 }
 
 Status ColumnarDocument::BuildStructure() {
-  subtree_end_.assign(static_cast<size_t>(n_), 0);
+  const size_t n = static_cast<size_t>(n_);
+  subtree_end_.assign(n, 0);
+  depth_.assign(n, 0);
+  ordinal_.assign(n, 0);
   element_count_ = 0;
   root_ = kNoNode;
   if (n_ <= 0) return Status::ParseError("columnar document: no rows");
@@ -71,60 +66,46 @@ Status ColumnarDocument::BuildStructure() {
   // Rows are pre-order, so a node's subtree is a contiguous row interval;
   // recover the interval ends with a parent stack. Inconsistent parent links
   // (forward references, parents not on the ancestor path) fail cleanly.
+  // A node's depth is its parent's plus one; the last row popped before it
+  // is its previous sibling, whose ordinal it follows.
   std::vector<NodeIndex> stack = {0};
   for (NodeIndex i = 1; i < n_; ++i) {
     NodeIndex p = parent_[i];
     if (p < 0 || p >= i) {
       return Status::ParseError("columnar document: bad parent link");
     }
+    NodeIndex previous_sibling = kNoNode;
     while (stack.back() != p) {
-      subtree_end_[stack.back()] = i;
+      previous_sibling = stack.back();
+      subtree_end_[previous_sibling] = i;
       stack.pop_back();
       if (stack.empty()) {
         return Status::ParseError(
             "columnar document: parent not on ancestor path");
       }
     }
+    depth_[i] = depth_[p] + 1;
+    ordinal_[i] =
+        previous_sibling == kNoNode ? 0 : ordinal_[previous_sibling] + 1;
     stack.push_back(i);
     if (kind(i) == NodeKind::kElement) ++element_count_;
   }
-  while (!stack.empty()) {
-    subtree_end_[stack.back()] = static_cast<NodeIndex>(n_);
-    stack.pop_back();
-  }
+  for (NodeIndex open : stack) subtree_end_[open] = static_cast<NodeIndex>(n_);
+  // The root is the document node's first element child, as in
+  // Document::root(). A well-formed tree has exactly that one child: row 1,
+  // whose subtree then runs to the end.
   for (NodeIndex c = 1; c < n_; c = subtree_end_[c]) {
     if (kind(c) == NodeKind::kElement) {
       root_ = c;
       break;
     }
   }
+  if (root_ != 1 || subtree_end_[1] != n_) {
+    return Status::ParseError(
+        "columnar document: the document node needs exactly one child, an "
+        "element");
+  }
   return Status::Ok();
-}
-
-void ColumnarDocument::BuildChunkIndexFromPaths() {
-  // Group rows by path_id; rows without a summary annotation fall outside
-  // every chunk.
-  int32_t limit = 0;
-  for (NodeIndex i = 0; i < n_; ++i) {
-    if (path_[i] >= limit) limit = path_[i] + 1;
-  }
-  std::vector<int64_t> counts(static_cast<size_t>(limit) + 1, 0);
-  int64_t chunked = 0;
-  for (NodeIndex i = 0; i < n_; ++i) {
-    if (path_[i] >= 0) {
-      ++counts[path_[i]];
-      ++chunked;
-    }
-  }
-  chunk_starts_.assign(static_cast<size_t>(limit) + 1, 0);
-  for (int32_t p = 0; p < limit; ++p) {
-    chunk_starts_[p + 1] = chunk_starts_[p] + counts[p];
-  }
-  chunk_rows_.assign(static_cast<size_t>(chunked), 0);
-  std::vector<int64_t> cursor(chunk_starts_.begin(), chunk_starts_.end() - 1);
-  for (NodeIndex i = 0; i < n_; ++i) {
-    if (path_[i] >= 0) chunk_rows_[cursor[path_[i]]++] = i;
-  }
 }
 
 std::string ColumnarDocument::Value(NodeIndex i) const {
@@ -151,31 +132,22 @@ std::string ColumnarDocument::Value(NodeIndex i) const {
   return out;
 }
 
-std::vector<NodeIndex> ColumnarDocument::ChunkRows(int32_t path) const {
-  if (path < 0 || path >= path_id_limit()) return {};
-  return std::vector<NodeIndex>(chunk_data(path),
-                                chunk_data(path) + chunk_size(path));
-}
-
 ColumnarDocument::BytesBreakdown ColumnarDocument::ApproximateBytesBreakdown()
     const {
   BytesBreakdown b;
   b.column_bytes = n_ * static_cast<int64_t>(
-                            sizeof(uint8_t) +     // kind
-                            3 * sizeof(uint32_t) +  // post, depth, ordinal
-                            2 * sizeof(int32_t) +   // parent, path
+                            sizeof(uint8_t) +       // kind
+                            sizeof(int32_t) +       // parent
                             2 * sizeof(uint32_t) +  // label_id, value_id
-                            sizeof(NodeIndex));     // subtree_end (derived)
+                            sizeof(NodeIndex) +     // subtree_end (derived)
+                            2 * sizeof(uint32_t));  // depth, ordinal (derived)
   b.dict_bytes = labels_.ApproximateBytes() + values_.ApproximateBytes();
-  b.chunk_index_bytes =
-      static_cast<int64_t>(chunk_starts_.size() * sizeof(int64_t) +
-                           chunk_rows_.size() * sizeof(NodeIndex));
   return b;
 }
 
 int64_t ColumnarDocument::ApproximateBytes() const {
   BytesBreakdown b = ApproximateBytesBreakdown();
-  return b.column_bytes + b.dict_bytes + b.chunk_index_bytes;
+  return b.column_bytes + b.dict_bytes;
 }
 
 }  // namespace uload

@@ -1,23 +1,22 @@
 // ColumnarDocument: the column-oriented DocumentStore backend (ROADMAP
-// item 2; Arion et al.'s path-partitioned storage adapted to the XAM stack).
+// item 2).
 //
 // The document's nodes live as parallel flat arrays indexed by row (= pre
-// label; row 0 is the synthetic #document node): kind, post, depth, parent,
-// ordinal, path_id, plus dictionary ids into two string dictionaries (one
-// for tags/labels, one for text/attribute values). The pre column itself is
+// label; row 0 is the synthetic #document node): kind and parent, plus
+// dictionary ids into two string dictionaries (one for tags/labels, one for
+// text/attribute values). These are the stored columns; the pre column is
 // implicit — rows are stored in pre-order, so the row index is the pre
-// label and costs zero bytes.
+// label and costs zero bytes. Everything else structural (subtree ends,
+// depth, ordinal, and post = subtree end - depth) is derived from the parent
+// column in one pass at construction, so a persisted image cannot carry
+// labels that disagree with its tree.
 //
-// Rows are additionally partitioned by summary node (path_id): a chunk
-// index maps each summary node to its ascending row (pre) list, so a
-// tag-derived collection is the merge of a few chunks instead of a scan of
-// the whole document. The chunk row lists and dictionary offsets — the
-// sorted ID columns — are what the persisted format (columnar_format.h)
-// delta+varint compresses.
+// Path partitioning is not kept here: the catalog describes it as
+// PathPartitionedModel's views, the only form the optimizer can use.
 //
 // Instances come from two places: FromDocument() (columns owned by
-// vectors) or the mmap-backed loader (fixed-width columns referenced
-// directly inside the mapping; the instance keeps the mapping alive).
+// vectors) or the mmap-backed loader (stored columns referenced directly
+// inside the mapping; the instance keeps the mapping alive).
 #ifndef ULOAD_STORAGE_COLUMNAR_COLUMNAR_DOCUMENT_H_
 #define ULOAD_STORAGE_COLUMNAR_COLUMNAR_DOCUMENT_H_
 
@@ -36,9 +35,7 @@ namespace uload {
 
 class ColumnarDocument final : public DocumentStore {
  public:
-  // Builds the columnar image of a finalized pointer-tree document. If a
-  // PathSummary annotated the document (Node::path_id set), rows are chunked
-  // by summary node; otherwise every row lands in no chunk.
+  // Builds the columnar image of a finalized pointer-tree document.
   static ColumnarDocument FromDocument(const Document& doc);
 
   // Empty store (0 rows); only a placeholder target for moves — no accessor
@@ -63,13 +60,15 @@ class ColumnarDocument final : public DocumentStore {
   std::string_view label(NodeIndex i) const override {
     return labels_.at(label_id_[i]);
   }
+  // post = subtree end - depth, as Document::Finalize assigns it (row 0's
+  // post is size()).
   StructuralId sid(NodeIndex i) const override {
-    return StructuralId{i == 0 ? 0u : static_cast<uint32_t>(i), post_[i],
+    return StructuralId{static_cast<uint32_t>(i),
+                        static_cast<uint32_t>(subtree_end_[i]) - depth_[i],
                         depth_[i]};
   }
   NodeIndex parent(NodeIndex i) const override { return parent_[i]; }
   uint32_t ordinal(NodeIndex i) const override { return ordinal_[i]; }
-  int32_t path_id(NodeIndex i) const override { return path_[i]; }
 
   NodeIndex SubtreeEnd(NodeIndex i) const override { return subtree_end_[i]; }
   NodeIndex NodeByPre(uint32_t pre) const override {
@@ -77,11 +76,6 @@ class ColumnarDocument final : public DocumentStore {
     return static_cast<NodeIndex>(pre);
   }
   std::string Value(NodeIndex i) const override;
-
-  int32_t path_id_limit() const override {
-    return static_cast<int32_t>(chunk_starts_.size()) - 1;
-  }
-  std::vector<NodeIndex> ChunkRows(int32_t path) const override;
 
   int64_t ApproximateBytes() const override;
 
@@ -99,28 +93,19 @@ class ColumnarDocument final : public DocumentStore {
   bool cheap_value(NodeIndex i) const {
     return kind(i) != NodeKind::kElement || value_id_[i] != 0;
   }
-  // Chunk slice without materializing a vector.
-  const NodeIndex* chunk_data(int32_t path) const {
-    return chunk_rows_.data() + chunk_starts_[path];
-  }
-  int64_t chunk_size(int32_t path) const {
-    return chunk_starts_[path + 1] - chunk_starts_[path];
-  }
 
   struct BytesBreakdown {
-    int64_t column_bytes = 0;       // fixed-width columns
-    int64_t dict_bytes = 0;         // both dictionaries (offsets + blobs)
-    int64_t chunk_index_bytes = 0;  // path-partitioning index
+    int64_t column_bytes = 0;  // stored and derived fixed-width columns
+    int64_t dict_bytes = 0;    // both dictionaries (offsets + blobs)
   };
   BytesBreakdown ApproximateBytesBreakdown() const;
 
  private:
   friend class ColumnarFormatIO;  // persistence (columnar_format.cc)
 
-  // A fixed-width column either owns its storage (FromDocument, or columns
-  // decoded at load) or references bytes inside the mapping. Vector moves
-  // keep the heap buffer, so the data pointer survives moves; copying is
-  // disabled at the class level.
+  // A stored column either owns its storage (FromDocument) or references
+  // bytes inside the mapping. Vector moves keep the heap buffer, so the
+  // data pointer survives moves; copying is disabled at the class level.
   template <typename T>
   struct Column {
     const T* data = nullptr;
@@ -137,33 +122,26 @@ class ColumnarDocument final : public DocumentStore {
     T operator[](NodeIndex i) const { return data[i]; }
   };
 
-  // Recomputes subtree_end_/root_/element_count_ from the parent column;
-  // fails on structurally inconsistent links (loader input is untrusted).
+  // Derives the structural columns, root_ and element_count_ from the
+  // parent column; fails on structurally inconsistent links and on a
+  // document node whose children are not exactly one element (loader input
+  // is untrusted).
   Status BuildStructure();
-  // Groups rows by path_id into the chunk index (builder path; the loader
-  // decodes the persisted index instead and cross-checks it).
-  void BuildChunkIndexFromPaths();
 
   int64_t n_ = 0;
   Column<uint8_t> kind_;
-  Column<uint32_t> post_;
-  Column<uint32_t> depth_;
   Column<int32_t> parent_;
-  Column<uint32_t> ordinal_;
-  Column<int32_t> path_;
   Column<uint32_t> label_id_;
   Column<uint32_t> value_id_;
   StringDict labels_;
   StringDict values_;
 
-  // Derived (never persisted).
+  // Derived by BuildStructure (never persisted).
   std::vector<NodeIndex> subtree_end_;
+  std::vector<uint32_t> depth_;
+  std::vector<uint32_t> ordinal_;
   NodeIndex root_ = kNoNode;
   int64_t element_count_ = 0;
-
-  // Chunk index: rows grouped by path_id, ascending inside each group.
-  std::vector<int64_t> chunk_starts_;  // path_id_limit() + 1 entries
-  std::vector<NodeIndex> chunk_rows_;
 
   // Alive only for mmap-loaded instances; columns and dictionary blobs may
   // point into it.

@@ -5,8 +5,6 @@
 #include <limits>
 #include <vector>
 
-#include "storage/columnar/varint.h"
-
 namespace uload {
 
 static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
@@ -25,17 +23,12 @@ enum SectionId : uint32_t {
   kSecValueDictOffsets = 3,
   kSecValueDictBlob = 4,
   kSecKind = 5,
-  kSecPost = 6,
-  kSecDepth = 7,
-  kSecParent = 8,
-  kSecOrdinal = 9,
-  kSecPath = 10,
-  kSecLabelIds = 11,
-  kSecValueIds = 12,
-  kSecChunkIndex = 13,
-  kSecSummary = 14,
+  kSecParent = 6,
+  kSecLabelIds = 7,
+  kSecValueIds = 8,
+  kSecSummary = 9,
 };
-constexpr uint32_t kSectionCount = 14;
+constexpr uint32_t kSectionCount = 9;
 
 uint64_t Fnv1a(const uint8_t* data, size_t size) {
   uint64_t h = 0xcbf29ce484222325ull;
@@ -96,32 +89,9 @@ class ColumnarFormatIO {
     sections.emplace_back(kSecValueDictBlob, std::string(d.values_.blob()));
 
     sections.emplace_back(kSecKind, RawColumn(d.kind_.data, n));
-    sections.emplace_back(kSecPost, RawColumn(d.post_.data, n));
-    sections.emplace_back(kSecDepth, RawColumn(d.depth_.data, n));
     sections.emplace_back(kSecParent, RawColumn(d.parent_.data, n));
-    sections.emplace_back(kSecOrdinal, RawColumn(d.ordinal_.data, n));
-    sections.emplace_back(kSecPath, RawColumn(d.path_.data, n));
     sections.emplace_back(kSecLabelIds, RawColumn(d.label_id_.data, n));
     sections.emplace_back(kSecValueIds, RawColumn(d.value_id_.data, n));
-
-    // Chunk index: per summary node, the sorted row (pre) list delta+varint
-    // compressed — the dense chunks of path-partitioned storage cost ~1
-    // byte per row.
-    std::string chunks;
-    int32_t limit = d.path_id_limit();
-    PutVarint(static_cast<uint64_t>(limit), &chunks);
-    for (int32_t p = 0; p < limit; ++p) {
-      int64_t sz = d.chunk_size(p);
-      PutVarint(static_cast<uint64_t>(sz), &chunks);
-      uint64_t prev = 0;
-      const NodeIndex* rows = d.chunk_data(p);
-      for (int64_t k = 0; k < sz; ++k) {
-        uint64_t v = static_cast<uint64_t>(rows[k]);
-        PutVarint(v - prev, &chunks);
-        prev = v;
-      }
-    }
-    sections.emplace_back(kSecChunkIndex, std::move(chunks));
     sections.emplace_back(kSecSummary, summary);
 
     // Assemble: header, table, aligned payloads.
@@ -235,8 +205,7 @@ class ColumnarFormatIO {
       return Status::Ok();
     };
     ULOAD_RETURN_NOT_OK(expect_len(kSecKind, rows));
-    for (SectionId id : {kSecPost, kSecDepth, kSecParent, kSecOrdinal,
-                         kSecPath, kSecLabelIds, kSecValueIds}) {
+    for (SectionId id : {kSecParent, kSecLabelIds, kSecValueIds}) {
       ULOAD_RETURN_NOT_OK(expect_len(id, rows * 4));
     }
 
@@ -256,14 +225,8 @@ class ColumnarFormatIO {
             secs[kSecValueDictBlob].length));
 
     d.kind_.SetExternal(secs[kSecKind].data);
-    d.post_.SetExternal(reinterpret_cast<const uint32_t*>(secs[kSecPost].data));
-    d.depth_.SetExternal(
-        reinterpret_cast<const uint32_t*>(secs[kSecDepth].data));
     d.parent_.SetExternal(
         reinterpret_cast<const int32_t*>(secs[kSecParent].data));
-    d.ordinal_.SetExternal(
-        reinterpret_cast<const uint32_t*>(secs[kSecOrdinal].data));
-    d.path_.SetExternal(reinterpret_cast<const int32_t*>(secs[kSecPath].data));
     d.label_id_.SetExternal(
         reinterpret_cast<const uint32_t*>(secs[kSecLabelIds].data));
     d.value_id_.SetExternal(
@@ -280,65 +243,10 @@ class ColumnarFormatIO {
       }
     }
 
-    // Structure (subtree intervals, root, element count) from the parent
-    // column — rejects inconsistent links.
+    // Structure (subtree intervals, depth, ordinal, root, element count)
+    // from the parent column — rejects inconsistent links and a document
+    // node without exactly one root element.
     ULOAD_RETURN_NOT_OK(d.BuildStructure());
-
-    // Chunk index: decode, then verify it is exactly the path column's
-    // grouping (a mismatched index would give silently wrong chunked scans).
-    {
-      const uint8_t* cd = secs[kSecChunkIndex].data;
-      size_t clen = secs[kSecChunkIndex].length;
-      size_t pos = 0;
-      uint64_t limit = 0;
-      if (!GetVarint(cd, clen, &pos, &limit) || limit > rows) {
-        return Status::ParseError("columnar file: bad chunk index header");
-      }
-      d.chunk_starts_.assign(static_cast<size_t>(limit) + 1, 0);
-      d.chunk_rows_.clear();
-      for (uint64_t p = 0; p < limit; ++p) {
-        uint64_t count = 0;
-        if (!GetVarint(cd, clen, &pos, &count) ||
-            count > rows - d.chunk_rows_.size()) {
-          return Status::ParseError("columnar file: bad chunk size");
-        }
-        uint64_t prev = 0;
-        for (uint64_t k = 0; k < count; ++k) {
-          uint64_t delta = 0;
-          if (!GetVarint(cd, clen, &pos, &delta)) {
-            return Status::ParseError("columnar file: truncated chunk rows");
-          }
-          prev += delta;
-          if (prev >= rows) {
-            return Status::ParseError("columnar file: chunk row out of range");
-          }
-          NodeIndex r = static_cast<NodeIndex>(prev);
-          if (d.path_.data[r] != static_cast<int32_t>(p)) {
-            return Status::ParseError(
-                "columnar file: chunk index disagrees with path column");
-          }
-          d.chunk_rows_.push_back(r);
-        }
-        d.chunk_starts_[p + 1] = static_cast<int64_t>(d.chunk_rows_.size());
-      }
-      if (pos != clen) {
-        return Status::ParseError("columnar file: trailing chunk bytes");
-      }
-      int64_t with_path = 0;
-      for (int64_t i = 0; i < n; ++i) {
-        int32_t pid = d.path_.data[i];
-        if (pid >= 0) {
-          if (static_cast<uint64_t>(pid) >= limit) {
-            return Status::ParseError(
-                "columnar file: path id outside chunk index");
-          }
-          ++with_path;
-        }
-      }
-      if (with_path != static_cast<int64_t>(d.chunk_rows_.size())) {
-        return Status::ParseError("columnar file: chunk index incomplete");
-      }
-    }
 
     LoadedColumnar out;
     out.summary_text.assign(

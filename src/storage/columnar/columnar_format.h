@@ -4,7 +4,7 @@
 // File layout (all integers little-endian):
 //
 //   [0..7]    magic "ULDCOL1\0"
-//   [8..11]   u32 version (currently 1)
+//   [8..11]   u32 version (currently 2)
 //   [12..15]  u32 section count
 //   [16..23]  u64 row count
 //   [24..31]  u64 total file size (truncation tripwire)
@@ -13,13 +13,17 @@
 //       u64 FNV-1a checksum of the payload bytes
 //   then the payload sections, each starting at an 8-byte-aligned offset.
 //
-// Sections: the two string dictionaries (delta+varint offsets + raw blob),
-// the fixed-width per-row columns (raw little-endian arrays, referenced in
-// place by the loader), the per-summary-node chunk index (sorted row lists,
-// delta+varint), and the serialized PathSummary. Loading validates magic,
-// version, bounds, alignment, per-section checksums, dictionary-id ranges
-// and parent-link structure before handing out a document — a truncated or
-// corrupted file yields a clean Status, never UB.
+// Sections, by id: 1-4 the label and value string dictionaries (each
+// delta+varint offsets, then the raw blob); the stored per-row columns, raw
+// little-endian arrays referenced in place by the loader — 5 kind (u8),
+// 6 parent (i32), 7 label id (u32), 8 value id (u32); 9 the serialized
+// PathSummary. Nothing derivable is persisted: post, depth, ordinal and
+// subtree ends are derived from the parent column at load, so an image
+// cannot carry labels that disagree with its tree. Loading validates
+// magic, version, bounds, alignment, per-section checksums, node kinds,
+// dictionary-id ranges and the tree shape (parent links, one root element)
+// before handing out a document — a truncated or corrupted file yields a
+// clean Status, never UB.
 #ifndef ULOAD_STORAGE_COLUMNAR_COLUMNAR_FORMAT_H_
 #define ULOAD_STORAGE_COLUMNAR_COLUMNAR_FORMAT_H_
 
@@ -30,7 +34,7 @@
 
 namespace uload {
 
-inline constexpr uint32_t kColumnarFormatVersion = 1;
+inline constexpr uint32_t kColumnarFormatVersion = 2;
 
 // A loaded store plus the persisted catalog metadata that rides with it.
 struct LoadedColumnar {

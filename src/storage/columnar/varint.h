@@ -1,7 +1,7 @@
 // LEB128 varint and delta+varint codecs for the columnar store.
 //
-// Sorted ID columns (per-summary-node chunk row lists, string-dictionary
-// offset arrays) compress as first-differences in unsigned LEB128: dense
+// Sorted ID columns (a virtual extent's row set, string-dictionary offset
+// arrays) compress as first-differences in unsigned LEB128: dense
 // ascending runs cost ~1 byte per entry. Decoders are bounds-checked and
 // never read past the supplied buffer — the on-disk loader feeds them
 // untrusted bytes (storage/columnar/columnar_format.h).

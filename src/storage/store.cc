@@ -33,7 +33,7 @@ bool QualifiesAsVirtualExtent(const Xam& xam) {
   if (top.edges.size() != 1) return false;
   const XamEdge& e = top.edges[0];
   // `/` under ⊤ restricts to the document root element — a filter the plain
-  // chunk scan does not apply; semijoin/nesting change the shape.
+  // row-set scan does not apply; semijoin/nesting change the shape.
   if (e.axis != Axis::kDescendant || e.semi() || e.nested()) return false;
   const XamNode& n = xam.node(e.child);
   if (!n.edges.empty()) return false;           // structural predicates

@@ -5,10 +5,10 @@
 // Over the columnar backend, qualifying views do not materialize at all:
 // a XAM that is a plain tag/attribute collection (single node under ⊤ via
 // //, no predicates, no R markers, no Cont, non-parental id) is kept as a
-// *virtual extent* — the store's per-summary-node chunks already are its
-// rows, so scans stream straight off the columns and the view costs only a
-// compressed row-id list. Everything else falls back to materialization,
-// which is correct for any backend. A virtual extent is never
+// *virtual extent* — its tuples are store rows, so scans stream straight
+// off the columns and the view costs only a compressed row-id list.
+// Everything else falls back to materialization, which is correct for any
+// backend. A virtual extent is never
 // materialized: its data() is empty, and the test oracle evaluates its
 // definition (EvaluateXam) instead.
 #ifndef ULOAD_STORAGE_STORE_H_
@@ -28,7 +28,7 @@
 
 namespace uload {
 
-// True when `xam` is a plain collection pattern a chunked store can serve
+// True when `xam` is a plain collection pattern a column store can serve
 // without materialization (see file comment for the exact gate).
 bool QualifiesAsVirtualExtent(const Xam& xam);
 

@@ -105,22 +105,6 @@ std::string Document::Value(NodeIndex i) const {
   return out;
 }
 
-int32_t Document::path_id_limit() const {
-  int32_t limit = 0;
-  for (const Node& n : nodes_) {
-    if (n.path_id >= limit) limit = n.path_id + 1;
-  }
-  return limit;
-}
-
-std::vector<NodeIndex> Document::ChunkRows(int32_t path) const {
-  std::vector<NodeIndex> rows;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].path_id == path) rows.push_back(static_cast<NodeIndex>(i));
-  }
-  return rows;
-}
-
 int64_t Document::ApproximateBytes() const {
   int64_t bytes = 0;
   for (const Node& n : nodes_) {

@@ -54,7 +54,6 @@ class Document : public DocumentStore {
   StructuralId sid(NodeIndex i) const override { return nodes_[i].sid; }
   NodeIndex parent(NodeIndex i) const override { return nodes_[i].parent; }
   uint32_t ordinal(NodeIndex i) const override { return nodes_[i].ordinal; }
-  int32_t path_id(NodeIndex i) const override { return nodes_[i].path_id; }
 
   // Number of element nodes (the N statistic of Fig. 4.13).
   int64_t element_count() const override;
@@ -74,11 +73,6 @@ class Document : public DocumentStore {
   // XPath text() semantics: concatenation of all descendant #text values in
   // document order; for attributes/texts, their own value (§1.1).
   std::string Value(NodeIndex i) const override;
-
-  // Path-partitioned chunk iteration: the pointer tree keeps no chunk index,
-  // so these scan the arena (used by equivalence tests, not hot paths).
-  int32_t path_id_limit() const override;
-  std::vector<NodeIndex> ChunkRows(int32_t path) const override;
 
   // Arena footprint: node structs plus label/value payloads.
   int64_t ApproximateBytes() const override;

@@ -62,9 +62,6 @@ class DocumentStore {
   virtual NodeIndex parent(NodeIndex i) const = 0;
   // 0-based position among the parent's children (all kinds).
   virtual uint32_t ordinal(NodeIndex i) const = 0;
-  // Summary node this row maps to (φ of Def. 4.2.1); kNoNode when no path
-  // summary was attached to the document.
-  virtual int32_t path_id(NodeIndex i) const = 0;
 
   // --- Derived access ------------------------------------------------------
 
@@ -98,15 +95,6 @@ class DocumentStore {
     std::reverse(path.begin(), path.end());
     return path;
   }
-
-  // --- Path-partitioned chunk iteration ------------------------------------
-
-  // Exclusive upper bound on path_id values present (0 when the document
-  // carries no summary annotation).
-  virtual int32_t path_id_limit() const = 0;
-  // Rows mapped to summary node `path`, ascending (= document order). Empty
-  // for out-of-range ids.
-  virtual std::vector<NodeIndex> ChunkRows(int32_t path) const = 0;
 
   // Resident-footprint estimate in bytes (bench reporting).
   virtual int64_t ApproximateBytes() const = 0;

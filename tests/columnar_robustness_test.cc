@@ -4,8 +4,9 @@
 // ParseError Status — never a crash, out-of-bounds read, or document that
 // later misbehaves. The corpus covers truncation at every section boundary
 // (and a byte sweep around them), bad magic, unsupported versions, flipped
-// payload bytes against the checksums, and header-field lies (row count,
-// section count, offsets, total size).
+// payload bytes against the checksums, header-field lies (row count,
+// section count, offsets, total size), and checksum-valid images whose
+// columns describe no well-formed tree.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -87,8 +88,45 @@ class ColumnarRobustness : public ::testing::Test {
     return cuts;
   }
 
+  // The good image with one cell of the stored fixed-width column in
+  // section `id` replaced and that section's FNV-1a checksum recomputed, so
+  // only the loader's checks of the content stand between the mutant and a
+  // document.
+  template <typename T>
+  static std::string SetCell(uint32_t id, NodeIndex row, T value) {
+    std::string img = *image_;
+    uint32_t sections = 0;
+    std::memcpy(&sections, img.data() + 12, sizeof(sections));
+    for (uint32_t s = 0; s < sections; ++s) {
+      const size_t entry = 32 + size_t{s} * 32;
+      uint32_t entry_id = 0;
+      std::memcpy(&entry_id, img.data() + entry, sizeof(entry_id));
+      if (entry_id != id) continue;
+      uint64_t offset = 0, length = 0;
+      std::memcpy(&offset, img.data() + entry + 8, sizeof(offset));
+      std::memcpy(&length, img.data() + entry + 16, sizeof(length));
+      std::memcpy(img.data() + offset + static_cast<size_t>(row) * sizeof(T),
+                  &value, sizeof(T));
+      uint64_t h = 0xcbf29ce484222325ull;
+      for (uint64_t i = 0; i < length; ++i) {
+        h ^= static_cast<uint8_t>(img[offset + i]);
+        h *= 0x100000001b3ull;
+      }
+      std::memcpy(img.data() + entry + 24, &h, sizeof(h));
+      return img;
+    }
+    ADD_FAILURE() << "no section " << id;
+    return img;
+  }
+
   static std::string* image_;
 };
+
+// Stored-column section ids (columnar_format.h).
+constexpr uint32_t kKindSection = 5;
+constexpr uint32_t kParentSection = 6;
+constexpr uint32_t kLabelIdSection = 7;
+constexpr uint32_t kValueIdSection = 8;
 
 std::string* ColumnarRobustness::image_ = nullptr;
 
@@ -190,6 +228,59 @@ TEST_F(ColumnarRobustness, HeaderFieldLiesAreRejected) {
     offset += 1;
     std::memcpy(img.data() + 32 + 8, &offset, sizeof(offset));
     ExpectCleanFailure(img, "misaligned section offset");
+  }
+}
+
+// Checksum-valid images whose columns describe no well-formed document:
+// each must fail with ParseError at the loader's structural checks, before
+// any accessor can index a column out of range.
+TEST_F(ColumnarRobustness, MalformedTreesBehindValidChecksumsAreRejected) {
+  auto good = LoadBytes(*image_);
+  ASSERT_TRUE(good.ok()) << good.status().ToString();
+  const ColumnarDocument& doc = good->document;
+  ASSERT_EQ(doc.root(), 1);
+  const std::vector<NodeIndex> top = doc.Children(doc.root());
+  ASSERT_GE(top.size(), 3u);
+  ASSERT_TRUE(doc.is_element(top.back()));
+  const auto element = static_cast<uint8_t>(NodeKind::kElement);
+  const auto text = static_cast<uint8_t>(NodeKind::kText);
+  const struct {
+    const char* what;
+    std::string image;
+    const char* message;
+  } mutants[] = {
+      {"forward parent link", SetCell<int32_t>(kParentSection, top[1],
+                                               top[1] + 1),
+       "bad parent link"},
+      {"self parent link", SetCell<int32_t>(kParentSection, top[1], top[1]),
+       "bad parent link"},
+      {"parent off the ancestor path",
+       SetCell<int32_t>(kParentSection, top[2], top[0]),
+       "parent not on ancestor path"},
+      {"row 0 an element", SetCell<uint8_t>(kKindSection, 0, element),
+       "row 0 is not the document"},
+      {"row 0 with a parent", SetCell<int32_t>(kParentSection, 0, 0),
+       "row 0 is not the document"},
+      {"kind out of range", SetCell<uint8_t>(kKindSection, top[1], 4),
+       "invalid node kind"},
+      {"label id out of range",
+       SetCell<uint32_t>(kLabelIdSection, top[1], 0xffffffffu),
+       "dictionary id out of range"},
+      {"value id out of range",
+       SetCell<uint32_t>(kValueIdSection, top[1], 0xffffffffu),
+       "dictionary id out of range"},
+      {"no root element", SetCell<uint8_t>(kKindSection, 1, text),
+       "exactly one child"},
+      {"two root elements", SetCell<int32_t>(kParentSection, top.back(), 0),
+       "exactly one child"},
+  };
+  for (const auto& m : mutants) {
+    SCOPED_TRACE(m.what);
+    auto r = LoadBytes(m.image);
+    ASSERT_FALSE(r.ok()) << "loader accepted the mutant";
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError);
+    EXPECT_NE(r.status().ToString().find(m.message), std::string::npos)
+        << r.status().ToString();
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "engine/engine.h"
 #include "eval/xam_eval.h"
+#include "exec/order_descriptor.h"
 #include "storage/storage_models.h"
 #include "workload/xmark.h"
 #include "xam/xam_parser.h"
@@ -383,6 +384,96 @@ TEST_F(XamEvalTest, ViewSchemaIsTheExtentSchema) {
             << extent->schema().ToString();
       }
     }
+  }
+}
+
+// ExtentOrder reads the order off the definition. A leading chain of inner
+// `/` edges from ⊤ is ordered by its deepest node that stores an ID: each
+// chain node sits at a fixed depth and is the parent of the next, so the
+// sort over the chain is that node's document order, and the chain nodes
+// that store IDs are declared below an ID-less root. A `//` edge ends the
+// chain and declares nothing new. Every declared order must hold on the
+// extent EvaluateXam produces.
+TEST_F(XamEvalTest, ExtentOrderFollowsTheLeadingChildChain) {
+  const struct {
+    const char* what;
+    const char* text;
+    const char* order;
+  } cases[] = {
+      {"path view", R"(xam
+node e1 label=library
+node e2 label=book
+node e3 label=title id=s val
+edge top / j e1
+edge e1 / j e2
+edge e2 / j e3
+)",
+       "⇃e3_ID⇂"},
+      {"inlined view", R"(xam
+node e1 label=library
+node e2 label=book id=o
+node e3 label=author id=o val
+edge top / j e1
+edge e1 / j e2
+edge e2 / j e3
+)",
+       "⇃e2_ID, e3_ID⇂"},
+      {"inlined view with inlined children", R"(xam
+node e1 label=library id=o
+node e2 label=book id=o val
+node e3 label=@year val
+node e4 label=title val
+edge top / j e1
+edge e1 / j e2
+edge e2 / o e3
+edge e2 / j e4
+)",
+       "⇃e1_ID, e2_ID⇂"},
+      {"chain ending without an ID", R"(xam
+node e1 label=library
+node e2 label=book id=s
+node e3 label=title val
+node e4 label=author id=s
+edge top / j e1
+edge e1 / j e2
+edge e2 / j e3
+edge e2 // j e4
+)",
+       "⇃e2_ID⇂"},
+      {"chain ending in an ID, then more ids", R"(xam
+node e1 label=library
+node e2 label=book id=s
+node e3 label=author id=s
+edge top / j e1
+edge e1 / j e2
+edge e2 // j e3
+)",
+       "⇃e2_ID, e3_ID⇂"},
+      {"// nested under the chain", R"(xam
+node e1 label=library
+node e2 label=title id=s val
+edge top / j e1
+edge e1 // j e2
+)",
+       "⇃⇂"},
+      {"// from top", R"(xam
+node e1 label=book id=s
+node e2 label=title id=s
+edge top // j e1
+edge e1 / j e2
+)",
+       "⇃e1_ID, e2_ID⇂"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
+    Xam x = MustParse(c.text);
+    const OrderDescriptor order = ExtentOrder(x);
+    EXPECT_EQ(order.ToString(), c.order);
+    NestedRelation extent = Eval(x);
+    ASSERT_GT(extent.size(), 1);
+    NestedRelation sorted = extent;
+    ASSERT_TRUE(SortBy(order, &sorted).ok());
+    EXPECT_TRUE(sorted.Equals(extent)) << extent.ToString();
   }
 }
 
