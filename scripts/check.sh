@@ -53,9 +53,12 @@
 # ASAN/UBSAN: the pointer-vs-columnar differential grid (byte-identical
 # results across backends × batch sizes), the plan-identity test (Explain
 # equal across backends), the DocumentStore accessor parity + save/load
-# round-trip suite, and the loader robustness corpus (truncations, bit
-# flips, header lies and malformed trees on persisted images). It is
-# single-threaded; no TSAN leg is needed beyond the main matrix.
+# round-trip suite, the loader robustness corpus (truncations, bit
+# flips, header lies and malformed trees on persisted images), and the plan
+# cache suite, where ASAN turns a cached plan that outlives its catalog into
+# a use-after-free. It is single-threaded; no TSAN leg is needed beyond the
+# main matrix (the server sweep's torture filter runs the plan cache suite
+# under TSAN).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -69,10 +72,11 @@ run_config() {
 
 FAULT_FILTER='ExecFaultSweep.*:EngineGovernorTest.*:XmlParserRobustness.*'
 BACKEND_FILTER='BackendDifferential.*:ColumnarStore.*:ColumnarRobustness.*'
-BACKEND_FILTER="$BACKEND_FILTER:EngineBackendPlanTest.*"
+BACKEND_FILTER="$BACKEND_FILTER:EngineBackendPlanTest.*:EnginePlanCache.*"
 SERVER_FILTER='ServerTest.*:ServerDifferentialTest.*:ServerFrameRobustness.*'
 SERVER_FILTER="$SERVER_FILTER:WireCodes.*:AdmissionControl.*"
 TORTURE_FILTER='*EngineConcurrencyTest*:ServerTest.*:AdmissionControl.*'
+TORTURE_FILTER="$TORTURE_FILTER:*EnginePlanCache*"
 CHAOS_FILTER='RetryPolicy.*:DegradationLadder.*:SessionReaper.*:StatsFrame.*'
 CHAOS_FILTER="$CHAOS_FILTER:DeadlinePropagation.*:ChaosProxy.*:KillRestart.*"
 CHAOS_FILTER="$CHAOS_FILTER:ErrorDetailCompat.*"

@@ -19,6 +19,7 @@ Engine::Engine(Document doc, Options options)
   } else {
     store_ = &doc_;
   }
+  ctx_ = catalog_.MakeEvalContext(store_);
   engine_memory_.set_limit(options_.engine_memory_limit_bytes);
 }
 
@@ -28,6 +29,7 @@ Engine::Engine(ColumnarDocument store, PathSummary summary, Options options)
       summary_(std::move(summary)),
       options_(options) {
   options_.backend = Options::Backend::kColumnar;
+  ctx_ = catalog_.MakeEvalContext(store_);
   engine_memory_.set_limit(options_.engine_memory_limit_bytes);
 }
 
@@ -54,11 +56,14 @@ Status Engine::Save(const std::string& path) const {
 }
 
 void Engine::SetOptions(Options options) {
+  ClearPlanCache();
   options_ = std::move(options);
   engine_memory_.set_limit(options_.engine_memory_limit_bytes);
 }
 
 Status Engine::InstallModel(std::vector<NamedXam> model) {
+  // Cached plans and the old context refer into the catalog replaced here.
+  ClearPlanCache();
   catalog_ = Catalog();
   Status st = Status::Ok();
   for (size_t i = 0; i < model.size() && st.ok(); ++i) {
@@ -69,7 +74,45 @@ Status Engine::InstallModel(std::vector<NamedXam> model) {
     views.push_back(NamedXam{v->name(), v->definition()});
   }
   rewriter_ = Rewriter(&summary_, std::move(views));
+  ctx_ = catalog_.MakeEvalContext(store_);
   return st;
+}
+
+void Engine::ClearPlanCache() {
+  MutexLock lock(&cache_mu_);
+  cache_index_.clear();
+  cache_lru_.clear();
+  plan_cache_entries_.store(0, std::memory_order_relaxed);
+}
+
+Result<std::shared_ptr<const Engine::PreparedQuery>> Engine::PrepareCached(
+    const std::string& query) {
+  {
+    MutexLock lock(&cache_mu_);
+    auto it = cache_index_.find(query);
+    if (it != cache_index_.end()) {
+      cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
+      plan_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      return it->second->prepared;
+    }
+  }
+  plan_cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  ULOAD_ASSIGN_OR_RETURN(PreparedQuery p, Prepare(query));
+  auto prepared = std::make_shared<const PreparedQuery>(std::move(p));
+  // Declared before the lock, so an evicted plan is freed after unlocking.
+  std::shared_ptr<const PreparedQuery> evicted;
+  MutexLock lock(&cache_mu_);
+  if (cache_index_.find(query) != cache_index_.end()) return prepared;
+  cache_lru_.push_front(CacheEntry{query, prepared});
+  cache_index_.emplace(cache_lru_.front().text, cache_lru_.begin());
+  if (cache_lru_.size() > kPlanCacheCapacity) {
+    evicted = std::move(cache_lru_.back().prepared);
+    cache_index_.erase(cache_lru_.back().text);
+    cache_lru_.pop_back();
+  }
+  plan_cache_entries_.store(static_cast<int64_t>(cache_lru_.size()),
+                            std::memory_order_relaxed);
+  return prepared;
 }
 
 Engine::QueryOptions Engine::EffectiveQueryOptions() const {
@@ -147,13 +190,13 @@ Result<Engine::PreparedQuery> Engine::Prepare(
   ULOAD_ASSIGN_OR_RETURN(
       p.rewrite, QueryRewriter::Rewrite(rewriter_, query, options_.rewrite));
   ULOAD_ASSIGN_OR_RETURN(p.plan, QueryRewriter::BuildPlan(p.rewrite));
-  p.ctx = catalog_.MakeEvalContext(store_);
+  p.ctx = &ctx_;
   // Verify-before-execute: prove the combined plan schema-consistent and the
   // template's bindings resolvable before a single tuple flows. The compiled
   // physical tree is re-verified inside CompilePhysicalPlan.
   if (options_.verify) {
     ULOAD_ASSIGN_OR_RETURN(SchemaPtr root_schema,
-                           VerifyLogicalPlan(*p.plan, p.ctx));
+                           VerifyLogicalPlan(*p.plan, *p.ctx));
     ULOAD_RETURN_NOT_OK(
         VerifyTemplate(p.rewrite.translation.templ, *root_schema));
   }
@@ -169,7 +212,7 @@ Result<Engine::Explanation> Engine::Drive(const PreparedQuery& prepared,
   std::shared_ptr<QueryControl> control = BeginQuery(&exec, &query_mem, q);
   Explanation out;
   Result<PhysicalPtr> root =
-      CompilePhysicalPlan(prepared.plan, prepared.ctx, &exec);
+      CompilePhysicalPlan(prepared.plan, *prepared.ctx, &exec);
   Status s = root.status();
   if (root.ok() && mode == Mode::kExplain) {
     out.physical = (*root)->Describe();
@@ -203,8 +246,9 @@ Result<std::string> Engine::Run(const std::string& query) {
 
 Result<std::string> Engine::Run(const std::string& query,
                                 const QueryOptions& q) {
-  ULOAD_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(query));
-  return Execute(prepared, q);
+  ULOAD_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> prepared,
+                         PrepareCached(query));
+  return Execute(*prepared, q);
 }
 
 Result<Engine::Explanation> Engine::Explain(const std::string& query) {
@@ -213,8 +257,9 @@ Result<Engine::Explanation> Engine::Explain(const std::string& query) {
 
 Result<Engine::Explanation> Engine::Explain(const std::string& query,
                                             const QueryOptions& q) {
-  ULOAD_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(query));
-  return Drive(prepared, q, Mode::kExplain);
+  ULOAD_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> prepared,
+                         PrepareCached(query));
+  return Drive(*prepared, q, Mode::kExplain);
 }
 
 Result<Engine::Explanation> Engine::ExplainAnalyze(const std::string& query) {
@@ -223,8 +268,9 @@ Result<Engine::Explanation> Engine::ExplainAnalyze(const std::string& query) {
 
 Result<Engine::Explanation> Engine::ExplainAnalyze(const std::string& query,
                                                    const QueryOptions& q) {
-  ULOAD_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(query));
-  return Drive(prepared, q, Mode::kAnalyze);
+  ULOAD_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> prepared,
+                         PrepareCached(query));
+  return Drive(*prepared, q, Mode::kAnalyze);
 }
 
 }  // namespace uload

@@ -5,11 +5,16 @@
 //   Explain(query)         combined logical plan + physical operator tree
 //   ExplainAnalyze(query)  Run, returning the plan annotated with the
 //                          per-operator runtime counters it just produced
-// All three run one pipeline: Prepare (rewrite, combined plan, evaluation
-// context, verification), then a private governed ExecContext (BeginQuery),
-// compilation, and — for Run and ExplainAnalyze — the shared drain loop
-// (DrainPhysical), which feeds the tagging template batch by batch with no
-// intermediate materialized relation and always closes the operator tree.
+// All three run one pipeline. They take the query's PreparedQuery (rewrite,
+// combined plan, verification) from one plan-cache lookup keyed by the exact
+// query text: a miss runs Prepare and caches its success, a hit reuses the
+// cached plan and skips parse, translate, rewrite, plan and verify. Then
+// comes a private governed ExecContext (BeginQuery), compilation, which
+// re-verifies the physical tree on every call, and — for Run and
+// ExplainAnalyze — the shared drain loop (DrainPhysical), which feeds the
+// tagging template batch by batch with no intermediate materialized
+// relation and always closes the operator tree. InstallModel and SetOptions
+// empty the cache (DESIGN.md §16).
 //
 // Resource governance (DESIGN.md §8): every Run/ExplainAnalyze executes on a
 // private ExecContext with a fresh QueryControl (deadline = now + timeout)
@@ -20,9 +25,13 @@
 #ifndef ULOAD_ENGINE_ENGINE_H_
 #define ULOAD_ENGINE_ENGINE_H_
 
+#include <atomic>
 #include <deque>
+#include <list>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.h"
@@ -121,15 +130,18 @@ class Engine {
 
   // Replaces the engine options. Governor settings (timeout, budgets, fault
   // spec, control override) are read per query at Begin, so changed options
-  // apply to the next query. Call with no queries in flight.
-  void SetOptions(Options options);
+  // apply to the next query. Empties the plan cache, since the rewrite
+  // options and the verify switch shape every prepared query. Call with no
+  // queries in flight.
+  void SetOptions(Options options) EXCLUDES(cache_mu_);
   const Options& options() const { return options_; }
 
   // Replaces the installed storage model: materializes every XAM of `model`
-  // over the document into a fresh catalog, then rebuilds the rewriter over
-  // it. A failed install keeps the views added before the failure, and the
-  // rewriter follows them.
-  Status InstallModel(std::vector<NamedXam> model);
+  // over the document into a fresh catalog, then rebuilds the rewriter and
+  // the evaluation context over it and empties the plan cache. A failed
+  // install keeps the views added before the failure, and the rewriter and
+  // context follow them.
+  Status InstallModel(std::vector<NamedXam> model) EXCLUDES(cache_mu_);
 
   // Rewrites `query` over the installed views and streams the combined plan
   // through the physical executor into serialized XML. Thread-safe against
@@ -142,19 +154,25 @@ class Engine {
                                         const QueryOptions& q);
 
   // The front half of every query: `query` rewritten over the installed
-  // views, the combined logical plan, and the context it executes in, with
-  // plan and template verified when Options::verify is set. Refers into the
-  // catalog and the store, so it stays valid until the next InstallModel.
+  // views and the combined logical plan, with plan and template verified
+  // when Options::verify is set. `ctx` is the engine's evaluation context,
+  // built once per catalog and shared by every prepared query. A prepared
+  // query refers into the catalog and the store, so it stays valid until
+  // the next InstallModel.
   struct PreparedQuery {
     QueryRewriteResult rewrite;
     PlanPtr plan;
-    EvalContext ctx;
+    const EvalContext* ctx = nullptr;
   };
+  // Always the cold path: parses, translates, rewrites, plans and verifies,
+  // and neither reads nor fills the plan cache, so benches that time it
+  // time the whole front half.
   Result<PreparedQuery> Prepare(const std::string& query) const;
   // The back half of Run: compiles `prepared` on a private governed context
-  // and streams it through the tagging template. Run(query, q) is exactly
-  // Prepare(query) followed by Execute(prepared, q); benches call the halves
-  // separately to time execution without the rewrite.
+  // and streams it through the tagging template. Run(query, q) is the
+  // plan-cache lookup (Prepare on a miss) followed by Execute(prepared, q);
+  // benches call the halves separately to time execution without the
+  // rewrite.
   [[nodiscard]] Result<std::string> Execute(const PreparedQuery& prepared,
                                             const QueryOptions& q);
 
@@ -202,9 +220,34 @@ class Engine {
   // returns to zero when no query is in flight — aborted ones included.
   const MemoryTracker& memory() const { return engine_memory_; }
 
+  // Most prepared queries the plan cache keeps; the least recently used
+  // entry goes first. An entry for one of perfbench's adhoc texts takes
+  // about 7.5 KiB, its key and list node included, so a full cache of them
+  // stays under half a MiB.
+  static constexpr size_t kPlanCacheCapacity = 48;
+  // Plan-cache counters: lookups answered from the cache, lookups that ran
+  // Prepare (failed ones included), and the entries held now. Thread-safe.
+  int64_t plan_cache_hits() const {
+    return plan_cache_hits_.load(std::memory_order_relaxed);
+  }
+  int64_t plan_cache_misses() const {
+    return plan_cache_misses_.load(std::memory_order_relaxed);
+  }
+  int64_t plan_cache_entries() const {
+    return plan_cache_entries_.load(std::memory_order_relaxed);
+  }
+
  private:
   // Load() path: adopt a restored column store + deserialized summary.
   Engine(ColumnarDocument store, PathSummary summary, Options options);
+
+  // The prepared query Run, Explain and ExplainAnalyze execute: the cached
+  // entry for `query`'s exact text, or Prepare's result, cached when it
+  // succeeds. cache_mu_ is never held while preparing; when two threads
+  // miss on one text, both prepare and the first insert wins.
+  Result<std::shared_ptr<const PreparedQuery>> PrepareCached(
+      const std::string& query) EXCLUDES(cache_mu_);
+  void ClearPlanCache() EXCLUDES(cache_mu_);
 
   // What the shared pipeline does after compiling: render the tree
   // (Explain), drain it into XML (Run), or both (ExplainAnalyze).
@@ -239,6 +282,7 @@ class Engine {
   // Per-catalog: built over the empty catalog on construction, rebuilt by
   // every InstallModel.
   Rewriter rewriter_{&summary_, {}};
+  EvalContext ctx_;
   Options options_;
   MemoryTracker engine_memory_{"engine"};
   // Guards the in-flight control set and the published metrics snapshot;
@@ -252,6 +296,21 @@ class Engine {
   // private context and copy here under mu_, so no running operator tree
   // ever shares metric slots with a reader or another query.
   std::deque<OperatorMetrics> last_metrics_ GUARDED_BY(mu_);
+
+  // The plan cache: an LRU list, most recent first, indexed by query text.
+  // The index keys view the texts held in the list nodes. Lock ordering:
+  // cache_mu_ is a leaf, and no query is prepared or run while it is held.
+  struct CacheEntry {
+    std::string text;
+    std::shared_ptr<const PreparedQuery> prepared;
+  };
+  mutable Mutex cache_mu_;
+  std::list<CacheEntry> cache_lru_ GUARDED_BY(cache_mu_);
+  std::unordered_map<std::string_view, std::list<CacheEntry>::iterator>
+      cache_index_ GUARDED_BY(cache_mu_);
+  std::atomic<int64_t> plan_cache_hits_{0};
+  std::atomic<int64_t> plan_cache_misses_{0};
+  std::atomic<int64_t> plan_cache_entries_{0};
 };
 
 }  // namespace uload

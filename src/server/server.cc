@@ -385,6 +385,8 @@ QueryServer::Stats QueryServer::stats() const {
   s.queries_error = queries_error_.load(std::memory_order_relaxed);
   s.frames_rejected = frames_rejected_.load(std::memory_order_relaxed);
   s.writes_timed_out = writes_timed_out_.load(std::memory_order_relaxed);
+  s.plan_cache_hits = engine_->plan_cache_hits();
+  s.plan_cache_misses = engine_->plan_cache_misses();
   s.admission = admission_.stats();
   return s;
 }
@@ -414,6 +416,8 @@ std::string QueryServer::StatsText() const {
   line("shed_draining", s.admission.shed_draining);
   line("executing", s.admission.executing);
   line("queued", s.admission.queued);
+  line("plan_cache_hits", s.plan_cache_hits);
+  line("plan_cache_misses", s.plan_cache_misses);
   return out;
 }
 

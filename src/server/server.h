@@ -86,6 +86,8 @@ class QueryServer {
     int64_t queries_error = 0;  // engine/admission errors answered on the wire
     int64_t frames_rejected = 0;  // protocol violations (connection torn down)
     int64_t writes_timed_out = 0;  // responses abandoned on a dead reader
+    int64_t plan_cache_hits = 0;    // the engine's, across every session
+    int64_t plan_cache_misses = 0;
     AdmissionController::Stats admission;
   };
 

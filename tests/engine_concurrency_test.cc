@@ -22,6 +22,7 @@
 #include "engine/engine.h"
 #include "storage/storage_models.h"
 #include "workload/dblp.h"
+#include "workload/xmark.h"
 
 namespace uload {
 namespace {
@@ -75,6 +76,60 @@ TEST_P(EngineConcurrencyTest, ConcurrentRunsMatchSerialBaseline) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(engine->memory().used(), 0);
+}
+
+// One plan cache serves every thread. Four threads start on an empty cache
+// and cycle through the repeat_large workload's five texts
+// (perfbench/generators.cc) from different offsets, so they race on misses,
+// inserts and hits of the same texts; every answer must equal a serial run
+// on a separate engine.
+TEST_P(EngineConcurrencyTest, SharedPlanCacheMatchesSerialBaseline) {
+  constexpr const char* kRepeatTexts[] = {
+      "for $x in doc(\"x\")//person/name return $x",
+      "for $x in doc(\"x\")//closed_auction return $x",
+      "for $x in doc(\"x\")//open_auction return $x",
+      "for $x in doc(\"x\")//closed_auction/price return $x",
+      "for $x in doc(\"x\")//closed_auction/annotation return $x",
+  };
+  constexpr size_t kTexts = std::size(kRepeatTexts);
+  Engine::Options o;
+  o.backend = GetParam();
+  auto make = [&o] {
+    auto e = std::make_unique<Engine>(GenerateXMark(XMarkScale(0.05)), o);
+    EXPECT_TRUE(e->InstallModel(TagPartitionedModel(e->summary())).ok());
+    return e;
+  };
+  std::vector<std::string> expected;
+  {
+    auto serial = make();
+    for (const char* q : kRepeatTexts) {
+      auto r = serial->Run(q);
+      ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+      expected.push_back(std::move(*r));
+    }
+  }
+
+  auto engine = make();
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kRounds * kTexts; ++i) {
+        size_t qi = (static_cast<size_t>(t) + i) % kTexts;
+        auto r = engine->Run(kRepeatTexts[qi]);
+        if (!r.ok() || *r != expected[qi]) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(engine->plan_cache_entries(), static_cast<int64_t>(kTexts));
+  EXPECT_GE(engine->plan_cache_misses(), static_cast<int64_t>(kTexts));
+  EXPECT_EQ(engine->plan_cache_hits() + engine->plan_cache_misses(),
+            static_cast<int64_t>(kThreads * kRounds * kTexts));
   EXPECT_EQ(engine->memory().used(), 0);
 }
 

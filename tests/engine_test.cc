@@ -414,6 +414,177 @@ TEST_F(EngineTest, ConstantQueryRunsThroughUnitPlan) {
 }
 
 // ---------------------------------------------------------------------------
+// Plan cache (DESIGN.md §16): Run, Explain and ExplainAnalyze take their
+// prepared query from one cache keyed by the exact query text. A hit must
+// answer and plan exactly as a cold Prepare does; InstallModel and
+// SetOptions empty the cache; only successes are cached.
+// ---------------------------------------------------------------------------
+
+// Every engine-corpus text on every storage model and both backends: the
+// second Run (a hit) is byte-identical to the first (a miss), and the hit's
+// logical plan equals a fresh engine's cold plan for the same text.
+TEST(EnginePlanCache, HitAnswersAndPlansLikeAColdEngine) {
+  struct Case {
+    std::function<Document()> make;
+    std::vector<std::string> queries;
+  };
+  const std::vector<Case> corpus = {{BibDoc, kBibQueries},
+                                    {DblpDoc, kDblpQueries},
+                                    {XMarkDoc, kXMarkQueries}};
+  std::vector<ModelSpec> models = AllModels();
+  models.push_back({"inlined", [](const PathSummary& s) {
+                      return InlinedShreddingModel(s);
+                    }});
+  for (Engine::Options::Backend backend :
+       {Engine::Options::Backend::kPointer,
+        Engine::Options::Backend::kColumnar}) {
+    Engine::Options o;
+    o.backend = backend;
+    for (const Case& c : corpus) {
+      for (const ModelSpec& m : models) {
+        Engine warm(c.make(), o);
+        Engine cold(c.make(), o);
+        ASSERT_TRUE(warm.InstallModel(m.build(warm.summary())).ok());
+        ASSERT_TRUE(cold.InstallModel(m.build(cold.summary())).ok());
+        for (const std::string& q : c.queries) {
+          const std::string where = std::string(m.name) + " columnar=" +
+                                    std::to_string(o.backend ==
+                                        Engine::Options::Backend::kColumnar) +
+                                    " query: " + q;
+          const int64_t hits = warm.plan_cache_hits();
+          auto first = warm.Run(q);
+          auto second = warm.Run(q);
+          ASSERT_EQ(first.ok(), second.ok()) << where;
+          if (!first.ok()) {
+            // Failures are not cached: the second Run missed as well.
+            EXPECT_EQ(first.status().ToString(), second.status().ToString())
+                << where;
+            EXPECT_EQ(warm.plan_cache_hits(), hits) << where;
+            continue;
+          }
+          EXPECT_EQ(*first, *second) << where;
+          EXPECT_EQ(warm.plan_cache_hits(), hits + 1) << where;
+          auto hit = warm.Explain(q);
+          auto fresh = cold.Explain(q);
+          ASSERT_TRUE(hit.ok()) << where << ": " << hit.status().ToString();
+          ASSERT_TRUE(fresh.ok()) << where << ": "
+                                  << fresh.status().ToString();
+          EXPECT_EQ(hit->logical, fresh->logical) << where;
+          EXPECT_EQ(hit->physical, fresh->physical) << where;
+        }
+        EXPECT_EQ(cold.plan_cache_hits(), 0) << m.name;
+      }
+    }
+  }
+}
+
+// InstallModel empties the cache: after switching from tag-partitioned to
+// path-partitioned storage, the same text plans over the new model's views
+// and answers as before.
+TEST(EnginePlanCache, InstallModelEmptiesTheCache) {
+  Engine engine(XMarkDoc());
+  const std::string q = kXMarkQueries[1];
+  ASSERT_TRUE(engine.InstallModel(TagPartitionedModel(engine.summary())).ok());
+  auto tag_answer = engine.Run(q);
+  ASSERT_TRUE(tag_answer.ok()) << tag_answer.status().ToString();
+  auto tag_plan = engine.Explain(q);
+  ASSERT_TRUE(tag_plan.ok()) << tag_plan.status().ToString();
+  EXPECT_EQ(engine.plan_cache_entries(), 1);
+
+  ASSERT_TRUE(
+      engine.InstallModel(PathPartitionedModel(engine.summary())).ok());
+  EXPECT_EQ(engine.plan_cache_entries(), 0);
+  auto path_plan = engine.Explain(q);
+  ASSERT_TRUE(path_plan.ok()) << path_plan.status().ToString();
+  Engine fresh(XMarkDoc());
+  ASSERT_TRUE(fresh.InstallModel(PathPartitionedModel(fresh.summary())).ok());
+  auto fresh_plan = fresh.Explain(q);
+  ASSERT_TRUE(fresh_plan.ok()) << fresh_plan.status().ToString();
+  EXPECT_EQ(path_plan->logical, fresh_plan->logical);
+  EXPECT_NE(path_plan->logical, tag_plan->logical);
+
+  auto path_answer = engine.Run(q);
+  ASSERT_TRUE(path_answer.ok()) << path_answer.status().ToString();
+  EXPECT_EQ(*path_answer, *tag_answer);
+}
+
+// SetOptions empties the cache: the next Run of a cached text misses.
+TEST(EnginePlanCache, SetOptionsEmptiesTheCache) {
+  Engine engine(BibDoc());
+  ASSERT_TRUE(engine.InstallModel(TagPartitionedModel(engine.summary())).ok());
+  const std::string q = kBibQueries[0];
+  ASSERT_TRUE(engine.Run(q).ok());
+  ASSERT_TRUE(engine.Run(q).ok());
+  EXPECT_EQ(engine.plan_cache_misses(), 1);
+  EXPECT_EQ(engine.plan_cache_hits(), 1);
+  engine.SetOptions(engine.options());
+  EXPECT_EQ(engine.plan_cache_entries(), 0);
+  ASSERT_TRUE(engine.Run(q).ok());
+  EXPECT_EQ(engine.plan_cache_misses(), 2);
+  EXPECT_EQ(engine.plan_cache_hits(), 1);
+}
+
+// A failed rewrite is never cached: the text fails, and misses, each time.
+TEST(EnginePlanCache, FailuresAreNotCached) {
+  Engine engine(XMarkDoc());
+  ASSERT_TRUE(engine.InstallModel(EdgeModel()).ok());
+  const std::string q = kXMarkQueries[1];  // no rewriting over edge storage
+  for (int i = 0; i < 2; ++i) {
+    auto run = engine.Run(q);
+    EXPECT_EQ(run.status().code(), StatusCode::kNotFound)
+        << run.status().ToString();
+  }
+  EXPECT_EQ(engine.plan_cache_misses(), 2);
+  EXPECT_EQ(engine.plan_cache_hits(), 0);
+  EXPECT_EQ(engine.plan_cache_entries(), 0);
+}
+
+// The key is the exact text: a string literal and a number that print alike
+// are two queries, and two entries.
+TEST(EnginePlanCache, KeyIsTheExactText) {
+  auto d = Document::Parse("<r><p>12</p><p>12.0</p><p>7</p></r>");
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  Engine engine(std::move(d).value());
+  ASSERT_TRUE(engine.InstallModel(TagPartitionedModel(engine.summary())).ok());
+  std::vector<std::string> answers;
+  for (const char* q : {"//p[text()=\"12\"]", "//p[text()=12]"}) {
+    auto run = engine.Run(q);
+    ASSERT_TRUE(run.ok()) << q << ": " << run.status().ToString();
+    EXPECT_EQ(*run, DirectResult(q, engine.document())) << q;
+    answers.push_back(*run);
+  }
+  EXPECT_NE(answers[0], answers[1]) << answers[0];
+  EXPECT_EQ(engine.plan_cache_entries(), 2);
+  EXPECT_EQ(engine.plan_cache_misses(), 2);
+  EXPECT_EQ(engine.plan_cache_hits(), 0);
+}
+
+// The cache holds at most kPlanCacheCapacity entries and evicts the least
+// recently used text first.
+TEST(EnginePlanCache, EvictsTheLeastRecentlyUsedText) {
+  Engine engine(BibDoc());
+  ASSERT_TRUE(engine.InstallModel(TagPartitionedModel(engine.summary())).ok());
+  auto text = [](size_t i) {
+    return "for $x in doc(\"bib\")//book where $x/year = \"" +
+           std::to_string(1900 + i) + "\" return <t>{$x/title/text()}</t>";
+  };
+  constexpr size_t kExtra = 3;
+  const size_t n = Engine::kPlanCacheCapacity + kExtra;
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(engine.Run(text(i)).ok()) << text(i);
+  }
+  EXPECT_EQ(engine.plan_cache_entries(),
+            static_cast<int64_t>(Engine::kPlanCacheCapacity));
+  EXPECT_EQ(engine.plan_cache_misses(), static_cast<int64_t>(n));
+  ASSERT_TRUE(engine.Run(text(n - 1)).ok());  // the newest still hits
+  EXPECT_EQ(engine.plan_cache_hits(), 1);
+  ASSERT_TRUE(engine.Run(text(0)).ok());  // the oldest was evicted
+  EXPECT_EQ(engine.plan_cache_misses(), static_cast<int64_t>(n + 1));
+  EXPECT_EQ(engine.plan_cache_entries(),
+            static_cast<int64_t>(Engine::kPlanCacheCapacity));
+}
+
+// ---------------------------------------------------------------------------
 // Resource governor (DESIGN.md §8): timeout, cross-thread cancellation, and
 // memory-budget exhaustion each abort with the designated StatusCode and
 // leave the engine fully usable — the very next query on the same Engine

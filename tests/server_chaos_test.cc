@@ -510,6 +510,15 @@ TEST(StatsFrame, CountersTravelAsKeyValueLines) {
   EXPECT_NE(stats->find("admitted=1\n"), std::string::npos);
   EXPECT_NE(stats->find("degraded="), std::string::npos);
   EXPECT_NE(stats->find("shed_queue_full="), std::string::npos);
+  EXPECT_NE(stats->find("plan_cache_hits=0\n"), std::string::npos) << *stats;
+  EXPECT_NE(stats->find("plan_cache_misses=1\n"), std::string::npos);
+
+  // The engine's plan cache serves the repeated text.
+  ASSERT_TRUE(client->Run(kQuery).ok());
+  stats = client->Stats();
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_NE(stats->find("plan_cache_hits=1\n"), std::string::npos) << *stats;
+  EXPECT_NE(stats->find("plan_cache_misses=1\n"), std::string::npos);
   EXPECT_TRUE(client->Goodbye().ok());
   server.Stop();
 }
